@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .alignment import ABLATION_MODES
 from .data import (
     gen_indoor_dataset,
     gen_trajectory_dataset,
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", default="full")
+    p.add_argument("--mode", choices=ABLATION_MODES, default="full")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of both stage losses")

@@ -5,6 +5,13 @@ Every operation records a closure that propagates gradients to its inputs;
 tape is rebuilt on every forward pass, so identical inputs always produce
 identical gradients.
 
+A backward closure may capture its inputs and any arrays it needs, but never
+its own output ``Tensor``: ``out._backward`` would then close a reference
+cycle through ``out``, and the whole graph of a step, activations included,
+would wait for the cyclic garbage collector instead of being freed by
+reference counting when the loss is dropped.  Capture the output array
+instead (``y = np.exp(x)`` ... ``g * y``).
+
 Broadcasting is deliberately restricted: elementwise operations accept
 operands of identical shape or a 0-d scalar, nothing else.  The few places
 that need axis broadcasting (bias rows, mask biases, tiling a parameter over
@@ -243,11 +250,12 @@ class Tensor:
         return out
 
     def exp(self) -> "Tensor":
-        out = Tensor._result(np.exp(self.data), (self,))
+        y = np.exp(self.data)
+        out = Tensor._result(y, (self,))
 
         def _bw(g):
             if self.requires_grad:
-                self._accumulate(g * out.data)
+                self._accumulate(g * y)
 
         out._backward = _bw
         return out
@@ -263,21 +271,23 @@ class Tensor:
         return out
 
     def sqrt(self) -> "Tensor":
-        out = Tensor._result(np.sqrt(self.data), (self,))
+        y = np.sqrt(self.data)
+        out = Tensor._result(y, (self,))
 
         def _bw(g):
             if self.requires_grad:
-                self._accumulate(g * 0.5 / out.data)
+                self._accumulate(g * 0.5 / y)
 
         out._backward = _bw
         return out
 
     def tanh(self) -> "Tensor":
-        out = Tensor._result(np.tanh(self.data), (self,))
+        y = np.tanh(self.data)
+        out = Tensor._result(y, (self,))
 
         def _bw(g):
             if self.requires_grad:
-                self._accumulate(g * (1.0 - out.data * out.data))
+                self._accumulate(g * (1.0 - y * y))
 
         out._backward = _bw
         return out

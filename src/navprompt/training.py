@@ -186,8 +186,10 @@ def save_checkpoint(store: ParamStore, config: dict, path: str) -> None:
         "frozen": sorted(store.frozen),
     }
     tmp = path + ".tmp"
+    # json.dumps takes the C encoder; json.dump always takes the pure-Python
+    # iterencode path, at the same bytes and about twice the time
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
     os.replace(tmp, path)
 
 
@@ -196,20 +198,29 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise CheckpointError(f"{path}: truncated or invalid checkpoint ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format_version {payload.get('format_version')!r} "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
     config = payload.get("config", {})
     tensors = payload.get("tensors", {})
-    frozen = set(payload.get("frozen", []))
+    frozen = payload.get("frozen", [])
+    if not isinstance(config, dict) or not isinstance(tensors, dict):
+        raise CheckpointError(f"{path}: 'config' and 'tensors' must be JSON objects")
+    if not isinstance(frozen, list) or not all(isinstance(n, str) for n in frozen):
+        raise CheckpointError(f"{path}: 'frozen' must be a list of tensor names")
 
     expected = None
     if "encoder" in config:
-        enc = EncoderConfig(**config["encoder"])
+        try:
+            enc = EncoderConfig(**config["encoder"])
+        except TypeError as exc:
+            raise CheckpointError(f"{path}: invalid encoder config ({exc})") from exc
         expected = param_shapes(enc, config.get("vocab_size"))
         missing = set(expected) - set(tensors)
         extra = set(tensors) - set(expected)
@@ -219,14 +230,26 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
     store = ParamStore()
     for name in sorted(tensors):
         entry = tensors[name]
-        shape = tuple(entry["shape"])
-        data = np.asarray(entry["data"], dtype=np.float64)
+        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+            raise CheckpointError(f"{path}: tensor {name!r} needs 'shape' and 'data' fields")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointError(f"{path}: tensor {name!r} shape {shape!r} is not a list of sizes")
+        shape = tuple(shape)
+        try:
+            data = np.asarray(entry["data"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: tensor {name!r} data is not a flat list of numbers") from exc
+        if data.ndim != 1:
+            raise CheckpointError(f"{path}: tensor {name!r} data is not a flat list of numbers")
+        if not np.all(np.isfinite(data)):
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         if data.size != int(np.prod(shape)):
             raise CheckpointError(f"{path}: tensor {name!r} data length {data.size} does not match shape {shape}")
         if expected is not None and shape != expected[name]:
             raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, config implies {expected[name]}")
         store.add(name, data.reshape(shape))
-    store.set_frozen(frozen & set(store.names()))
+    store.set_frozen(set(frozen) & set(store.names()))
     return store, config
 
 
@@ -327,10 +350,14 @@ def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None,
         val_acc = _stage1_accuracy(dataset, val_idx, store, enc)
         rows.append([epoch, repr(float(np.mean(losses))), repr(train_acc), repr(val_acc)])
 
+    # after any epoch, the last one has already measured the final store
+    if cfg.stage1_epochs == 0:
+        train_acc = _stage1_accuracy(dataset, train_idx, store, enc)
+        val_acc = _stage1_accuracy(dataset, val_idx, store, enc)
     prompt_params = enc.prompt_layers * enc.prompt_count * enc.d if enc.prompt_count else 0
     metrics = {
-        "train_accuracy": _stage1_accuracy(dataset, train_idx, store, enc),
-        "val_accuracy": _stage1_accuracy(dataset, val_idx, store, enc),
+        "train_accuracy": train_acc,
+        "val_accuracy": val_acc,
         "trainable_parameters": int(sum(store[n].size for n in trainable)),
         "prompt_parameters": int(prompt_params),
         "epochs": cfg.stage1_epochs,

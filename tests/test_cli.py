@@ -104,6 +104,14 @@ def test_bad_checkpoint_is_categorized(tmp_path, capsys):
     assert "CheckpointError" in capsys.readouterr().err
 
 
+def test_eval_rejects_unknown_mode(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ckpt", missing, "--vocab", missing, "--data", missing, "--mode", "cnt_ove"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cnt_ove'" in capsys.readouterr().err
+
+
 def test_gradcheck_stage1(capsys):
     rc = main(["gradcheck", "--stage", "1"])
     assert rc == 0

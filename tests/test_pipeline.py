@@ -19,6 +19,7 @@ from navprompt.errors import (
 )
 from navprompt.optim import ParamStore
 from navprompt.training import (
+    CHECKPOINT_FORMAT_VERSION,
     RunConfig,
     TrajectoryFeatures,
     build_vocabulary,
@@ -93,6 +94,60 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="99"):
             load_checkpoint(path)
 
+    def test_bytes_match_json_dump(self, tmp_path):
+        values = [-0.0, 5e-324, 1e308, 0.1, 1 / 3]
+        store = ParamStore()
+        store.add("a", np.array(values))
+        store.add("b", np.array([[1.0, -2.5]]), trainable=False)
+        config = {"stage": "stage1", "seed": 3}
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(store, config, str(path))
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump({
+                "format_version": CHECKPOINT_FORMAT_VERSION,
+                "config": config,
+                "tensors": {"a": {"shape": [5], "data": values}, "b": {"shape": [1, 2], "data": [1.0, -2.5]}},
+                "frozen": ["b"],
+            }, fh, sort_keys=True)
+        assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "body,match",
+        [
+            ('[1, 2]', "expected a JSON object, got list"),
+            (b"\xff\xfe\x00", "invalid checkpoint"),
+            ('{"format_version": 1, "tensors": []}', "must be JSON objects"),
+            ('{"format_version": 1, "config": [], "tensors": {}}', "must be JSON objects"),
+            ('{"format_version": 1, "tensors": {}, "frozen": [[1]]}', "'frozen' must be a list"),
+            ('{"format_version": 1, "config": {"encoder": {"bogus": 1}}, "tensors": {}}', "invalid encoder config"),
+            ('{"format_version": 1, "tensors": {"w": [1.0]}}', "tensor 'w' needs 'shape' and 'data'"),
+            ('{"format_version": 1, "tensors": {"w": {"shape": [1]}}}', "tensor 'w' needs 'shape' and 'data'"),
+            ('{"format_version": 1, "tensors": {"w": {"data": [1.0]}}}', "tensor 'w' needs 'shape' and 'data'"),
+            ('{"format_version": 1, "tensors": {"w": {"shape": "ab", "data": [1.0]}}}', "tensor 'w' shape"),
+            ('{"format_version": 1, "tensors": {"w": {"shape": [true], "data": [1.0]}}}', "tensor 'w' shape"),
+            ('{"format_version": 1, "tensors": {"w": {"shape": [1], "data": ["x"]}}}', "tensor 'w' data is not"),
+            ('{"format_version": 1, "tensors": {"w": {"shape": [2], "data": [[1.0, 2.0]]}}}', "tensor 'w' data is not"),
+            ('{"format_version": 1, "tensors": {"w": {"shape": [2], "data": [1.0, NaN]}}}', "tensor 'w' holds non-finite"),
+            ('{"format_version": 1, "tensors": {"w": {"shape": [1], "data": [Infinity]}}}', "tensor 'w' holds non-finite"),
+            ('{"format_version": 1, "tensors": {"w": {"shape": [1], "data": [-Infinity]}}}', "tensor 'w' holds non-finite"),
+        ],
+        ids=[
+            "list", "not-utf8", "tensors-list", "config-list", "frozen-nested", "encoder-keys",
+            "entry-list", "no-data", "no-shape", "shape-string", "shape-bool", "data-string",
+            "data-nested", "nan", "inf", "neg-inf",
+        ],
+    )
+    def test_malformed_file_raises_checkpoint_error(self, tmp_path, body, match):
+        path = tmp_path / "ckpt.json"
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
+        with pytest.raises(CheckpointError, match=match) as exc:
+            load_checkpoint(str(path))
+        assert str(path) in str(exc.value)
+
 
 class TestStage1:
     def test_zero_epochs_checkpoint_equals_init(self, tmp_path):
@@ -107,6 +162,29 @@ class TestStage1:
         a = run_stage1(tiny_cfg(tmp_path, out_dir=str(tmp_path / "a")))
         b = run_stage1(tiny_cfg(tmp_path, out_dir=str(tmp_path / "b")))
         assert open(a.checkpoint_path, "rb").read() == open(b.checkpoint_path, "rb").read()
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_summary_reuses_last_epoch_accuracies(self, tmp_path, monkeypatch, epochs):
+        from navprompt import training as T
+
+        calls = []
+        real = T._stage1_accuracy
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_stage1_accuracy", counting)
+        result = run_stage1(tiny_cfg(tmp_path, stage1_epochs=epochs))
+        assert len(calls) == 2 * max(epochs, 1)
+        with open(result.summary_path) as fh:
+            metrics = json.load(fh)["metrics"]
+        with open(result.csv_path) as fh:
+            rows = list(csv.reader(fh))
+        if epochs:
+            assert metrics["train_accuracy"] == float(rows[-1][2])
+            assert metrics["val_accuracy"] == float(rows[-1][3])
+        assert 0.0 <= metrics["train_accuracy"] <= 1.0 and 0.0 <= metrics["val_accuracy"] <= 1.0
 
     def test_csv_schema(self, tmp_path):
         result = run_stage1(tiny_cfg(tmp_path))
