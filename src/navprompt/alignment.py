@@ -136,37 +136,14 @@ def pairwise_alignment_loss(
     temperature: float = DEFAULT_TEMPERATURE,
     smoothing: float = DEFAULT_SMOOTHING,
     reverse: bool = False,
-) -> tuple[Tensor, list[float]]:
-    """Full contrastive loss for a batch of matched (text, vision) rows.
-
-    Returns the scalar loss tensor plus one diagnostic value per row: the
-    row's share of the loss (its S_T row plus its S_V column), which sums to
-    the total across the batch.
-    """
+) -> Tensor:
+    """Full contrastive loss for a batch of matched (text, vision) rows."""
     s = similarity_matrix(text_feats, vision_feats)
     m = s.shape[0]
     s_t = normalize(s, "rows", temperature)
     s_v = normalize(s, "cols", temperature)
     gt = ground_truth_matrix(m, effective_smoothing(m, smoothing))
-    loss = contrastive_loss(s_t, s_v, gt, reverse=reverse)
-
-    gt_np = gt.data
-    per_row = []
-
-    def _contrib(p, q):
-        # 0 * log(0) = 0 convention, matching kl_divergence
-        mask = p > 0
-        return float(np.where(mask, p * (np.log(np.where(mask, p, 1.0)) - np.log(np.where(mask, q, 1.0))), 0.0).sum())
-
-    for i in range(m):
-        if reverse:
-            row = _contrib(gt_np[i], s_t.data[i])
-            col = _contrib(gt_np[:, i], s_v.data[:, i])
-        else:
-            row = _contrib(s_t.data[i], gt_np[i])
-            col = _contrib(s_v.data[:, i], gt_np[:, i])
-        per_row.append(0.5 * (row + col) / (m * m))
-    return loss, per_row
+    return contrastive_loss(s_t, s_v, gt, reverse=reverse)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .segmenter import Instruction, pair_subpaths, split_instruction
+from .segmenter import Instruction, load_dataset, numeric_matrix, pair_subpaths, read_jsonl, split_instruction
 
 _VERBS = [
     "walk into the", "walk out of the", "walk past the",
@@ -147,23 +147,17 @@ def write_indoor_jsonl(samples: list[IndoorSample], path: str) -> None:
 
 
 def read_indoor_jsonl(path: str) -> list[IndoorSample]:
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            features = np.asarray(obj.get("features"), dtype=np.float64)
-            label = obj.get("label")
-            if features.ndim != 2 or not isinstance(label, int):
-                raise ValidationError(f"{path}:{lineno}: malformed indoor sample")
-            samples.append(IndoorSample(features=features, label=label))
-    if not samples:
-        from .errors import DatasetError
+    """Load {features, label} records; bad lines are skipped as in load_dataset."""
+    return read_jsonl(path, _parse_indoor, "indoor samples")
 
-        raise DatasetError(f"{path}: no indoor samples")
-    return samples
+
+def _parse_indoor(obj) -> IndoorSample:
+    if not isinstance(obj, dict):
+        raise ValidationError("record is not a JSON object")
+    label = obj.get("label")
+    if type(label) is not int:
+        raise ValidationError("missing or non-integer 'label'")
+    return IndoorSample(features=numeric_matrix(obj.get("features"), "features"), label=label)
 
 
 def write_trajectory_jsonl(samples: list[TrajectorySample], path: str) -> None:
@@ -184,14 +178,9 @@ def write_trajectory_jsonl(samples: list[TrajectorySample], path: str) -> None:
 
 def read_trajectory_jsonl(path: str) -> list[TrajectorySample]:
     """Load trajectories, re-segmenting and uniformly chunking where absent."""
-    from .segmenter import load_dataset
-
-    records = load_dataset(path)
     samples = []
-    for rec in records:
+    for rec in load_dataset(path):
         viewpoints = np.asarray(rec.path, dtype=np.float64)
-        if viewpoints.ndim != 2:
-            raise ValidationError("trajectory 'path' must hold per-viewpoint feature vectors")
         subs = split_instruction(rec.instruction)
         pairs = pair_subpaths(subs, len(rec.path), chunks=[list(c) for c in rec.chunks] if rec.chunks else None)
         samples.append(

@@ -4,8 +4,12 @@ Three stacks share one parameter store:
 
 * a visual encoder whose input sequence is [CLS | prompt slots | patches];
   the prompt slots of the first ``prompt_layers`` layers are replaced with
-  fresh learnable vectors on the way up (the layer's own prompt outputs are
-  discarded), so tuning the prompts steers a completely frozen backbone;
+  fresh learnable vectors on the way up, so tuning the prompts steers a
+  completely frozen backbone.  A replaced slot's output is never read, so a
+  layer whose prompts are a bank parameter and whose prompt outputs no later
+  layer reads takes them as shared key/value rows: they are normalized and
+  projected once per batch, attended to by every image, and their queries,
+  attention outputs and feed-forward are never computed;
 * a text encoder (token + position embeddings, padding masked out of
   attention) whose pooled output is the CLS position;
 * a cross-modal encoder over [count token | viewpoint features | per-ordinal
@@ -66,11 +70,10 @@ class EncoderConfig:
 
 @dataclass
 class LayerState:
-    """The [CLS | prompts | patches] blocks after one visual layer (batched)."""
+    """The CLS and patch blocks after the last visual layer (batched)."""
 
     cls: Tensor          # (B, 1, d)
-    prompt_block: Tensor  # (B, H, d)
-    patch_block: Tensor   # (B, E, d)
+    patch_block: Tensor  # (B, E, d)
 
 
 @dataclass
@@ -187,16 +190,21 @@ def param_shapes(cfg: EncoderConfig, vocab_size: int | None = None) -> dict[str,
 
 
 def _attention(x: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
-               mask_bias: np.ndarray | None) -> Tensor:
+               mask_bias: np.ndarray | None, shared: Tensor | None = None) -> Tensor:
     b, s, d = x.shape
     h = cfg.heads
     dk = d // h
     q = linear(x, store[f"{prefix}.wq"], store[f"{prefix}.bq"])
     k = linear(x, store[f"{prefix}.wk"], store[f"{prefix}.bk"])
     v = linear(x, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
+    if shared is not None:
+        # keys/values follow [first live row | shared rows | other live rows]
+        k = _splice_rows(k, linear(shared, store[f"{prefix}.wk"], store[f"{prefix}.bk"]))
+        v = _splice_rows(v, linear(shared, store[f"{prefix}.wv"], store[f"{prefix}.bv"]))
+    s_kv = k.shape[1]
     q = q.reshape(b, s, h, dk).transpose(0, 2, 1, 3)
-    k = k.reshape(b, s, h, dk).transpose(0, 2, 1, 3)
-    v = v.reshape(b, s, h, dk).transpose(0, 2, 1, 3)
+    k = k.reshape(b, s_kv, h, dk).transpose(0, 2, 1, 3)
+    v = v.reshape(b, s_kv, h, dk).transpose(0, 2, 1, 3)
     scores = matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dk))
     if mask_bias is not None:
         scores = scores.add_const(mask_bias)
@@ -206,9 +214,18 @@ def _attention(x: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
 
 
 def encoder_layer(x: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
-                  mask_bias: np.ndarray | None = None) -> Tensor:
-    h = layer_norm(x, store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"])
-    x = x + _attention(h, store, f"{prefix}.attn", cfg, mask_bias)
+                  mask_bias: np.ndarray | None = None, shared: Tensor | None = None) -> Tensor:
+    """One pre-norm block over the live rows ``x`` (B, S, d).
+
+    ``shared`` (H, d) rows, the same for every sequence, join the keys and
+    values right after position 0 but produce no output: only ``x`` is
+    queried, projected and fed forward.  ``mask_bias`` covers live rows only,
+    so the two are not combined.
+    """
+    g1, b1 = store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"]
+    h = layer_norm(x, g1, b1)
+    kv = layer_norm(shared, g1, b1) if shared is not None else None
+    x = x + _attention(h, store, f"{prefix}.attn", cfg, mask_bias, kv)
     h = layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"])
     h = linear(gelu(linear(h, store[f"{prefix}.ff.w1"], store[f"{prefix}.ff.b1"])),
                store[f"{prefix}.ff.w2"], store[f"{prefix}.ff.b2"])
@@ -220,6 +237,11 @@ def _tile_param(t: Tensor, batch: int) -> Tensor:
     return t.reshape(1, rows, d).expand((batch, rows, d))
 
 
+def _splice_rows(x: Tensor, rows: Tensor) -> Tensor:
+    """Insert 2-d ``rows``, tiled over the batch, after position 0 of ``x``."""
+    return concat([x[:, :1], _tile_param(rows, x.shape[0]), x[:, 1:]], axis=1)
+
+
 # -- visual encoder ---------------------------------------------------------------
 
 
@@ -228,12 +250,15 @@ def visual_encode(
     store: ParamStore,
     cfg: EncoderConfig,
     bank: PromptBank | None = None,
-    return_states: bool = False,
-):
-    """Encode patch features through the prompted backbone.
+) -> LayerState:
+    """Encode patch features (B, E, feature_dim) through the prompted backbone.
 
-    ``patches`` is (B, E, feature_dim).  Returns the final LayerState, or
-    (final, [state per layer]) when ``return_states`` is set.
+    A layer whose prompt input is a bank parameter (layer 0, or any banked
+    layer in ``replace`` mode) and whose prompt outputs no later layer reads
+    (the next layer replaces them, or it is the last layer) takes its prompts
+    as shared key/value rows.  Otherwise the prompts join the live sequence
+    and are carried upward, as in ``propagate`` mode or at the last banked
+    layer below an unprompted one.
     """
     if bank is None:
         bank = PromptBank.from_store(store, cfg)
@@ -244,33 +269,23 @@ def visual_encode(
     if patches.ndim != 3 or patches.shape[-1] != cfg.feature_dim:
         raise ShapeError(f"patches must be (B, E, {cfg.feature_dim}), got {patches.shape}")
     b = patches.shape[0]
-    h_count = cfg.prompt_count if bank.layer_names else 0
+    banked = len(bank.layer_names)
+    replace = cfg.deep_prompt_mode == "replace"
 
     emb = linear(patches, store["visual.patch_embed.w"], store["visual.patch_embed.b"])
-    parts = [_tile_param(store["visual.cls"], b)]
-    if h_count:
-        parts.append(_tile_param(store[bank.layer_names[0]], b))
-    parts.append(emb)
-    x = concat(parts, axis=1)
-
-    states: list[LayerState] = []
+    x = concat([_tile_param(store["visual.cls"], b), emb], axis=1)
+    carried = 0  # prompt rows held in the live sequence after CLS
     for i in range(cfg.visual_layers):
-        if (
-            h_count
-            and cfg.deep_prompt_mode == "replace"
-            and 1 <= i < len(bank.layer_names)
-        ):
-            fresh = _tile_param(store[bank.layer_names[i]], b)
-            x = concat([x[:, :1], fresh, x[:, 1 + h_count:]], axis=1)
-        x = encoder_layer(x, store, f"visual.layer{i}", cfg)
-        if return_states:
-            states.append(_split_state(x, h_count))
-    final = _split_state(x, h_count)
-    return (final, states) if return_states else final
-
-
-def _split_state(x: Tensor, h_count: int) -> LayerState:
-    return LayerState(cls=x[:, :1], prompt_block=x[:, 1:1 + h_count], patch_block=x[:, 1 + h_count:])
+        shared = None
+        if i < banked and (i == 0 or replace):
+            prompt = store[bank.layer_names[i]]
+            if i == cfg.visual_layers - 1 or (replace and i + 1 < banked):
+                shared = prompt
+            else:
+                x = _splice_rows(x, prompt)
+                carried = cfg.prompt_count
+        x = encoder_layer(x, store, f"visual.layer{i}", cfg, shared=shared)
+    return LayerState(cls=x[:, :1], patch_block=x[:, 1 + carried:])
 
 
 def classify_logits(cls: Tensor, store: ParamStore) -> Tensor:

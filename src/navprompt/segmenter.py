@@ -12,10 +12,15 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
+
+import numpy as np
 
 from .errors import AlignmentError, DatasetError, ParseError, ValidationError
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 DELIMITERS = {".", ",", "and"}
 
@@ -162,29 +167,58 @@ class DatasetRecord:
 
 
 def load_dataset(path: str) -> list[DatasetRecord]:
-    """Read a JSONL file of {instruction, path, chunk_view?} records.
+    """Read a JSONL file of {instruction, path, chunk_view?} records."""
+    return read_jsonl(path, _parse_record, "records")
 
-    Malformed lines are skipped with a logged warning carrying the line
-    number; a file that yields no valid record at all raises DatasetError.
+
+def read_jsonl(path: str, parse: Callable[[object], T], what: str) -> list[T]:
+    """Parse every non-blank line of a JSONL file with ``parse``.
+
+    A line that is not JSON, or whose value ``parse`` rejects with a
+    ValidationError or ParseError, is skipped with a ``path:line`` warning.
+    A file that yields no record at all raises DatasetError naming the first
+    bad line instead, so a wholly bad file gives one error and no warnings.
     """
-    records: list[DatasetRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                log.warning("%s:%d: invalid JSON (%s); line skipped", path, lineno, exc)
-                continue
-            try:
-                records.append(_parse_record(obj))
-            except (ParseError, ValidationError) as exc:
-                log.warning("%s:%d: %s; record skipped", path, lineno, exc)
+    records: list[T] = []
+    skipped: list[str] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(parse(json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    skipped.append(f"{path}:{lineno}: invalid JSON ({exc})")
+                except (ParseError, ValidationError) as exc:
+                    skipped.append(f"{path}:{lineno}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from exc
     if not records:
-        raise DatasetError(f"{path}: no valid records")
+        first = f"; {len(skipped)} bad lines, the first at {skipped[0]}" if skipped else ""
+        raise DatasetError(f"{path}: no valid {what}{first}")
+    for message in skipped:
+        log.warning("%s; line skipped", message)
     return records
+
+
+def numeric_matrix(value, name: str) -> np.ndarray:
+    """``value`` as a non-empty 2-d float64 array of finite numbers.
+
+    Strings, booleans, nulls, ragged rows and NaN/Infinity raise
+    ValidationError, so a loaded record can never carry them into training.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.size == 0 or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"'{name}' must be a non-empty 2-d array of numbers")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"'{name}' holds non-finite values")
+    return arr
 
 
 def _parse_record(obj) -> DatasetRecord:
@@ -196,6 +230,7 @@ def _parse_record(obj) -> DatasetRecord:
     raw_path = obj.get("path")
     if not isinstance(raw_path, list) or not raw_path:
         raise ValidationError("missing or empty 'path'")
+    numeric_matrix(raw_path, "path")
     chunks = obj.get("chunk_view")
     parsed_chunks = None
     if chunks is not None:

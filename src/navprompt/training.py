@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
@@ -153,7 +154,10 @@ def parse_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = coerce_field(key, value)
+            try:
+                out[key] = coerce_field(key, value)
+            except ParameterError as exc:
+                raise ParameterError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -166,9 +170,18 @@ def coerce_field(key: str, value: str):
             return False
         raise ParameterError(f"{key} expects a boolean, got {value!r}")
     if isinstance(current, int):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:
+            raise ParameterError(f"{key} expects an integer, got {value!r}") from None
     if isinstance(current, float):
-        return float(value)
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ParameterError(f"{key} expects a float, got {value!r}")
+        return number
     return value
 
 
@@ -532,7 +545,7 @@ def stage2_losses(
             offset += p.m
             vfeat = linear(concat([f.reshape(1, enc.d) for f in out.subpath_features], axis=0),
                            store["proj.visual.w"], store["proj.visual.b"])
-            loss, _ = pairwise_alignment_loss(tfeat, vfeat, cfg.temperature, cfg.smoothing, cfg.kl_reverse)
+            loss = pairwise_alignment_loss(tfeat, vfeat, cfg.temperature, cfg.smoothing, cfg.kl_reverse)
             scaled = loss * inv_b
             term = scaled if term is None else term + scaled
         return total_loss(l_sub=term, lambda1=cfg.lambda1, lambda2=cfg.lambda2, mode="sub_only")
@@ -576,18 +589,18 @@ def stage2_losses(
             tfeat = ind_proj[offset:offset + p.m]
             offset += p.m
             vfeat = linear(concat([f.reshape(1, enc.d) for f in out.subpath_features], axis=0), w_v, b_v)
-            loss, _ = pairwise_alignment_loss(tfeat, vfeat, cfg.temperature, cfg.smoothing, cfg.kl_reverse)
+            loss = pairwise_alignment_loss(tfeat, vfeat, cfg.temperature, cfg.smoothing, cfg.kl_reverse)
             scaled = loss * inv_b
             ind_term = scaled if ind_term is None else ind_term + scaled
 
     cnt_visual = linear(concat([out.count_feature.reshape(1, enc.d) for out in outputs], axis=0), w_v, b_v)
-    l_cnt, _ = pairwise_alignment_loss(linear(cnt_pool, w_t, b_t), cnt_visual,
-                                       cfg.temperature, cfg.smoothing, cfg.kl_reverse)
+    l_cnt = pairwise_alignment_loss(linear(cnt_pool, w_t, b_t), cnt_visual,
+                                    cfg.temperature, cfg.smoothing, cfg.kl_reverse)
     l_ove = None
     if mode == "full":
         ove_visual = linear(concat([out.overall_visual.reshape(1, enc.d) for out in outputs], axis=0), w_v, b_v)
-        l_ove, _ = pairwise_alignment_loss(linear(ove_pool, w_t, b_t), ove_visual,
-                                           cfg.temperature, cfg.smoothing, cfg.kl_reverse)
+        l_ove = pairwise_alignment_loss(linear(ove_pool, w_t, b_t), ove_visual,
+                                        cfg.temperature, cfg.smoothing, cfg.kl_reverse)
 
     return total_loss(
         l_ind=[ind_term] if ind_term is not None else None,
@@ -869,7 +882,8 @@ def stage2_gradient_report(cfg: RunConfig | None = None, eps: float = 1e-5) -> F
     init_cross_params(store, enc, rng)
     apply_stage_freeze(store, "stage2", cfg.joint_prompt_tuning)
     prepared = prepare_trajectories(dataset, vocab, enc)
-    cache = precompute_viewpoint_features(dataset, store, enc)
+    # joint prompt tuning encodes the viewpoints live, through the prompts
+    cache = None if cfg.joint_prompt_tuning else precompute_viewpoint_features(dataset, store, enc)
     indices = list(range(len(prepared)))
 
     def loss_fn(s):

@@ -116,3 +116,81 @@ def test_gradcheck_stage1(capsys):
     rc = main(["gradcheck", "--stage", "1"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line,message", [
+    ("stage1_lr = abc", "stage1_lr expects a float, got 'abc'"),
+    ("temperature = nan", "temperature expects a float, got 'nan'"),
+    ("stage1_epochs = 1.5", "stage1_epochs expects an integer, got '1.5'"),
+])
+def test_bad_config_value_is_one_line_error(tmp_path, capsys, line, message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"seed = 3\n{line}\n")
+    rc = main(["stage1", "--config", str(cfg_file)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error[ParameterError]: {cfg_file}:2: {message}"]
+
+
+_INDOOR_OK = {"features": [[0.5, -1.0, 0.25, 2.0, 1.0, 0.0], [1.5, 0.5, -0.5, 0.0, 1.0, 2.0]], "label": 1}
+_TRAJ_OK = {"instruction": "walk out of the bathroom and turn left", "path": [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]}
+# (name, bad indoor line, bad trajectory line)
+_BAD_LINES = [
+    ("invalid-json", '{"features": [[1.0]', '{"instruction": "turn left"'),
+    ("not-an-object", "[1, 2]", "[1, 2]"),
+    ("non-numeric", json.dumps({**_INDOOR_OK, "features": [["a", "b"]]}),
+     json.dumps({**_TRAJ_OK, "path": [["a", "b"]]})),
+    ("boolean", json.dumps({**_INDOOR_OK, "features": [[True, False]]}),
+     json.dumps({**_TRAJ_OK, "path": [[True], [False]]})),
+    ("ragged", json.dumps({**_INDOOR_OK, "features": [[1.0, 2.0], [3.0]]}),
+     json.dumps({**_TRAJ_OK, "path": [[1.0, 2.0], [3.0]]})),
+    ("flat", json.dumps({**_INDOOR_OK, "features": [1.0, 2.0]}), json.dumps({**_TRAJ_OK, "path": [1.0, 2.0]})),
+    ("nan", '{"features": [[NaN, 1.0]], "label": 0}', '{"instruction": "turn left", "path": [[NaN]]}'),
+    ("infinity", '{"features": [[Infinity, 1.0]], "label": 0}',
+     '{"instruction": "turn left", "path": [[1.0], [-Infinity]]}'),
+    ("missing-field", json.dumps({"features": [[1.0]]}), json.dumps({"path": [[1.0]]})),
+]
+
+
+def _loader_command(kind, path, tmp_path):
+    if kind == "indoor":
+        return ["stage1", "--data", path, *_cfg_flags(tmp_path)]
+    return ["segment", "--input", path, "--output", str(tmp_path / "seg.jsonl")]
+
+
+@pytest.mark.parametrize("kind", ["indoor", "trajectories"])
+@pytest.mark.parametrize("name,indoor_line,traj_line", _BAD_LINES, ids=[row[0] for row in _BAD_LINES])
+def test_malformed_jsonl_line(tmp_path, capsys, caplog, kind, name, indoor_line, traj_line):
+    bad = indoor_line if kind == "indoor" else traj_line
+    good = json.dumps(_INDOOR_OK if kind == "indoor" else _TRAJ_OK)
+
+    all_bad = tmp_path / "bad.jsonl"
+    all_bad.write_text(bad + "\n\n" + bad + "\n")
+    rc = main(_loader_command(kind, str(all_bad), tmp_path))
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error[DatasetError]: ")
+    assert f"{all_bad}:1: " in err[0]
+    assert not caplog.records
+
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join([good, bad, good, good]) + "\n")
+    with caplog.at_level("WARNING"):
+        rc = main(_loader_command(kind, str(mixed), tmp_path))
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert [r.getMessage().split(": ")[0] for r in caplog.records] == [f"{mixed}:2"]
+    if kind == "indoor":
+        metrics = json.loads(out)["metrics"]
+        assert metrics["train_size"] + metrics["val_size"] == 3
+    else:
+        assert out.startswith("segmented 3 records")
+
+
+def test_non_utf8_jsonl_is_dataset_error(tmp_path, capsys):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"instruction": "caf\xe9", "path": [[1.0]]}\n')
+    rc = main(["segment", "--input", str(path), "--output", str(tmp_path / "seg.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error[DatasetError]: ")

@@ -103,17 +103,55 @@ def ref_plain_visual(patches, cfg, store):
     return x
 
 
+def ref_prompted_visual(patches, cfg, store):
+    """[CLS | prompts | patches] through the whole backbone, every row computed.
+
+    Layer 0 reads ``visual.prompt.0``; in replace mode each later banked layer
+    overwrites the prompt rows with its own bank entry.  Returns (cls, patches).
+    """
+    b = patches.shape[0]
+    h_count = cfg.prompt_count if cfg.prompt_count and cfg.prompt_layers else 0
+
+    def prompts(i):
+        return np.broadcast_to(store[f"visual.prompt.{i}"].data, (b, h_count, cfg.d))
+
+    emb = patches @ store["visual.patch_embed.w"].data + store["visual.patch_embed.b"].data
+    cls = np.broadcast_to(store["visual.cls"].data, (b, 1, cfg.d))
+    x = np.concatenate([cls, prompts(0), emb] if h_count else [cls, emb], axis=1)
+    for i in range(cfg.visual_layers):
+        if h_count and cfg.deep_prompt_mode == "replace" and 1 <= i < cfg.prompt_layers:
+            x = np.concatenate([x[:, :1], prompts(i), x[:, 1 + h_count:]], axis=1)
+        x = ref_layer(x, f"visual.layer{i}", cfg, store)
+    return x[:, :1], x[:, 1 + h_count:]
+
+
+# (deep_prompt_mode, visual_layers, prompt_layers, prompt_count)
+PROMPT_LAYOUTS = {
+    "replace-all": ("replace", 3, 3, 3),
+    "replace-partial": ("replace", 3, 2, 3),
+    "propagate": ("propagate", 3, 3, 3),
+    "promptless": ("replace", 3, 0, 0),
+    "single-layer": ("propagate", 1, 1, 3),
+}
+
+
+def layout_config(layout: str) -> EncoderConfig:
+    mode, layers, prompted, count = PROMPT_LAYOUTS[layout]
+    return tiny_config(deep_prompt_mode=mode, visual_layers=layers, prompt_layers=prompted, prompt_count=count)
+
+
 class TestVisualEncode:
-    def test_sequence_shape_law_every_layer(self):
+    def test_final_state_shape_law(self):
         cfg = tiny_config(prompt_count=10, num_patches=4, feature_dim=4)
         store = build_store(cfg)
         patches = np.random.default_rng(1).normal(size=(2, 4, 4))
-        final, states = visual_encode(patches, store, cfg, return_states=True)
-        assert len(states) == cfg.visual_layers
-        for state in states:
-            assert state.cls.shape == (2, 1, cfg.d)
-            assert state.prompt_block.shape == (2, 10, cfg.d)
-            assert state.patch_block.shape == (2, 4, cfg.d)
+        final = visual_encode(patches, store, cfg)
+        assert final.cls.shape == (2, 1, cfg.d)
+        assert final.patch_block.shape == (2, 4, cfg.d)
+        partial = tiny_config(prompt_count=10, num_patches=4, feature_dim=4, visual_layers=3, prompt_layers=1)
+        final = visual_encode(patches, build_store(partial), partial)
+        assert final.cls.shape == (2, 1, cfg.d)
+        assert final.patch_block.shape == (2, 4, cfg.d)
 
     def test_promptless_matches_reference(self):
         cfg = tiny_config(prompt_count=0, prompt_layers=0)
@@ -123,7 +161,71 @@ class TestVisualEncode:
         ref = ref_plain_visual(patches, cfg, store)
         np.testing.assert_allclose(final.cls.data, ref[:, :1], atol=1e-12)
         np.testing.assert_allclose(final.patch_block.data, ref[:, 1:], atol=1e-12)
-        assert final.prompt_block.shape == (3, 0, cfg.d)
+        assert final.patch_block.shape == (3, cfg.num_patches, cfg.d)
+
+    @pytest.mark.parametrize("layout", sorted(PROMPT_LAYOUTS))
+    def test_matches_full_sequence_reference(self, layout):
+        cfg = layout_config(layout)
+        store = build_store(cfg, seed=30)
+        patches = np.random.default_rng(31).normal(size=(3, cfg.num_patches, cfg.feature_dim))
+        final = visual_encode(patches, store, cfg)
+        ref_cls, ref_patches = ref_prompted_visual(patches, cfg, store)
+        np.testing.assert_allclose(final.cls.data, ref_cls, atol=1e-12)
+        np.testing.assert_allclose(final.patch_block.data, ref_patches, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", sorted(PROMPT_LAYOUTS))
+    def test_prompt_gradients_match_central_differences(self, layout):
+        cfg = layout_config(layout)
+        store = build_store(cfg, seed=32)
+        apply_stage_freeze(store, "stage1")
+        rng = np.random.default_rng(33)
+        patches = rng.normal(size=(3, cfg.num_patches, cfg.feature_dim))
+        w_cls = rng.normal(size=(3, 1, cfg.d))
+        w_patch = rng.normal(size=(3, cfg.num_patches, cfg.d))
+
+        def loss_fn(s):
+            final = visual_encode(patches, s, cfg)
+            return (final.cls * Tensor(w_cls)).sum() + (final.patch_block * Tensor(w_patch)).sum()
+
+        analytic = backward(loss_fn(store), store)
+        names = [n for n in store.names() if n.startswith("visual.prompt.")]
+        assert len(names) == (cfg.prompt_layers if cfg.prompt_count else 0)
+        eps = 1e-5
+        for name in names:
+            flat = store[name].data.reshape(-1)
+            numeric = np.zeros_like(flat)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + eps
+                hi = loss_fn(store).item()
+                flat[i] = keep - eps
+                lo = loss_fn(store).item()
+                flat[i] = keep
+                numeric[i] = (hi - lo) / (2.0 * eps)
+            got = analytic.get(name, np.zeros_like(store[name].data)).reshape(-1)
+            scale = max(np.abs(numeric).max(), 1e-3)
+            assert np.abs(got - numeric).max() / scale < 1e-4, name
+            # a prompt that no layer reads (propagate mode above layer 0) has none
+            read = cfg.deep_prompt_mode == "replace" or name == "visual.prompt.0"
+            assert np.abs(numeric).max() > 1e-3 if read else np.all(got == 0.0)
+
+    def test_replace_mode_feeds_forward_live_rows_only(self, monkeypatch):
+        import navprompt.encoders as encoders
+
+        cfg = tiny_config(prompt_count=10, num_patches=4, feature_dim=4, visual_layers=3, prompt_layers=3)
+        store = build_store(cfg)
+        shapes = []
+        real_gelu = encoders.gelu
+
+        def recording_gelu(t):
+            shapes.append(t.shape)
+            return real_gelu(t)
+
+        monkeypatch.setattr(encoders, "gelu", recording_gelu)
+        visual_encode(np.zeros((2, 4, 4)), store, cfg)
+        # one feed-forward per layer, over [CLS | patches]: the prompt rows
+        # are keys and values only
+        assert shapes == [(2, 1 + 4, cfg.d * cfg.ff_mult)] * cfg.visual_layers
 
     def test_prompt_perturbation_changes_output(self):
         cfg = tiny_config()
@@ -366,6 +468,16 @@ class TestGradientFidelity:
             return -gather_index(logp, labels).mean()
 
         report = finite_difference_check(loss_fn, store, eps=1e-5)
+        assert report.max_rel_error < 1e-4, report.per_param
+
+    def test_stage2_joint_prompt_tuning_grads_match_finite_differences(self):
+        # the one stage-2 path that backpropagates through visual_encode
+        import dataclasses
+
+        from navprompt.training import gradcheck_config, stage2_gradient_report
+
+        report = stage2_gradient_report(dataclasses.replace(gradcheck_config(), joint_prompt_tuning=True))
+        assert {"visual.prompt.0", "visual.prompt.1"} <= set(report.per_param)
         assert report.max_rel_error < 1e-4, report.per_param
 
 
