@@ -26,7 +26,7 @@ from .data import (
 from .encoders import EncoderConfig
 from .errors import NavPromptError, ParameterError
 from .prompts import Vocabulary, build_prompt_set
-from .segmenter import load_dataset, pair_subpaths, split_instruction
+from .segmenter import load_dataset
 from .training import (
     RunConfig,
     evaluate_retrieval,
@@ -92,15 +92,12 @@ def _cmd_segment(args) -> int:
     written = 0
     with open(args.output, "w", encoding="utf-8") as fh:
         for rec in records:
-            subs = split_instruction(rec.instruction)
-            pairs = pair_subpaths(subs, len(rec.path),
-                                  chunks=[list(c) for c in rec.chunks] if rec.chunks else None)
             fh.write(json.dumps({
                 "instruction": rec.instruction.text,
                 "path": rec.path,
                 "chunk_view": [list(c) for c in rec.chunks] if rec.chunks else None,
-                "sub_instructions": [p.sub_instruction.text for p in pairs],
-                "aligned_ranges": [[p.start, p.end] for p in pairs],
+                "sub_instructions": [p.sub_instruction.text for p in rec.pairs],
+                "aligned_ranges": [[p.start, p.end] for p in rec.pairs],
             }))
             fh.write("\n")
             written += 1
@@ -111,8 +108,7 @@ def _cmd_segment(args) -> int:
 def _cmd_prompts(args) -> int:
     records = load_dataset(args.input)
     for rec in records:
-        subs = split_instruction(rec.instruction)
-        print(json.dumps(build_prompt_set(subs).as_dict()))
+        print(json.dumps(build_prompt_set([p.sub_instruction for p in rec.pairs]).as_dict()))
     return 0
 
 

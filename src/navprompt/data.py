@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .segmenter import Instruction, load_dataset, numeric_matrix, pair_subpaths, read_jsonl, split_instruction
+from .segmenter import Instruction, load_dataset, numeric_matrix, read_jsonl
 
 _VERBS = [
     "walk into the", "walk out of the", "walk past the",
@@ -180,15 +180,12 @@ def read_trajectory_jsonl(path: str) -> list[TrajectorySample]:
     """Load trajectories, re-segmenting and uniformly chunking where absent."""
     samples = []
     for rec in load_dataset(path):
-        viewpoints = np.asarray(rec.path, dtype=np.float64)
-        subs = split_instruction(rec.instruction)
-        pairs = pair_subpaths(subs, len(rec.path), chunks=[list(c) for c in rec.chunks] if rec.chunks else None)
         samples.append(
             TrajectorySample(
-                viewpoints=viewpoints,
+                viewpoints=np.asarray(rec.path, dtype=np.float64),
                 instruction=rec.instruction,
-                chunks=[(p.start, p.end) for p in pairs],
-                sub_instructions=[p.sub_instruction.text for p in pairs],
+                chunks=[(p.start, p.end) for p in rec.pairs],
+                sub_instructions=[p.sub_instruction.text for p in rec.pairs],
             )
         )
     return samples

@@ -17,7 +17,13 @@ Three stacks share one parameter store:
   features are mean-pooled per boundary.
 
 All layers are pre-norm multi-head self-attention plus a feed-forward block
-with residual connections.
+with residual connections.  The last layer of the text and cross-modal
+stacks queries and feeds forward only the leading rows that are read after
+it, while every row stays a key and value: the text encoder pools CLS, so its
+last layer computes CLS and one more row (two rows keep the BLAS rounding of
+a full layer), and the cross-modal encoder pools only the count token and the
+viewpoint rows, so its prompt and pad rows are never queried or fed forward
+there.
 """
 
 from __future__ import annotations
@@ -189,14 +195,15 @@ def param_shapes(cfg: EncoderConfig, vocab_size: int | None = None) -> dict[str,
 # -- shared layer machinery ------------------------------------------------------
 
 
-def _attention(x: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
+def _attention(xq: Tensor, xkv: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
                mask_bias: np.ndarray | None, shared: Tensor | None = None) -> Tensor:
-    b, s, d = x.shape
+    """Rows ``xq`` (B, Sq, d) attend over keys and values from ``xkv`` (B, S, d)."""
+    b, s, d = xq.shape
     h = cfg.heads
     dk = d // h
-    q = linear(x, store[f"{prefix}.wq"], store[f"{prefix}.bq"])
-    k = linear(x, store[f"{prefix}.wk"], store[f"{prefix}.bk"])
-    v = linear(x, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
+    q = linear(xq, store[f"{prefix}.wq"], store[f"{prefix}.bq"])
+    k = linear(xkv, store[f"{prefix}.wk"], store[f"{prefix}.bk"])
+    v = linear(xkv, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
     if shared is not None:
         # keys/values follow [first live row | shared rows | other live rows]
         k = _splice_rows(k, linear(shared, store[f"{prefix}.wk"], store[f"{prefix}.bk"]))
@@ -214,18 +221,24 @@ def _attention(x: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
 
 
 def encoder_layer(x: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
-                  mask_bias: np.ndarray | None = None, shared: Tensor | None = None) -> Tensor:
+                  mask_bias: np.ndarray | None = None, shared: Tensor | None = None,
+                  rows: int | None = None) -> Tensor:
     """One pre-norm block over the live rows ``x`` (B, S, d).
 
-    ``shared`` (H, d) rows, the same for every sequence, join the keys and
-    values right after position 0 but produce no output: only ``x`` is
-    queried, projected and fed forward.  ``mask_bias`` covers live rows only,
-    so the two are not combined.
+    Every live row is a key and value, but only the leading ``rows`` rows
+    (all of them by default) are queried, projected and fed forward, so the
+    output is (B, rows, d).  ``shared`` (H, d) rows, the same for every
+    sequence, join the keys and values right after position 0 but produce no
+    output.  ``mask_bias`` covers the live key positions only, so it is not
+    combined with ``shared``.
     """
     g1, b1 = store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"]
     h = layer_norm(x, g1, b1)
     kv = layer_norm(shared, g1, b1) if shared is not None else None
-    x = x + _attention(h, store, f"{prefix}.attn", cfg, mask_bias, kv)
+    q = h
+    if rows is not None and rows < x.shape[1]:
+        x, q = x[:, :rows], h[:, :rows]
+    x = x + _attention(q, h, store, f"{prefix}.attn", cfg, mask_bias, kv)
     h = layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"])
     h = linear(gelu(linear(h, store[f"{prefix}.ff.w1"], store[f"{prefix}.ff.b1"])),
                store[f"{prefix}.ff.w2"], store[f"{prefix}.ff.b2"])
@@ -297,18 +310,14 @@ def classify_logits(cls: Tensor, store: ParamStore) -> Tensor:
     return linear(hidden, store["head.w2"], store["head.b2"])
 
 
-def classify(cls: Tensor, store: ParamStore) -> Tensor:
-    """Class probability rows (each sums to 1) from pooled CLS features."""
-    return softmax(classify_logits(cls, store), axis=-1)
-
-
 # -- text encoder ------------------------------------------------------------------
 
 
-def text_encode(token_ids, store: ParamStore, cfg: EncoderConfig) -> tuple[Tensor, Tensor]:
-    """Encode padded id rows; returns (sequence (B, L, d), pooled (B, d)).
+def text_encode(token_ids, store: ParamStore, cfg: EncoderConfig) -> Tensor:
+    """Encode padded id rows (B, L) into pooled features (B, d).
 
-    The pooled vector is the leading (CLS) position; padding positions are
+    The pooled vector is the leading (CLS) position, so the last layer
+    queries and feeds forward only the leading rows; padding positions are
     excluded from attention via a large negative score bias.
     """
     ids = np.asarray(token_ids)
@@ -326,10 +335,14 @@ def text_encode(token_ids, store: ParamStore, cfg: EncoderConfig) -> tuple[Tenso
     x = embedding(store["text.tok_embed"], ids)
     x = x + _tile_param(store["text.pos_embed"][:length], b)
     mask = np.where(ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :]
+    # The last layer computes CLS and one more row: numpy sends a one-row
+    # product through BLAS gemv, which rounds differently from the gemm that
+    # computes the same row inside a longer block, so with two rows the
+    # pooled features stay bitwise equal to those of a full last layer.
+    last = cfg.text_layers - 1
     for i in range(cfg.text_layers):
-        x = encoder_layer(x, store, f"text.layer{i}", cfg, mask_bias=mask)
-    pooled = x[:, 0]
-    return x, pooled
+        x = encoder_layer(x, store, f"text.layer{i}", cfg, mask_bias=mask, rows=2 if i == last else None)
+    return x[:, 0]
 
 
 # -- cross-modal encoder --------------------------------------------------------------
@@ -359,7 +372,9 @@ def cross_modal_encode_batch(
     """Fuse per-trajectory viewpoint features with per-ordinal prompt features.
 
     Variable-length sequences are padded to the batch max and masked out of
-    attention; pooled outputs only read real positions.
+    attention; pooled outputs only read real positions.  They read only the
+    count token and the viewpoint rows, so the last layer computes the
+    leading ``offset + max(t_len)`` rows alone.
     """
     batch = len(viewpoint_feats)
     if prompt_feats is not None and len(prompt_feats) != batch:
@@ -405,8 +420,10 @@ def cross_modal_encode_batch(
     mask = np.zeros((batch, 1, 1, s_max))
     for idx, length in enumerate(lengths):
         mask[idx, :, :, length:] = MASK_BIAS
+    read = offset + max(t_len for t_len, _, _ in metas)
+    last = cfg.cross_layers - 1
     for i in range(cfg.cross_layers):
-        x = encoder_layer(x, store, f"cross.layer{i}", cfg, mask_bias=mask)
+        x = encoder_layer(x, store, f"cross.layer{i}", cfg, mask_bias=mask, rows=read if i == last else None)
 
     outputs: list[CrossModalOutput] = []
     for idx, (t_len, _m_len, bounds) in enumerate(metas):
@@ -420,18 +437,6 @@ def cross_modal_encode_batch(
             )
         )
     return outputs
-
-
-def cross_modal_encode(
-    viewpoint_feats: Tensor,
-    seq_prompt_feats: Tensor | None,
-    boundaries: Sequence[tuple[int, int]],
-    store: ParamStore,
-    cfg: EncoderConfig,
-    include_count: bool = True,
-) -> CrossModalOutput:
-    prompts = None if seq_prompt_feats is None else [seq_prompt_feats]
-    return cross_modal_encode_batch([viewpoint_feats], prompts, [boundaries], store, cfg, include_count)[0]
 
 
 # -- stage partitions ---------------------------------------------------------------

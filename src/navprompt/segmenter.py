@@ -163,11 +163,16 @@ def pair_subpaths(
 class DatasetRecord:
     instruction: Instruction
     path: list
-    chunks: list[tuple[int, int]] | None
+    chunks: list[tuple[int, int]] | None  # the record's own chunk_view, if any
+    pairs: list[AlignedPair]              # its sub-instructions, paired with sub-paths
 
 
 def load_dataset(path: str) -> list[DatasetRecord]:
-    """Read a JSONL file of {instruction, path, chunk_view?} records."""
+    """Read a JSONL file of {instruction, path, chunk_view?} records.
+
+    Each record is segmented and paired on load, so a line whose sub-paths
+    cannot be paired is skipped like any other malformed line.
+    """
     return read_jsonl(path, _parse_record, "records")
 
 
@@ -232,9 +237,12 @@ def _parse_record(obj) -> DatasetRecord:
         raise ValidationError("missing or empty 'path'")
     numeric_matrix(raw_path, "path")
     chunks = obj.get("chunk_view")
-    parsed_chunks = None
-    if chunks is not None:
-        if not isinstance(chunks, list):
-            raise ValidationError("'chunk_view' must be a list of [start, end) pairs")
-        parsed_chunks = _validate_chunks(chunks, len(raw_path))
-    return DatasetRecord(instruction=Instruction.from_text(text), path=raw_path, chunks=parsed_chunks)
+    if chunks is not None and not isinstance(chunks, list):
+        raise ValidationError("'chunk_view' must be a list of [start, end) pairs")
+    instruction = Instruction.from_text(text)
+    try:
+        pairs = pair_subpaths(split_instruction(instruction), len(raw_path), chunks)
+    except AlignmentError as exc:
+        raise ValidationError(str(exc)) from exc
+    parsed_chunks = None if chunks is None else [(p.start, p.end) for p in pairs]
+    return DatasetRecord(instruction=instruction, path=raw_path, chunks=parsed_chunks, pairs=pairs)

@@ -508,8 +508,7 @@ def pooled_text_features(ids: np.ndarray, store: ParamStore, enc: EncoderConfig)
     lengths = (ids != PAD_ID).sum(axis=1)
     trimmed = ids[:, : max(3, int(lengths.max()))]
     unique, inverse = np.unique(trimmed, axis=0, return_inverse=True)
-    _, pooled = text_encode(unique, store, enc)
-    return take_rows(pooled, inverse.reshape(-1))
+    return take_rows(text_encode(unique, store, enc), inverse.reshape(-1))
 
 
 def stage2_losses(

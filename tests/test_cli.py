@@ -158,10 +158,15 @@ def _loader_command(kind, path, tmp_path):
     return ["segment", "--input", path, "--output", str(tmp_path / "seg.jsonl")]
 
 
-@pytest.mark.parametrize("kind", ["indoor", "trajectories"])
-@pytest.mark.parametrize("name,indoor_line,traj_line", _BAD_LINES, ids=[row[0] for row in _BAD_LINES])
-def test_malformed_jsonl_line(tmp_path, capsys, caplog, kind, name, indoor_line, traj_line):
-    bad = indoor_line if kind == "indoor" else traj_line
+# trajectory lines that parse but whose two sub-instructions cannot be paired
+_UNPAIRABLE_LINES = [
+    ("chunk-count", json.dumps({**_TRAJ_OK, "chunk_view": [[0, 3]]})),
+    ("short-path", json.dumps({**_TRAJ_OK, "path": [[0.0, 1.0]]})),
+]
+
+
+def _check_bad_line(tmp_path, capsys, caplog, kind, bad):
+    """An all-bad file is one error line; a mixed file skips the bad line."""
     good = json.dumps(_INDOOR_OK if kind == "indoor" else _TRAJ_OK)
 
     all_bad = tmp_path / "bad.jsonl"
@@ -185,6 +190,17 @@ def test_malformed_jsonl_line(tmp_path, capsys, caplog, kind, name, indoor_line,
         assert metrics["train_size"] + metrics["val_size"] == 3
     else:
         assert out.startswith("segmented 3 records")
+
+
+@pytest.mark.parametrize("kind", ["indoor", "trajectories"])
+@pytest.mark.parametrize("name,indoor_line,traj_line", _BAD_LINES, ids=[row[0] for row in _BAD_LINES])
+def test_malformed_jsonl_line(tmp_path, capsys, caplog, kind, name, indoor_line, traj_line):
+    _check_bad_line(tmp_path, capsys, caplog, kind, indoor_line if kind == "indoor" else traj_line)
+
+
+@pytest.mark.parametrize("name,traj_line", _UNPAIRABLE_LINES, ids=[row[0] for row in _UNPAIRABLE_LINES])
+def test_unpairable_trajectory_line(tmp_path, capsys, caplog, name, traj_line):
+    _check_bad_line(tmp_path, capsys, caplog, "trajectories", traj_line)
 
 
 def test_non_utf8_jsonl_is_dataset_error(tmp_path, capsys):

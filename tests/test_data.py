@@ -132,6 +132,19 @@ class TestJsonlRoundTrip:
         assert loaded[0].chunks == [(0, 2), (2, 4)]
         assert loaded[0].sub_instructions == ["walk out of the bathroom", "turn left"]
 
+    def test_unpairable_line_skipped(self, tmp_path, caplog):
+        import json
+
+        path = tmp_path / "mixed.jsonl"
+        good = {"instruction": "walk out of the bathroom and turn left", "path": [[0.0], [1.0], [2.0]]}
+        path.write_text("\n".join(json.dumps(r) for r in [good, {**good, "chunk_view": [[0, 3]]}]) + "\n")
+        with caplog.at_level("WARNING"):
+            loaded = read_trajectory_jsonl(str(path))
+        assert [s.chunks for s in loaded] == [[(0, 2), (2, 3)]]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:2: 1 chunks for 2 sub-instructions; line skipped"
+        ]
+
     def test_empty_indoor_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -14,9 +14,7 @@ from navprompt.encoders import (
     EncoderConfig,
     PromptBank,
     apply_stage_freeze,
-    classify,
     classify_logits,
-    cross_modal_encode,
     cross_modal_encode_batch,
     init_cross_params,
     init_text_params,
@@ -29,7 +27,7 @@ from navprompt.encoders import (
 from navprompt.errors import AlignmentError, ConfigurationError, InputError, ParameterError
 from navprompt.optim import OptimConfig, Optimizer, ParamStore, backward
 from navprompt.prompts import PAD_ID, Vocabulary, tokenize
-from navprompt.tensor import Tensor, gather_index, log_softmax
+from navprompt.tensor import Tensor, gather_index, log_softmax, softmax
 
 
 def tiny_config(**overrides) -> EncoderConfig:
@@ -125,6 +123,53 @@ def ref_prompted_visual(patches, cfg, store):
     return x[:, :1], x[:, 1 + h_count:]
 
 
+def ref_text(ids, cfg, store):
+    """Every position through every text layer; returns the full sequence."""
+    x = store["text.tok_embed"].data[ids] + store["text.pos_embed"].data[: ids.shape[1]]
+    mask = np.where(ids == PAD_ID, -1e9, 0.0)[:, None, None, :]
+    for i in range(cfg.text_layers):
+        x = ref_layer(x, f"text.layer{i}", cfg, store, mask=mask)
+    return x
+
+
+def ref_cross(vps, pfs, cfg, store, include_count=True):
+    """[count | viewpoints | prompts | pad] rows through every cross layer."""
+    def w(name):
+        return store[name].data
+
+    seg = w("cross.seg_embed")
+    seqs = []
+    for j, vp in enumerate(vps):
+        parts = [w("cross.cnt") + seg[0]] if include_count else []
+        parts.append(vp + w("cross.pos_visual")[: len(vp)] + seg[1])
+        if pfs is not None:
+            parts.append(pfs[j] + w("cross.pos_prompt")[: len(pfs[j])] + seg[2])
+        seqs.append(np.concatenate(parts))
+    s_max = max(len(seq) for seq in seqs)
+    x = np.stack([np.concatenate([seq, np.zeros((s_max - len(seq), cfg.d))]) for seq in seqs])
+    mask = np.zeros((len(seqs), 1, 1, s_max))
+    for j, seq in enumerate(seqs):
+        mask[j, :, :, len(seq):] = -1e9
+    for i in range(cfg.cross_layers):
+        x = ref_layer(x, f"cross.layer{i}", cfg, store, mask=mask)
+    return x
+
+
+def record_gelu_rows(monkeypatch):
+    """Patch the encoders' ``gelu`` to record each feed-forward input shape."""
+    import navprompt.encoders as encoders
+
+    shapes = []
+    real_gelu = encoders.gelu
+
+    def recording_gelu(t):
+        shapes.append(t.shape)
+        return real_gelu(t)
+
+    monkeypatch.setattr(encoders, "gelu", recording_gelu)
+    return shapes
+
+
 # (deep_prompt_mode, visual_layers, prompt_layers, prompt_count)
 PROMPT_LAYOUTS = {
     "replace-all": ("replace", 3, 3, 3),
@@ -210,18 +255,9 @@ class TestVisualEncode:
             assert np.abs(numeric).max() > 1e-3 if read else np.all(got == 0.0)
 
     def test_replace_mode_feeds_forward_live_rows_only(self, monkeypatch):
-        import navprompt.encoders as encoders
-
         cfg = tiny_config(prompt_count=10, num_patches=4, feature_dim=4, visual_layers=3, prompt_layers=3)
         store = build_store(cfg)
-        shapes = []
-        real_gelu = encoders.gelu
-
-        def recording_gelu(t):
-            shapes.append(t.shape)
-            return real_gelu(t)
-
-        monkeypatch.setattr(encoders, "gelu", recording_gelu)
+        shapes = record_gelu_rows(monkeypatch)
         visual_encode(np.zeros((2, 4, 4)), store, cfg)
         # one feed-forward per layer, over [CLS | patches]: the prompt rows
         # are keys and values only
@@ -278,17 +314,15 @@ class TestClassify:
         store = build_store(cfg)
         for name in ("head.w1", "head.b1", "head.w2", "head.b2"):
             store[name].data[:] = 0.0
-        probs = classify(Tensor(np.random.default_rng(0).normal(size=(4, cfg.d))), store)
+        probs = softmax(classify_logits(Tensor(np.random.default_rng(0).normal(size=(4, cfg.d))), store), axis=-1)
         np.testing.assert_allclose(probs.data, 1.0 / cfg.num_classes, atol=1e-12)
 
     def test_softmax_oracle(self):
         cfg = tiny_config(num_classes=2)
         store = build_store(cfg)
         logits = Tensor(np.array([[math.log(1.0), math.log(3.0)]]))
-        from navprompt.tensor import softmax
-
         np.testing.assert_allclose(softmax(logits, axis=-1).data, [[0.25, 0.75]], atol=1e-15)
-        probs = classify(Tensor(np.zeros((1, cfg.d))), store)
+        probs = softmax(classify_logits(Tensor(np.zeros((1, cfg.d))), store), axis=-1)
         assert probs.shape == (1, 2)
         np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -299,17 +333,19 @@ class TestClassify:
 
 
 class TestTextEncode:
-    def _setup(self):
-        cfg = tiny_config()
-        vocab = Vocabulary.build(["walk out of the bathroom", "turn left"])
+    TEXTS = ("walk out of the bathroom", "turn left", "walk out of the bathroom and turn left")
+
+    def _setup(self, **overrides):
+        cfg = tiny_config(**overrides)
+        vocab = Vocabulary.build(list(self.TEXTS))
         store = build_store(cfg, seed=9, vocab_size=len(vocab))
         return cfg, vocab, store
 
     def test_deterministic(self):
         cfg, vocab, store = self._setup()
         ids = tokenize("turn left", vocab, cfg.max_text_len)
-        _, a = text_encode([ids], store, cfg)
-        _, b = text_encode([ids], store, cfg)
+        a = text_encode([ids], store, cfg)
+        b = text_encode([ids], store, cfg)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_padding_masked_out(self):
@@ -317,20 +353,28 @@ class TestTextEncode:
         ids = tokenize("turn left", vocab, cfg.max_text_len)
         shorter = ids[:6]
         assert PAD_ID in shorter  # both rows end in padding
-        _, a = text_encode([ids], store, cfg)
-        _, b = text_encode([shorter], store, cfg)
+        a = text_encode([ids], store, cfg)
+        b = text_encode([shorter], store, cfg)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
-    def test_matches_reference(self):
-        cfg, vocab, store = self._setup()
-        ids = np.array([tokenize("walk out of the bathroom", vocab, cfg.max_text_len)])
-        seq, pooled = text_encode(ids, store, cfg)
-        x = store["text.tok_embed"].data[ids] + store["text.pos_embed"].data[: ids.shape[1]]
-        mask = np.where(ids == PAD_ID, -1e9, 0.0)[:, None, None, :]
-        for i in range(cfg.text_layers):
-            x = ref_layer(x, f"text.layer{i}", cfg, store, mask=mask)
-        np.testing.assert_allclose(seq.data, x, atol=1e-12)
-        np.testing.assert_allclose(pooled.data, x[:, 0], atol=1e-12)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_reference(self, layers):
+        # rows of different lengths, padded to the widest and past it
+        cfg, vocab, store = self._setup(text_layers=layers)
+        ids = np.array([tokenize(t, vocab, cfg.max_text_len) for t in self.TEXTS])
+        assert (ids == PAD_ID).any(axis=1).all()
+        pooled = text_encode(ids, store, cfg)
+        assert pooled.shape == (len(self.TEXTS), cfg.d)
+        np.testing.assert_allclose(pooled.data, ref_text(ids, cfg, store)[:, 0], atol=1e-12)
+
+    def test_last_layer_feeds_forward_leading_rows_only(self, monkeypatch):
+        cfg, vocab, store = self._setup(text_layers=2)
+        ids = np.array([tokenize(t, vocab, 8) for t in self.TEXTS])
+        shapes = record_gelu_rows(monkeypatch)
+        text_encode(ids, store, cfg)
+        # CLS is pooled; the second row keeps its products on BLAS gemm
+        f = cfg.d * cfg.ff_mult
+        assert shapes == [(3, 8, f), (3, 2, f)]
 
     def test_id_out_of_range(self):
         cfg, vocab, store = self._setup()
@@ -340,7 +384,7 @@ class TestTextEncode:
     def test_pooled_width(self):
         cfg, vocab, store = self._setup()
         for text in ("turn left", "walk out of the bathroom please now"):
-            _, pooled = text_encode([tokenize(text, vocab, cfg.max_text_len)], store, cfg)
+            pooled = text_encode([tokenize(text, vocab, cfg.max_text_len)], store, cfg)
             assert pooled.shape == (1, cfg.d)
 
 
@@ -354,7 +398,7 @@ class TestCrossModal:
         cfg, store = self._setup()
         vp = Tensor(np.random.default_rng(1).normal(size=(1, cfg.d)))
         pf = Tensor(np.random.default_rng(2).normal(size=(1, cfg.d)))
-        out = cross_modal_encode(vp, pf, [(0, 1)], store, cfg)
+        out = cross_modal_encode_batch([vp], [pf], [[(0, 1)]], store, cfg)[0]
         np.testing.assert_allclose(out.subpath_features[0].data, out.overall_visual.data, atol=1e-12)
 
     def test_zero_weights_identity_pooling(self):
@@ -367,7 +411,7 @@ class TestCrossModal:
         rng = np.random.default_rng(3)
         vp = rng.normal(size=(4, cfg.d))
         pf = rng.normal(size=(2, cfg.d))
-        out = cross_modal_encode(Tensor(vp), Tensor(pf), [(0, 2), (2, 4)], store, cfg)
+        out = cross_modal_encode_batch([Tensor(vp)], [Tensor(pf)], [[(0, 2), (2, 4)]], store, cfg)[0]
         np.testing.assert_allclose(out.subpath_features[0].data, vp[0:2].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(out.subpath_features[1].data, vp[2:4].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(out.overall_visual.data, vp.mean(axis=0), atol=1e-12)
@@ -379,12 +423,12 @@ class TestCrossModal:
         vp = Tensor(rng.normal(size=(6, cfg.d)))
         pf = Tensor(rng.normal(size=(3, cfg.d)))
         bounds = [(0, 2), (2, 3), (3, 6)]
-        out = cross_modal_encode(vp, pf, bounds, store, cfg)
+        out = cross_modal_encode_batch([vp], [pf], [bounds], store, cfg)[0]
         feats = np.stack([f.data for f in out.subpath_features])
         # Pooling is per-boundary: recomputing any boundary's mean from the
         # transformer output directly must match, in any order.
         for j, (s, e) in enumerate(bounds):
-            same = cross_modal_encode(vp, pf, bounds, store, cfg).subpath_features[j].data
+            same = cross_modal_encode_batch([vp], [pf], [bounds], store, cfg)[0].subpath_features[j].data
             np.testing.assert_allclose(feats[j], same, atol=1e-12)
 
     def test_batch_matches_single(self):
@@ -395,7 +439,7 @@ class TestCrossModal:
         bounds = [[(0, 2), (2, 4)], [(0, 1), (1, 4), (4, 6)]]
         batched = cross_modal_encode_batch(vps, pfs, bounds, store, cfg)
         for i in range(2):
-            single = cross_modal_encode(vps[i], pfs[i], bounds[i], store, cfg)
+            single = cross_modal_encode_batch([vps[i]], [pfs[i]], [bounds[i]], store, cfg)[0]
             np.testing.assert_allclose(single.overall_visual.data, batched[i].overall_visual.data, atol=1e-10)
             for a, b in zip(single.subpath_features, batched[i].subpath_features):
                 np.testing.assert_allclose(a.data, b.data, atol=1e-10)
@@ -405,16 +449,59 @@ class TestCrossModal:
         vp = Tensor(np.zeros((4, cfg.d)))
         pf = Tensor(np.zeros((2, cfg.d)))
         with pytest.raises(AlignmentError):
-            cross_modal_encode(vp, pf, [(0, 1), (2, 4)], store, cfg)
+            cross_modal_encode_batch([vp], [pf], [[(0, 1), (2, 4)]], store, cfg)
         with pytest.raises(AlignmentError):
-            cross_modal_encode(vp, pf, [(0, 3), (3, 3)], store, cfg)
+            cross_modal_encode_batch([vp], [pf], [[(0, 3), (3, 3)]], store, cfg)
 
     def test_without_count_token(self):
         cfg, store = self._setup()
         vp = Tensor(np.random.default_rng(6).normal(size=(3, cfg.d)))
-        out = cross_modal_encode(vp, None, [(0, 3)], store, cfg, include_count=False)
+        out = cross_modal_encode_batch([vp], None, [[(0, 3)]], store, cfg, include_count=False)[0]
         assert out.count_feature is None
         assert isinstance(out, CrossModalOutput)
+
+    # three trajectories of 3, 6 and 5 viewpoints with 2, 3 and 1 sub-paths:
+    # the widest viewpoint block is not the longest sequence, so the last
+    # layer leaves prompt and pad rows out
+    BOUNDS = [[(0, 1), (1, 3)], [(0, 2), (2, 3), (3, 6)], [(0, 5)]]
+
+    def _ragged_batch(self, cfg):
+        rng = np.random.default_rng(14)
+        vps = [rng.normal(size=(b[-1][1], cfg.d)) for b in self.BOUNDS]
+        pfs = [rng.normal(size=(len(b), cfg.d)) for b in self.BOUNDS]
+        return vps, pfs
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("prompted", [True, False], ids=["count+prompts", "viewpoints-only"])
+    def test_matches_reference(self, layers, prompted):
+        cfg = tiny_config(cross_layers=layers)
+        store = build_store(cfg, seed=15, vocab_size=8)
+        vps, pfs = self._ragged_batch(cfg)
+        if not prompted:
+            pfs = None
+        outs = cross_modal_encode_batch([Tensor(v) for v in vps], None if pfs is None else [Tensor(p) for p in pfs],
+                                        self.BOUNDS, store, cfg, include_count=prompted)
+        ref = ref_cross(vps, pfs, cfg, store, include_count=prompted)
+        offset = 1 if prompted else 0
+        for j, (out, bounds) in enumerate(zip(outs, self.BOUNDS)):
+            row = ref[j]
+            if prompted:
+                np.testing.assert_allclose(out.count_feature.data, row[0], atol=1e-12)
+            for got, (s, e) in zip(out.subpath_features, bounds):
+                np.testing.assert_allclose(got.data, row[offset + s:offset + e].mean(axis=0), atol=1e-12)
+            t_len = bounds[-1][1]
+            np.testing.assert_allclose(out.overall_visual.data, row[offset:offset + t_len].mean(axis=0), atol=1e-12)
+
+    def test_last_layer_feeds_forward_read_rows_only(self, monkeypatch):
+        cfg = tiny_config(cross_layers=2)
+        store = build_store(cfg, seed=16, vocab_size=8)
+        vps, pfs = self._ragged_batch(cfg)
+        shapes = record_gelu_rows(monkeypatch)
+        cross_modal_encode_batch([Tensor(v) for v in vps], [Tensor(p) for p in pfs], self.BOUNDS, store, cfg)
+        # sequences are 1 + 3 + 2, 1 + 6 + 3 and 1 + 5 + 1 rows; the last
+        # layer computes the count token and the widest viewpoint block
+        f = cfg.d * cfg.ff_mult
+        assert shapes == [(3, 10, f), (3, 1 + 6, f)]
 
 
 class TestStagePartitions:
@@ -479,6 +566,61 @@ class TestGradientFidelity:
         report = stage2_gradient_report(dataclasses.replace(gradcheck_config(), joint_prompt_tuning=True))
         assert {"visual.prompt.0", "visual.prompt.1"} <= set(report.per_param)
         assert report.max_rel_error < 1e-4, report.per_param
+
+    def test_stage2_multilayer_grads_match_central_differences(self):
+        # two text and two cross layers, so the last layer of each stack,
+        # which computes only the rows read after it, differs from the first
+        import dataclasses
+
+        from navprompt.data import gen_trajectory_dataset
+        from navprompt.training import (
+            build_vocabulary,
+            gradcheck_config,
+            precompute_viewpoint_features,
+            prepare_trajectories,
+            stage2_losses,
+        )
+
+        cfg = dataclasses.replace(gradcheck_config(), text_layers=2, cross_layers=2)
+        enc = cfg.encoder()
+        dataset = gen_trajectory_dataset(
+            count=cfg.trajectory_count, subpaths_range=(cfg.subpaths_min, cfg.subpaths_max),
+            viewpoints_range=(cfg.viewpoints_min, cfg.viewpoints_max), seed=cfg.seed,
+            feature_dim=cfg.feature_dim, noise=cfg.viewpoint_noise, duplicate_prob=cfg.duplicate_prob,
+        )
+        vocab = build_vocabulary(dataset, enc.max_subpaths)
+        store = build_store(enc, seed=40, vocab_size=len(vocab))
+        apply_stage_freeze(store, "stage2")
+        prepared = prepare_trajectories(dataset, vocab, enc)
+        cache = precompute_viewpoint_features(dataset, store, enc)
+        indices = list(range(len(prepared)))
+
+        def loss_fn(s):
+            return stage2_losses(prepared, s, enc, cfg, cache, indices)[0]
+
+        analytic = backward(loss_fn(store), store)
+        names = store.trainable_names()
+        assert {"text.layer1.ff.w1", "cross.layer1.ff.w1"} <= set(names)
+        rng = np.random.default_rng(41)
+        eps = 1e-5
+        for name in names:
+            got = analytic.get(name, np.zeros_like(store[name].data)).reshape(-1)
+            flat = store[name].data.reshape(-1)
+            # a full sweep takes ~45 s: probe the largest analytic entry, which
+            # sets the scale, and three more drawn at random
+            picks = {int(np.abs(got).argmax())} | set(rng.choice(flat.size, min(3, flat.size), replace=False).tolist())
+            worst = scale = 0.0
+            for i in sorted(picks):
+                keep = flat[i]
+                flat[i] = keep + eps
+                hi = loss_fn(store).item()
+                flat[i] = keep - eps
+                lo = loss_fn(store).item()
+                flat[i] = keep
+                numeric = (hi - lo) / (2.0 * eps)
+                worst = max(worst, abs(got[i] - numeric))
+                scale = max(scale, abs(numeric))
+            assert worst / max(scale, 1e-3) < 1e-4, name
 
 
 def test_param_shapes_layout():
