@@ -7,14 +7,27 @@ a matrix-averaged KL divergence:
 
     D(P || Q) = (1/N^2) * sum_ij P_ij * log(P_ij / Q_ij)
 
-The total training objective combines the per-sub-path losses with the
-overall and count terms through two balance coefficients.
+The stage-2 objective adds up to three such loss terms, and this table is the
+one place the ablation modes are defined (``ABLATION_TERMS``, weighted by
+``TERM_WEIGHTS``).  Each mode trains its terms, added in this order:
+
+    mode          total
+    full          ove * lambda1 + cnt * lambda2 + ind
+    cnt_ind_ove   ove * lambda1 + cnt * lambda2 + ind   (an alias of full)
+    cnt_ind       cnt * lambda2 + ind
+    cnt           cnt * lambda2
+    sub_only      sub
+
+    ind  individual prompts against sub-paths, one matrix per trajectory
+    sub  raw sub-instructions against sub-paths, one matrix per trajectory
+    ove  overall prompts against whole paths, one matrix per batch
+    cnt  count prompts against the count token, one matrix per batch
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +40,29 @@ DEFAULT_LAMBDA2 = 0.1
 DEFAULT_TEMPERATURE = 0.1
 DEFAULT_SMOOTHING = 0.05
 
-ABLATION_MODES = ("full", "cnt_ind_ove", "cnt_ind", "cnt", "sub_only")
+# mode -> the loss terms it trains, in the order the total adds them
+ABLATION_TERMS: dict[str, tuple[str, ...]] = {
+    "full": ("ove", "cnt", "ind"),
+    "cnt_ind_ove": ("ove", "cnt", "ind"),
+    "cnt_ind": ("cnt", "ind"),
+    "cnt": ("cnt",),
+    "sub_only": ("sub",),
+}
+# term -> the coefficient that weights it; None adds the term with weight 1
+TERM_WEIGHTS = {"ind": None, "sub": None, "ove": "lambda1", "cnt": "lambda2"}
+ABLATION_MODES = tuple(ABLATION_TERMS)
+
+
+def retrieval_terms(mode: str) -> tuple[str, ...]:
+    """The (sub-path, whole-path[, count]) features that retrieval reads in ``mode``.
+
+    Every prompted mode reads the prompted features that ``full`` trains.  The
+    prompt-free mode reads the raw sub-instructions and, against the whole
+    path, the raw instruction (``ins``); it has no count feature.
+    """
+    if mode not in ABLATION_TERMS:
+        raise ParameterError(f"unknown ablation mode {mode!r}")
+    return ("sub", "ins") if "sub" in ABLATION_TERMS[mode] else ("ind", "ove", "cnt")
 
 
 def _row_normalize(r: Tensor) -> Tensor:
@@ -148,37 +183,28 @@ def pairwise_alignment_loss(
 
 @dataclass
 class LossReport:
-    """Per-step loss components; ``total`` is the value actually optimized."""
+    """Per-step loss terms (None when the mode leaves one out) and the optimized total."""
 
-    l_ind: list[float] = field(default_factory=list)
+    l_ind: float | None = None
     l_ove: float | None = None
     l_cnt: float | None = None
     l_sub: float | None = None
     total: float = 0.0
-    lambda1: float = DEFAULT_LAMBDA1
-    lambda2: float = DEFAULT_LAMBDA2
-    mode: str = "full"
 
 
 def total_loss(
-    l_ind: list[Tensor] | None = None,
-    l_ove: Tensor | None = None,
-    l_cnt: Tensor | None = None,
-    l_sub: Tensor | None = None,
+    terms: dict[str, Tensor],
     lambda1: float = DEFAULT_LAMBDA1,
     lambda2: float = DEFAULT_LAMBDA2,
-    mode: str = "full",
 ) -> tuple[Tensor, LossReport]:
-    """Combine loss components into the weighted total for the given mode.
+    """The weighted sum of the active loss terms, added in the given order.
 
-    ``full`` takes lambda1 * overall + lambda2 * count + sum of individual
-    terms; the ablation modes drop the unused components, and ``sub_only``
-    replaces everything with the prompt-free sub-pair loss.
+    Each term is weighted as ``TERM_WEIGHTS`` says: ove by lambda1, cnt by
+    lambda2, ind and sub by 1.
     """
-    if mode == "cnt_ind_ove":
-        mode = "full"
-    if mode not in ABLATION_MODES:
-        raise ParameterError(f"unknown ablation mode {mode!r}")
+    if not terms:
+        raise ParameterError("total_loss needs at least one loss term")
+    coefficients = {"lambda1": lambda1, "lambda2": lambda2}
 
     def _value(t: Tensor, name: str) -> float:
         v = t.item()
@@ -186,32 +212,14 @@ def total_loss(
             raise NumericError(f"loss component {name} is not finite: {v}")
         return v
 
-    report = LossReport(lambda1=lambda1, lambda2=lambda2, mode=mode)
-    if mode == "sub_only":
-        if l_sub is None:
-            raise ParameterError("sub_only mode needs the sub-pair loss")
-        report.l_sub = _value(l_sub, "l_sub")
-        report.total = report.l_sub
-        return l_sub, report
-
+    report = LossReport()
     total: Tensor | None = None
-    if mode == "full":
-        if l_ove is None:
-            raise ParameterError("full mode needs the overall loss")
-        report.l_ove = _value(l_ove, "l_ove")
-        total = l_ove * lambda1
-    if l_cnt is None:
-        raise ParameterError(f"mode {mode!r} needs the count loss")
-    report.l_cnt = _value(l_cnt, "l_cnt")
-    cnt_term = l_cnt * lambda2
-    total = cnt_term if total is None else total + cnt_term
-    if mode in ("full", "cnt_ind"):
-        if not l_ind:
-            raise ParameterError(f"mode {mode!r} needs the individual losses")
-        report.l_ind = [_value(t, "l_ind") for t in l_ind]
-        ind_sum = l_ind[0]
-        for t in l_ind[1:]:
-            ind_sum = ind_sum + t
-        total = total + ind_sum
+    for term, loss in terms.items():
+        if term not in TERM_WEIGHTS:
+            raise ParameterError(f"unknown loss term {term!r}")
+        setattr(report, f"l_{term}", _value(loss, f"l_{term}"))
+        weight = TERM_WEIGHTS[term]
+        weighted = loss if weight is None else loss * coefficients[weight]
+        total = weighted if total is None else total + weighted
     report.total = _value(total, "total")
     return total, report

@@ -145,23 +145,11 @@ class Optimizer:
                 p.data -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
 
 
-def optimizer_step(store: ParamStore, grads: dict[str, np.ndarray], cfg: OptimConfig,
-                   optimizer: Optimizer | None = None) -> Optimizer:
-    """One-shot convenience wrapper; returns the optimizer so moments persist."""
-    opt = optimizer if optimizer is not None else Optimizer(cfg)
-    opt.step(store, grads)
-    return opt
-
-
 @dataclass
 class FiniteDifferenceReport:
     max_rel_error: float
     per_param: dict[str, float] = field(default_factory=dict)
     eps: float = 1e-5
-
-    def worst(self) -> tuple[str, float]:
-        name = max(self.per_param, key=self.per_param.get)
-        return name, self.per_param[name]
 
 
 def finite_difference_check(

@@ -10,7 +10,7 @@ its own output ``Tensor``: ``out._backward`` would then close a reference
 cycle through ``out``, and the whole graph of a step, activations included,
 would wait for the cyclic garbage collector instead of being freed by
 reference counting when the loss is dropped.  Capture the output array
-instead (``y = np.exp(x)`` ... ``g * y``).
+instead (``y = np.sqrt(x)`` ... ``g * 0.5 / y``).
 
 Broadcasting is deliberately restricted: elementwise operations accept
 operands of identical shape or a 0-d scalar, nothing else.  The few places
@@ -84,9 +84,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -213,9 +210,6 @@ class Tensor:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._coerce(other) - self
-
     def add_const(self, const: np.ndarray) -> "Tensor":
         """Add a non-differentiable array, broadcast by numpy rules.
 
@@ -236,40 +230,6 @@ class Tensor:
 
     # -- elementwise unary ops -----------------------------------------------
 
-    def __pow__(self, exponent) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise ParameterError("pow: exponent must be a python number")
-        p = float(exponent)
-        out = Tensor._result(self.data ** p, (self,))
-
-        def _bw(g):
-            if self.requires_grad:
-                self._accumulate(g * p * self.data ** (p - 1.0))
-
-        out._backward = _bw
-        return out
-
-    def exp(self) -> "Tensor":
-        y = np.exp(self.data)
-        out = Tensor._result(y, (self,))
-
-        def _bw(g):
-            if self.requires_grad:
-                self._accumulate(g * y)
-
-        out._backward = _bw
-        return out
-
-    def log(self) -> "Tensor":
-        out = Tensor._result(np.log(self.data), (self,))
-
-        def _bw(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
-
-        out._backward = _bw
-        return out
-
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
         out = Tensor._result(y, (self,))
@@ -277,17 +237,6 @@ class Tensor:
         def _bw(g):
             if self.requires_grad:
                 self._accumulate(g * 0.5 / y)
-
-        out._backward = _bw
-        return out
-
-    def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
-        out = Tensor._result(y, (self,))
-
-        def _bw(g):
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - y * y))
 
         out._backward = _bw
         return out

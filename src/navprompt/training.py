@@ -11,6 +11,7 @@ logs never contain wall-clock values.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import LossReport, pairwise_alignment_loss, similarity_matrix, total_loss
+from .alignment import (
+    ABLATION_MODES,
+    ABLATION_TERMS,
+    LossReport,
+    pairwise_alignment_loss,
+    retrieval_terms,
+    total_loss,
+)
 from .data import (
     IndoorSample,
     TrajectorySample,
@@ -40,6 +48,7 @@ from .encoders import (
     visual_encode,
 )
 from .errors import (
+    AlignmentError,
     CheckpointError,
     ConfigurationError,
     DatasetError,
@@ -47,7 +56,7 @@ from .errors import (
     ParameterError,
 )
 from .optim import FiniteDifferenceReport, OptimConfig, Optimizer, ParamStore, backward, finite_difference_check
-from .prompts import PAD_ID, ContextPromptSet, Vocabulary, build_prompt_set, count_prompt, tokenize
+from .prompts import PAD_ID, Vocabulary, build_prompt_set, count_prompt, tokenize
 from .segmenter import SubInstruction
 from .tensor import Tensor, concat, gather_index, linear, log_softmax, take_rows
 
@@ -109,15 +118,7 @@ class RunConfig:
     val_fraction: float = 0.1
 
     def encoder(self) -> EncoderConfig:
-        enc = EncoderConfig(
-            d=self.d, heads=self.heads, ff_mult=self.ff_mult,
-            visual_layers=self.visual_layers, text_layers=self.text_layers,
-            cross_layers=self.cross_layers, prompt_count=self.prompt_count,
-            prompt_layers=self.prompt_layers, num_patches=self.num_patches,
-            feature_dim=self.feature_dim, num_classes=self.num_classes,
-            max_text_len=self.max_text_len, max_viewpoints=self.max_viewpoints,
-            max_subpaths=self.max_subpaths, deep_prompt_mode=self.deep_prompt_mode,
-        )
+        enc = EncoderConfig(**{f.name: getattr(self, f.name) for f in fields(EncoderConfig)})
         enc.validate()
         return enc
 
@@ -134,7 +135,7 @@ class RunConfig:
         self.optim(self.stage2_lr).validate()
         if not (0 <= self.val_fraction < 1):
             raise ParameterError("val_fraction must lie in [0, 1)")
-        if self.ablation not in ("full", "cnt_ind_ove", "cnt_ind", "cnt", "sub_only"):
+        if self.ablation not in ABLATION_MODES:
             raise ParameterError(f"unknown ablation {self.ablation!r}")
         if self.subpaths_max > self.max_subpaths or self.viewpoints_max > self.max_viewpoints:
             raise ParameterError("dataset ranges exceed encoder sequence capacity")
@@ -404,59 +405,39 @@ def _checkpoint_config(cfg: RunConfig, enc: EncoderConfig, stage: str, vocab_siz
 class _Prepared:
     sample: TrajectorySample
     m: int
-    prompt_set: ContextPromptSet
-    ind_ids: np.ndarray
-    seq_ids: np.ndarray
-    cnt_ids: np.ndarray
-    ove_ids: np.ndarray
-    sub_ids: np.ndarray
+    ids: dict[str, np.ndarray]  # text name -> (rows, max_text_len) token ids
+
+
+def _texts_for(sample: TrajectorySample) -> dict[str, list[str]]:
+    """Every text of a trajectory that stage 2 encodes, by name."""
+    ps = build_prompt_set([
+        SubInstruction(index=i + 1, text=text, tokens=text.split())
+        for i, text in enumerate(sample.sub_instructions)
+    ])
+    return {
+        "ind": ps.individual_prompts, "seq": ps.sequential_prompts,
+        "cnt": [ps.count_prompt], "ove": [ps.overall_prompt],
+        "sub": sample.sub_instructions, "ins": [sample.instruction.text],
+    }
 
 
 def build_vocabulary(dataset: list[TrajectorySample], max_subpaths: int) -> Vocabulary:
-    texts = []
-    for sample in dataset:
-        ps = _prompt_set_for(sample)
-        texts.extend(ps.individual_prompts)
-        texts.extend(ps.sequential_prompts)
-        texts.append(ps.count_prompt)
-        texts.append(ps.overall_prompt)
-        texts.extend(sample.sub_instructions)
-        texts.append(sample.instruction.text)
+    texts = [t for sample in dataset for group in _texts_for(sample).values() for t in group]
     # count prompts for every candidate size keep the count metric in-vocabulary
     texts.extend(count_prompt(k) for k in range(1, max_subpaths + 1))
     return Vocabulary.build(texts)
 
 
-def _prompt_set_for(sample: TrajectorySample) -> ContextPromptSet:
-    subs = [
-        SubInstruction(index=i + 1, text=text, tokens=text.split())
-        for i, text in enumerate(sample.sub_instructions)
-    ]
-    return build_prompt_set(subs)
-
-
 def prepare_trajectories(dataset: list[TrajectorySample], vocab: Vocabulary, enc: EncoderConfig) -> list[_Prepared]:
-    from .errors import AlignmentError
-
     prepared = []
     for sample in dataset:
         if len(sample.sub_instructions) != len(sample.chunks):
             raise AlignmentError(
                 f"{len(sample.sub_instructions)} sub-instructions but {len(sample.chunks)} sub-path chunks"
             )
-        ps = _prompt_set_for(sample)
-        prepared.append(
-            _Prepared(
-                sample=sample,
-                m=ps.m,
-                prompt_set=ps,
-                ind_ids=np.array([tokenize(t, vocab, enc.max_text_len) for t in ps.individual_prompts]),
-                seq_ids=np.array([tokenize(t, vocab, enc.max_text_len) for t in ps.sequential_prompts]),
-                cnt_ids=np.array(tokenize(ps.count_prompt, vocab, enc.max_text_len)),
-                ove_ids=np.array(tokenize(ps.overall_prompt, vocab, enc.max_text_len)),
-                sub_ids=np.array([tokenize(t, vocab, enc.max_text_len) for t in sample.sub_instructions]),
-            )
-        )
+        ids = {name: np.array([tokenize(t, vocab, enc.max_text_len) for t in texts])
+               for name, texts in _texts_for(sample).items()}
+        prepared.append(_Prepared(sample, len(sample.sub_instructions), ids))
     return prepared
 
 
@@ -511,6 +492,70 @@ def pooled_text_features(ids: np.ndarray, store: ParamStore, enc: EncoderConfig)
     return take_rows(text_encode(unique, store, enc), inverse.reshape(-1))
 
 
+def _split_rows(rows: Tensor, batch: list[_Prepared]) -> list[Tensor]:
+    """Split rows stacked over the batch into one block per trajectory."""
+    ends = list(itertools.accumulate(p.m for p in batch))
+    return [rows[end - p.m:end] for p, end in zip(batch, ends)]
+
+
+def stage2_features(
+    batch: list[_Prepared],
+    store: ParamStore,
+    enc: EncoderConfig,
+    terms: Sequence[str],
+    vp_feats: Sequence[Tensor],
+) -> dict[str, list[tuple[Tensor, Tensor]]]:
+    """The projected (text, visual) feature pairs of each requested term.
+
+    ``ind`` and ``sub`` give one pair per trajectory: its sub-instruction rows
+    against its sub-path rows.  ``ove``, ``ins`` and ``cnt`` give one pair of
+    (B, d) rows for the whole batch.  When a prompted term (ind, ove, cnt) is
+    requested, the sequential prompts and the count token enter the
+    cross-modal encoder.
+    """
+    prompted = not {"ind", "ove", "cnt"}.isdisjoint(terms)
+    wanted = {*terms, "seq"} if prompted else set(terms)
+
+    def ids(name: str) -> np.ndarray:
+        return np.concatenate([p.ids[name] for p in batch], axis=0)
+
+    # the short texts share one pooled batch; overall prompts and instructions
+    # are much longer, and encoding each of them separately keeps the short
+    # batch trimmed to its own length
+    blocks = {name: ids(name) for name in ("sub", "ind", "seq", "cnt") if name in wanted}
+    pooled = pooled_text_features(np.concatenate(list(blocks.values()), axis=0), store, enc)
+    text = {}
+    cursor = 0
+    for name, block in blocks.items():
+        text[name] = pooled[cursor:cursor + len(block)]
+        cursor += len(block)
+    for name in ("ove", "ins"):
+        if name in wanted:
+            text[name] = pooled_text_features(ids(name), store, enc)
+
+    outputs = cross_modal_encode_batch(
+        vp_feats, _split_rows(text["seq"], batch) if prompted else None,
+        [p.sample.chunks for p in batch], store, enc, include_count=prompted,
+    )
+
+    w_t, b_t = store["proj.text.w"], store["proj.text.b"]
+    w_v, b_v = store["proj.visual.w"], store["proj.visual.b"]
+
+    def visual(rows: list[Tensor]) -> Tensor:
+        return linear(concat([r.reshape(1, enc.d) for r in rows], axis=0), w_v, b_v)
+
+    features = {}
+    for term in terms:
+        text_proj = linear(text[term], w_t, b_t)
+        if term in ("ind", "sub"):
+            features[term] = [(t, visual(out.subpath_features))
+                              for t, out in zip(_split_rows(text_proj, batch), outputs)]
+        else:
+            rows = [out.count_feature if term == "cnt" else out.overall_visual for out in outputs]
+            features[term] = [(text_proj, visual(rows))]
+    return features
+
+
 def stage2_losses(
     batch: list[_Prepared],
     store: ParamStore,
@@ -519,96 +564,25 @@ def stage2_losses(
     cached_features: list[np.ndarray] | None = None,
     cache_indices: list[int] | None = None,
 ) -> tuple[Tensor, LossReport]:
-    """The weighted alignment loss of one mini-batch under cfg.ablation."""
-    mode = "full" if cfg.ablation == "cnt_ind_ove" else cfg.ablation
-    b = len(batch)
-    inv_b = 1.0 / b
+    """The weighted alignment loss of one mini-batch under cfg.ablation.
 
+    Each term's loss is the mean of its contrastive losses: one per
+    trajectory for ind and sub, one over the batch for ove and cnt.
+    """
     if cached_features is not None:
         assert cache_indices is not None
         vp_feats: list[Tensor] = [Tensor(cached_features[i]) for i in cache_indices]
     else:
         vp_feats = _live_viewpoint_features(batch, store, enc)
 
-    if mode == "sub_only":
-        sub_ids = np.concatenate([p.sub_ids for p in batch], axis=0)
-        pooled = pooled_text_features(sub_ids, store, enc)
-        text_proj = linear(pooled, store["proj.text.w"], store["proj.text.b"])
-        outputs = cross_modal_encode_batch(
-            vp_feats, None, [p.sample.chunks for p in batch], store, enc, include_count=False,
-        )
-        term = None
-        offset = 0
-        for p, out in zip(batch, outputs):
-            tfeat = text_proj[offset:offset + p.m]
-            offset += p.m
-            vfeat = linear(concat([f.reshape(1, enc.d) for f in out.subpath_features], axis=0),
-                           store["proj.visual.w"], store["proj.visual.b"])
-            loss = pairwise_alignment_loss(tfeat, vfeat, cfg.temperature, cfg.smoothing, cfg.kl_reverse)
-            scaled = loss * inv_b
-            term = scaled if term is None else term + scaled
-        return total_loss(l_sub=term, lambda1=cfg.lambda1, lambda2=cfg.lambda2, mode="sub_only")
-
-    # overall prompts are much longer than the rest; encoding them separately
-    # keeps the short-prompt batch trimmed to its own length
-    need_ind = mode in ("full", "cnt_ind")
-    blocks = [np.concatenate([p.seq_ids for p in batch], axis=0), np.stack([p.cnt_ids for p in batch])]
-    if need_ind:
-        blocks.insert(0, np.concatenate([p.ind_ids for p in batch], axis=0))
-    pooled = pooled_text_features(np.concatenate(blocks, axis=0), store, enc)
-
-    m_total = sum(p.m for p in batch)
-    cursor = 0
-    ind_pool = None
-    if need_ind:
-        ind_pool = pooled[cursor:cursor + m_total]
-        cursor += m_total
-    seq_pool = pooled[cursor:cursor + m_total]
-    cursor += m_total
-    cnt_pool = pooled[cursor:cursor + b]
-    ove_pool = pooled_text_features(np.stack([p.ove_ids for p in batch]), store, enc) if mode == "full" else None
-
-    seq_feats = []
-    offset = 0
-    for p in batch:
-        seq_feats.append(seq_pool[offset:offset + p.m])
-        offset += p.m
-    outputs = cross_modal_encode_batch(
-        vp_feats, seq_feats, [p.sample.chunks for p in batch], store, enc, include_count=True,
-    )
-
-    w_t, b_t = store["proj.text.w"], store["proj.text.b"]
-    w_v, b_v = store["proj.visual.w"], store["proj.visual.b"]
-
-    ind_term = None
-    if need_ind:
-        ind_proj = linear(ind_pool, w_t, b_t)
-        offset = 0
-        for p, out in zip(batch, outputs):
-            tfeat = ind_proj[offset:offset + p.m]
-            offset += p.m
-            vfeat = linear(concat([f.reshape(1, enc.d) for f in out.subpath_features], axis=0), w_v, b_v)
-            loss = pairwise_alignment_loss(tfeat, vfeat, cfg.temperature, cfg.smoothing, cfg.kl_reverse)
-            scaled = loss * inv_b
-            ind_term = scaled if ind_term is None else ind_term + scaled
-
-    cnt_visual = linear(concat([out.count_feature.reshape(1, enc.d) for out in outputs], axis=0), w_v, b_v)
-    l_cnt = pairwise_alignment_loss(linear(cnt_pool, w_t, b_t), cnt_visual,
-                                    cfg.temperature, cfg.smoothing, cfg.kl_reverse)
-    l_ove = None
-    if mode == "full":
-        ove_visual = linear(concat([out.overall_visual.reshape(1, enc.d) for out in outputs], axis=0), w_v, b_v)
-        l_ove = pairwise_alignment_loss(linear(ove_pool, w_t, b_t), ove_visual,
-                                        cfg.temperature, cfg.smoothing, cfg.kl_reverse)
-
-    return total_loss(
-        l_ind=[ind_term] if ind_term is not None else None,
-        l_ove=l_ove,
-        l_cnt=l_cnt,
-        lambda1=cfg.lambda1,
-        lambda2=cfg.lambda2,
-        mode=mode,
-    )
+    features = stage2_features(batch, store, enc, ABLATION_TERMS[cfg.ablation], vp_feats)
+    losses: dict[str, Tensor] = {}
+    for term, pairs in features.items():
+        scale = 1.0 / len(pairs)
+        for text, visual in pairs:
+            loss = pairwise_alignment_loss(text, visual, cfg.temperature, cfg.smoothing, cfg.kl_reverse) * scale
+            losses[term] = loss if term not in losses else losses[term] + loss
+    return total_loss(losses, cfg.lambda1, cfg.lambda2)
 
 
 def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample] | None = None,
@@ -662,10 +636,11 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
             grads = backward(total, store)
             optimizer.step(store, grads)
             _assert_frozen_unchanged(store, baseline, f"stage2 step {step}")
-            ind_sum = report.l_sub if report.mode == "sub_only" else (sum(report.l_ind) if report.l_ind else None)
+            # the l_ind_sum column holds the per-trajectory term: ind, or sub
+            per_path = report.l_ind if report.l_sub is None else report.l_sub
             rows.append([
                 step,
-                _float_cell(ind_sum),
+                _float_cell(per_path),
                 _float_cell(report.l_ove),
                 _float_cell(report.l_cnt),
                 _float_cell(report.total),
@@ -763,65 +738,39 @@ def evaluate_retrieval(
     """Argmax retrieval metrics over sub-pairs, whole trajectories, and counts."""
     if not dataset:
         raise DatasetError("evaluation dataset is empty")
-    mode = "full" if mode in ("cnt_ind_ove", "cnt", "cnt_ind") else mode
+    terms = retrieval_terms(mode)
+    per_path, whole = terms[:2]
     prepared = prepare_trajectories(dataset, vocab, enc)
     if cached_features is None:
         cached_features = precompute_viewpoint_features(dataset, store, enc)
 
-    w_t, b_t = store["proj.text.w"].data, store["proj.text.b"].data
-    w_v, b_v = store["proj.visual.w"].data, store["proj.visual.b"].data
-
     count_candidates = None
-    if mode == "full":
+    if "cnt" in terms:
         cnt_ids = np.array([
             tokenize(count_prompt(k), vocab, enc.max_text_len)
             for k in range(1, enc.max_subpaths + 1)
         ])
-        count_candidates = pooled_text_features(cnt_ids, store, enc).data @ w_t + b_t
+        pooled = pooled_text_features(cnt_ids, store, enc)
+        count_candidates = linear(pooled, store["proj.text.w"], store["proj.text.b"]).data
 
     features: list[TrajectoryFeatures] = []
     for start in range(0, len(prepared), batch_size):
         batch = prepared[start:start + batch_size]
-        feats = [Tensor(cached_features[start + j]) for j in range(len(batch))]
-        if mode == "sub_only":
-            ids = np.concatenate([p.sub_ids for p in batch], axis=0)
-            text_pool = pooled_text_features(ids, store, enc).data
-            ove_ids = np.array([tokenize(p.sample.instruction.text, vocab, enc.max_text_len) for p in batch])
-            ove_pool = pooled_text_features(ove_ids, store, enc).data
-            outputs = cross_modal_encode_batch(
-                feats, None, [p.sample.chunks for p in batch], store, enc, include_count=False,
-            )
-        else:
-            ind_ids = np.concatenate([p.ind_ids for p in batch], axis=0)
-            seq_ids = np.concatenate([p.seq_ids for p in batch], axis=0)
-            cnt_ids = np.stack([p.cnt_ids for p in batch])
-            pooled = pooled_text_features(np.concatenate([ind_ids, seq_ids, cnt_ids], axis=0), store, enc)
-            m_total = ind_ids.shape[0]
-            text_pool = pooled.data[:m_total]
-            seq_pool = pooled[m_total:2 * m_total]
-            ove_pool = pooled_text_features(np.stack([p.ove_ids for p in batch]), store, enc).data
-            seq_feats = []
-            offset = 0
-            for p in batch:
-                seq_feats.append(seq_pool[offset:offset + p.m])
-                offset += p.m
-            outputs = cross_modal_encode_batch(
-                feats, seq_feats, [p.sample.chunks for p in batch], store, enc, include_count=True,
-            )
-
-        offset = 0
-        for j, (p, out) in enumerate(zip(batch, outputs)):
+        vp_feats = [Tensor(cached_features[start + j]) for j in range(len(batch))]
+        feats = stage2_features(batch, store, enc, terms, vp_feats)
+        [(whole_text, whole_visual)] = feats[whole]
+        counts = feats["cnt"][0][1].data if "cnt" in feats else None
+        for j, (p, (text, visual)) in enumerate(zip(batch, feats[per_path])):
             features.append(
                 TrajectoryFeatures(
-                    text_feats=text_pool[offset:offset + p.m] @ w_t + b_t,
-                    visual_feats=np.stack([f.data for f in out.subpath_features]) @ w_v + b_v,
-                    overall_text=ove_pool[j] @ w_t + b_t,
-                    overall_visual=out.overall_visual.data @ w_v + b_v,
-                    count_feature=(out.count_feature.data @ w_v + b_v) if out.count_feature is not None else None,
+                    text_feats=text.data,
+                    visual_feats=visual.data,
+                    overall_text=whole_text.data[j],
+                    overall_visual=whole_visual.data[j],
+                    count_feature=None if counts is None else counts[j],
                     m=p.m,
                 )
             )
-            offset += p.m
     return retrieval_metrics(features, count_candidates)
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from navprompt.alignment import (
+    DEFAULT_LAMBDA1,
+    DEFAULT_LAMBDA2,
     LossReport,
     contrastive_loss,
     cosine_similarity,
@@ -251,58 +253,62 @@ class TestContrastiveLoss:
         assert math.isclose(base, permuted, rel_tol=1e-10)
 
 
+def _terms(ove, cnt, ind):
+    return {"ove": Tensor(ove), "cnt": Tensor(cnt), "ind": Tensor(ind)}
+
+
 class TestTotalLoss:
     def test_arithmetic(self):
-        total, report = total_loss(
-            l_ind=[Tensor(0.3)],
-            l_ove=Tensor(2.0),
-            l_cnt=Tensor(1.0),
-            lambda1=0.5,
-            lambda2=0.1,
-        )
+        total, report = total_loss(_terms(2.0, 1.0, 0.3), lambda1=0.5, lambda2=0.1)
         assert math.isclose(total.item(), 1.4, abs_tol=1e-15)
         assert math.isclose(report.total, 1.4, abs_tol=1e-15)
 
     def test_all_zero(self):
-        total, _ = total_loss(l_ind=[Tensor(0.0)], l_ove=Tensor(0.0), l_cnt=Tensor(0.0))
+        total, _ = total_loss(_terms(0.0, 0.0, 0.0))
         assert total.item() == 0.0
 
     def test_default_lambdas(self):
-        _, report = total_loss(l_ind=[Tensor(1.0)], l_ove=Tensor(1.0), l_cnt=Tensor(1.0))
-        assert report.lambda1 == 0.5 and report.lambda2 == 0.1
+        _, report = total_loss(_terms(1.0, 1.0, 1.0))
+        assert DEFAULT_LAMBDA1 == 0.5 and DEFAULT_LAMBDA2 == 0.1
         assert math.isclose(report.total, 0.5 + 0.1 + 1.0, abs_tol=1e-15)
 
     def test_composition_identity(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            inds = [Tensor(v) for v in rng.uniform(0, 2, rng.integers(1, 5))]
-            ove, cnt = Tensor(rng.uniform(0, 2)), Tensor(rng.uniform(0, 2))
-            total, report = total_loss(l_ind=inds, l_ove=ove, l_cnt=cnt)
-            manual = report.lambda1 * report.l_ove + report.lambda2 * report.l_cnt + sum(report.l_ind)
+            lambda1, lambda2 = rng.uniform(0, 1, 2)
+            total, report = total_loss(_terms(*rng.uniform(0, 2, 3)), lambda1, lambda2)
+            manual = lambda1 * report.l_ove + lambda2 * report.l_cnt + report.l_ind
             assert abs(report.total - manual) < 1e-12
+            assert report.total == total.item()
 
     def test_nan_component(self):
         with pytest.raises(NumericError):
-            total_loss(l_ind=[Tensor(float("nan"))], l_ove=Tensor(1.0), l_cnt=Tensor(1.0))
+            total_loss(_terms(1.0, 1.0, float("nan")))
 
     def test_sub_only_mode(self):
-        total, report = total_loss(l_sub=Tensor(0.7), mode="sub_only")
-        assert report.l_ove is None and report.l_cnt is None and not report.l_ind
+        total, report = total_loss({"sub": Tensor(0.7)})
+        assert report.l_ove is None and report.l_cnt is None and report.l_ind is None
+        assert report.l_sub == 0.7
         assert math.isclose(total.item(), 0.7, abs_tol=1e-15)
 
     def test_ablation_modes(self):
         cnt = Tensor(1.0)
-        total, report = total_loss(l_cnt=cnt, mode="cnt", lambda2=0.1)
+        total, report = total_loss({"cnt": cnt}, lambda2=0.1)
         assert math.isclose(total.item(), 0.1, abs_tol=1e-15)
         assert report.l_ove is None
-        total, report = total_loss(l_ind=[Tensor(0.5), Tensor(0.25)], l_cnt=cnt, mode="cnt_ind")
+        total, report = total_loss({"cnt": cnt, "ind": Tensor(0.5) + Tensor(0.25)})
         assert math.isclose(total.item(), 0.1 + 0.75, abs_tol=1e-15)
 
     def test_lambda_zero_degeneration(self):
-        inds = [Tensor(0.5), Tensor(0.25)]
-        total, report = total_loss(l_ind=inds, l_ove=Tensor(3.0), l_cnt=Tensor(2.0), lambda1=0.0, lambda2=0.0)
+        total, report = total_loss(_terms(3.0, 2.0, 0.75), lambda1=0.0, lambda2=0.0)
         assert total.item() == 0.75
         assert isinstance(report, LossReport)
+
+    def test_rejects_unknown_or_no_terms(self):
+        with pytest.raises(ParameterError):
+            total_loss({"everything": Tensor(1.0)})
+        with pytest.raises(ParameterError):
+            total_loss({})
 
 
 def loss_shares(text, vision, temperature=0.1, smoothing=0.05, reverse=False):

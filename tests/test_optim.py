@@ -11,7 +11,6 @@ from navprompt.optim import (
     ParamStore,
     backward,
     finite_difference_check,
-    optimizer_step,
 )
 from navprompt.tensor import Tensor
 
@@ -26,7 +25,7 @@ class TestOptimizerStep:
     def test_sgd_one_step(self):
         store = _store_with(value=1.0)
         cfg = OptimConfig(algorithm="sgd", learning_rate=0.1)
-        optimizer_step(store, {"p": np.array([2.0])}, cfg)
+        Optimizer(cfg).step(store, {"p": np.array([2.0])})
         np.testing.assert_allclose(store["p"].data, [0.8], atol=0)
 
     def test_frozen_untouched_bitwise(self):
@@ -36,7 +35,7 @@ class TestOptimizerStep:
         store.set_frozen({"q"})
         before = store["q"].data.tobytes()
         cfg = OptimConfig(algorithm="sgd", learning_rate=0.5)
-        optimizer_step(store, {"p": np.array([1.0]), "q": np.array([100.0])}, cfg)
+        Optimizer(cfg).step(store, {"p": np.array([1.0]), "q": np.array([100.0])})
         assert store["q"].data.tobytes() == before
         np.testing.assert_allclose(store["p"].data, [0.5])
 
@@ -45,7 +44,7 @@ class TestOptimizerStep:
         # is lr / (1 + eps) regardless of the betas.
         cfg = OptimConfig(algorithm="adam", learning_rate=1e-3)
         store = _store_with(value=1.0)
-        optimizer_step(store, {"p": np.array([1.0])}, cfg)
+        Optimizer(cfg).step(store, {"p": np.array([1.0])})
         expected = 1.0 - cfg.learning_rate * 1.0 / (1.0 + cfg.adam_eps)
         np.testing.assert_allclose(store["p"].data, [expected], atol=0)
         assert store["p"].data[0] < 1.0
@@ -69,7 +68,7 @@ class TestOptimizerStep:
     def test_unknown_gradient_name(self):
         store = _store_with()
         with pytest.raises(ContractError):
-            optimizer_step(store, {"nope": np.array([1.0])}, OptimConfig())
+            Optimizer(OptimConfig()).step(store, {"nope": np.array([1.0])})
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

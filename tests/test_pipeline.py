@@ -7,8 +7,17 @@ import json
 import numpy as np
 import pytest
 
+from navprompt.alignment import ABLATION_MODES, ABLATION_TERMS, TERM_WEIGHTS, pairwise_alignment_loss
+from navprompt.cli import main
 from navprompt.data import gen_indoor_dataset, gen_trajectory_dataset
-from navprompt.encoders import EncoderConfig, init_visual_params, param_shapes
+from navprompt.encoders import (
+    EncoderConfig,
+    apply_stage_freeze,
+    init_cross_params,
+    init_text_params,
+    init_visual_params,
+    param_shapes,
+)
 from navprompt.errors import (
     AlignmentError,
     CheckpointError,
@@ -24,6 +33,7 @@ from navprompt.training import (
     TrajectoryFeatures,
     build_vocabulary,
     evaluate_retrieval,
+    gradcheck_config,
     load_checkpoint,
     parse_config_file,
     prepare_trajectories,
@@ -31,9 +41,11 @@ from navprompt.training import (
     run_stage1,
     run_stage2,
     save_checkpoint,
+    stage2_features,
     stage2_losses,
     precompute_viewpoint_features,
 )
+from navprompt.tensor import Tensor
 
 
 def tiny_cfg(tmp_path, **overrides):
@@ -300,6 +312,71 @@ class TestStage2:
         for row in rows:
             combined = cfg.lambda1 * float(row["l_ove"]) + cfg.lambda2 * float(row["l_cnt"]) + float(row["l_ind_sum"])
             assert abs(float(row["total"]) - combined) < 1e-12
+
+
+class TestAblationTable:
+    """Each mode's loss terms, weights and retrieval features follow ABLATION_TERMS."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        cfg = gradcheck_config()
+        enc = cfg.encoder()
+        dataset = gen_trajectory_dataset(
+            count=cfg.trajectory_count,
+            subpaths_range=(cfg.subpaths_min, cfg.subpaths_max),
+            viewpoints_range=(cfg.viewpoints_min, cfg.viewpoints_max),
+            seed=cfg.seed, feature_dim=cfg.feature_dim, noise=cfg.viewpoint_noise,
+            duplicate_prob=cfg.duplicate_prob,
+        )
+        vocab = build_vocabulary(dataset, enc.max_subpaths)
+        store = ParamStore()
+        rng = np.random.default_rng([cfg.seed, 11])
+        init_visual_params(store, enc, rng)
+        init_text_params(store, enc, len(vocab), rng)
+        init_cross_params(store, enc, rng)
+        apply_stage_freeze(store, "stage2")
+        cache = precompute_viewpoint_features(dataset, store, enc)
+
+        def run(mode):
+            prepared = prepare_trajectories(dataset, vocab, enc)
+            total, report = stage2_losses(prepared, store, enc, dataclasses.replace(cfg, ablation=mode),
+                                          cache, list(range(len(prepared))))
+            features = stage2_features(prepared, store, enc, ABLATION_TERMS[mode], [Tensor(c) for c in cache])
+            metrics = evaluate_retrieval(store, enc, dataset, vocab, mode=mode, cached_features=cache)
+            return total, report, features, metrics
+
+        return cfg, run
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_mode_follows_the_table(self, setup, mode):
+        cfg, run = setup
+        total, report, features, metrics = run(mode)
+        terms = ABLATION_TERMS[mode]
+        values = {term: getattr(report, f"l_{term}") for term in TERM_WEIGHTS}
+        assert {term for term, v in values.items() if v is not None} == set(terms)
+        weight = {None: 1.0, "lambda1": cfg.lambda1, "lambda2": cfg.lambda2}
+        assert abs(report.total - sum(weight[TERM_WEIGHTS[t]] * values[t] for t in terms)) < 1e-12
+        # each term is the mean of its contrastive losses: per trajectory for ind and sub
+        assert list(features) == list(terms)
+        for term, pairs in features.items():
+            assert len(pairs) == (cfg.trajectory_count if term in ("ind", "sub") else 1)
+            losses = [pairwise_alignment_loss(t, v, cfg.temperature, cfg.smoothing).item() for t, v in pairs]
+            assert abs(values[term] - sum(losses) / len(losses)) < 1e-12
+        full_total, _, _, full_metrics = run("full")
+        if mode == "cnt_ind_ove":
+            assert total.data.tobytes() == full_total.data.tobytes()
+        if mode == "sub_only":
+            assert metrics["count_accuracy"] is None
+        else:
+            assert metrics == full_metrics
+
+    def test_unknown_mode_is_refused(self, tmp_path):
+        with pytest.raises(ParameterError):
+            RunConfig(ablation="everything").validate()
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--ckpt", missing, "--vocab", missing, "--data", missing, "--mode", "everything"])
+        assert exc.value.code == 2
 
 
 class TestEvaluation:
