@@ -15,14 +15,7 @@ import sys
 import numpy as np
 
 from .alignment import ABLATION_MODES
-from .data import (
-    gen_indoor_dataset,
-    gen_trajectory_dataset,
-    read_indoor_jsonl,
-    read_trajectory_jsonl,
-    write_indoor_jsonl,
-    write_trajectory_jsonl,
-)
+from .data import read_indoor_jsonl, read_trajectory_jsonl, write_indoor_jsonl, write_trajectory_jsonl
 from .encoders import EncoderConfig
 from .errors import NavPromptError, ParameterError
 from .prompts import Vocabulary, build_prompt_set
@@ -68,20 +61,10 @@ def _cmd_gen_data(args) -> int:
         raise ParameterError("gen-data requires --seed")
     cfg = _build_runconfig(args)
     if args.kind == "indoor":
-        samples = gen_indoor_dataset(
-            num_classes=cfg.num_classes, samples_per_class=cfg.indoor_samples_per_class,
-            noise=cfg.indoor_noise, seed=cfg.seed,
-            num_patches=cfg.num_patches, feature_dim=cfg.feature_dim,
-        )
+        samples = cfg.indoor_dataset()
         write_indoor_jsonl(samples, args.output)
     else:
-        samples = gen_trajectory_dataset(
-            count=cfg.trajectory_count,
-            subpaths_range=(cfg.subpaths_min, cfg.subpaths_max),
-            viewpoints_range=(cfg.viewpoints_min, cfg.viewpoints_max),
-            seed=cfg.seed, feature_dim=cfg.feature_dim,
-            noise=cfg.viewpoint_noise, duplicate_prob=cfg.duplicate_prob,
-        )
+        samples = cfg.trajectory_dataset()
         write_trajectory_jsonl(samples, args.output)
     print(f"wrote {len(samples)} {args.kind} records to {args.output}")
     return 0
@@ -144,14 +127,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     ok = True
-    if args.stage in ("1", "both"):
-        report = stage1_gradient_report(eps=args.eps)
-        print(f"stage1 cross-entropy: max relative error {report.max_rel_error:.3e}")
-        ok &= report.max_rel_error < args.tolerance
-    if args.stage in ("2", "both"):
-        report = stage2_gradient_report(eps=args.eps)
-        print(f"stage2 weighted alignment loss: max relative error {report.max_rel_error:.3e}")
-        ok &= report.max_rel_error < args.tolerance
+    for stage, label, check in (("1", "stage1 cross-entropy", stage1_gradient_report),
+                                ("2", "stage2 weighted alignment loss", stage2_gradient_report)):
+        if args.stage in (stage, "both"):
+            report = check(eps=args.eps)
+            worst = max(report.per_param, key=report.per_param.get)
+            print(f"{label}: worst {worst} {report.per_param[worst]:.2e} of its gradient scale")
+            ok &= report.max_rel_error < args.tolerance
     print("gradcheck:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -17,18 +17,20 @@ Three stacks share one parameter store:
   features are mean-pooled per boundary.
 
 All layers are pre-norm multi-head self-attention plus a feed-forward block
-with residual connections.  The last layer of the text and cross-modal
-stacks queries and feeds forward only the leading rows that are read after
-it, while every row stays a key and value: the text encoder pools CLS, so its
-last layer computes CLS and one more row (two rows keep the BLAS rounding of
-a full layer), and the cross-modal encoder pools only the count token and the
-viewpoint rows, so its prompt and pad rows are never queried or fed forward
-there.
+with residual connections.  The key projection has no bias: a key bias adds
+``q . bk`` to every score of a query row, a shift that softmax cancels, so it
+could neither change an output nor receive a gradient.  The last layer of the
+text and cross-modal stacks queries and feeds forward only the leading rows
+that are read after it, while every row stays a key and value: the text
+encoder pools CLS, so its last layer computes CLS and one more row (two rows
+keep the BLAS rounding of a full layer), and the cross-modal encoder pools
+only the count token and the viewpoint rows, so its prompt and pad rows are
+never queried or fed forward there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -89,32 +91,6 @@ class CrossModalOutput:
     overall_visual: Tensor              # (d,) mean over all viewpoint outputs
 
 
-@dataclass
-class PromptBank:
-    layer_names: list[str]
-    prompt_count: int
-    width: int
-
-    @classmethod
-    def from_store(cls, store: ParamStore, cfg: EncoderConfig) -> "PromptBank":
-        names = [f"visual.prompt.{i}" for i in range(cfg.prompt_layers) if cfg.prompt_count > 0]
-        bank = cls(layer_names=names, prompt_count=cfg.prompt_count, width=cfg.d)
-        bank.validate(store, cfg)
-        return bank
-
-    def validate(self, store: ParamStore, cfg: EncoderConfig) -> None:
-        expected = cfg.prompt_layers if cfg.prompt_count > 0 else 0
-        if len(self.layer_names) != expected:
-            raise ConfigurationError(f"prompt bank holds {len(self.layer_names)} layers, config wants {expected}")
-        for name in self.layer_names:
-            if name not in store:
-                raise ConfigurationError(f"prompt bank entry {name!r} missing from the store")
-            if store[name].shape != (cfg.prompt_count, cfg.d):
-                raise ConfigurationError(
-                    f"prompt {name!r} has shape {store[name].shape}, config wants {(cfg.prompt_count, cfg.d)}"
-                )
-
-
 # -- initialization ------------------------------------------------------------
 
 
@@ -128,7 +104,8 @@ def _init_block(store: ParamStore, prefix: str, cfg: EncoderConfig, rng: np.rand
     store.add(f"{prefix}.ln1.b", np.zeros(d))
     for name in ("q", "k", "v", "o"):
         store.add(f"{prefix}.attn.w{name}", _trunc_normal(rng, (d, d)))
-        store.add(f"{prefix}.attn.b{name}", np.zeros(d))
+        if name != "k":
+            store.add(f"{prefix}.attn.b{name}", np.zeros(d))
     store.add(f"{prefix}.ln2.g", np.ones(d))
     store.add(f"{prefix}.ln2.b", np.zeros(d))
     store.add(f"{prefix}.ff.w1", _trunc_normal(rng, (d, f)))
@@ -202,11 +179,11 @@ def _attention(xq: Tensor, xkv: Tensor, store: ParamStore, prefix: str, cfg: Enc
     h = cfg.heads
     dk = d // h
     q = linear(xq, store[f"{prefix}.wq"], store[f"{prefix}.bq"])
-    k = linear(xkv, store[f"{prefix}.wk"], store[f"{prefix}.bk"])
+    k = matmul(xkv, store[f"{prefix}.wk"])
     v = linear(xkv, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
     if shared is not None:
         # keys/values follow [first live row | shared rows | other live rows]
-        k = _splice_rows(k, linear(shared, store[f"{prefix}.wk"], store[f"{prefix}.bk"]))
+        k = _splice_rows(k, matmul(shared, store[f"{prefix}.wk"]))
         v = _splice_rows(v, linear(shared, store[f"{prefix}.wv"], store[f"{prefix}.bv"]))
     s_kv = k.shape[1]
     q = q.reshape(b, s, h, dk).transpose(0, 2, 1, 3)
@@ -262,7 +239,6 @@ def visual_encode(
     patches: Tensor | np.ndarray,
     store: ParamStore,
     cfg: EncoderConfig,
-    bank: PromptBank | None = None,
 ) -> LayerState:
     """Encode patch features (B, E, feature_dim) through the prompted backbone.
 
@@ -273,16 +249,12 @@ def visual_encode(
     and are carried upward, as in ``propagate`` mode or at the last banked
     layer below an unprompted one.
     """
-    if bank is None:
-        bank = PromptBank.from_store(store, cfg)
-    else:
-        bank.validate(store, cfg)
     if not isinstance(patches, Tensor):
         patches = Tensor(patches)
     if patches.ndim != 3 or patches.shape[-1] != cfg.feature_dim:
         raise ShapeError(f"patches must be (B, E, {cfg.feature_dim}), got {patches.shape}")
     b = patches.shape[0]
-    banked = len(bank.layer_names)
+    banked = cfg.prompt_layers if cfg.prompt_count > 0 else 0
     replace = cfg.deep_prompt_mode == "replace"
 
     emb = linear(patches, store["visual.patch_embed.w"], store["visual.patch_embed.b"])
@@ -291,7 +263,7 @@ def visual_encode(
     for i in range(cfg.visual_layers):
         shared = None
         if i < banked and (i == 0 or replace):
-            prompt = store[bank.layer_names[i]]
+            prompt = store[f"visual.prompt.{i}"]
             if i == cfg.visual_layers - 1 or (replace and i + 1 < banked):
                 shared = prompt
             else:
@@ -348,19 +320,6 @@ def text_encode(token_ids, store: ParamStore, cfg: EncoderConfig) -> Tensor:
 # -- cross-modal encoder --------------------------------------------------------------
 
 
-def _check_boundaries(boundaries: Sequence[tuple[int, int]], total: int) -> list[tuple[int, int]]:
-    cursor = 0
-    cleaned = []
-    for s, e in boundaries:
-        if s != cursor or e <= s:
-            raise AlignmentError(f"sub-path boundaries must partition [0, {total}); got {list(boundaries)}")
-        cleaned.append((int(s), int(e)))
-        cursor = e
-    if cursor != total:
-        raise AlignmentError(f"sub-path boundaries cover [0, {cursor}) of [0, {total})")
-    return cleaned
-
-
 def cross_modal_encode_batch(
     viewpoint_feats: Sequence[Tensor],
     prompt_feats: Sequence[Tensor] | None,
@@ -392,7 +351,6 @@ def cross_modal_encode_batch(
         t_len = vp.shape[0]
         if t_len > cfg.max_viewpoints:
             raise ConfigurationError(f"trajectory length {t_len} exceeds max_viewpoints {cfg.max_viewpoints}")
-        bounds = _check_boundaries(boundaries[idx], t_len)
         parts = []
         if include_count:
             parts.append(add_bias(store["cross.cnt"], seg[0]))
@@ -407,7 +365,7 @@ def cross_modal_encode_batch(
         seq = concat(parts, axis=0)
         seqs.append(seq)
         lengths.append(seq.shape[0])
-        metas.append((t_len, m_len, bounds))
+        metas.append((t_len, m_len, boundaries[idx]))
 
     s_max = max(lengths)
     padded = []

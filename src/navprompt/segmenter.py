@@ -109,15 +109,20 @@ def split_instruction(instr: Instruction | str) -> list[SubInstruction]:
     ]
 
 
-def _validate_chunks(chunks, path_length: int) -> list[tuple[int, int]]:
+def check_partition(chunks, path_length: int) -> list[tuple[int, int]]:
+    """``chunks`` as (start, end) pairs that partition [0, path_length) in order.
+
+    Raises ValidationError on a non-pair or non-integer item, a gap, an
+    overlap, an empty range, or a cover of the wrong length.
+    """
     out: list[tuple[int, int]] = []
     for item in chunks:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ValidationError(f"chunk {item!r} is not a [start, end) pair")
         s, e = item
-        if not (isinstance(s, int) and isinstance(e, int)):
+        if not (isinstance(s, (int, np.integer)) and isinstance(e, (int, np.integer))):
             raise ValidationError(f"chunk {item!r} must hold integers")
-        out.append((s, e))
+        out.append((int(s), int(e)))
     cursor = 0
     for s, e in out:
         if s != cursor:
@@ -143,7 +148,7 @@ def pair_subpaths(
     """
     m = len(subs)
     if chunks is not None:
-        ranges = _validate_chunks(chunks, path_length)
+        ranges = check_partition(chunks, path_length)
         if len(ranges) != m:
             raise ValidationError(f"{len(ranges)} chunks for {m} sub-instructions")
     else:

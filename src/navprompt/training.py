@@ -57,10 +57,15 @@ from .errors import (
 )
 from .optim import FiniteDifferenceReport, OptimConfig, Optimizer, ParamStore, backward, finite_difference_check
 from .prompts import PAD_ID, Vocabulary, build_prompt_set, count_prompt, tokenize
-from .segmenter import SubInstruction
+from .segmenter import SubInstruction, check_partition
 from .tensor import Tensor, concat, gather_index, linear, log_softmax, take_rows
 
 CHECKPOINT_FORMAT_VERSION = 1
+# rows per batch of the forward-only passes: stage-1 accuracy, the viewpoint
+# precompute and retrieval evaluation
+ACCURACY_BATCH = 64
+PRECOMPUTE_CHUNK = 256
+EVAL_BATCH = 16
 
 
 @dataclass
@@ -121,6 +126,22 @@ class RunConfig:
         enc = EncoderConfig(**{f.name: getattr(self, f.name) for f in fields(EncoderConfig)})
         enc.validate()
         return enc
+
+    def indoor_dataset(self) -> list[IndoorSample]:
+        return gen_indoor_dataset(
+            num_classes=self.num_classes, samples_per_class=self.indoor_samples_per_class,
+            noise=self.indoor_noise, seed=self.seed,
+            num_patches=self.num_patches, feature_dim=self.feature_dim,
+        )
+
+    def trajectory_dataset(self) -> list[TrajectorySample]:
+        return gen_trajectory_dataset(
+            count=self.trajectory_count,
+            subpaths_range=(self.subpaths_min, self.subpaths_max),
+            viewpoints_range=(self.viewpoints_min, self.viewpoints_max),
+            seed=self.seed, feature_dim=self.feature_dim,
+            noise=self.viewpoint_noise, duplicate_prob=self.duplicate_prob,
+        )
 
     def optim(self, lr: float) -> OptimConfig:
         return OptimConfig(
@@ -311,11 +332,11 @@ def stage1_loss(features: np.ndarray, labels: np.ndarray, store: ParamStore, enc
 
 
 def _stage1_accuracy(samples: list[IndoorSample], indices: Sequence[int], store: ParamStore,
-                     enc: EncoderConfig, batch_size: int = 64) -> float:
+                     enc: EncoderConfig) -> float:
     if not indices:
         return float("nan")
     hits = 0
-    for batch in _batches(indices, batch_size):
+    for batch in _batches(indices, ACCURACY_BATCH):
         feats = np.stack([samples[i].features for i in batch])
         labels = np.array([samples[i].label for i in batch])
         state = visual_encode(feats, store, enc)
@@ -329,14 +350,7 @@ def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None,
     cfg.validate()
     enc = cfg.encoder()
     if dataset is None:
-        dataset = gen_indoor_dataset(
-            num_classes=cfg.num_classes,
-            samples_per_class=cfg.indoor_samples_per_class,
-            noise=cfg.indoor_noise,
-            seed=cfg.seed,
-            num_patches=cfg.num_patches,
-            feature_dim=cfg.feature_dim,
-        )
+        dataset = cfg.indoor_dataset()
     train_idx, val_idx = split_indices(len(dataset), cfg.seed, cfg.val_fraction)
     if not train_idx:
         raise DatasetError("stage 1 training split is empty")
@@ -380,22 +394,24 @@ def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None,
     }
     result = StageResult(metrics=metrics, store=store)
     if write_outputs:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        result.checkpoint_path = os.path.join(cfg.out_dir, "stage1_checkpoint.json")
-        save_checkpoint(store, _checkpoint_config(cfg, enc, stage="stage1"), result.checkpoint_path)
-        result.csv_path = os.path.join(cfg.out_dir, "stage1_log.csv")
-        _write_csv(result.csv_path, ["epoch", "train_loss", "train_acc", "val_acc"], rows)
-        result.summary_path = os.path.join(cfg.out_dir, "stage1_summary.json")
-        with open(result.summary_path, "w", encoding="utf-8") as fh:
-            json.dump({"metrics": metrics, "config": asdict(cfg)}, fh, sort_keys=True, indent=2)
+        _write_stage_outputs(result, cfg, enc, "stage1", ["epoch", "train_loss", "train_acc", "val_acc"], rows)
     return result
 
 
-def _checkpoint_config(cfg: RunConfig, enc: EncoderConfig, stage: str, vocab_size: int | None = None) -> dict:
-    out = {"encoder": asdict(enc), "stage": stage, "seed": cfg.seed}
+def _write_stage_outputs(result: StageResult, cfg: RunConfig, enc: EncoderConfig, stage: str,
+                         header: list[str], rows: list[list], vocab_size: int | None = None) -> None:
+    """Write ``<stage>_checkpoint.json``, ``_log.csv`` and ``_summary.json`` into cfg.out_dir."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    config = {"encoder": asdict(enc), "stage": stage, "seed": cfg.seed}
     if vocab_size is not None:
-        out["vocab_size"] = vocab_size
-    return out
+        config["vocab_size"] = vocab_size
+    result.checkpoint_path = os.path.join(cfg.out_dir, f"{stage}_checkpoint.json")
+    save_checkpoint(result.store, config, result.checkpoint_path)
+    result.csv_path = os.path.join(cfg.out_dir, f"{stage}_log.csv")
+    _write_csv(result.csv_path, header, rows)
+    result.summary_path = os.path.join(cfg.out_dir, f"{stage}_summary.json")
+    with open(result.summary_path, "w", encoding="utf-8") as fh:
+        json.dump({"metrics": result.metrics, "config": asdict(cfg)}, fh, sort_keys=True, indent=2)
 
 
 # -- stage 2 ------------------------------------------------------------------------
@@ -435,6 +451,7 @@ def prepare_trajectories(dataset: list[TrajectorySample], vocab: Vocabulary, enc
             raise AlignmentError(
                 f"{len(sample.sub_instructions)} sub-instructions but {len(sample.chunks)} sub-path chunks"
             )
+        check_partition(sample.chunks, sample.viewpoints.shape[0])
         ids = {name: np.array([tokenize(t, vocab, enc.max_text_len) for t in texts])
                for name, texts in _texts_for(sample).items()}
         prepared.append(_Prepared(sample, len(sample.sub_instructions), ids))
@@ -442,7 +459,7 @@ def prepare_trajectories(dataset: list[TrajectorySample], vocab: Vocabulary, enc
 
 
 def precompute_viewpoint_features(dataset: list[TrajectorySample], store: ParamStore,
-                                  enc: EncoderConfig, chunk: int = 256) -> list[np.ndarray]:
+                                  enc: EncoderConfig) -> list[np.ndarray]:
     """Frozen-backbone viewpoint encodings, reusable across every step.
 
     Each viewpoint is encoded as a single-patch image; its embedding is the
@@ -452,8 +469,8 @@ def precompute_viewpoint_features(dataset: list[TrajectorySample], store: ParamS
     """
     all_rows = np.concatenate([s.viewpoints for s in dataset], axis=0)
     outputs = []
-    for i in range(0, all_rows.shape[0], chunk):
-        block = all_rows[i:i + chunk][:, None, :]  # each viewpoint is one patch
+    for i in range(0, all_rows.shape[0], PRECOMPUTE_CHUNK):
+        block = all_rows[i:i + PRECOMPUTE_CHUNK][:, None, :]  # each viewpoint is one patch
         state = visual_encode(block, store, enc)
         outputs.append(state.patch_block.data.reshape(block.shape[0], enc.d))
     flat = np.concatenate(outputs, axis=0)
@@ -597,15 +614,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
         store = stage1_checkpoint.copy()
 
     if dataset is None:
-        dataset = gen_trajectory_dataset(
-            count=cfg.trajectory_count,
-            subpaths_range=(cfg.subpaths_min, cfg.subpaths_max),
-            viewpoints_range=(cfg.viewpoints_min, cfg.viewpoints_max),
-            seed=cfg.seed,
-            feature_dim=cfg.feature_dim,
-            noise=cfg.viewpoint_noise,
-            duplicate_prob=cfg.duplicate_prob,
-        )
+        dataset = cfg.trajectory_dataset()
     vocab = build_vocabulary(dataset, enc.max_subpaths)
     rng = np.random.default_rng([cfg.seed, 21])
     init_text_params(store, enc, len(vocab), rng)
@@ -665,16 +674,10 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
 
     result = StageResult(metrics=metrics, store=store)
     if write_outputs:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        _write_stage_outputs(result, cfg, enc, "stage2", ["step", "l_ind_sum", "l_ove", "l_cnt", "total"], rows,
+                             vocab_size=len(vocab))
         result.vocab_path = os.path.join(cfg.out_dir, "vocab.json")
         vocab.save(result.vocab_path)
-        result.checkpoint_path = os.path.join(cfg.out_dir, "stage2_checkpoint.json")
-        save_checkpoint(store, _checkpoint_config(cfg, enc, stage="stage2", vocab_size=len(vocab)), result.checkpoint_path)
-        result.csv_path = os.path.join(cfg.out_dir, "stage2_log.csv")
-        _write_csv(result.csv_path, ["step", "l_ind_sum", "l_ove", "l_cnt", "total"], rows)
-        result.summary_path = os.path.join(cfg.out_dir, "stage2_summary.json")
-        with open(result.summary_path, "w", encoding="utf-8") as fh:
-            json.dump({"metrics": metrics, "config": asdict(cfg)}, fh, sort_keys=True, indent=2)
     return result
 
 
@@ -732,7 +735,6 @@ def evaluate_retrieval(
     dataset: list[TrajectorySample],
     vocab: Vocabulary,
     mode: str = "full",
-    batch_size: int = 16,
     cached_features: list[np.ndarray] | None = None,
 ) -> dict:
     """Argmax retrieval metrics over sub-pairs, whole trajectories, and counts."""
@@ -754,8 +756,8 @@ def evaluate_retrieval(
         count_candidates = linear(pooled, store["proj.text.w"], store["proj.text.b"]).data
 
     features: list[TrajectoryFeatures] = []
-    for start in range(0, len(prepared), batch_size):
-        batch = prepared[start:start + batch_size]
+    for start in range(0, len(prepared), EVAL_BATCH):
+        batch = prepared[start:start + EVAL_BATCH]
         vp_feats = [Tensor(cached_features[start + j]) for j in range(len(batch))]
         feats = stage2_features(batch, store, enc, terms, vp_feats)
         [(whole_text, whole_visual)] = feats[whole]
@@ -799,11 +801,7 @@ def gradcheck_config() -> RunConfig:
 def stage1_gradient_report(cfg: RunConfig | None = None, eps: float = 1e-5) -> FiniteDifferenceReport:
     cfg = cfg or gradcheck_config()
     enc = cfg.encoder()
-    dataset = gen_indoor_dataset(
-        num_classes=cfg.num_classes, samples_per_class=cfg.indoor_samples_per_class,
-        noise=cfg.indoor_noise, seed=cfg.seed,
-        num_patches=cfg.num_patches, feature_dim=cfg.feature_dim,
-    )
+    dataset = cfg.indoor_dataset()
     feats = np.stack([s.features for s in dataset[:4]])
     labels = np.array([s.label for s in dataset[:4]])
     store = ParamStore()
@@ -815,13 +813,7 @@ def stage1_gradient_report(cfg: RunConfig | None = None, eps: float = 1e-5) -> F
 def stage2_gradient_report(cfg: RunConfig | None = None, eps: float = 1e-5) -> FiniteDifferenceReport:
     cfg = cfg or gradcheck_config()
     enc = cfg.encoder()
-    dataset = gen_trajectory_dataset(
-        count=cfg.trajectory_count,
-        subpaths_range=(cfg.subpaths_min, cfg.subpaths_max),
-        viewpoints_range=(cfg.viewpoints_min, cfg.viewpoints_max),
-        seed=cfg.seed, feature_dim=cfg.feature_dim, noise=cfg.viewpoint_noise,
-        duplicate_prob=cfg.duplicate_prob,
-    )
+    dataset = cfg.trajectory_dataset()
     vocab = build_vocabulary(dataset, enc.max_subpaths)
     store = ParamStore()
     rng = np.random.default_rng([cfg.seed, 11])

@@ -1,10 +1,13 @@
 """CLI subcommands exercised in-process through main()."""
 
 import json
+import re
 
 import pytest
 
 from navprompt.cli import main
+from navprompt.errors import CheckpointError
+from navprompt.training import load_checkpoint
 
 
 def _cfg_flags(tmp_path, **extra):
@@ -115,7 +118,28 @@ def test_eval_rejects_unknown_mode(tmp_path, capsys):
 def test_gradcheck_stage1(capsys):
     rc = main(["gradcheck", "--stage", "1"])
     assert rc == 0
-    assert "PASS" in capsys.readouterr().out
+    first, last = capsys.readouterr().out.strip().splitlines()
+    worst = re.fullmatch(r"stage1 cross-entropy: worst (\S+) (\S+) of its gradient scale", first)
+    assert worst, first
+    assert worst[1].startswith(("visual.prompt.", "head.")) and float(worst[2]) < 1e-4
+    assert last == "gradcheck: PASS"
+
+
+def test_stage2_refuses_a_checkpoint_with_key_biases(tmp_path, capsys):
+    # attention no longer has a key bias, and a stage-1 checkpoint written
+    # while it did still carries visual.layer*.attn.bk: it is refused
+    assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
+    ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
+    with open(ckpt) as fh:
+        payload = json.load(fh)
+    payload["tensors"]["visual.layer0.attn.bk"] = {"shape": [16], "data": [0.0] * 16}
+    with open(ckpt, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(CheckpointError, match=r"extra \['visual\.layer0\.attn\.bk'\]"):
+        load_checkpoint(ckpt)
+    assert main(["stage2", "--stage1-ckpt", ckpt, *_cfg_flags(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[CheckpointError]: ") and "visual.layer0.attn.bk" in err
 
 
 @pytest.mark.parametrize("line,message", [

@@ -12,7 +12,6 @@ import pytest
 from navprompt.encoders import (
     CrossModalOutput,
     EncoderConfig,
-    PromptBank,
     apply_stage_freeze,
     classify_logits,
     cross_modal_encode_batch,
@@ -24,7 +23,7 @@ from navprompt.encoders import (
     trainable_parameters,
     visual_encode,
 )
-from navprompt.errors import AlignmentError, ConfigurationError, InputError, ParameterError
+from navprompt.errors import ConfigurationError, InputError, ParameterError
 from navprompt.optim import OptimConfig, Optimizer, ParamStore, backward
 from navprompt.prompts import PAD_ID, Vocabulary, tokenize
 from navprompt.tensor import Tensor, gather_index, log_softmax, softmax
@@ -78,7 +77,7 @@ def ref_layer(x, p, cfg, store, mask=None):
     b, s, d = x.shape
     nh, dk = cfg.heads, cfg.d // cfg.heads
     q = (h @ w(f"{p}.attn.wq") + w(f"{p}.attn.bq")).reshape(b, s, nh, dk).transpose(0, 2, 1, 3)
-    k = (h @ w(f"{p}.attn.wk") + w(f"{p}.attn.bk")).reshape(b, s, nh, dk).transpose(0, 2, 1, 3)
+    k = (h @ w(f"{p}.attn.wk")).reshape(b, s, nh, dk).transpose(0, 2, 1, 3)
     v = (h @ w(f"{p}.attn.wv") + w(f"{p}.attn.bv")).reshape(b, s, nh, dk).transpose(0, 2, 1, 3)
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk)
     if mask is not None:
@@ -300,13 +299,6 @@ class TestVisualEncode:
         prop_after = visual_encode(patches, store2, cfg2).cls.data
         np.testing.assert_array_equal(prop_base, prop_after)
 
-    def test_bank_config_mismatch(self):
-        cfg = tiny_config()
-        store = build_store(cfg)
-        bad = PromptBank(layer_names=["visual.prompt.0"], prompt_count=cfg.prompt_count, width=cfg.d)
-        with pytest.raises(ConfigurationError):
-            visual_encode(np.zeros((1, 2, 4)), store, cfg, bank=bad)
-
 
 class TestClassify:
     def test_zero_head_uniform(self):
@@ -444,15 +436,6 @@ class TestCrossModal:
             for a, b in zip(single.subpath_features, batched[i].subpath_features):
                 np.testing.assert_allclose(a.data, b.data, atol=1e-10)
 
-    def test_boundary_gap_rejected(self):
-        cfg, store = self._setup()
-        vp = Tensor(np.zeros((4, cfg.d)))
-        pf = Tensor(np.zeros((2, cfg.d)))
-        with pytest.raises(AlignmentError):
-            cross_modal_encode_batch([vp], [pf], [[(0, 1), (2, 4)]], store, cfg)
-        with pytest.raises(AlignmentError):
-            cross_modal_encode_batch([vp], [pf], [[(0, 3), (3, 3)]], store, cfg)
-
     def test_without_count_token(self):
         cfg, store = self._setup()
         vp = Tensor(np.random.default_rng(6).normal(size=(3, cfg.d)))
@@ -538,6 +521,26 @@ class TestStagePartitions:
 
 
 class TestGradientFidelity:
+    @pytest.mark.parametrize("report", ["stage1_gradient_report", "stage2_gradient_report"])
+    def test_every_trainable_tensor_has_a_live_gradient(self, monkeypatch, report):
+        # a parameter no output depends on, such as a key bias under softmax,
+        # gets a gradient of rounding noise that no gradient check can score
+        import navprompt.training as training
+        from navprompt.optim import FiniteDifferenceReport
+
+        scales = {}
+
+        def record_scales(f, store, eps):
+            grads = backward(f(store), store)
+            for name in store.trainable_names():
+                scales[name] = float(np.abs(grads.get(name, 0.0)).max())
+            return FiniteDifferenceReport(max_rel_error=0.0)
+
+        monkeypatch.setattr(training, "finite_difference_check", record_scales)
+        getattr(training, report)()
+        assert scales
+        assert {name: s for name, s in scales.items() if s <= 1e-12} == {}
+
     def test_stage1_loss_grads_match_finite_differences(self):
         from navprompt.optim import finite_difference_check
 
@@ -572,7 +575,6 @@ class TestGradientFidelity:
         # which computes only the rows read after it, differs from the first
         import dataclasses
 
-        from navprompt.data import gen_trajectory_dataset
         from navprompt.training import (
             build_vocabulary,
             gradcheck_config,
@@ -583,11 +585,7 @@ class TestGradientFidelity:
 
         cfg = dataclasses.replace(gradcheck_config(), text_layers=2, cross_layers=2)
         enc = cfg.encoder()
-        dataset = gen_trajectory_dataset(
-            count=cfg.trajectory_count, subpaths_range=(cfg.subpaths_min, cfg.subpaths_max),
-            viewpoints_range=(cfg.viewpoints_min, cfg.viewpoints_max), seed=cfg.seed,
-            feature_dim=cfg.feature_dim, noise=cfg.viewpoint_noise, duplicate_prob=cfg.duplicate_prob,
-        )
+        dataset = cfg.trajectory_dataset()
         vocab = build_vocabulary(dataset, enc.max_subpaths)
         store = build_store(enc, seed=40, vocab_size=len(vocab))
         apply_stage_freeze(store, "stage2")
@@ -620,7 +618,7 @@ class TestGradientFidelity:
                 numeric = (hi - lo) / (2.0 * eps)
                 worst = max(worst, abs(got[i] - numeric))
                 scale = max(scale, abs(numeric))
-            assert worst / max(scale, 1e-3) < 1e-4, name
+            assert scale > 0 and worst / scale < 1e-4, name
 
 
 def test_param_shapes_layout():

@@ -16,7 +16,6 @@ import pytest
 
 import navprompt.tensor as tensor_mod
 from navprompt.alignment import kl_divergence
-from navprompt.data import gen_indoor_dataset, gen_trajectory_dataset
 from navprompt.encoders import apply_stage_freeze, init_cross_params, init_text_params, init_visual_params
 from navprompt.optim import ParamStore, backward
 from navprompt.tensor import (
@@ -119,13 +118,7 @@ def test_dropped_output_is_freed_without_gc(name, no_gc):
 def _stage2_setup(mode):
     cfg = dataclasses.replace(gradcheck_config(), ablation=mode)
     enc = cfg.encoder()
-    dataset = gen_trajectory_dataset(
-        count=cfg.trajectory_count,
-        subpaths_range=(cfg.subpaths_min, cfg.subpaths_max),
-        viewpoints_range=(cfg.viewpoints_min, cfg.viewpoints_max),
-        seed=cfg.seed, feature_dim=cfg.feature_dim, noise=cfg.viewpoint_noise,
-        duplicate_prob=cfg.duplicate_prob,
-    )
+    dataset = cfg.trajectory_dataset()
     vocab = build_vocabulary(dataset, enc.max_subpaths)
     store = ParamStore()
     rng = np.random.default_rng([cfg.seed, 11])
@@ -142,11 +135,7 @@ def _stage2_setup(mode):
 def _stage1_setup():
     cfg = gradcheck_config()
     enc = cfg.encoder()
-    dataset = gen_indoor_dataset(
-        num_classes=cfg.num_classes, samples_per_class=cfg.indoor_samples_per_class,
-        noise=cfg.indoor_noise, seed=cfg.seed,
-        num_patches=cfg.num_patches, feature_dim=cfg.feature_dim,
-    )
+    dataset = cfg.indoor_dataset()
     feats = np.stack([s.features for s in dataset])
     labels = np.array([s.label for s in dataset])
     store = ParamStore()

@@ -124,7 +124,23 @@ class TestFiniteDifferenceCheck:
     def test_constant_function(self):
         store = _store_with(value=2.0)
         report = finite_difference_check(lambda s: s["p"].sum() * 0.0, store, eps=1e-5)
-        assert report.max_rel_error < 1e-9
+        assert report.per_param == {"p": 0.0}
+
+    @pytest.mark.parametrize("factor", [0.0, 2.0], ids=["dropped", "doubled"])
+    def test_wrong_gradient_fails_at_small_scale(self, factor):
+        # the true gradient is about 1e-5, the size of the stage-1 prompt
+        # gradients; every absolute error here is below 1e-4, but an analytic
+        # gradient that is dropped or doubled must still fail the check
+        def small_sin(t):
+            out = Tensor._result(1e-5 * np.sin(t.data), (t,))
+            out._backward = lambda g: t._accumulate(factor * 1e-5 * np.cos(t.data) * g)
+            return out
+
+        store = ParamStore()
+        store.add("p", np.array([0.3, -1.2, 0.7]))
+        report = finite_difference_check(lambda s: small_sin(s["p"]).sum(), store, eps=1e-5)
+        assert report.per_param["p"] >= 1e-4
+        assert report.per_param["p"] == pytest.approx(1.0 if factor == 0.0 else 0.5, rel=1e-6)
 
     def test_non_deterministic_rejected(self):
         store = _store_with(value=1.0)

@@ -9,7 +9,7 @@ import pytest
 
 from navprompt.alignment import ABLATION_MODES, ABLATION_TERMS, TERM_WEIGHTS, pairwise_alignment_loss
 from navprompt.cli import main
-from navprompt.data import gen_indoor_dataset, gen_trajectory_dataset
+from navprompt.data import gen_trajectory_dataset
 from navprompt.encoders import (
     EncoderConfig,
     apply_stage_freeze,
@@ -25,6 +25,7 @@ from navprompt.errors import (
     DatasetError,
     FreezeViolationError,
     ParameterError,
+    ValidationError,
 )
 from navprompt.optim import ParamStore
 from navprompt.training import (
@@ -295,6 +296,19 @@ class TestStage2:
         with pytest.raises(AlignmentError):
             run_stage2(cfg, s1.store, dataset=dataset, write_outputs=False)
 
+    def test_boundary_gap_rejected(self, tmp_path):
+        # sub-path chunks are checked once, when trajectories are prepared
+        cfg, s1 = self._stage1(tmp_path)
+        dataset = gen_trajectory_dataset(count=3, subpaths_range=(2, 2), viewpoints_range=(4, 4), seed=0,
+                                         feature_dim=cfg.feature_dim)
+        dataset[1].chunks = [(0, 1), (2, 4)]
+        with pytest.raises(ValidationError, match="gap or overlap at index 1"):
+            run_stage2(cfg, s1.store, dataset=dataset, write_outputs=False)
+        dataset[1].chunks = [(0, 3), (3, 3)]
+        vocab = build_vocabulary(dataset, cfg.max_subpaths)
+        with pytest.raises(ValidationError, match=r"chunk \[3, 3\) is empty"):
+            prepare_trajectories(dataset, vocab, cfg.encoder())
+
     def test_joint_prompt_tuning_trains_prompts(self, tmp_path):
         cfg, s1 = self._stage1(tmp_path, joint_prompt_tuning=True, stage2_epochs=1)
         before = s1.store["visual.prompt.0"].data.copy()
@@ -321,13 +335,7 @@ class TestAblationTable:
     def setup(self):
         cfg = gradcheck_config()
         enc = cfg.encoder()
-        dataset = gen_trajectory_dataset(
-            count=cfg.trajectory_count,
-            subpaths_range=(cfg.subpaths_min, cfg.subpaths_max),
-            viewpoints_range=(cfg.viewpoints_min, cfg.viewpoints_max),
-            seed=cfg.seed, feature_dim=cfg.feature_dim, noise=cfg.viewpoint_noise,
-            duplicate_prob=cfg.duplicate_prob,
-        )
+        dataset = cfg.trajectory_dataset()
         vocab = build_vocabulary(dataset, enc.max_subpaths)
         store = ParamStore()
         rng = np.random.default_rng([cfg.seed, 11])

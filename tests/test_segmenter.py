@@ -136,6 +136,9 @@ class TestPairSubpaths:
     def test_explicit_chunks_pass_through(self):
         pairs = pair_subpaths(_subs(2), 5, chunks=[[0, 1], [1, 5]])
         assert [(p.start, p.end) for p in pairs] == [(0, 1), (1, 5)]
+        # chunks built in code may hold numpy integers
+        pairs = pair_subpaths(_subs(2), 5, chunks=[(np.int64(0), np.int64(1)), (np.int64(1), 5)])
+        assert [(type(p.start), p.end) for p in pairs] == [(int, 1), (int, 5)]
 
     def test_path_too_short(self):
         with pytest.raises(AlignmentError):
