@@ -18,10 +18,19 @@ one place the ablation modes are defined (``ABLATION_TERMS``, weighted by
     cnt           cnt * lambda2
     sub_only      sub
 
-    ind  individual prompts against sub-paths, one matrix per trajectory
-    sub  raw sub-instructions against sub-paths, one matrix per trajectory
+    ind  individual prompts against sub-paths, one block per trajectory
+    sub  raw sub-instructions against sub-paths, one block per trajectory
     ove  overall prompts against whole paths, one matrix per batch
     cnt  count prompts against the count token, one matrix per batch
+
+The per-trajectory terms are scored together: a batch of B trajectories with
+M_1..M_B sub-paths gives one masked (B, M_max, M_max) similarity, where
+trajectory b owns the leading M_b x M_b block of its slice.  Row and column
+softmax, the ground truth (each block with its own ``effective_smoothing``)
+and the KL (each block averaged over its own M_b^2 entries) are computed
+for all blocks at once, entries outside a block take no softmax mass and get
+exactly zero gradient, and the term is the mean over the B trajectories: the
+same loss as a loop of ``pairwise_alignment_loss`` over the blocks.
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ def retrieval_terms(mode: str) -> tuple[str, ...]:
 
 
 def _row_normalize(r: Tensor) -> Tensor:
-    norms = (r * r).sum(axis=1, keepdims=True).clip_min(NORM_FLOOR ** 2).sqrt().clip_min(NORM_FLOOR)
+    norms = (r * r).sum(axis=-1, keepdims=True).clip_min(NORM_FLOOR ** 2).sqrt().clip_min(NORM_FLOOR)
     return r / norms.expand(r.shape)
 
 
@@ -87,10 +96,15 @@ def cosine_similarity(rx: Tensor, ry: Tensor) -> tuple[Tensor, bool]:
 
 
 def similarity_matrix(rx: Tensor, ry: Tensor) -> Tensor:
-    """S[a][b] = cosine similarity of rx row a and ry row b."""
-    if rx.ndim != 2 or ry.ndim != 2 or rx.shape != ry.shape:
-        raise ShapeError(f"similarity_matrix needs matching (M, d) batches, got {rx.shape} and {ry.shape}")
-    return matmul(_row_normalize(rx), _row_normalize(ry).transpose(1, 0))
+    """S[a][b] = cosine similarity of rx row a and ry row b.
+
+    Matching (M, d) rows give one (M, M) matrix; matching (B, M, d) stacks
+    give B of them, (B, M, M).
+    """
+    if rx.ndim not in (2, 3) or rx.shape != ry.shape:
+        raise ShapeError(f"similarity_matrix needs matching (M, d) or (B, M, d) rows, got {rx.shape} and {ry.shape}")
+    swap = (1, 0) if rx.ndim == 2 else (0, 2, 1)
+    return matmul(_row_normalize(rx), _row_normalize(ry).transpose(swap))
 
 
 def normalize(s: Tensor, mode: str, temperature: float = DEFAULT_TEMPERATURE) -> Tensor:
@@ -179,6 +193,103 @@ def pairwise_alignment_loss(
     s_v = normalize(s, "cols", temperature)
     gt = ground_truth_matrix(m, effective_smoothing(m, smoothing))
     return contrastive_loss(s_t, s_v, gt, reverse=reverse)
+
+
+def _masked_softmax(z: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of the masked-in entries along ``axis``; the rest are exact zeros."""
+    top = np.max(z, axis=axis, keepdims=True, where=mask, initial=-np.inf)
+    e = np.exp(z - top, where=mask, out=np.zeros_like(z))
+    total = e.sum(axis=axis, keepdims=True)
+    return e / np.where(total > 0, total, 1.0)
+
+
+def _kl_entries(pred: np.ndarray, gt: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The summands of D(pred || gt), or D(gt || pred), and their derivative in pred.
+
+    Zero-mass entries of the divergence's first argument add nothing (the
+    0*log(0) = 0 convention of ``kl_divergence``), which also silences every
+    masked entry, where both matrices are zero.
+    """
+    p, q = (gt, pred) if reverse else (pred, gt)
+    support = p > 0
+    if np.any(support & (q == 0)):
+        raise DivergenceError("P has mass where Q is zero; the divergence is undefined")
+    safe_p, safe_q = np.where(support, p, 1.0), np.where(support, q, 1.0)
+    ratio = np.where(support, np.log(safe_p) - np.log(safe_q), 0.0)
+    grad = np.where(support, -p / safe_q, 0.0) if reverse else np.where(support, ratio + 1.0, 0.0)
+    return p * ratio, grad
+
+
+def masked_contrastive_loss(
+    s: Tensor,
+    sizes,
+    temperature: float = DEFAULT_TEMPERATURE,
+    smoothing: float = DEFAULT_SMOOTHING,
+    reverse: bool = False,
+) -> Tensor:
+    """Mean contrastive loss over the leading sizes[b] x sizes[b] block of each s[b].
+
+    ``s`` is (B, M_max, M_max).  Block b is scored as ``pairwise_alignment_loss``
+    scores its similarity matrix: row and column softmax, each pulled toward
+    the smoothed identity of its own size under a KL averaged over its own
+    entries.  Entries outside a block take no softmax mass, add nothing to
+    the loss and get exactly zero gradient, so every block, down to 1 x 1,
+    scores as it would alone.
+    """
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise ShapeError(f"masked_contrastive_loss needs (B, M, M) similarities, got {s.shape}")
+    if temperature <= 0:
+        raise ParameterError(f"temperature must be positive, got {temperature}")
+    batch, m_max = s.shape[0], s.shape[1]
+    sizes = np.asarray(sizes)
+    if sizes.shape != (batch,) or not np.issubdtype(sizes.dtype, np.integer) or batch == 0:
+        raise ShapeError(f"masked_contrastive_loss needs one integer size per block, got {sizes.shape} for {s.shape}")
+    if sizes.min() < 1 or sizes.max() > m_max:
+        raise ParameterError(f"block sizes must lie in [1, {m_max}], got {sizes.min()}..{sizes.max()}")
+    live = np.arange(m_max) < sizes[:, None]
+    mask = live[:, :, None] & live[:, None, :]
+    gt = np.zeros(s.shape)
+    for m in np.unique(sizes):
+        gt[sizes == m, :m, :m] = ground_truth_matrix(int(m), effective_smoothing(int(m), smoothing)).data
+
+    z = s.data / temperature
+    p_rows = _masked_softmax(z, mask, axis=2)
+    p_cols = _masked_softmax(z, mask, axis=1)
+    kl_rows, d_rows = _kl_entries(p_rows, gt, reverse)
+    kl_cols, d_cols = _kl_entries(p_cols, gt, reverse)
+    n2 = (sizes * sizes).astype(np.float64)
+    per_block = (kl_rows.reshape(batch, -1).sum(axis=1) / n2 + kl_cols.reshape(batch, -1).sum(axis=1) / n2) * 0.5
+    out = Tensor._result(np.asarray(per_block.mean()), (s,))
+    # d(mean over blocks of half the pair of m^2-averaged divergences)/d(entry)
+    weight = (0.5 / (batch * n2))[:, None, None]
+
+    def _bw(g):
+        if s.requires_grad:
+            gs = float(g) * weight
+            g_rows, g_cols = gs * d_rows, gs * d_cols
+            dz = p_rows * (g_rows - (g_rows * p_rows).sum(axis=2, keepdims=True))
+            dz += p_cols * (g_cols - (g_cols * p_cols).sum(axis=1, keepdims=True))
+            s._accumulate(dz / temperature)
+
+    out._backward = _bw
+    return out
+
+
+def batched_alignment_loss(
+    text_feats: Tensor,
+    vision_feats: Tensor,
+    sizes,
+    temperature: float = DEFAULT_TEMPERATURE,
+    smoothing: float = DEFAULT_SMOOTHING,
+    reverse: bool = False,
+) -> Tensor:
+    """Mean of ``pairwise_alignment_loss`` over B padded groups of matched rows.
+
+    ``text_feats`` and ``vision_feats`` are (B, M_max, d); group b is their
+    leading sizes[b] rows, and the rows past it are padding that neither
+    changes the loss nor receives gradient.
+    """
+    return masked_contrastive_loss(similarity_matrix(text_feats, vision_feats), sizes, temperature, smoothing, reverse)
 
 
 @dataclass

@@ -13,8 +13,9 @@ Three stacks share one parameter store:
 * a text encoder (token + position embeddings, padding masked out of
   attention) whose pooled output is the CLS position;
 * a cross-modal encoder over [count token | viewpoint features | per-ordinal
-  prompt features] with segment-type embeddings, from which sub-path
-  features are mean-pooled per boundary.
+  prompt features] with segment-type embeddings.  A batch's padded input is
+  one row gather from a stacked table, and one segment mean pools the count
+  token, the whole path and every sub-path of every trajectory.
 
 All layers are pre-norm multi-head self-attention plus a feed-forward block
 with residual connections.  The key projection has no bias: a key bias adds
@@ -38,7 +39,19 @@ import numpy as np
 from .errors import AlignmentError, ConfigurationError, InputError, ParameterError, ShapeError
 from .optim import ParamStore
 from .prompts import PAD_ID
-from .tensor import Tensor, add_bias, concat, embedding, gelu, layer_norm, linear, matmul, softmax
+from .tensor import (
+    Tensor,
+    add_bias,
+    concat,
+    embedding,
+    gelu,
+    layer_norm,
+    linear,
+    matmul,
+    segment_mean,
+    softmax,
+    take_rows,
+)
 
 INIT_STD = 0.02
 MASK_BIAS = -1e9
@@ -86,9 +99,11 @@ class LayerState:
 
 @dataclass
 class CrossModalOutput:
-    subpath_features: list[Tensor]      # M vectors of shape (d,)
-    count_feature: Tensor | None        # (d,) when the count token is present
-    overall_visual: Tensor              # (d,) mean over all viewpoint outputs
+    """Pooled cross-modal features of B trajectories with up to M_max sub-paths."""
+
+    subpaths: Tensor       # (B, M_max, d) sub-path means; zero rows past a trajectory's M
+    overall: Tensor        # (B, d) mean over all of a trajectory's viewpoint outputs
+    count: Tensor | None   # (B, d) the count token's output, when it is present
 
 
 # -- initialization ------------------------------------------------------------
@@ -321,80 +336,81 @@ def text_encode(token_ids, store: ParamStore, cfg: EncoderConfig) -> Tensor:
 
 
 def cross_modal_encode_batch(
-    viewpoint_feats: Sequence[Tensor],
-    prompt_feats: Sequence[Tensor] | None,
+    viewpoints: Tensor,
+    prompts: Tensor | None,
     boundaries: Sequence[Sequence[tuple[int, int]]],
     store: ParamStore,
     cfg: EncoderConfig,
     include_count: bool = True,
-) -> list[CrossModalOutput]:
-    """Fuse per-trajectory viewpoint features with per-ordinal prompt features.
+) -> CrossModalOutput:
+    """Fuse each trajectory's viewpoint features with its per-ordinal prompt features.
 
-    Variable-length sequences are padded to the batch max and masked out of
-    attention; pooled outputs only read real positions.  They read only the
-    count token and the viewpoint rows, so the last layer computes the
-    leading ``offset + max(t_len)`` rows alone.
+    ``viewpoints`` (sum T_b, d) and ``prompts`` (sum M_b, d) stack the rows of
+    every trajectory in batch order; trajectory b has the T_b viewpoints and
+    M_b sub-paths that its ``boundaries`` partition describes.  The padded
+    input is one row gather from a table of the count row, every viewpoint
+    row, every prompt row and one zero pad row.  Pad rows are masked out of
+    attention, and one segment mean pools the count token, the whole path and
+    each sub-path from the outputs.  They read only the count token and the
+    viewpoint rows, so the last layer computes the leading
+    ``offset + max(T_b)`` rows alone.
     """
-    batch = len(viewpoint_feats)
-    if prompt_feats is not None and len(prompt_feats) != batch:
-        raise AlignmentError("prompt feature list does not match the batch")
-    if len(boundaries) != batch:
-        raise AlignmentError("boundary list does not match the batch")
+    batch = len(boundaries)
+    t_lens = np.array([bounds[-1][1] for bounds in boundaries])
+    m_lens = np.array([len(bounds) for bounds in boundaries])
+    if viewpoints.ndim != 2 or viewpoints.shape[0] != t_lens.sum():
+        raise AlignmentError(f"{viewpoints.shape[0]} viewpoint rows for paths of {t_lens.sum()} viewpoints")
+    if prompts is not None and (prompts.ndim != 2 or prompts.shape[0] != m_lens.sum()):
+        raise AlignmentError(f"{prompts.shape[0]} prompt rows for {m_lens.sum()} sub-paths")
+    if t_lens.max() > cfg.max_viewpoints:
+        raise ConfigurationError(f"trajectory length {t_lens.max()} exceeds max_viewpoints {cfg.max_viewpoints}")
+    if m_lens.max() > cfg.max_subpaths:
+        raise ConfigurationError(f"{m_lens.max()} sub-paths exceed max_subpaths {cfg.max_subpaths}")
 
-    offset = 1 if include_count else 0
-    seqs: list[Tensor] = []
-    lengths: list[int] = []
-    metas: list[tuple[int, int, list[tuple[int, int]]]] = []
+    def positions(lengths: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.arange(n) for n in lengths])
+
+    # one table of rows [count | viewpoints | prompts | pad]; sequence b
+    # gathers [count | its viewpoints | its prompts] and pad rows after them
     seg = store["cross.seg_embed"]
-    for idx in range(batch):
-        vp = viewpoint_feats[idx]
-        t_len = vp.shape[0]
-        if t_len > cfg.max_viewpoints:
-            raise ConfigurationError(f"trajectory length {t_len} exceeds max_viewpoints {cfg.max_viewpoints}")
-        parts = []
-        if include_count:
-            parts.append(add_bias(store["cross.cnt"], seg[0]))
-        parts.append(add_bias(vp + store["cross.pos_visual"][:t_len], seg[1]))
-        m_len = 0
-        if prompt_feats is not None:
-            pf = prompt_feats[idx]
-            m_len = pf.shape[0]
-            if m_len > cfg.max_subpaths:
-                raise ConfigurationError(f"{m_len} sub-paths exceed max_subpaths {cfg.max_subpaths}")
-            parts.append(add_bias(pf + store["cross.pos_prompt"][:m_len], seg[2]))
-        seq = concat(parts, axis=0)
-        seqs.append(seq)
-        lengths.append(seq.shape[0])
-        metas.append((t_len, m_len, boundaries[idx]))
+    offset = 1 if include_count else 0
+    parts = [add_bias(store["cross.cnt"], seg[0])] if include_count else []
+    parts.append(add_bias(viewpoints + take_rows(store["cross.pos_visual"], positions(t_lens)), seg[1]))
+    p_lens = np.zeros(batch, dtype=int)
+    if prompts is not None:
+        parts.append(add_bias(prompts + take_rows(store["cross.pos_prompt"], positions(m_lens)), seg[2]))
+        p_lens = m_lens
+    parts.append(Tensor(np.zeros((1, cfg.d))))
+    table = concat(parts, axis=0)
 
-    s_max = max(lengths)
-    padded = []
-    for seq, length in zip(seqs, lengths):
-        if length < s_max:
-            seq = concat([seq, Tensor(np.zeros((s_max - length, cfg.d)))], axis=0)
-        padded.append(seq.reshape(1, s_max, cfg.d))
-    x = concat(padded, axis=0)
+    vp_ends = offset + np.cumsum(t_lens)
+    pf_ends = vp_ends[-1] + np.cumsum(p_lens)
+    rows = [np.concatenate([np.zeros(offset, dtype=int), np.arange(ve - t, ve), np.arange(pe - m, pe)])
+            for t, ve, m, pe in zip(t_lens, vp_ends, p_lens, pf_ends)]
+    lengths = np.array([len(r) for r in rows])
+    s_max = int(lengths.max())
+    index = np.stack([np.pad(r, (0, s_max - len(r)), constant_values=table.shape[0] - 1) for r in rows])
+    x = take_rows(table, index.reshape(-1)).reshape(batch, s_max, cfg.d)
 
-    mask = np.zeros((batch, 1, 1, s_max))
-    for idx, length in enumerate(lengths):
-        mask[idx, :, :, length:] = MASK_BIAS
-    read = offset + max(t_len for t_len, _, _ in metas)
+    mask = np.where(np.arange(s_max) < lengths[:, None], 0.0, MASK_BIAS)[:, None, None, :]
+    read = offset + int(t_lens.max())
     last = cfg.cross_layers - 1
     for i in range(cfg.cross_layers):
         x = encoder_layer(x, store, f"cross.layer{i}", cfg, mask_bias=mask, rows=read if i == last else None)
 
-    outputs: list[CrossModalOutput] = []
-    for idx, (t_len, _m_len, bounds) in enumerate(metas):
-        row = x[idx]
-        subpaths = [row[offset + s:offset + e].mean(axis=0) for s, e in bounds]
-        outputs.append(
-            CrossModalOutput(
-                subpath_features=subpaths,
-                count_feature=row[0] if include_count else None,
-                overall_visual=row[offset:offset + t_len].mean(axis=0),
-            )
-        )
-    return outputs
+    # pooled rows: [count | whole path | sub-paths, padded with empty ranges]
+    bounds = np.zeros((batch, offset + 1 + int(m_lens.max()), 2), dtype=int)
+    if include_count:
+        bounds[:, 0] = (0, 1)
+    bounds[:, offset] = np.stack([np.full(batch, offset), offset + t_lens], axis=1)
+    for b, chunks in enumerate(boundaries):
+        bounds[b, offset + 1:offset + 1 + len(chunks)] = np.asarray(chunks) + offset
+    pooled = segment_mean(x, bounds)
+    return CrossModalOutput(
+        subpaths=pooled[:, offset + 1:],
+        overall=pooled[:, offset],
+        count=pooled[:, 0] if include_count else None,
+    )
 
 
 # -- stage partitions ---------------------------------------------------------------

@@ -546,6 +546,39 @@ def take_rows(t: Tensor, indices) -> Tensor:
     return out
 
 
+def segment_mean(x: Tensor, bounds) -> Tensor:
+    """Mean-pool row ranges of every sequence: (B, S, d) -> (B, K, d).
+
+    ``bounds`` (B, K, 2) holds one half-open row range [start, end) of
+    sequence b for each output row k; an empty range (start == end) gives a
+    zero row and passes no gradient.  The ranges fix a (B, K, S) averaging
+    plan, split into a 0/1 membership and one 1/count scale per output row,
+    so the forward is a batched row sum scaled by 1/count, as
+    ``x[b, start:end].mean(axis=0)`` computes it, and the backward spreads
+    each scaled output gradient over its range.
+    """
+    bounds = np.asarray(bounds)
+    if x.ndim != 3 or bounds.ndim != 3 or bounds.shape[0] != x.shape[0] or bounds.shape[2] != 2:
+        raise ShapeError(f"segment_mean: need (B, S, d) rows and (B, K, 2) bounds, got {x.shape} and {bounds.shape}")
+    if not np.issubdtype(bounds.dtype, np.integer):
+        raise InputError("segment_mean: bounds must be integers")
+    start, end = bounds[..., 0], bounds[..., 1]
+    if bounds.size and (start.min() < 0 or end.max() > x.shape[1] or np.any(end < start)):
+        raise InputError(f"segment_mean: every range must satisfy 0 <= start <= end <= {x.shape[1]}")
+    rows = np.arange(x.shape[1])
+    member = ((rows >= start[..., None]) & (rows < end[..., None])).astype(np.float64)
+    count = end - start
+    scale = np.where(count > 0, 1.0 / np.maximum(count, 1), 0.0)[..., None]
+    out = Tensor._result(np.matmul(member, x.data) * scale, (x,))
+
+    def _bw(g):
+        if x.requires_grad:
+            x._accumulate(np.matmul(np.swapaxes(member, 1, 2), g * scale))
+
+    out._backward = _bw
+    return out
+
+
 def gather_index(t: Tensor, idx) -> Tensor:
     """Pick t[i, idx[i]] from a 2-d tensor; backward scatters into the picks."""
     idx = np.asarray(idx)

@@ -11,7 +11,6 @@ logs never contain wall-clock values.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
@@ -24,6 +23,7 @@ from .alignment import (
     ABLATION_MODES,
     ABLATION_TERMS,
     LossReport,
+    batched_alignment_loss,
     pairwise_alignment_loss,
     retrieval_terms,
     total_loss,
@@ -58,7 +58,7 @@ from .errors import (
 from .optim import FiniteDifferenceReport, OptimConfig, Optimizer, ParamStore, backward, finite_difference_check
 from .prompts import PAD_ID, Vocabulary, build_prompt_set, count_prompt, tokenize
 from .segmenter import SubInstruction, check_partition
-from .tensor import Tensor, concat, gather_index, linear, log_softmax, take_rows
+from .tensor import Tensor, gather_index, linear, log_softmax, take_rows
 
 CHECKPOINT_FORMAT_VERSION = 1
 # rows per batch of the forward-only passes: stage-1 accuracy, the viewpoint
@@ -66,6 +66,8 @@ CHECKPOINT_FORMAT_VERSION = 1
 ACCURACY_BATCH = 64
 PRECOMPUTE_CHUNK = 256
 EVAL_BATCH = 16
+# loss terms with one contrastive block per trajectory; the others have one per batch
+PER_PATH_TERMS = ("ind", "sub")
 
 
 @dataclass
@@ -483,17 +485,11 @@ def precompute_viewpoint_features(dataset: list[TrajectorySample], store: ParamS
     return features
 
 
-def _live_viewpoint_features(batch: list[_Prepared], store: ParamStore, enc: EncoderConfig) -> list[Tensor]:
+def _live_viewpoint_features(batch: list[_Prepared], store: ParamStore, enc: EncoderConfig) -> Tensor:
+    """The batch's viewpoint features, stacked in batch order, through the prompted visual encoder."""
     rows = np.concatenate([p.sample.viewpoints for p in batch], axis=0)[:, None, :]
     state = visual_encode(rows, store, enc)
-    flat = state.patch_block.reshape(rows.shape[0], enc.d)
-    feats = []
-    offset = 0
-    for p in batch:
-        t_len = p.sample.viewpoints.shape[0]
-        feats.append(flat[offset:offset + t_len])
-        offset += t_len
-    return feats
+    return state.patch_block.reshape(rows.shape[0], enc.d)
 
 
 def pooled_text_features(ids: np.ndarray, store: ParamStore, enc: EncoderConfig) -> Tensor:
@@ -509,10 +505,17 @@ def pooled_text_features(ids: np.ndarray, store: ParamStore, enc: EncoderConfig)
     return take_rows(text_encode(unique, store, enc), inverse.reshape(-1))
 
 
-def _split_rows(rows: Tensor, batch: list[_Prepared]) -> list[Tensor]:
-    """Split rows stacked over the batch into one block per trajectory."""
-    ends = list(itertools.accumulate(p.m for p in batch))
-    return [rows[end - p.m:end] for p, end in zip(batch, ends)]
+def _padded_rows(rows: Tensor, batch: list[_Prepared]) -> Tensor:
+    """Rows stacked over the batch, laid out as (B, M_max, d).
+
+    Slot j of trajectory b holds its row j; slots past its M repeat its first
+    row and are padding, which the masked per-trajectory loss ignores.
+    """
+    sizes = np.array([p.m for p in batch])
+    starts = np.cumsum(sizes) - sizes
+    slot = np.arange(sizes.max())
+    index = starts[:, None] + np.where(slot < sizes[:, None], slot, 0)
+    return take_rows(rows, index.reshape(-1)).reshape(len(batch), int(sizes.max()), rows.shape[1])
 
 
 def stage2_features(
@@ -520,15 +523,16 @@ def stage2_features(
     store: ParamStore,
     enc: EncoderConfig,
     terms: Sequence[str],
-    vp_feats: Sequence[Tensor],
-) -> dict[str, list[tuple[Tensor, Tensor]]]:
-    """The projected (text, visual) feature pairs of each requested term.
+    viewpoints: Tensor,
+) -> dict[str, tuple[Tensor, Tensor]]:
+    """The projected (text, visual) features of each requested term.
 
-    ``ind`` and ``sub`` give one pair per trajectory: its sub-instruction rows
-    against its sub-path rows.  ``ove``, ``ins`` and ``cnt`` give one pair of
-    (B, d) rows for the whole batch.  When a prompted term (ind, ove, cnt) is
-    requested, the sequential prompts and the count token enter the
-    cross-modal encoder.
+    ``viewpoints`` stacks every trajectory's viewpoint features in batch
+    order.  ``ind`` and ``sub`` give (B, M_max, d) rows: each trajectory's
+    sub-instruction rows against its sub-path rows, padded past its M (see
+    ``_padded_rows``).  ``ove``, ``ins`` and ``cnt`` give (B, d) rows, one
+    per trajectory.  When a prompted term (ind, ove, cnt) is requested, the
+    sequential prompts and the count token enter the cross-modal encoder.
     """
     prompted = not {"ind", "ove", "cnt"}.isdisjoint(terms)
     wanted = {*terms, "seq"} if prompted else set(terms)
@@ -550,26 +554,21 @@ def stage2_features(
         if name in wanted:
             text[name] = pooled_text_features(ids(name), store, enc)
 
-    outputs = cross_modal_encode_batch(
-        vp_feats, _split_rows(text["seq"], batch) if prompted else None,
+    cross = cross_modal_encode_batch(
+        viewpoints, text["seq"] if prompted else None,
         [p.sample.chunks for p in batch], store, enc, include_count=prompted,
     )
+    visual = {"cnt": cross.count, "ove": cross.overall, "ins": cross.overall}
 
     w_t, b_t = store["proj.text.w"], store["proj.text.b"]
     w_v, b_v = store["proj.visual.w"], store["proj.visual.b"]
-
-    def visual(rows: list[Tensor]) -> Tensor:
-        return linear(concat([r.reshape(1, enc.d) for r in rows], axis=0), w_v, b_v)
-
     features = {}
     for term in terms:
         text_proj = linear(text[term], w_t, b_t)
-        if term in ("ind", "sub"):
-            features[term] = [(t, visual(out.subpath_features))
-                              for t, out in zip(_split_rows(text_proj, batch), outputs)]
+        if term in PER_PATH_TERMS:
+            features[term] = (_padded_rows(text_proj, batch), linear(cross.subpaths, w_v, b_v))
         else:
-            rows = [out.count_feature if term == "cnt" else out.overall_visual for out in outputs]
-            features[term] = [(text_proj, visual(rows))]
+            features[term] = (text_proj, linear(visual[term], w_v, b_v))
     return features
 
 
@@ -578,27 +577,31 @@ def stage2_losses(
     store: ParamStore,
     enc: EncoderConfig,
     cfg: RunConfig,
-    cached_features: list[np.ndarray] | None = None,
-    cache_indices: list[int] | None = None,
+    viewpoints: Sequence[np.ndarray] | None = None,
 ) -> tuple[Tensor, LossReport]:
     """The weighted alignment loss of one mini-batch under cfg.ablation.
 
-    Each term's loss is the mean of its contrastive losses: one per
-    trajectory for ind and sub, one over the batch for ove and cnt.
+    ``viewpoints`` holds each trajectory's precomputed viewpoint features, in
+    batch order; None encodes them live, through the visual prompts.  Each
+    term's loss is the mean of its contrastive losses: one per trajectory for
+    ind and sub, scored together by one masked batched loss, and one over
+    the batch for ove and cnt.
     """
-    if cached_features is not None:
-        assert cache_indices is not None
-        vp_feats: list[Tensor] = [Tensor(cached_features[i]) for i in cache_indices]
+    if viewpoints is None:
+        vp = _live_viewpoint_features(batch, store, enc)
+    elif len(viewpoints) != len(batch):
+        raise AlignmentError(f"{len(viewpoints)} viewpoint feature blocks for a batch of {len(batch)}")
     else:
-        vp_feats = _live_viewpoint_features(batch, store, enc)
+        vp = Tensor(np.concatenate(viewpoints, axis=0))
 
-    features = stage2_features(batch, store, enc, ABLATION_TERMS[cfg.ablation], vp_feats)
+    features = stage2_features(batch, store, enc, ABLATION_TERMS[cfg.ablation], vp)
+    sizes = np.array([p.m for p in batch])
     losses: dict[str, Tensor] = {}
-    for term, pairs in features.items():
-        scale = 1.0 / len(pairs)
-        for text, visual in pairs:
-            loss = pairwise_alignment_loss(text, visual, cfg.temperature, cfg.smoothing, cfg.kl_reverse) * scale
-            losses[term] = loss if term not in losses else losses[term] + loss
+    for term, (text, visual) in features.items():
+        if term in PER_PATH_TERMS:
+            losses[term] = batched_alignment_loss(text, visual, sizes, cfg.temperature, cfg.smoothing, cfg.kl_reverse)
+        else:
+            losses[term] = pairwise_alignment_loss(text, visual, cfg.temperature, cfg.smoothing, cfg.kl_reverse)
     return total_loss(losses, cfg.lambda1, cfg.lambda2)
 
 
@@ -641,7 +644,8 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
         epoch_losses = []
         for batch_idx in _batches(order, cfg.stage2_batch_size):
             batch = [prepared[i] for i in batch_idx]
-            total, report = stage2_losses(batch, store, enc, cfg, cache, batch_idx)
+            viewpoints = None if cache is None else [cache[i] for i in batch_idx]
+            total, report = stage2_losses(batch, store, enc, cfg, viewpoints)
             grads = backward(total, store)
             optimizer.step(store, grads)
             _assert_frozen_unchanged(store, baseline, f"stage2 step {step}")
@@ -697,28 +701,30 @@ class TrajectoryFeatures:
 
 
 def retrieval_metrics(features: list[TrajectoryFeatures],
-                      count_candidates: np.ndarray | None = None) -> dict:
+                      count_candidates: dict[int, np.ndarray] | None = None) -> dict:
     """Pure metric computation over extracted features.
 
     subpair: within each trajectory, the argmax sub-path of each
     sub-instruction row must be its own; trajectory: global argmax of each
     overall text feature over all trajectories' overall visual features;
-    count: argmax over the candidate count-prompt features must pick the
-    trajectory's true sub-path count.
+    count: the argmax over the candidate count-prompt features, keyed by the
+    count each one states, must pick the trajectory's true sub-path count.
     """
     if not features:
         raise DatasetError("evaluation dataset is empty")
     sub_hits = 0
     sub_total = 0
     count_hits = 0
-    have_counts = count_candidates is not None and all(f.count_feature is not None for f in features)
-    cand = _unit_rows(count_candidates) if have_counts else None
+    have_counts = bool(count_candidates) and all(f.count_feature is not None for f in features)
+    if have_counts:
+        counts = list(count_candidates)
+        cand = _unit_rows(np.stack(list(count_candidates.values())))
     for f in features:
         sim = _unit_rows(f.text_feats) @ _unit_rows(f.visual_feats).T
         sub_hits += int((sim.argmax(axis=1) == np.arange(f.m)).sum())
         sub_total += f.m
         if have_counts:
-            count_hits += int((cand @ _unit_rows(f.count_feature[None, :])[0]).argmax() + 1 == f.m)
+            count_hits += int(counts[int((cand @ _unit_rows(f.count_feature[None, :])[0]).argmax())] == f.m)
     text_mat = _unit_rows(np.stack([f.overall_text for f in features]))
     vis_mat = _unit_rows(np.stack([f.overall_visual for f in features]))
     traj_sim = text_mat @ vis_mat.T
@@ -737,7 +743,11 @@ def evaluate_retrieval(
     mode: str = "full",
     cached_features: list[np.ndarray] | None = None,
 ) -> dict:
-    """Argmax retrieval metrics over sub-pairs, whole trajectories, and counts."""
+    """Argmax retrieval metrics over sub-pairs, whole trajectories, and counts.
+
+    The count candidates are the count prompts of the sub-path counts that
+    occur among the evaluated trajectories, the counts training shows.
+    """
     if not dataset:
         raise DatasetError("evaluation dataset is empty")
     terms = retrieval_terms(mode)
@@ -748,28 +758,27 @@ def evaluate_retrieval(
 
     count_candidates = None
     if "cnt" in terms:
-        cnt_ids = np.array([
-            tokenize(count_prompt(k), vocab, enc.max_text_len)
-            for k in range(1, enc.max_subpaths + 1)
-        ])
+        counts = sorted({p.m for p in prepared})
+        cnt_ids = np.array([tokenize(count_prompt(k), vocab, enc.max_text_len) for k in counts])
         pooled = pooled_text_features(cnt_ids, store, enc)
-        count_candidates = linear(pooled, store["proj.text.w"], store["proj.text.b"]).data
+        count_candidates = dict(zip(counts, linear(pooled, store["proj.text.w"], store["proj.text.b"]).data))
 
     features: list[TrajectoryFeatures] = []
     for start in range(0, len(prepared), EVAL_BATCH):
         batch = prepared[start:start + EVAL_BATCH]
-        vp_feats = [Tensor(cached_features[start + j]) for j in range(len(batch))]
-        feats = stage2_features(batch, store, enc, terms, vp_feats)
-        [(whole_text, whole_visual)] = feats[whole]
-        counts = feats["cnt"][0][1].data if "cnt" in feats else None
-        for j, (p, (text, visual)) in enumerate(zip(batch, feats[per_path])):
+        viewpoints = Tensor(np.concatenate(cached_features[start:start + len(batch)], axis=0))
+        feats = stage2_features(batch, store, enc, terms, viewpoints)
+        text, visual = (t.data for t in feats[per_path])
+        whole_text, whole_visual = (t.data for t in feats[whole])
+        count_feats = feats["cnt"][1].data if "cnt" in feats else None
+        for j, p in enumerate(batch):
             features.append(
                 TrajectoryFeatures(
-                    text_feats=text.data,
-                    visual_feats=visual.data,
-                    overall_text=whole_text.data[j],
-                    overall_visual=whole_visual.data[j],
-                    count_feature=None if counts is None else counts[j],
+                    text_feats=text[j, :p.m],
+                    visual_feats=visual[j, :p.m],
+                    overall_text=whole_text[j],
+                    overall_visual=whole_visual[j],
+                    count_feature=None if count_feats is None else count_feats[j],
                     m=p.m,
                 )
             )
@@ -824,10 +833,9 @@ def stage2_gradient_report(cfg: RunConfig | None = None, eps: float = 1e-5) -> F
     prepared = prepare_trajectories(dataset, vocab, enc)
     # joint prompt tuning encodes the viewpoints live, through the prompts
     cache = None if cfg.joint_prompt_tuning else precompute_viewpoint_features(dataset, store, enc)
-    indices = list(range(len(prepared)))
 
     def loss_fn(s):
-        total, _ = stage2_losses(prepared, s, enc, cfg, cache, indices)
+        total, _ = stage2_losses(prepared, s, enc, cfg, cache)
         return total
 
     return finite_difference_check(loss_fn, store, eps=eps)

@@ -9,11 +9,13 @@ from navprompt.alignment import (
     DEFAULT_LAMBDA1,
     DEFAULT_LAMBDA2,
     LossReport,
+    batched_alignment_loss,
     contrastive_loss,
     cosine_similarity,
     effective_smoothing,
     ground_truth_matrix,
     kl_divergence,
+    masked_contrastive_loss,
     normalize,
     pairwise_alignment_loss,
     similarity_matrix,
@@ -362,3 +364,106 @@ class TestPairwiseAlignmentLoss:
         rev_shares = loss_shares(text, vision, reverse=True)
         assert fwd.item() != rev.item()
         assert abs(rev.item() - sum(rev_shares)) < 1e-12
+
+def _padded_similarity(blocks, m_max, fill):
+    """Stack square blocks into (B, m_max, m_max), filling the rest with ``fill``."""
+    s = np.full((len(blocks), m_max, m_max), fill)
+    for b, block in enumerate(blocks):
+        s[b, :len(block), :len(block)] = block
+    return s
+
+
+class TestMaskedContrastiveLoss:
+    """One masked (B, M, M) loss equals the mean of per-block contrastive losses."""
+
+    # a one-sub-path trajectory (M=1) next to an M=4 one, in a batch padded to 4
+    def _blocks(self, seed=30):
+        rng = np.random.default_rng(seed)
+        return [rng.uniform(-1, 1, (1, 1)), rng.uniform(-1, 1, (4, 4))]
+
+    @staticmethod
+    def _reference(blocks, reverse=False, temperature=0.1, smoothing=0.05):
+        losses = []
+        for block in blocks:
+            m = len(block)
+            s = Tensor(block)
+            gt = ground_truth_matrix(m, effective_smoothing(m, smoothing))
+            losses.append(contrastive_loss(normalize(s, "rows", temperature), normalize(s, "cols", temperature),
+                                           gt, reverse=reverse).item())
+        return sum(losses) / len(losses)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_block_losses_whatever_the_padding(self, reverse):
+        blocks = self._blocks()
+        for fill in (0.0, 0.9, -5.0):
+            s = Tensor(_padded_similarity(blocks, 4, fill))
+            loss = masked_contrastive_loss(s, np.array([1, 4]), reverse=reverse).item()
+            assert math.isfinite(loss)
+            assert math.isclose(loss, self._reference(blocks, reverse), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradient_matches_finite_differences(self, reverse):
+        blocks = self._blocks(31)
+        sizes = np.array([1, 4])
+        s0 = _padded_similarity(blocks, 4, 0.3)
+        s = Tensor(s0.copy(), requires_grad=True)
+        masked_contrastive_loss(s, sizes, temperature=0.5, reverse=reverse).backward()
+        eps = 1e-6
+        flat = s0.reshape(-1)
+        numeric = np.zeros_like(flat)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            hi = masked_contrastive_loss(Tensor(s0), sizes, temperature=0.5, reverse=reverse).item()
+            flat[i] = keep - eps
+            lo = masked_contrastive_loss(Tensor(s0), sizes, temperature=0.5, reverse=reverse).item()
+            flat[i] = keep
+            numeric[i] = (hi - lo) / (2 * eps)
+        got = s.grad.reshape(-1)
+        assert np.max(np.abs(got - numeric)) / np.max(np.abs(numeric)) < 1e-6
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_masked_entries_get_exactly_zero_gradient(self, reverse):
+        s = Tensor(_padded_similarity(self._blocks(32), 4, 0.7), requires_grad=True)
+        masked_contrastive_loss(s, np.array([1, 4]), reverse=reverse).backward()
+        assert np.all(s.grad[0] == 0.0)  # a 1 x 1 block's softmaxes are constant
+        assert np.all(s.grad[1] != 0.0)
+        assert np.all(np.isfinite(s.grad))
+
+    def test_batched_rows_match_pairwise_loss(self):
+        rng = np.random.default_rng(33)
+        groups = [(rng.uniform(-1, 1, (m, 6)), rng.uniform(-1, 1, (m, 6))) for m in (1, 4, 2)]
+        text = np.zeros((3, 4, 6))
+        vision = np.full((3, 4, 6), 0.5)
+        for b, (t, v) in enumerate(groups):
+            text[b, :len(t)], vision[b, :len(v)] = t, v
+        t_in, v_in = Tensor(text, requires_grad=True), Tensor(vision, requires_grad=True)
+        loss = batched_alignment_loss(t_in, v_in, np.array([1, 4, 2]))
+        loss.backward()
+        expected = [pairwise_alignment_loss(Tensor(t), Tensor(v)).item() for t, v in groups]
+        assert math.isclose(loss.item(), sum(expected) / 3, rel_tol=1e-12)
+        # padding rows, including zero rows, stay finite and get no gradient
+        for b, (t, _) in enumerate(groups):
+            assert np.all(t_in.grad[b, len(t):] == 0.0) and np.all(v_in.grad[b, len(t):] == 0.0)
+
+    def test_zero_smoothing_forward_divergence_is_refused(self):
+        s = Tensor(_padded_similarity(self._blocks(), 4, 0.0))
+        with pytest.raises(DivergenceError):
+            masked_contrastive_loss(s, np.array([1, 4]), smoothing=0.0)
+        # the reverse direction only needs the predicted diagonal
+        assert math.isfinite(masked_contrastive_loss(s, np.array([1, 4]), smoothing=0.0, reverse=True).item())
+
+    def test_rejects_bad_shapes_and_sizes(self):
+        s = Tensor(np.zeros((2, 4, 4)))
+        with pytest.raises(ShapeError):
+            masked_contrastive_loss(Tensor(np.zeros((2, 4, 3))), np.array([1, 4]))
+        with pytest.raises(ShapeError):
+            masked_contrastive_loss(s, np.array([1, 4, 2]))
+        with pytest.raises(ParameterError):
+            masked_contrastive_loss(s, np.array([0, 4]))
+        with pytest.raises(ParameterError):
+            masked_contrastive_loss(s, np.array([1, 5]))
+        with pytest.raises(ParameterError):
+            masked_contrastive_loss(s, np.array([1, 4]), temperature=0.0)
+        with pytest.raises(ParameterError):
+            masked_contrastive_loss(s, np.array([1, 4]), smoothing=-0.1)

@@ -23,7 +23,7 @@ from navprompt.encoders import (
     trainable_parameters,
     visual_encode,
 )
-from navprompt.errors import ConfigurationError, InputError, ParameterError
+from navprompt.errors import AlignmentError, ConfigurationError, InputError, ParameterError
 from navprompt.optim import OptimConfig, Optimizer, ParamStore, backward
 from navprompt.prompts import PAD_ID, Vocabulary, tokenize
 from navprompt.tensor import Tensor, gather_index, log_softmax, softmax
@@ -380,6 +380,11 @@ class TestTextEncode:
             assert pooled.shape == (1, cfg.d)
 
 
+def stacked(blocks):
+    """Per-trajectory row blocks stacked in batch order, as one tensor."""
+    return Tensor(np.concatenate([np.asarray(getattr(b, "data", b)) for b in blocks], axis=0))
+
+
 class TestCrossModal:
     def _setup(self, seed=11):
         cfg = tiny_config()
@@ -390,8 +395,8 @@ class TestCrossModal:
         cfg, store = self._setup()
         vp = Tensor(np.random.default_rng(1).normal(size=(1, cfg.d)))
         pf = Tensor(np.random.default_rng(2).normal(size=(1, cfg.d)))
-        out = cross_modal_encode_batch([vp], [pf], [[(0, 1)]], store, cfg)[0]
-        np.testing.assert_allclose(out.subpath_features[0].data, out.overall_visual.data, atol=1e-12)
+        out = cross_modal_encode_batch(vp, pf, [[(0, 1)]], store, cfg)
+        np.testing.assert_allclose(out.subpaths.data[0, 0], out.overall.data[0], atol=1e-12)
 
     def test_zero_weights_identity_pooling(self):
         # With every cross parameter zeroed the layers reduce to the identity,
@@ -403,11 +408,11 @@ class TestCrossModal:
         rng = np.random.default_rng(3)
         vp = rng.normal(size=(4, cfg.d))
         pf = rng.normal(size=(2, cfg.d))
-        out = cross_modal_encode_batch([Tensor(vp)], [Tensor(pf)], [[(0, 2), (2, 4)]], store, cfg)[0]
-        np.testing.assert_allclose(out.subpath_features[0].data, vp[0:2].mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(out.subpath_features[1].data, vp[2:4].mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(out.overall_visual.data, vp.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(out.count_feature.data, 0.0, atol=1e-12)
+        out = cross_modal_encode_batch(Tensor(vp), Tensor(pf), [[(0, 2), (2, 4)]], store, cfg)
+        np.testing.assert_allclose(out.subpaths.data[0, 0], vp[0:2].mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(out.subpaths.data[0, 1], vp[2:4].mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(out.overall.data[0], vp.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(out.count.data[0], 0.0, atol=1e-12)
 
     def test_permutation_consistency(self):
         cfg, store = self._setup(seed=12)
@@ -415,33 +420,45 @@ class TestCrossModal:
         vp = Tensor(rng.normal(size=(6, cfg.d)))
         pf = Tensor(rng.normal(size=(3, cfg.d)))
         bounds = [(0, 2), (2, 3), (3, 6)]
-        out = cross_modal_encode_batch([vp], [pf], [bounds], store, cfg)[0]
-        feats = np.stack([f.data for f in out.subpath_features])
+        feats = cross_modal_encode_batch(vp, pf, [bounds], store, cfg).subpaths.data[0]
         # Pooling is per-boundary: recomputing any boundary's mean from the
         # transformer output directly must match, in any order.
         for j, (s, e) in enumerate(bounds):
-            same = cross_modal_encode_batch([vp], [pf], [bounds], store, cfg)[0].subpath_features[j].data
+            same = cross_modal_encode_batch(vp, pf, [bounds], store, cfg).subpaths.data[0, j]
             np.testing.assert_allclose(feats[j], same, atol=1e-12)
 
     def test_batch_matches_single(self):
         cfg, store = self._setup(seed=13)
         rng = np.random.default_rng(5)
-        vps = [Tensor(rng.normal(size=(4, cfg.d))), Tensor(rng.normal(size=(6, cfg.d)))]
-        pfs = [Tensor(rng.normal(size=(2, cfg.d))), Tensor(rng.normal(size=(3, cfg.d)))]
+        vps = [rng.normal(size=(4, cfg.d)), rng.normal(size=(6, cfg.d))]
+        pfs = [rng.normal(size=(2, cfg.d)), rng.normal(size=(3, cfg.d))]
         bounds = [[(0, 2), (2, 4)], [(0, 1), (1, 4), (4, 6)]]
-        batched = cross_modal_encode_batch(vps, pfs, bounds, store, cfg)
+        batched = cross_modal_encode_batch(stacked(vps), stacked(pfs), bounds, store, cfg)
         for i in range(2):
-            single = cross_modal_encode_batch([vps[i]], [pfs[i]], [bounds[i]], store, cfg)[0]
-            np.testing.assert_allclose(single.overall_visual.data, batched[i].overall_visual.data, atol=1e-10)
-            for a, b in zip(single.subpath_features, batched[i].subpath_features):
-                np.testing.assert_allclose(a.data, b.data, atol=1e-10)
+            single = cross_modal_encode_batch(Tensor(vps[i]), Tensor(pfs[i]), [bounds[i]], store, cfg)
+            np.testing.assert_allclose(single.overall.data[0], batched.overall.data[i], atol=1e-10)
+            m = len(bounds[i])
+            np.testing.assert_allclose(single.subpaths.data[0], batched.subpaths.data[i, :m], atol=1e-10)
+            # the shorter trajectory's pad sub-path rows are zero
+            np.testing.assert_array_equal(batched.subpaths.data[i, m:], 0.0)
 
     def test_without_count_token(self):
         cfg, store = self._setup()
         vp = Tensor(np.random.default_rng(6).normal(size=(3, cfg.d)))
-        out = cross_modal_encode_batch([vp], None, [[(0, 3)]], store, cfg, include_count=False)[0]
-        assert out.count_feature is None
+        out = cross_modal_encode_batch(vp, None, [[(0, 3)]], store, cfg, include_count=False)
+        assert out.count is None
         assert isinstance(out, CrossModalOutput)
+
+    def test_row_counts_must_match_the_partitions(self):
+        cfg, store = self._setup()
+        rng = np.random.default_rng(7)
+        bounds = [[(0, 2), (2, 3)], [(0, 4)]]
+        with pytest.raises(AlignmentError):
+            cross_modal_encode_batch(Tensor(rng.normal(size=(6, cfg.d))), Tensor(rng.normal(size=(3, cfg.d))),
+                                     bounds, store, cfg)
+        with pytest.raises(AlignmentError):
+            cross_modal_encode_batch(Tensor(rng.normal(size=(7, cfg.d))), Tensor(rng.normal(size=(2, cfg.d))),
+                                     bounds, store, cfg)
 
     # three trajectories of 3, 6 and 5 viewpoints with 2, 3 and 1 sub-paths:
     # the widest viewpoint block is not the longest sequence, so the last
@@ -462,25 +479,25 @@ class TestCrossModal:
         vps, pfs = self._ragged_batch(cfg)
         if not prompted:
             pfs = None
-        outs = cross_modal_encode_batch([Tensor(v) for v in vps], None if pfs is None else [Tensor(p) for p in pfs],
-                                        self.BOUNDS, store, cfg, include_count=prompted)
+        out = cross_modal_encode_batch(stacked(vps), None if pfs is None else stacked(pfs),
+                                       self.BOUNDS, store, cfg, include_count=prompted)
         ref = ref_cross(vps, pfs, cfg, store, include_count=prompted)
         offset = 1 if prompted else 0
-        for j, (out, bounds) in enumerate(zip(outs, self.BOUNDS)):
+        for j, bounds in enumerate(self.BOUNDS):
             row = ref[j]
             if prompted:
-                np.testing.assert_allclose(out.count_feature.data, row[0], atol=1e-12)
-            for got, (s, e) in zip(out.subpath_features, bounds):
-                np.testing.assert_allclose(got.data, row[offset + s:offset + e].mean(axis=0), atol=1e-12)
+                np.testing.assert_allclose(out.count.data[j], row[0], atol=1e-12)
+            for k, (s, e) in enumerate(bounds):
+                np.testing.assert_allclose(out.subpaths.data[j, k], row[offset + s:offset + e].mean(axis=0), atol=1e-12)
             t_len = bounds[-1][1]
-            np.testing.assert_allclose(out.overall_visual.data, row[offset:offset + t_len].mean(axis=0), atol=1e-12)
+            np.testing.assert_allclose(out.overall.data[j], row[offset:offset + t_len].mean(axis=0), atol=1e-12)
 
     def test_last_layer_feeds_forward_read_rows_only(self, monkeypatch):
         cfg = tiny_config(cross_layers=2)
         store = build_store(cfg, seed=16, vocab_size=8)
         vps, pfs = self._ragged_batch(cfg)
         shapes = record_gelu_rows(monkeypatch)
-        cross_modal_encode_batch([Tensor(v) for v in vps], [Tensor(p) for p in pfs], self.BOUNDS, store, cfg)
+        cross_modal_encode_batch(stacked(vps), stacked(pfs), self.BOUNDS, store, cfg)
         # sequences are 1 + 3 + 2, 1 + 6 + 3 and 1 + 5 + 1 rows; the last
         # layer computes the count token and the widest viewpoint block
         f = cfg.d * cfg.ff_mult
@@ -591,10 +608,9 @@ class TestGradientFidelity:
         apply_stage_freeze(store, "stage2")
         prepared = prepare_trajectories(dataset, vocab, enc)
         cache = precompute_viewpoint_features(dataset, store, enc)
-        indices = list(range(len(prepared)))
 
         def loss_fn(s):
-            return stage2_losses(prepared, s, enc, cfg, cache, indices)[0]
+            return stage2_losses(prepared, s, enc, cfg, cache)[0]
 
         analytic = backward(loss_fn(store), store)
         names = store.trainable_names()

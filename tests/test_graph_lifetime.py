@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import navprompt.tensor as tensor_mod
-from navprompt.alignment import kl_divergence
+from navprompt.alignment import kl_divergence, masked_contrastive_loss
 from navprompt.encoders import apply_stage_freeze, init_cross_params, init_text_params, init_visual_params
 from navprompt.optim import ParamStore, backward
 from navprompt.tensor import (
@@ -29,6 +29,7 @@ from navprompt.tensor import (
     linear,
     log_softmax,
     matmul,
+    segment_mean,
     softmax,
     take_rows,
 )
@@ -88,7 +89,11 @@ OPS = {
     "take_rows": lambda x: take_rows(x, np.array([0, 0, 3])),
     "gather_index": lambda x: gather_index(x, np.array([0, 2, 1, 1])),
     "kl_divergence": lambda x: kl_divergence(softmax(x[:3], axis=1), Tensor(np.full((3, 3), 1.0 / 3.0))),
+    "segment_mean": lambda x: segment_mean(x.reshape(1, 4, 3), np.array([[[0, 2], [1, 4], [0, 0]]])),
+    "masked_contrastive_loss": lambda x: masked_contrastive_loss(x[:3].reshape(1, 3, 3), np.array([2])),
 }
+# differentiable ops defined outside tensor.py
+LOSS_OPS = {"kl_divergence", "masked_contrastive_loss"}
 
 # Tensor methods that build no graph node
 NOT_OPS = {"__init__", "__repr__", "_accumulate", "item", "backward"}
@@ -100,7 +105,7 @@ def test_every_differentiable_op_is_listed():
         name for name, obj in vars(tensor_mod).items()
         if inspect.isfunction(obj) and obj.__module__ == tensor_mod.__name__ and not name.startswith("_")
     }
-    assert methods | functions | {"kl_divergence"} == set(OPS)
+    assert methods | functions | LOSS_OPS == set(OPS)
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -128,8 +133,7 @@ def _stage2_setup(mode):
     apply_stage_freeze(store, "stage2", cfg.joint_prompt_tuning)
     prepared = prepare_trajectories(dataset, vocab, enc)
     cache = precompute_viewpoint_features(dataset, store, enc)
-    indices = list(range(len(prepared)))
-    return store, lambda: stage2_losses(prepared, store, enc, cfg, cache, indices)[0]
+    return store, lambda: stage2_losses(prepared, store, enc, cfg, cache)[0]
 
 
 def _stage1_setup():

@@ -347,9 +347,8 @@ class TestAblationTable:
 
         def run(mode):
             prepared = prepare_trajectories(dataset, vocab, enc)
-            total, report = stage2_losses(prepared, store, enc, dataclasses.replace(cfg, ablation=mode),
-                                          cache, list(range(len(prepared))))
-            features = stage2_features(prepared, store, enc, ABLATION_TERMS[mode], [Tensor(c) for c in cache])
+            total, report = stage2_losses(prepared, store, enc, dataclasses.replace(cfg, ablation=mode), cache)
+            features = stage2_features(prepared, store, enc, ABLATION_TERMS[mode], Tensor(np.concatenate(cache)))
             metrics = evaluate_retrieval(store, enc, dataset, vocab, mode=mode, cached_features=cache)
             return total, report, features, metrics
 
@@ -366,8 +365,13 @@ class TestAblationTable:
         assert abs(report.total - sum(weight[TERM_WEIGHTS[t]] * values[t] for t in terms)) < 1e-12
         # each term is the mean of its contrastive losses: per trajectory for ind and sub
         assert list(features) == list(terms)
-        for term, pairs in features.items():
-            assert len(pairs) == (cfg.trajectory_count if term in ("ind", "sub") else 1)
+        for term, (text, visual) in features.items():
+            if term in ("ind", "sub"):
+                assert text.shape[0] == visual.shape[0] == cfg.trajectory_count
+                m = cfg.subpaths_max
+                pairs = [(Tensor(t[:m]), Tensor(v[:m])) for t, v in zip(text.data, visual.data)]
+            else:
+                pairs = [(text, visual)]
             losses = [pairwise_alignment_loss(t, v, cfg.temperature, cfg.smoothing).item() for t, v in pairs]
             assert abs(values[term] - sum(losses) / len(losses)) < 1e-12
         full_total, _, _, full_metrics = run("full")
@@ -411,7 +415,7 @@ class TestEvaluation:
     def test_perfect_features_upper_bound(self):
         rng = np.random.default_rng(0)
         feats = []
-        count_candidates = rng.normal(size=(6, 8))
+        count_candidates = {k: rng.normal(size=8) for k in range(1, 7)}
         for m in (2, 3, 4):
             basis = rng.normal(size=(m, 8))
             feats.append(TrajectoryFeatures(
@@ -419,7 +423,7 @@ class TestEvaluation:
                 visual_feats=basis.copy(),
                 overall_text=basis.sum(axis=0),
                 overall_visual=basis.sum(axis=0),
-                count_feature=count_candidates[m - 1],
+                count_feature=count_candidates[m],
                 m=m,
             ))
         metrics = retrieval_metrics(feats, count_candidates)
@@ -448,6 +452,36 @@ class TestEvaluation:
     def test_empty_dataset(self):
         with pytest.raises(DatasetError):
             retrieval_metrics([])
+
+    def test_count_candidates_are_keyed_by_their_count(self):
+        # two candidates stating 3 and 7 sub-paths: the winner's key is the
+        # retrieved count, whatever its position among the candidates
+        rng = np.random.default_rng(2)
+        three, seven = rng.normal(size=8), rng.normal(size=8)
+        feats = []
+        for m, count_feature in ((7, seven), (3, three), (7, three)):
+            t = rng.normal(size=(m, 8))
+            feats.append(TrajectoryFeatures(text_feats=t, visual_feats=t, overall_text=t[0], overall_visual=t[0],
+                                            count_feature=count_feature, m=m))
+        assert retrieval_metrics(feats, {3: three, 7: seven})["count_accuracy"] == 2 / 3
+
+    def test_count_retrieval_scores_only_the_counts_that_occur(self):
+        # every trajectory has 2 sub-paths, so the one candidate is the count
+        # prompt for 2; untrained prompts for other counts cannot win
+        cfg = RunConfig(seed=9, d=16, heads=2, ff_mult=2, visual_layers=2, text_layers=1,
+                        cross_layers=1, prompt_count=2, prompt_layers=1, num_patches=2,
+                        feature_dim=6, num_classes=3, max_text_len=32, max_viewpoints=10,
+                        max_subpaths=6)
+        enc = cfg.encoder()
+        dataset = gen_trajectory_dataset(count=12, subpaths_range=(2, 2), viewpoints_range=(4, 6),
+                                         seed=9, feature_dim=6)
+        vocab = build_vocabulary(dataset, enc.max_subpaths)
+        store = ParamStore()
+        rng = np.random.default_rng(1234)
+        init_visual_params(store, enc, rng)
+        init_text_params(store, enc, len(vocab), rng)
+        init_cross_params(store, enc, rng)
+        assert evaluate_retrieval(store, enc, dataset, vocab)["count_accuracy"] == 1.0
 
 
 class TestConfigFile:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from navprompt.errors import ContractError, ParameterError, ShapeError
+from navprompt.errors import ContractError, InputError, ParameterError, ShapeError
 from navprompt.tensor import (
     Tensor,
     add_bias,
@@ -17,6 +17,7 @@ from navprompt.tensor import (
     linear,
     log_softmax,
     matmul,
+    segment_mean,
     softmax,
     take_rows,
 )
@@ -306,3 +307,46 @@ def test_forward_outputs_finite_on_finite_inputs():
     x = Tensor(rng.uniform(-2, 2, (4, 6)), requires_grad=True)
     y = softmax(layer_norm(gelu(x), Tensor(np.ones(6)), Tensor(np.zeros(6))), axis=1, temperature=0.1)
     assert np.all(np.isfinite(y.data))
+
+
+class TestSegmentMean:
+    # two sequences of 7 rows: the first has one sub-path (M=1) over rows
+    # 1..2, the second four over rows 1..6; each also pools the whole path,
+    # and ranges past a sequence's sub-paths are empty pads
+    BOUNDS = np.array([
+        [[0, 1], [1, 3], [1, 3], [0, 0], [0, 0], [0, 0]],
+        [[0, 1], [1, 7], [1, 2], [2, 4], [4, 5], [5, 7]],
+    ])
+
+    def test_matches_slice_means(self):
+        x = np.random.default_rng(20).normal(size=(2, 7, 5))
+        out = segment_mean(Tensor(x), self.BOUNDS).data
+        for b in range(2):
+            for k, (s, e) in enumerate(self.BOUNDS[b]):
+                if e > s:
+                    np.testing.assert_allclose(out[b, k], x[b, s:e].mean(axis=0), rtol=0, atol=1e-15)
+                else:
+                    assert np.all(out[b, k] == 0.0)
+
+    def test_gradient_matches_finite_differences(self):
+        weights = np.random.default_rng(21).normal(size=(2, 6, 3))
+        _check_op(lambda x: _sq(segment_mean(x, self.BOUNDS) * Tensor(weights)).sum(), (2, 7, 3), seed=22)
+
+    def test_unpooled_rows_get_exactly_zero_gradient(self):
+        x = Tensor(np.random.default_rng(23).normal(size=(2, 7, 3)), requires_grad=True)
+        (segment_mean(x, self.BOUNDS) * Tensor(np.random.default_rng(24).normal(size=(2, 6, 3)))).sum().backward()
+        # rows 3..6 of the M=1 sequence lie in no range
+        assert np.all(x.grad[0, 3:] == 0.0)
+        assert np.all(x.grad[0, :3] != 0.0) and np.all(x.grad[1] != 0.0)
+
+    def test_rejects_bad_bounds(self):
+        x = Tensor(np.zeros((2, 7, 3)))
+        with pytest.raises(ShapeError):
+            segment_mean(x, self.BOUNDS[:1])
+        for bad in ([0, 8], [-1, 2], [3, 2]):
+            bounds = self.BOUNDS.copy()
+            bounds[1, 2] = bad
+            with pytest.raises(InputError):
+                segment_mean(x, bounds)
+        with pytest.raises(InputError):
+            segment_mean(x, self.BOUNDS.astype(float))
