@@ -31,7 +31,7 @@ never queried or fed forward there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +76,13 @@ class EncoderConfig:
     deep_prompt_mode: str = "replace"  # or "propagate": input prompts only
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not type(f.default):
+                raise ConfigurationError(f"{f.name} expects {type(f.default).__name__}, got {value!r}")
+        for name in ("d", "heads", "ff_mult", "visual_layers", "num_classes", "max_text_len", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive")
         if self.d % self.heads != 0:
             raise ConfigurationError(f"width {self.d} not divisible by {self.heads} heads")
         if not (0 <= self.prompt_layers <= self.visual_layers):
@@ -84,9 +91,6 @@ class EncoderConfig:
             raise ConfigurationError("prompt_count must be nonnegative")
         if self.deep_prompt_mode not in ("replace", "propagate"):
             raise ConfigurationError(f"unknown deep_prompt_mode {self.deep_prompt_mode!r}")
-        for name in ("d", "heads", "ff_mult", "visual_layers", "num_classes", "max_text_len", "feature_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
 
 
 @dataclass
@@ -113,75 +117,105 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.
     return np.clip(rng.normal(0.0, std, shape), -2.0 * std, 2.0 * std)
 
 
-def _init_block(store: ParamStore, prefix: str, cfg: EncoderConfig, rng: np.random.Generator) -> None:
+# A layout lists (name, shape, fill) in initialization order.  Only "normal"
+# (a truncated normal) draws from the rng, so a layout filled in order is the
+# random stream of the stack, and its shapes are known without allocating.
+_FILLS = {"zeros": np.zeros, "ones": np.ones, "eye": lambda shape: np.eye(shape[0])}
+
+
+def _fill(store: ParamStore, layout: list[tuple[str, tuple[int, ...], str]], rng: np.random.Generator) -> None:
+    for name, shape, fill in layout:
+        store.add(name, _trunc_normal(rng, shape) if fill == "normal" else _FILLS[fill](shape))
+
+
+def _block_layout(prefix: str, cfg: EncoderConfig) -> list:
     d, f = cfg.d, cfg.d * cfg.ff_mult
-    store.add(f"{prefix}.ln1.g", np.ones(d))
-    store.add(f"{prefix}.ln1.b", np.zeros(d))
+    layout = [(f"{prefix}.ln1.g", (d,), "ones"), (f"{prefix}.ln1.b", (d,), "zeros")]
     for name in ("q", "k", "v", "o"):
-        store.add(f"{prefix}.attn.w{name}", _trunc_normal(rng, (d, d)))
+        layout.append((f"{prefix}.attn.w{name}", (d, d), "normal"))
         if name != "k":
-            store.add(f"{prefix}.attn.b{name}", np.zeros(d))
-    store.add(f"{prefix}.ln2.g", np.ones(d))
-    store.add(f"{prefix}.ln2.b", np.zeros(d))
-    store.add(f"{prefix}.ff.w1", _trunc_normal(rng, (d, f)))
-    store.add(f"{prefix}.ff.b1", np.zeros(f))
-    store.add(f"{prefix}.ff.w2", _trunc_normal(rng, (f, d)))
-    store.add(f"{prefix}.ff.b2", np.zeros(d))
+            layout.append((f"{prefix}.attn.b{name}", (d,), "zeros"))
+    return layout + [
+        (f"{prefix}.ln2.g", (d,), "ones"),
+        (f"{prefix}.ln2.b", (d,), "zeros"),
+        (f"{prefix}.ff.w1", (d, f), "normal"),
+        (f"{prefix}.ff.b1", (f,), "zeros"),
+        (f"{prefix}.ff.w2", (f, d), "normal"),
+        (f"{prefix}.ff.b2", (d,), "zeros"),
+    ]
+
+
+def _visual_layout(cfg: EncoderConfig) -> list:
+    cfg.validate()
+    d = cfg.d
+    layout = [
+        ("visual.patch_embed.w", (cfg.feature_dim, d), "normal"),
+        ("visual.patch_embed.b", (d,), "zeros"),
+        ("visual.cls", (1, d), "normal"),
+    ]
+    if cfg.prompt_count > 0:
+        layout += [(f"visual.prompt.{i}", (cfg.prompt_count, d), "normal") for i in range(cfg.prompt_layers)]
+    for i in range(cfg.visual_layers):
+        layout += _block_layout(f"visual.layer{i}", cfg)
+    return layout + [
+        ("head.w1", (d, d), "normal"),
+        ("head.b1", (d,), "zeros"),
+        ("head.w2", (d, cfg.num_classes), "normal"),
+        ("head.b2", (cfg.num_classes,), "zeros"),
+    ]
+
+
+def _text_layout(cfg: EncoderConfig, vocab_size: int) -> list:
+    if type(vocab_size) is not int:
+        raise ConfigurationError(f"vocab_size expects int, got {vocab_size!r}")
+    if vocab_size < 4:
+        raise ConfigurationError("vocabulary must include the reserved ids")
+    layout = [("text.tok_embed", (vocab_size, cfg.d), "normal"), ("text.pos_embed", (cfg.max_text_len, cfg.d), "normal")]
+    for i in range(cfg.text_layers):
+        layout += _block_layout(f"text.layer{i}", cfg)
+    return layout
+
+
+def _cross_layout(cfg: EncoderConfig) -> list:
+    d = cfg.d
+    layout = [
+        ("cross.cnt", (1, d), "normal"),
+        ("cross.seg_embed", (3, d), "normal"),  # rows: count, visual, prompt
+        ("cross.pos_visual", (cfg.max_viewpoints, d), "normal"),
+        ("cross.pos_prompt", (cfg.max_subpaths, d), "normal"),
+    ]
+    for i in range(cfg.cross_layers):
+        layout += _block_layout(f"cross.layer{i}", cfg)
+    # identity start: the similarity heads begin as a no-op instead of a
+    # random rotation, which keeps what little feature diversity exists at
+    # initialization visible to the contrastive objective
+    return layout + [
+        ("proj.text.w", (d, d), "eye"),
+        ("proj.text.b", (d,), "zeros"),
+        ("proj.visual.w", (d, d), "eye"),
+        ("proj.visual.b", (d,), "zeros"),
+    ]
 
 
 def init_visual_params(store: ParamStore, cfg: EncoderConfig, rng: np.random.Generator) -> None:
     """Visual backbone, prompt bank, and the classification head."""
-    cfg.validate()
-    d = cfg.d
-    store.add("visual.patch_embed.w", _trunc_normal(rng, (cfg.feature_dim, d)))
-    store.add("visual.patch_embed.b", np.zeros(d))
-    store.add("visual.cls", _trunc_normal(rng, (1, d)))
-    if cfg.prompt_count > 0:
-        for i in range(cfg.prompt_layers):
-            store.add(f"visual.prompt.{i}", _trunc_normal(rng, (cfg.prompt_count, d)))
-    for i in range(cfg.visual_layers):
-        _init_block(store, f"visual.layer{i}", cfg, rng)
-    store.add("head.w1", _trunc_normal(rng, (d, d)))
-    store.add("head.b1", np.zeros(d))
-    store.add("head.w2", _trunc_normal(rng, (d, cfg.num_classes)))
-    store.add("head.b2", np.zeros(cfg.num_classes))
+    _fill(store, _visual_layout(cfg), rng)
 
 
 def init_text_params(store: ParamStore, cfg: EncoderConfig, vocab_size: int, rng: np.random.Generator) -> None:
-    if vocab_size < 4:
-        raise ConfigurationError("vocabulary must include the reserved ids")
-    store.add("text.tok_embed", _trunc_normal(rng, (vocab_size, cfg.d)))
-    store.add("text.pos_embed", _trunc_normal(rng, (cfg.max_text_len, cfg.d)))
-    for i in range(cfg.text_layers):
-        _init_block(store, f"text.layer{i}", cfg, rng)
+    _fill(store, _text_layout(cfg, vocab_size), rng)
 
 
 def init_cross_params(store: ParamStore, cfg: EncoderConfig, rng: np.random.Generator) -> None:
-    d = cfg.d
-    store.add("cross.cnt", _trunc_normal(rng, (1, d)))
-    store.add("cross.seg_embed", _trunc_normal(rng, (3, d)))  # rows: count, visual, prompt
-    store.add("cross.pos_visual", _trunc_normal(rng, (cfg.max_viewpoints, d)))
-    store.add("cross.pos_prompt", _trunc_normal(rng, (cfg.max_subpaths, d)))
-    for i in range(cfg.cross_layers):
-        _init_block(store, f"cross.layer{i}", cfg, rng)
-    # identity start: the similarity heads begin as a no-op instead of a
-    # random rotation, which keeps what little feature diversity exists at
-    # initialization visible to the contrastive objective
-    store.add("proj.text.w", np.eye(d))
-    store.add("proj.text.b", np.zeros(d))
-    store.add("proj.visual.w", np.eye(d))
-    store.add("proj.visual.b", np.zeros(d))
+    _fill(store, _cross_layout(cfg), rng)
 
 
 def param_shapes(cfg: EncoderConfig, vocab_size: int | None = None) -> dict[str, tuple[int, ...]]:
     """Expected name -> shape layout; checkpoint loading validates against it."""
-    probe = ParamStore()
-    rng = np.random.default_rng(0)
-    init_visual_params(probe, cfg, rng)
+    layout = _visual_layout(cfg)
     if vocab_size is not None:
-        init_text_params(probe, cfg, vocab_size, rng)
-        init_cross_params(probe, cfg, rng)
-    return {name: probe[name].shape for name in probe.names()}
+        layout += _text_layout(cfg, vocab_size) + _cross_layout(cfg)
+    return {name: shape for name, shape, _ in layout}
 
 
 # -- shared layer machinery ------------------------------------------------------

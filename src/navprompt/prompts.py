@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ParameterError
+from .errors import ParameterError, VocabularyError
 from .segmenter import SubInstruction, tokenize_text
 
 ORDINAL_WORDS = [
@@ -95,6 +95,11 @@ class Vocabulary:
     """Immutable token-to-id map with fixed reserved ids."""
 
     def __init__(self, token_to_id: dict[str, int]):
+        if not isinstance(token_to_id, dict):
+            raise ParameterError(f"expected a token -> id object, got {type(token_to_id).__name__}")
+        for token, idx in token_to_id.items():
+            if not isinstance(token, str) or type(idx) is not int:
+                raise ParameterError(f"entry {token!r}: {idx!r} is not a string token with an integer id")
         for token, idx in _RESERVED.items():
             if token_to_id.get(token) != idx:
                 raise ParameterError(f"reserved token {token!r} must map to {idx}")
@@ -132,8 +137,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_json(fh.read())
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise VocabularyError(f"{path}: not a JSON vocabulary ({exc})") from exc
+        except ParameterError as exc:
+            raise VocabularyError(f"{path}: {exc}") from exc
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int) -> list[int]:

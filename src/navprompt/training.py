@@ -10,7 +10,10 @@ logs never contain wall-clock values.
 
 from __future__ import annotations
 
+import base64
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -60,7 +63,7 @@ from .prompts import PAD_ID, Vocabulary, build_prompt_set, count_prompt, tokeniz
 from .segmenter import SubInstruction, check_partition
 from .tensor import Tensor, gather_index, linear, log_softmax, take_rows
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 # rows per batch of the forward-only passes: stage-1 accuracy, the viewpoint
 # precompute and retrieval evaluation
 ACCURACY_BATCH = 64
@@ -168,20 +171,26 @@ def parse_config_file(path: str) -> dict:
     """Read `key = value` lines; keys must be RunConfig field names."""
     known = {f.name: f.type for f in fields(RunConfig)}
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                out[key] = coerce_field(key, value)
-            except ParameterError as exc:
-                raise ParameterError(f"{path}:{lineno}: {exc}") from None
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise ParameterError(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[key] = coerce_field(key, value)
+        except ParameterError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -212,15 +221,27 @@ def coerce_field(key: str, value: str):
 # -- checkpointing -----------------------------------------------------------------
 
 
+def _digest_tensor(digest, name: str, shape, raw: bytes) -> None:
+    """Feed one tensor into the checkpoint digest: ``[name, shape]`` as JSON, then its bytes."""
+    digest.update(json.dumps([name, list(shape)]).encode("utf-8"))
+    digest.update(raw)
+
+
 def save_checkpoint(store: ParamStore, config: dict, path: str) -> None:
+    """Write format 2: each tensor as base64 of its little-endian float64 bytes, plus a sha256."""
+    tensors = {}
+    digest = hashlib.sha256()
+    for name in sorted(store.entries):
+        data = store.entries[name].data
+        raw = data.astype("<f8", copy=False).tobytes()
+        _digest_tensor(digest, name, data.shape, raw)
+        tensors[name] = {"shape": list(data.shape), "data": base64.b64encode(raw).decode("ascii")}
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": config,
-        "tensors": {
-            name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
-            for name, t in store.entries.items()
-        },
+        "tensors": tensors,
         "frozen": sorted(store.frozen),
+        "sha256": digest.hexdigest(),
     }
     tmp = path + ".tmp"
     # json.dumps takes the C encoder; json.dump always takes the pure-Python
@@ -239,11 +260,14 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         raise CheckpointError(f"{path}: truncated or invalid checkpoint ({exc})") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+    version = payload.get("format_version")
+    if version == 1:
         raise CheckpointError(
-            f"{path}: format_version {payload.get('format_version')!r} "
-            f"(expected {CHECKPOINT_FORMAT_VERSION})"
+            f"{path}: format_version 1 (decimal JSON tensors) is no longer read; "
+            "re-run the stage that wrote it to get a format_version 2 checkpoint"
         )
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(f"{path}: format_version {version!r} (expected {CHECKPOINT_FORMAT_VERSION})")
     config = payload.get("config", {})
     tensors = payload.get("tensors", {})
     frozen = payload.get("frozen", [])
@@ -255,16 +279,16 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
     expected = None
     if "encoder" in config:
         try:
-            enc = EncoderConfig(**config["encoder"])
-        except TypeError as exc:
+            expected = param_shapes(EncoderConfig(**config["encoder"]), config.get("vocab_size"))
+        except (TypeError, ConfigurationError) as exc:
             raise CheckpointError(f"{path}: invalid encoder config ({exc})") from exc
-        expected = param_shapes(enc, config.get("vocab_size"))
         missing = set(expected) - set(tensors)
         extra = set(tensors) - set(expected)
         if missing or extra:
             raise CheckpointError(f"{path}: tensor set mismatch (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
 
     store = ParamStore()
+    digest = hashlib.sha256()
     for name in sorted(tensors):
         entry = tensors[name]
         if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
@@ -273,19 +297,24 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise CheckpointError(f"{path}: tensor {name!r} shape {shape!r} is not a list of sizes")
         shape = tuple(shape)
+        if not isinstance(entry["data"], str):
+            raise CheckpointError(f"{path}: tensor {name!r} data is not a base64 string")
         try:
-            data = np.asarray(entry["data"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: tensor {name!r} data is not a flat list of numbers") from exc
-        if data.ndim != 1:
-            raise CheckpointError(f"{path}: tensor {name!r} data is not a flat list of numbers")
+            raw = base64.b64decode(entry["data"], validate=True)
+        except ValueError as exc:  # binascii.Error, and non-ASCII text
+            raise CheckpointError(f"{path}: tensor {name!r} data is not valid base64 ({exc})") from exc
+        nbytes = 8 * math.prod(shape)
+        if len(raw) != nbytes:
+            raise CheckpointError(f"{path}: tensor {name!r} holds {len(raw)} bytes, shape {shape} needs {nbytes}")
+        _digest_tensor(digest, name, shape, raw)
+        data = np.frombuffer(raw, "<f8").reshape(shape)
         if not np.all(np.isfinite(data)):
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-        if data.size != int(np.prod(shape)):
-            raise CheckpointError(f"{path}: tensor {name!r} data length {data.size} does not match shape {shape}")
         if expected is not None and shape != expected[name]:
             raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, config implies {expected[name]}")
-        store.add(name, data.reshape(shape))
+        store.add(name, data)
+    if payload.get("sha256") != digest.hexdigest():
+        raise CheckpointError(f"{path}: sha256 {payload.get('sha256')!r} does not match the tensors (corrupted or edited)")
     store.set_frozen(set(frozen) & set(store.names()))
     return store, config
 
@@ -649,7 +678,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
             grads = backward(total, store)
             optimizer.step(store, grads)
             _assert_frozen_unchanged(store, baseline, f"stage2 step {step}")
-            # the l_ind_sum column holds the per-trajectory term: ind, or sub
+            # the l_ind_sum column holds the per-trajectory term, a mean over the batch: ind, or sub
             per_path = report.l_ind if report.l_sub is None else report.l_sub
             rows.append([
                 step,

@@ -1,5 +1,6 @@
 """CLI subcommands exercised in-process through main()."""
 
+import base64
 import json
 import re
 
@@ -132,7 +133,7 @@ def test_stage2_refuses_a_checkpoint_with_key_biases(tmp_path, capsys):
     ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
     with open(ckpt) as fh:
         payload = json.load(fh)
-    payload["tensors"]["visual.layer0.attn.bk"] = {"shape": [16], "data": [0.0] * 16}
+    payload["tensors"]["visual.layer0.attn.bk"] = {"shape": [16], "data": base64.b64encode(bytes(8 * 16)).decode()}
     with open(ckpt, "w") as fh:
         json.dump(payload, fh)
     with pytest.raises(CheckpointError, match=r"extra \['visual\.layer0\.attn\.bk'\]"):
@@ -140,6 +141,44 @@ def test_stage2_refuses_a_checkpoint_with_key_biases(tmp_path, capsys):
     assert main(["stage2", "--stage1-ckpt", ckpt, *_cfg_flags(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error[CheckpointError]: ") and "visual.layer0.attn.bk" in err
+
+
+def test_eval_refuses_a_format_1_checkpoint(tmp_path, capsys):
+    ckpt = tmp_path / "stage2_checkpoint.json"
+    ckpt.write_text(json.dumps({"format_version": 1, "config": {}, "tensors": {"w": {"shape": [1], "data": [0.5]}},
+                                "frozen": []}))
+    rc = main(["eval", "--ckpt", str(ckpt), "--vocab", str(ckpt), "--data", str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[CheckpointError]: {ckpt}: format_version 1 ")
+
+
+def test_non_utf8_config_is_one_line_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"seed = 3\nstage1_lr = 0.0\xae1\n")
+    rc = main(["stage1", "--config", str(cfg_file)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error[ParameterError]: {cfg_file}:2: not UTF-8 text (invalid start byte at byte 24)"]
+
+
+@pytest.mark.parametrize("body", [b'{"<pad>": 0, "<unk>": 1', b'["<pad>", "<unk>"]', b'{"caf\xe9": 4}'],
+                         ids=["truncated", "list", "not-utf8"])
+def test_malformed_vocab_is_one_line_error(tmp_path, capsys, body):
+    assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
+    assert main(["stage2", "--stage1-ckpt", str(tmp_path / "run" / "stage1_checkpoint.json"),
+                 *_cfg_flags(tmp_path, **{"stage2-epochs": 0})]) == 0
+    data = str(tmp_path / "eval.jsonl")
+    assert main(["gen-data", "--kind", "trajectories", "--seed", "3", "--trajectory-count", "4",
+                 "--output", data]) == 0
+    capsys.readouterr()
+    vocab = tmp_path / "vocab.json"
+    vocab.write_bytes(body)
+    rc = main(["eval", "--ckpt", str(tmp_path / "run" / "stage2_checkpoint.json"), "--vocab", str(vocab),
+               "--data", data])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[VocabularyError]: {vocab}: ")
 
 
 @pytest.mark.parametrize("line,message", [

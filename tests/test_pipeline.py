@@ -1,8 +1,11 @@
 """Training drivers: determinism, checkpointing, logging, and metrics."""
 
+import base64
 import csv
 import dataclasses
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +67,30 @@ def tiny_cfg(tmp_path, **overrides):
     return RunConfig(**base)
 
 
+def _f64(*values) -> str:
+    """base64 of the little-endian float64 bytes of ``values``."""
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _sha256(tensors: dict) -> str:
+    """The format-2 digest from its definition: for each tensor in name order,
+    the JSON text of ``[name, shape]``, then the tensor's bytes."""
+    digest = hashlib.sha256()
+    for name in sorted(tensors):
+        digest.update(json.dumps([name, tensors[name]["shape"]]).encode("utf-8"))
+        digest.update(base64.b64decode(tensors[name]["data"]))
+    return digest.hexdigest()
+
+
+def _v2(tensors: dict, **fields) -> str:
+    """A format-2 checkpoint body holding ``tensors``; no digest unless given."""
+    return json.dumps({"format_version": 2, "tensors": tensors, **fields})
+
+
+def _signed(tensors: dict) -> str:
+    return _v2(tensors, sha256=_sha256(tensors))
+
+
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -107,7 +134,18 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="99"):
             load_checkpoint(path)
 
-    def test_bytes_match_json_dump(self, tmp_path):
+    def test_format_1_is_refused(self, tmp_path):
+        # the decimal-JSON layout format 1 wrote; there is no migration
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "config": {"stage": "stage1"},
+            "tensors": {"w": {"shape": [2], "data": [1.0, -2.5]}}, "frozen": [],
+        }, sort_keys=True))
+        with pytest.raises(CheckpointError, match=r"format_version 1 .*re-run the stage") as exc:
+            load_checkpoint(str(path))
+        assert str(path) in str(exc.value)
+
+    def test_bytes_match_format2_layout(self, tmp_path):
         values = [-0.0, 5e-324, 1e308, 0.1, 1 / 3]
         store = ParamStore()
         store.add("a", np.array(values))
@@ -115,40 +153,78 @@ class TestCheckpoints:
         config = {"stage": "stage1", "seed": 3}
         path = tmp_path / "ckpt.json"
         save_checkpoint(store, config, str(path))
-        reference = tmp_path / "reference.json"
-        with open(reference, "w", encoding="utf-8") as fh:
-            json.dump({
-                "format_version": CHECKPOINT_FORMAT_VERSION,
-                "config": config,
-                "tensors": {"a": {"shape": [5], "data": values}, "b": {"shape": [1, 2], "data": [1.0, -2.5]}},
-                "frozen": ["b"],
-            }, fh, sort_keys=True)
-        assert path.read_bytes() == reference.read_bytes()
+        tensors = {"a": {"shape": [5], "data": _f64(*values)}, "b": {"shape": [1, 2], "data": _f64(1.0, -2.5)}}
+        assert _sha256(tensors) == "a3253d49b038cb247885b3c9d2c61cd1cae6a2c7791bbdbb7d4a68539c0687fa"
+        reference = json.dumps({
+            "format_version": CHECKPOINT_FORMAT_VERSION,
+            "config": config,
+            "tensors": tensors,
+            "frozen": ["b"],
+            "sha256": _sha256(tensors),
+        }, sort_keys=True)
+        assert path.read_bytes() == reference.encode("ascii")
+        loaded, loaded_config = load_checkpoint(str(path))
+        assert loaded_config == config and loaded.frozen == {"b"}
+        # bitwise: the sign of -0.0 and the subnormal survive
+        assert loaded["a"].data.tobytes() == np.array(values).tobytes()
+        assert loaded["b"].data.tobytes() == np.array([[1.0, -2.5]]).tobytes()
+        assert loaded["a"].data.flags.writeable
+
+    def test_flipped_data_bit_fails_the_digest(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        store = ParamStore()
+        init_visual_params(store, cfg.encoder(), np.random.default_rng(0))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(store, {"encoder": dataclasses.asdict(cfg.encoder())}, str(path))
+        payload = json.loads(path.read_text())
+        entry = payload["tensors"]["visual.cls"]
+        raw = bytearray(base64.b64decode(entry["data"]))
+        raw[0] ^= 1  # lowest mantissa bit of the first value: still a finite float64
+        entry["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+        path.write_text(json.dumps(payload, sort_keys=True))
+        with pytest.raises(CheckpointError, match="sha256 .* does not match the tensors") as exc:
+            load_checkpoint(str(path))
+        assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize(
         "body,match",
         [
             ('[1, 2]', "expected a JSON object, got list"),
             (b"\xff\xfe\x00", "invalid checkpoint"),
-            ('{"format_version": 1, "tensors": []}', "must be JSON objects"),
-            ('{"format_version": 1, "config": [], "tensors": {}}', "must be JSON objects"),
-            ('{"format_version": 1, "tensors": {}, "frozen": [[1]]}', "'frozen' must be a list"),
-            ('{"format_version": 1, "config": {"encoder": {"bogus": 1}}, "tensors": {}}', "invalid encoder config"),
-            ('{"format_version": 1, "tensors": {"w": [1.0]}}', "tensor 'w' needs 'shape' and 'data'"),
-            ('{"format_version": 1, "tensors": {"w": {"shape": [1]}}}', "tensor 'w' needs 'shape' and 'data'"),
-            ('{"format_version": 1, "tensors": {"w": {"data": [1.0]}}}', "tensor 'w' needs 'shape' and 'data'"),
-            ('{"format_version": 1, "tensors": {"w": {"shape": "ab", "data": [1.0]}}}', "tensor 'w' shape"),
-            ('{"format_version": 1, "tensors": {"w": {"shape": [true], "data": [1.0]}}}', "tensor 'w' shape"),
-            ('{"format_version": 1, "tensors": {"w": {"shape": [1], "data": ["x"]}}}', "tensor 'w' data is not"),
-            ('{"format_version": 1, "tensors": {"w": {"shape": [2], "data": [[1.0, 2.0]]}}}', "tensor 'w' data is not"),
-            ('{"format_version": 1, "tensors": {"w": {"shape": [2], "data": [1.0, NaN]}}}', "tensor 'w' holds non-finite"),
-            ('{"format_version": 1, "tensors": {"w": {"shape": [1], "data": [Infinity]}}}', "tensor 'w' holds non-finite"),
-            ('{"format_version": 1, "tensors": {"w": {"shape": [1], "data": [-Infinity]}}}', "tensor 'w' holds non-finite"),
+            ('{"format_version": 2, "tensors": []}', "must be JSON objects"),
+            ('{"format_version": 2, "config": [], "tensors": {}}', "must be JSON objects"),
+            ('{"format_version": 2, "tensors": {}, "frozen": [[1]]}', "'frozen' must be a list"),
+            ('{"format_version": 2, "config": {"encoder": {"bogus": 1}}, "tensors": {}}', "invalid encoder config"),
+            (_v2({"w": _f64(1.0)}), "tensor 'w' needs 'shape' and 'data'"),
+            (_v2({"w": {"shape": [1]}}), "tensor 'w' needs 'shape' and 'data'"),
+            (_v2({"w": {"data": _f64(1.0)}}), "tensor 'w' needs 'shape' and 'data'"),
+            (_v2({"w": {"shape": "ab", "data": _f64(1.0)}}), "tensor 'w' shape"),
+            (_v2({"w": {"shape": [True], "data": _f64(1.0)}}), "tensor 'w' shape"),
+            (_v2({"w": {"shape": [1], "data": [_f64(1.0)]}}), "tensor 'w' data is not a base64 string"),
+            (_v2({"w": {"shape": [2], "data": [1.0, 2.0]}}), "tensor 'w' data is not a base64 string"),
+            (_signed({"w": {"shape": [2], "data": _f64(1.0, math.nan)}}), "tensor 'w' holds non-finite"),
+            (_signed({"w": {"shape": [1], "data": _f64(math.inf)}}), "tensor 'w' holds non-finite"),
+            (_signed({"w": {"shape": [1], "data": _f64(-math.inf)}}), "tensor 'w' holds non-finite"),
+            # format-2 cases
+            (_v2({"w": {"shape": [1], "data": 1.0}}), "tensor 'w' data is not a base64 string"),
+            (_v2({"w": {"shape": [2], "data": _f64(1.0, 2.0)[:-1]}}), "tensor 'w' data is not valid base64"),
+            (_v2({"w": {"shape": [2], "data": "*" + _f64(1.0, 2.0)[1:]}}), "tensor 'w' data is not valid base64"),
+            (_v2({"w": {"shape": [1], "data": "AAAAAAAA8D\u00e9"}}), "tensor 'w' data is not valid base64"),
+            (_signed({"w": {"shape": [2], "data": _f64(1.0)}}), r"tensor 'w' holds 8 bytes, shape \(2,\) needs 16"),
+            (_signed({"w": {"shape": [2, 2], "data": _f64(1.0, 2.0)}}), r"holds 16 bytes, shape \(2, 2\) needs 32"),
+            (_v2({"w": {"shape": [1], "data": _f64(1.0)}}), "sha256 None does not match the tensors"),
+            (_v2({"w": {"shape": [1], "data": _f64(1.0)}}, sha256="0" * 64), "sha256 '0+' does not match"),
+            (_v2({"w": {"shape": [1], "data": _f64(1.0)}}, sha256=_sha256({"v": {"shape": [1], "data": _f64(1.0)}})),
+             "does not match the tensors"),
+            (_v2({"w": {"shape": [1, 2], "data": _f64(1.0, 2.0)}},
+                 sha256=_sha256({"w": {"shape": [2], "data": _f64(1.0, 2.0)}})), "does not match the tensors"),
         ],
         ids=[
             "list", "not-utf8", "tensors-list", "config-list", "frozen-nested", "encoder-keys",
             "entry-list", "no-data", "no-shape", "shape-string", "shape-bool", "data-string",
             "data-nested", "nan", "inf", "neg-inf",
+            "data-number", "b64-truncated", "b64-alphabet", "b64-non-ascii", "byte-count-short",
+            "byte-count-2d", "no-sha256", "wrong-sha256", "sha256-of-other-name", "sha256-of-other-shape",
         ],
     )
     def test_malformed_file_raises_checkpoint_error(self, tmp_path, body, match):
@@ -160,6 +236,36 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=match) as exc:
             load_checkpoint(str(path))
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("encoder,match", [
+        ({"d": "16"}, "d expects int, got"),
+        ({"d": 16.0}, "d expects int, got"),
+        ({"heads": 0}, "heads must be positive"),
+        ({"max_viewpoints": -3}, "has shape"),
+    ])
+    def test_bad_encoder_config_is_checkpoint_error(self, tmp_path, encoder, match):
+        # checked before any shape is used, so a corrupted size cannot reach numpy
+        cfg = tiny_cfg(tmp_path)
+        store = ParamStore()
+        init_visual_params(store, cfg.encoder(), np.random.default_rng(0))
+        init_text_params(store, cfg.encoder(), 10, np.random.default_rng(1))
+        init_cross_params(store, cfg.encoder(), np.random.default_rng(2))
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(store, {"encoder": {**dataclasses.asdict(cfg.encoder()), **encoder}, "vocab_size": 10}, path)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_vocab_size_is_checked_before_use(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        store = ParamStore()
+        init_visual_params(store, cfg.encoder(), np.random.default_rng(0))
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(store, {"encoder": dataclasses.asdict(cfg.encoder()), "vocab_size": 10**12}, path)
+        with pytest.raises(CheckpointError, match="tensor set mismatch"):
+            load_checkpoint(path)
+        save_checkpoint(store, {"encoder": dataclasses.asdict(cfg.encoder()), "vocab_size": "10"}, path)
+        with pytest.raises(CheckpointError, match="vocab_size expects int"):
+            load_checkpoint(path)
 
 
 class TestStage1:
@@ -496,6 +602,23 @@ class TestConfigFile:
         path.write_text("mystery = 1\n")
         with pytest.raises(ParameterError):
             parse_config_file(str(path))
+
+    @pytest.mark.parametrize("blob,where", [
+        (b"seed = 3\nstage1_lr = 0.0\xae1\n", ":2: not UTF-8 text (invalid start byte at byte 24)"),
+        (b"\xff = 1\n", ":1: not UTF-8 text"),
+        (b"seed = 3\r\n# caf\xc3", ":2: not UTF-8 text (unexpected end of data"),
+    ])
+    def test_non_utf8_names_file_and_line(self, tmp_path, blob, where):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(blob)
+        with pytest.raises(ParameterError) as exc:
+            parse_config_file(str(path))
+        assert str(exc.value).startswith(f"{path}{where}")
+
+    def test_line_endings(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 3\r\nstage1_lr = 0.5\rablation = sub_only\n")
+        assert parse_config_file(str(path)) == {"seed": 3, "stage1_lr": 0.5, "ablation": "sub_only"}
 
     def test_validation_ranges(self):
         with pytest.raises(ParameterError):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from navprompt.errors import ParameterError
+from navprompt.errors import ParameterError, VocabularyError
 from navprompt.prompts import (
     CLS_ID,
     PAD_ID,
@@ -139,6 +139,34 @@ class TestVocabulary:
         v = Vocabulary.build(["walk out and turn left, then stop."])
         w = Vocabulary.from_json(v.to_json())
         assert w.token_to_id == v.token_to_id
+
+    def test_file_round_trip(self, tmp_path):
+        v = Vocabulary.build(["walk out and turn left"])
+        v.save(str(tmp_path / "vocab.json"))
+        assert Vocabulary.load(str(tmp_path / "vocab.json")).token_to_id == v.token_to_id
+
+    @pytest.mark.parametrize("body,match", [
+        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2', "not a JSON vocabulary"),
+        (b"", "not a JSON vocabulary"),
+        (b'["<pad>", "<unk>", "<cls>", "<sep>"]', "expected a token -> id object, got list"),
+        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, "caf\xe9": 4}', "not a JSON vocabulary"),
+        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, "go": 4.0}', "'go': 4.0 is not a string token"),
+        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, "go": "4"}', "'go': '4' is not a string token"),
+        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, "go": true}', "'go': True is not a string token"),
+        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, "go": 9}', "dense"),
+        (b'{"<pad>": 1, "<unk>": 0, "<cls>": 2, "<sep>": 3}', "reserved token"),
+    ], ids=["truncated", "empty", "list", "not-utf8", "float-id", "string-id", "bool-id", "sparse", "reserved"])
+    def test_malformed_file_names_it(self, tmp_path, body, match):
+        path = tmp_path / "vocab.json"
+        path.write_bytes(body)
+        with pytest.raises(VocabularyError, match=match) as exc:
+            Vocabulary.load(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_non_string_token_is_refused(self):
+        # JSON object keys are always strings, so this reaches only the constructor
+        with pytest.raises(ParameterError, match="is not a string token"):
+            Vocabulary({"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, 7: 4})
 
 
 class TestTokenize:
