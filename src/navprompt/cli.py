@@ -17,7 +17,7 @@ import numpy as np
 from .alignment import ABLATION_MODES
 from .data import read_indoor_jsonl, read_trajectory_jsonl, write_indoor_jsonl, write_trajectory_jsonl
 from .encoders import EncoderConfig
-from .errors import NavPromptError, ParameterError
+from .errors import ConfigurationError, NavPromptError, ParameterError
 from .prompts import Vocabulary, build_prompt_set
 from .segmenter import load_dataset
 from .training import (
@@ -119,6 +119,12 @@ def _cmd_eval(args) -> int:
         raise ParameterError("checkpoint does not carry an encoder config")
     enc = EncoderConfig(**config["encoder"])
     vocab = Vocabulary.load(args.vocab)
+    if "vocab_size" not in config:
+        raise ConfigurationError(f"{args.ckpt}: no vocab_size in its config; eval needs a stage-2 checkpoint")
+    if len(vocab) != config["vocab_size"]:
+        raise ConfigurationError(
+            f"{args.vocab} holds {len(vocab)} tokens but {args.ckpt} was trained with vocab_size {config['vocab_size']}"
+        )
     dataset = read_trajectory_jsonl(args.data)
     metrics = evaluate_retrieval(store, enc, dataset, vocab, mode=args.mode)
     print(json.dumps(metrics, indent=2))

@@ -5,6 +5,15 @@ Every operation records a closure that propagates gradients to its inputs;
 tape is rebuilt on every forward pass, so identical inputs always produce
 identical gradients.
 
+``backward`` consumes the graph as it goes, as PyTorch does by default
+(``retain_graph=False``): once a node's closure has run, the node drops its
+closure, its parents and, unless it is a leaf, its ``.grad``.  Each interior
+node, with its activations and gradient buffer, is freed as soon as the
+nodes that consume it have run, even while the caller still holds the loss.
+Only leaves (parameters and inputs, the tensors that no op produced) keep
+``.grad``.  A second ``backward`` through a consumed node raises
+``ContractError``; rebuild the graph instead.
+
 A backward closure may capture its inputs and any arrays it needs, but never
 its own output ``Tensor``: ``out._backward`` would then close a reference
 cycle through ``out``, and the whole graph of a step, activations included,
@@ -49,7 +58,8 @@ class Tensor:
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        # None once backward() has consumed this node (see the module docstring)
+        self._parents: tuple[Tensor, ...] | None = ()
         self._backward = None
 
     # -- construction helpers ------------------------------------------------
@@ -91,9 +101,10 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``grad`` on every ``requires_grad`` tensor reachable from here.
+        """Populate ``grad`` on every ``requires_grad`` leaf reachable from here.
 
-        Must be called on a scalar (single-element) tensor.
+        Must be called on a scalar (single-element) tensor.  Consumes the
+        graph: each interior node is released once its closure has run.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -110,6 +121,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ContractError("backward() reached a graph that an earlier backward() consumed; rebuild it")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -117,9 +130,16 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        # popping drops the list's reference, so a consumed node is freed as
+        # soon as nothing outside the graph holds it
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node._backward = None
+                node._parents = None
+                node.grad = None
 
     # -- elementwise binary ops ----------------------------------------------
 
@@ -341,6 +361,30 @@ class Tensor:
 # -- free functions ------------------------------------------------------------
 
 
+def _check_matmul(a: Tensor, b: Tensor, op: str) -> bool:
+    """Validate matmul operands; True when a stacked ``a`` meets a shared 2-d ``b``."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"{op}: operands must be at least 2-d, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"{op}: inner dimensions disagree, {a.shape} x {b.shape}")
+    shared_rhs = b.ndim == 2 and a.ndim > 2
+    if not shared_rhs and a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"{op}: stacked axes disagree, {a.shape} x {b.shape}")
+    return shared_rhs
+
+
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray, shared_rhs: bool) -> None:
+    if a.requires_grad:
+        a._accumulate(g @ np.swapaxes(b.data, -1, -2))
+    if b.requires_grad:
+        if shared_rhs:
+            k = a.shape[-1]
+            n = g.shape[-1]
+            b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+        else:
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.
 
@@ -349,34 +393,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     layer case).  Gradients: da = g @ b^T, db = a^T @ g, with db summed over
     any stacked axes when b is shared.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    shared_rhs = b.ndim == 2 and a.ndim > 2
-    if not shared_rhs and a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: stacked axes disagree, {a.shape} x {b.shape}")
+    shared_rhs = _check_matmul(a, b, "matmul")
     out = Tensor._result(a.data @ b.data, (a, b))
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            if shared_rhs:
-                k = a.shape[-1]
-                n = g.shape[-1]
-                b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
-            else:
-                b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+        _matmul_backward(a, b, g, shared_rhs)
 
     out._backward = _bw
     return out
 
 
+def _check_bias(shape: tuple[int, ...], b: Tensor, op: str) -> None:
+    if b.ndim != 1 or shape[-1] != b.shape[0]:
+        raise ShapeError(f"{op}: bias {b.shape} does not match last axis of {shape}")
+
+
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a 1-d bias along the last axis of ``x``."""
-    if b.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError(f"add_bias: bias {b.shape} does not match last axis of {x.shape}")
+    _check_bias(x.shape, b, "add_bias")
     out = Tensor._result(x.data + b.data, (x, b))
 
     def _bw(g):
@@ -390,7 +424,26 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add_bias(matmul(x, w), b)
+    """``x @ w + b`` as one node, bitwise equal to ``add_bias(matmul(x, w), b)``.
+
+    The bias is added in place to the product, and backward accumulates the
+    bias gradient before the matmul gradients, the order in which that pair
+    of nodes would run, so outputs and gradients match it bit for bit while
+    the separate product array and its node are never made.
+    """
+    shared_rhs = _check_matmul(x, w, "linear")
+    _check_bias(x.shape[:-1] + w.shape[-1:], b, "linear")
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor._result(y, (x, w, b))
+
+    def _bw(g):
+        if b.requires_grad:
+            b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
+        _matmul_backward(x, w, g, shared_rhs)
+
+    out._backward = _bw
+    return out
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -483,17 +536,21 @@ def gelu(t: Tensor) -> Tensor:
     u *= x
     u *= _GELU_C
     th = np.tanh(u)
-    half_gate = 0.5 * (1.0 + th)
-    out = Tensor._result(x * half_gate, (t,))
+    out = Tensor._result(x * (0.5 * (1.0 + th)), (t,))
 
+    # the closure keeps only tanh(u): backward recomputes x*x and the half
+    # gate with the forward's own operations, which gives the same bits
+    # without holding two more arrays of the input's size per call
     def _bw(g):
         if t.requires_grad:
-            du = x2 * (3.0 * _GELU_A)
+            x = t.data
+            du = x * x
+            du *= 3.0 * _GELU_A
             du += 1.0
             du *= _GELU_C
             du *= 1.0 - th * th
             du *= 0.5 * x
-            du += half_gate
+            du += 0.5 * (1.0 + th)
             du *= g
             t._accumulate(du)
 

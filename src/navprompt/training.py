@@ -370,9 +370,9 @@ def _stage1_accuracy(samples: list[IndoorSample], indices: Sequence[int], store:
     for batch in _batches(indices, ACCURACY_BATCH):
         feats = np.stack([samples[i].features for i in batch])
         labels = np.array([samples[i].label for i in batch])
-        state = visual_encode(feats, store, enc)
-        logits = classify_logits(state.cls.reshape(len(batch), enc.d), store)
-        hits += int((logits.data.argmax(axis=1) == labels).sum())
+        # keep only the logits array, so this batch's graph dies before the next is encoded
+        logits = classify_logits(visual_encode(feats, store, enc).cls.reshape(len(batch), enc.d), store).data
+        hits += int((logits.argmax(axis=1) == labels).sum())
     return hits / len(indices)
 
 
@@ -502,8 +502,8 @@ def precompute_viewpoint_features(dataset: list[TrajectorySample], store: ParamS
     outputs = []
     for i in range(0, all_rows.shape[0], PRECOMPUTE_CHUNK):
         block = all_rows[i:i + PRECOMPUTE_CHUNK][:, None, :]  # each viewpoint is one patch
-        state = visual_encode(block, store, enc)
-        outputs.append(state.patch_block.data.reshape(block.shape[0], enc.d))
+        # keep only the output array, so this chunk's graph dies before the next is encoded
+        outputs.append(visual_encode(block, store, enc).patch_block.data.reshape(block.shape[0], enc.d))
     flat = np.concatenate(outputs, axis=0)
     features = []
     offset = 0
@@ -789,17 +789,19 @@ def evaluate_retrieval(
     if "cnt" in terms:
         counts = sorted({p.m for p in prepared})
         cnt_ids = np.array([tokenize(count_prompt(k), vocab, enc.max_text_len) for k in counts])
-        pooled = pooled_text_features(cnt_ids, store, enc)
-        count_candidates = dict(zip(counts, linear(pooled, store["proj.text.w"], store["proj.text.b"]).data))
+        projected = linear(pooled_text_features(cnt_ids, store, enc), store["proj.text.w"], store["proj.text.b"]).data
+        count_candidates = dict(zip(counts, projected))
 
     features: list[TrajectoryFeatures] = []
     for start in range(0, len(prepared), EVAL_BATCH):
         batch = prepared[start:start + EVAL_BATCH]
         viewpoints = Tensor(np.concatenate(cached_features[start:start + len(batch)], axis=0))
-        feats = stage2_features(batch, store, enc, terms, viewpoints)
-        text, visual = (t.data for t in feats[per_path])
-        whole_text, whole_visual = (t.data for t in feats[whole])
-        count_feats = feats["cnt"][1].data if "cnt" in feats else None
+        # keep only the arrays, so this batch's graph dies before the next is encoded
+        feats = {term: (t.data, v.data)
+                 for term, (t, v) in stage2_features(batch, store, enc, terms, viewpoints).items()}
+        text, visual = feats[per_path]
+        whole_text, whole_visual = feats[whole]
+        count_feats = feats["cnt"][1] if "cnt" in feats else None
         for j, p in enumerate(batch):
             features.append(
                 TrajectoryFeatures(

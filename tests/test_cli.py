@@ -162,9 +162,8 @@ def test_non_utf8_config_is_one_line_error(tmp_path, capsys):
     assert err == [f"error[ParameterError]: {cfg_file}:2: not UTF-8 text (invalid start byte at byte 24)"]
 
 
-@pytest.mark.parametrize("body", [b'{"<pad>": 0, "<unk>": 1', b'["<pad>", "<unk>"]', b'{"caf\xe9": 4}'],
-                         ids=["truncated", "list", "not-utf8"])
-def test_malformed_vocab_is_one_line_error(tmp_path, capsys, body):
+def _untrained_stage2(tmp_path, capsys) -> tuple[str, str]:
+    """A zero-epoch stage-2 run under ``tmp_path/run`` and a 4-trajectory eval file."""
     assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
     assert main(["stage2", "--stage1-ckpt", str(tmp_path / "run" / "stage1_checkpoint.json"),
                  *_cfg_flags(tmp_path, **{"stage2-epochs": 0})]) == 0
@@ -172,13 +171,43 @@ def test_malformed_vocab_is_one_line_error(tmp_path, capsys, body):
     assert main(["gen-data", "--kind", "trajectories", "--seed", "3", "--trajectory-count", "4",
                  "--output", data]) == 0
     capsys.readouterr()
+    return str(tmp_path / "run" / "stage2_checkpoint.json"), data
+
+
+@pytest.mark.parametrize("body", [b'{"<pad>": 0, "<unk>": 1', b'["<pad>", "<unk>"]', b'{"caf\xe9": 4}'],
+                         ids=["truncated", "list", "not-utf8"])
+def test_malformed_vocab_is_one_line_error(tmp_path, capsys, body):
+    ckpt, data = _untrained_stage2(tmp_path, capsys)
     vocab = tmp_path / "vocab.json"
     vocab.write_bytes(body)
-    rc = main(["eval", "--ckpt", str(tmp_path / "run" / "stage2_checkpoint.json"), "--vocab", str(vocab),
-               "--data", data])
+    rc = main(["eval", "--ckpt", ckpt, "--vocab", str(vocab), "--data", data])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error[VocabularyError]: {vocab}: ")
+
+
+def test_eval_refuses_a_vocabulary_of_another_size(tmp_path, capsys):
+    ckpt, data = _untrained_stage2(tmp_path, capsys)
+    with open(tmp_path / "run" / "vocab.json") as fh:
+        tokens = json.load(fh)
+    size = len(tokens)
+    tokens.update({f"extra{i}": size + i for i in range(500)})
+    padded = tmp_path / "padded_vocab.json"
+    padded.write_text(json.dumps(tokens))
+    rc = main(["eval", "--ckpt", ckpt, "--vocab", str(padded), "--data", data])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error[ConfigurationError]: {padded} holds {size + 500} tokens but {ckpt} "
+                   f"was trained with vocab_size {size}"]
+
+
+def test_eval_refuses_a_stage1_checkpoint(tmp_path, capsys):
+    _, data = _untrained_stage2(tmp_path, capsys)
+    ckpt = str(tmp_path / "run" / "stage1_checkpoint.json")
+    rc = main(["eval", "--ckpt", ckpt, "--vocab", str(tmp_path / "run" / "vocab.json"), "--data", data])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error[ConfigurationError]: {ckpt}: no vocab_size in its config; eval needs a stage-2 checkpoint"]
 
 
 @pytest.mark.parametrize("line,message", [

@@ -1,23 +1,28 @@
-"""Autodiff graphs are freed by reference counting, never left to the cyclic GC.
+"""Autodiff graphs die as soon as nothing needs them, by reference counting alone.
 
 A backward closure that captured its own output tensor would put every graph
 through that op into a reference cycle; a training step's activations would
-then stay alive until a full collection.  These tests run with the collector
-disabled so such a cycle shows up as a live object or as collectable garbage.
+then stay alive until a full collection.  ``backward`` consumes the graph,
+so an interior node's closure, inputs and gradient buffer go even while the
+loss is held, and the forward-only loops keep arrays, never a batch's graph.
+These tests run with the collector disabled so a leak shows up as a live
+object, as collectable garbage or as a higher traced peak.
 """
 
 import dataclasses
 import gc
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import navprompt.tensor as tensor_mod
+import navprompt.training as training
 from navprompt.alignment import kl_divergence, masked_contrastive_loss
 from navprompt.encoders import apply_stage_freeze, init_cross_params, init_text_params, init_visual_params
-from navprompt.optim import ParamStore, backward
+from navprompt.optim import Optimizer, ParamStore, backward
 from navprompt.tensor import (
     Tensor,
     add_bias,
@@ -120,6 +125,32 @@ def test_dropped_output_is_freed_without_gc(name, no_gc):
     assert ref() is None, f"{name}: the output tensor outlived its last reference"
 
 
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_backward_releases_the_op_node(name, no_gc):
+    x = Tensor(_pos((4, 3)), requires_grad=True)
+    out = OPS[name](x)
+    loss = out.sum()
+    refs = [weakref.ref(out._backward), weakref.ref(loss._backward)]
+    loss.backward()
+    # out and loss are still held, but their closures, parents and
+    # gradient buffers are gone; the leaf keeps its gradient
+    assert all(ref() is None for ref in refs), f"{name}: a closure outlived backward()"
+    for node in (out, loss):
+        assert node._parents is None and node.grad is None
+    assert x.grad is not None and x.grad.shape == x.shape
+
+
+# op -> number of arrays its backward closure keeps beyond its inputs' own
+CLOSURE_ARRAYS = {"gelu": 1, "linear": 0}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_ARRAYS))
+def test_closure_keeps_only_what_backward_cannot_recompute(name):
+    out = OPS[name](Tensor(_pos((4, 3)), requires_grad=True))
+    arrays = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    assert len(arrays) == CLOSURE_ARRAYS[name]
+
+
 def _stage2_setup(mode):
     cfg = dataclasses.replace(gradcheck_config(), ablation=mode)
     enc = cfg.encoder()
@@ -158,3 +189,79 @@ def test_training_step_leaves_no_cyclic_garbage(step, no_gc):
     assert grads
     del loss, grads
     assert gc.collect() == 0
+
+
+def _spy_on(monkeypatch, name, outputs):
+    """Wrap ``training.<name>``; each call first checks that earlier calls' graphs are dead."""
+    real = getattr(training, name)
+    refs = []
+
+    def spy(*args, **kwargs):
+        alive = sum(ref() is not None for ref in refs)
+        assert alive == 0, f"{alive} closures of an earlier {name} call are alive while the next batch is encoded"
+        result = real(*args, **kwargs)
+        refs.extend(weakref.ref(t._backward) for t in outputs(result))
+        return result
+
+    monkeypatch.setattr(training, name, spy)
+    return refs
+
+
+def test_stage1_accuracy_drops_each_batch_graph(monkeypatch, no_gc):
+    store, _ = _stage1_setup()
+    cfg = gradcheck_config()
+    dataset = cfg.indoor_dataset()
+    monkeypatch.setattr(training, "ACCURACY_BATCH", 2)
+    refs = _spy_on(monkeypatch, "visual_encode", lambda state: (state.cls, state.patch_block))
+    training._stage1_accuracy(dataset, list(range(len(dataset))), store, cfg.encoder())
+    assert len(refs) == 2 * 3 and all(ref() is None for ref in refs)
+
+
+def test_precompute_drops_each_chunk_graph(monkeypatch, no_gc):
+    store, _ = _stage2_setup("full")
+    cfg = gradcheck_config()
+    dataset = cfg.trajectory_dataset()
+    monkeypatch.setattr(training, "PRECOMPUTE_CHUNK", 4)
+    refs = _spy_on(monkeypatch, "visual_encode", lambda state: (state.cls, state.patch_block))
+    precompute_viewpoint_features(dataset, store, cfg.encoder())
+    assert len(refs) == 2 * 3 and all(ref() is None for ref in refs)
+
+
+def test_evaluate_retrieval_drops_each_batch_graph(monkeypatch, no_gc):
+    store, _ = _stage2_setup("full")
+    cfg = gradcheck_config()
+    enc = cfg.encoder()
+    dataset = cfg.trajectory_dataset()
+    cache = precompute_viewpoint_features(dataset, store, enc)
+    monkeypatch.setattr(training, "EVAL_BATCH", 1)
+    refs = _spy_on(monkeypatch, "stage2_features", lambda feats: [t for pair in feats.values() for t in pair])
+    training.evaluate_retrieval(store, enc, dataset, build_vocabulary(dataset, enc.max_subpaths),
+                                cached_features=cache)
+    assert len(refs) == 2 * 2 * 3 and all(ref() is None for ref in refs)
+
+
+def test_consecutive_stage2_steps_hold_one_graph(no_gc):
+    store, loss_fn = _stage2_setup("full")
+    optimizer = Optimizer(gradcheck_config().optim(1e-3))
+
+    def step():
+        loss = loss_fn()
+        optimizer.step(store, backward(loss, store))
+        return loss
+
+    tracemalloc.start()
+    try:
+        # traced from here on, so the gradients and Adam moments this step
+        # leaves behind are counted in the base and when they are replaced
+        step()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss = step()
+        one = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        # the loop's pattern: the previous loss is held until the next forward returns
+        loss = step()  # noqa: F841
+        two = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert two <= 1.05 * one + 16384, f"one step peaks {one} B above the start, two steps {two} B"

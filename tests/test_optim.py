@@ -110,6 +110,16 @@ class TestBackwardHelper:
         assert set(grads) == {"a"}
         np.testing.assert_allclose(grads["a"], [2.0, 4.0])
 
+    def test_second_backward_on_one_loss_raises(self):
+        # the first backward consumed the graph; a second one must not
+        # return an empty gradient map as if the loss had no parameters
+        store = ParamStore()
+        store.add("a", np.array([1.0, 2.0]))
+        loss = (store["a"] * store["a"]).sum()
+        np.testing.assert_allclose(backward(loss, store)["a"], [2.0, 4.0])
+        with pytest.raises(ContractError, match="consumed"):
+            backward(loss, store)
+
 
 class TestFiniteDifferenceCheck:
     def test_sum_of_squares(self):

@@ -154,6 +154,37 @@ class TestBackward:
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
 
+    def test_backward_releases_interior_nodes(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x * x
+        loss = y.sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        for node in (y, loss):
+            assert node._backward is None and node._parents is None and node.grad is None
+        np.testing.assert_array_equal(loss.data, 5.0)
+
+    def test_second_backward_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(ContractError, match="consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_backward_through_a_consumed_subgraph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x * x
+        y.sum().backward()
+        with pytest.raises(ContractError, match="consumed"):
+            (y * 2.0).sum().backward()
+
+    def test_leaf_loss_backward_repeats(self):
+        x = Tensor(3.0, requires_grad=True)
+        x.backward()
+        x.backward()
+        np.testing.assert_array_equal(x.grad, 1.0)
+
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(4)
         data = rng.uniform(-2, 2, (3, 3))
@@ -295,6 +326,85 @@ def test_linear_matches_manual():
     b = rng.uniform(-1, 1, 4)
     out = linear(Tensor(x), Tensor(w), Tensor(b))
     np.testing.assert_allclose(out.data, x @ w + b, atol=1e-12)
+
+
+class TestLinear:
+    """``linear`` is one node with the arithmetic of ``add_bias(matmul(x, w), b)``."""
+
+    @staticmethod
+    def _inputs(x_shape, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1, 1, x_shape), rng.uniform(-1, 1, (x_shape[-1], 4)), rng.uniform(-1, 1, 4)
+
+    @staticmethod
+    def _run(op, x0, w0, b0):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        out = op(x, w, b)
+        data = out.data.copy()
+        _sq(out).sum().backward()
+        return data, x.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize("x_shape", [(5, 3), (2, 5, 3)], ids=["2d", "3d"])
+    def test_bitwise_equal_to_matmul_then_add_bias(self, x_shape):
+        inputs = self._inputs(x_shape, 31)
+        fused = self._run(linear, *inputs)
+        split = self._run(lambda x, w, b: add_bias(matmul(x, w), b), *inputs)
+        for name, a, b in zip(("out", "x.grad", "w.grad", "b.grad"), fused, split):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("x_shape", [(5, 3), (2, 5, 3)], ids=["2d", "3d"])
+    def test_gradients_match_finite_differences(self, x_shape):
+        x0, w0, b0 = self._inputs(x_shape, 32)
+        _, gx, gw, gb = self._run(linear, x0, w0, b0)
+
+        def loss(x, w, b):
+            return _sq(linear(Tensor(x), Tensor(w), Tensor(b))).sum().item()
+
+        for analytic, numeric in (
+            (gx, _numeric_grad(lambda a: loss(a, w0, b0), x0.copy())),
+            (gw, _numeric_grad(lambda a: loss(x0, a, b0), w0.copy())),
+            (gb, _numeric_grad(lambda a: loss(x0, w0, a), b0.copy())),
+        ):
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_rejects_a_mismatched_bias(self):
+        with pytest.raises(ShapeError, match="linear: bias"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="linear: inner"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)))
+
+
+def _gelu_grad_reference(x, g):
+    """The GELU backward as written when the closure kept x*x and the half gate."""
+    a, c = 0.044715, math.sqrt(2.0 / math.pi)
+    x2 = x * x
+    u = x2 * a
+    u += 1.0
+    u *= x
+    u *= c
+    th = np.tanh(u)
+    half_gate = 0.5 * (1.0 + th)
+    du = x2 * (3.0 * a)
+    du += 1.0
+    du *= c
+    du *= 1.0 - th * th
+    du *= 0.5 * x
+    du += half_gate
+    du *= g
+    return x * half_gate, du
+
+
+def test_gelu_is_bitwise_equal_to_the_stored_gate_formula():
+    rng = np.random.default_rng(33)
+    x0 = rng.normal(scale=2.0, size=(4, 5, 6))
+    g0 = rng.normal(size=x0.shape)
+    x = Tensor(x0.copy(), requires_grad=True)
+    out = gelu(x)
+    data = out.data.copy()
+    (out * Tensor(g0)).sum().backward()
+    ref_out, ref_grad = _gelu_grad_reference(x0, g0)
+    assert np.array_equal(data, ref_out)
+    assert np.array_equal(x.grad, ref_grad)
 
 
 def test_elementwise_shape_error():
