@@ -22,6 +22,7 @@ from .prompts import Vocabulary, build_prompt_set
 from .segmenter import load_dataset
 from .training import (
     RunConfig,
+    coerce_field,
     evaluate_retrieval,
     load_checkpoint,
     parse_config_file,
@@ -32,15 +33,14 @@ from .training import (
 )
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _add_runconfig_flags(parser: argparse.ArgumentParser) -> None:
+    # values stay strings here; _build_runconfig coerces them as a config file's are
     for field in dataclasses.fields(RunConfig):
-        flag = "--" + field.name.replace("_", "-")
-        if field.type == "bool" or isinstance(field.default, bool):
-            parser.add_argument(flag, dest=field.name, default=None,
-                                type=lambda v: v.lower() in ("true", "1", "yes"),
-                                metavar="BOOL")
-        else:
-            parser.add_argument(flag, dest=field.name, default=None, type=type(field.default))
+        parser.add_argument(_flag(field.name), dest=field.name, default=None)
 
 
 def _build_runconfig(args: argparse.Namespace) -> RunConfig:
@@ -50,7 +50,10 @@ def _build_runconfig(args: argparse.Namespace) -> RunConfig:
     for field in dataclasses.fields(RunConfig):
         given = getattr(args, field.name, None)
         if given is not None:
-            values[field.name] = given
+            try:
+                values[field.name] = coerce_field(field.name, given)
+            except ParameterError as exc:
+                raise ParameterError(f"{_flag(field.name)}: {exc}") from None
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -115,18 +118,11 @@ def _cmd_stage2(args) -> int:
 
 def _cmd_eval(args) -> int:
     store, config = load_checkpoint(args.ckpt)
-    if "encoder" not in config:
-        raise ParameterError("checkpoint does not carry an encoder config")
-    enc = EncoderConfig(**config["encoder"])
-    vocab = Vocabulary.load(args.vocab)
-    if "vocab_size" not in config:
-        raise ConfigurationError(f"{args.ckpt}: no vocab_size in its config; eval needs a stage-2 checkpoint")
-    if len(vocab) != config["vocab_size"]:
-        raise ConfigurationError(
-            f"{args.vocab} holds {len(vocab)} tokens but {args.ckpt} was trained with vocab_size {config['vocab_size']}"
-        )
+    if "vocab" not in config:
+        raise ConfigurationError(f"{args.ckpt}: no vocab in its config; eval needs a stage-2 checkpoint")
     dataset = read_trajectory_jsonl(args.data)
-    metrics = evaluate_retrieval(store, enc, dataset, vocab, mode=args.mode)
+    metrics = evaluate_retrieval(store, EncoderConfig(**config["encoder"]), dataset, Vocabulary(config["vocab"]),
+                                 mode=args.mode)
     print(json.dumps(metrics, indent=2))
     return 0
 
@@ -179,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="retrieval metrics for a stage-2 checkpoint")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=ABLATION_MODES, default="full")
     p.set_defaults(fn=_cmd_eval)

@@ -166,8 +166,6 @@ def _visual_layout(cfg: EncoderConfig) -> list:
 
 
 def _text_layout(cfg: EncoderConfig, vocab_size: int) -> list:
-    if type(vocab_size) is not int:
-        raise ConfigurationError(f"vocab_size expects int, got {vocab_size!r}")
     if vocab_size < 4:
         raise ConfigurationError("vocabulary must include the reserved ids")
     layout = [("text.tok_embed", (vocab_size, cfg.d), "normal"), ("text.pos_embed", (cfg.max_text_len, cfg.d), "normal")]

@@ -59,7 +59,3 @@ class FreezeViolationError(NavPromptError):
 
 class CheckpointError(NavPromptError):
     """A checkpoint file is unreadable, truncated, or inconsistent with the config."""
-
-
-class VocabularyError(NavPromptError):
-    """A vocabulary file is unreadable or not a dense token -> id map."""

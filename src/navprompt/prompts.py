@@ -8,11 +8,10 @@ concatenates every individual prompt.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ParameterError, VocabularyError
+from .errors import ParameterError
 from .segmenter import SubInstruction, tokenize_text
 
 ORDINAL_WORDS = [
@@ -88,28 +87,28 @@ PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
 SEP_ID = 3
-_RESERVED = {"<pad>": PAD_ID, "<unk>": UNK_ID, "<cls>": CLS_ID, "<sep>": SEP_ID}
+RESERVED_TOKENS = ["<pad>", "<unk>", "<cls>", "<sep>"]  # in id order
 
 
 class Vocabulary:
-    """Immutable token-to-id map with fixed reserved ids."""
+    """Immutable token list; a token's id is its position, and the reserved tokens come first."""
 
-    def __init__(self, token_to_id: dict[str, int]):
-        if not isinstance(token_to_id, dict):
-            raise ParameterError(f"expected a token -> id object, got {type(token_to_id).__name__}")
-        for token, idx in token_to_id.items():
-            if not isinstance(token, str) or type(idx) is not int:
-                raise ParameterError(f"entry {token!r}: {idx!r} is not a string token with an integer id")
-        for token, idx in _RESERVED.items():
-            if token_to_id.get(token) != idx:
-                raise ParameterError(f"reserved token {token!r} must map to {idx}")
-        ids = sorted(token_to_id.values())
-        if ids != list(range(len(ids))):
-            raise ParameterError("vocabulary ids must be dense in [0, |V|)")
-        self.token_to_id = dict(token_to_id)
+    def __init__(self, tokens: list[str]):
+        if not isinstance(tokens, list):
+            raise ParameterError(f"expected a list of tokens in id order, got {type(tokens).__name__}")
+        for idx, token in enumerate(tokens):
+            if not isinstance(token, str):
+                raise ParameterError(f"token {idx} is {token!r}, not a string")
+        if tokens[:len(RESERVED_TOKENS)] != RESERVED_TOKENS:
+            raise ParameterError(f"the vocabulary must start with the reserved tokens {RESERVED_TOKENS}")
+        self.tokens = list(tokens)
+        self.token_to_id = {token: idx for idx, token in enumerate(tokens)}
+        if len(self.token_to_id) != len(tokens):
+            twice = next(t for idx, t in enumerate(tokens) if self.token_to_id[t] != idx)
+            raise ParameterError(f"token {twice!r} is listed twice")
 
     def __len__(self) -> int:
-        return len(self.token_to_id)
+        return len(self.tokens)
 
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
@@ -119,31 +118,7 @@ class Vocabulary:
         tokens = set()
         for text in texts:
             tokens.update(tokenize_text(text))
-        mapping = dict(_RESERVED)
-        for token in sorted(tokens):
-            mapping[token] = len(mapping)
-        return cls(mapping)
-
-    def to_json(self) -> str:
-        return json.dumps(self.token_to_id, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "Vocabulary":
-        return cls(json.loads(payload))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "Vocabulary":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_json(fh.read())
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise VocabularyError(f"{path}: not a JSON vocabulary ({exc})") from exc
-        except ParameterError as exc:
-            raise VocabularyError(f"{path}: {exc}") from exc
+        return cls(RESERVED_TOKENS + sorted(tokens))
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int) -> list[int]:

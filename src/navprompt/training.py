@@ -63,7 +63,7 @@ from .prompts import PAD_ID, Vocabulary, build_prompt_set, count_prompt, tokeniz
 from .segmenter import SubInstruction, check_partition
 from .tensor import Tensor, gather_index, linear, log_softmax, take_rows
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 # rows per batch of the forward-only passes: stage-1 accuracy, the viewpoint
 # precompute and retrieval evaluation
 ACCURACY_BATCH = 64
@@ -221,6 +221,13 @@ def coerce_field(key: str, value: str):
 # -- checkpointing -----------------------------------------------------------------
 
 
+def _envelope_digest(config: dict, frozen: list):
+    """A sha256 fed the canonical JSON of ``config`` and ``frozen``; the tensors follow it."""
+    digest = hashlib.sha256()
+    digest.update(json.dumps({"config": config, "frozen": frozen}, sort_keys=True).encode("utf-8"))
+    return digest
+
+
 def _digest_tensor(digest, name: str, shape, raw: bytes) -> None:
     """Feed one tensor into the checkpoint digest: ``[name, shape]`` as JSON, then its bytes."""
     digest.update(json.dumps([name, list(shape)]).encode("utf-8"))
@@ -228,9 +235,11 @@ def _digest_tensor(digest, name: str, shape, raw: bytes) -> None:
 
 
 def save_checkpoint(store: ParamStore, config: dict, path: str) -> None:
-    """Write format 2: each tensor as base64 of its little-endian float64 bytes, plus a sha256."""
+    """Write format 3: each tensor as base64 of its little-endian float64 bytes, and one sha256
+    over the config, the frozen set and every tensor's name, shape and bytes."""
+    frozen = sorted(store.frozen)
+    digest = _envelope_digest(config, frozen)
     tensors = {}
-    digest = hashlib.sha256()
     for name in sorted(store.entries):
         data = store.entries[name].data
         raw = data.astype("<f8", copy=False).tobytes()
@@ -240,7 +249,7 @@ def save_checkpoint(store: ParamStore, config: dict, path: str) -> None:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": config,
         "tensors": tensors,
-        "frozen": sorted(store.frozen),
+        "frozen": frozen,
         "sha256": digest.hexdigest(),
     }
     tmp = path + ".tmp"
@@ -252,7 +261,11 @@ def save_checkpoint(store: ParamStore, config: dict, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
-    """Load and validate a checkpoint; nothing is returned on failure."""
+    """Load and verify a checkpoint; nothing is returned on failure.
+
+    The digest is compared before the config is read, so the config checks
+    that follow it see only what a writer signed.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -261,13 +274,11 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     version = payload.get("format_version")
-    if version == 1:
-        raise CheckpointError(
-            f"{path}: format_version 1 (decimal JSON tensors) is no longer read; "
-            "re-run the stage that wrote it to get a format_version 2 checkpoint"
-        )
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(f"{path}: format_version {version!r} (expected {CHECKPOINT_FORMAT_VERSION})")
+        raise CheckpointError(
+            f"{path}: format_version {version!r} is not read; "
+            f"re-run the stage that wrote it to get a format_version {CHECKPOINT_FORMAT_VERSION} checkpoint"
+        )
     config = payload.get("config", {})
     tensors = payload.get("tensors", {})
     frozen = payload.get("frozen", [])
@@ -276,19 +287,8 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
     if not isinstance(frozen, list) or not all(isinstance(n, str) for n in frozen):
         raise CheckpointError(f"{path}: 'frozen' must be a list of tensor names")
 
-    expected = None
-    if "encoder" in config:
-        try:
-            expected = param_shapes(EncoderConfig(**config["encoder"]), config.get("vocab_size"))
-        except (TypeError, ConfigurationError) as exc:
-            raise CheckpointError(f"{path}: invalid encoder config ({exc})") from exc
-        missing = set(expected) - set(tensors)
-        extra = set(tensors) - set(expected)
-        if missing or extra:
-            raise CheckpointError(f"{path}: tensor set mismatch (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
-
     store = ParamStore()
-    digest = hashlib.sha256()
+    digest = _envelope_digest(config, frozen)
     for name in sorted(tensors):
         entry = tensors[name]
         if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
@@ -310,11 +310,30 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         data = np.frombuffer(raw, "<f8").reshape(shape)
         if not np.all(np.isfinite(data)):
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-        if expected is not None and shape != expected[name]:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, config implies {expected[name]}")
         store.add(name, data)
     if payload.get("sha256") != digest.hexdigest():
-        raise CheckpointError(f"{path}: sha256 {payload.get('sha256')!r} does not match the tensors (corrupted or edited)")
+        raise CheckpointError(
+            f"{path}: sha256 {payload.get('sha256')!r} does not match the config, frozen set and tensors "
+            "(corrupted or edited)"
+        )
+
+    if not isinstance(config.get("encoder"), dict):
+        raise CheckpointError(f"{path}: config has no 'encoder' object")
+    try:
+        vocab_size = len(Vocabulary(config["vocab"])) if "vocab" in config else None
+    except ParameterError as exc:
+        raise CheckpointError(f"{path}: invalid vocab ({exc})") from exc
+    try:
+        expected = param_shapes(EncoderConfig(**config["encoder"]), vocab_size)
+    except (TypeError, ConfigurationError) as exc:
+        raise CheckpointError(f"{path}: invalid encoder config ({exc})") from exc
+    missing = set(expected) - set(tensors)
+    extra = set(tensors) - set(expected)
+    if missing or extra:
+        raise CheckpointError(f"{path}: tensor set mismatch (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
+    for name, shape in expected.items():
+        if store[name].shape != shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {store[name].shape}, config implies {shape}")
     store.set_frozen(set(frozen) & set(store.names()))
     return store, config
 
@@ -348,7 +367,6 @@ class StageResult:
     checkpoint_path: str | None = None
     csv_path: str | None = None
     summary_path: str | None = None
-    vocab_path: str | None = None
 
 
 # -- stage 1 ------------------------------------------------------------------------
@@ -430,12 +448,16 @@ def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None,
 
 
 def _write_stage_outputs(result: StageResult, cfg: RunConfig, enc: EncoderConfig, stage: str,
-                         header: list[str], rows: list[list], vocab_size: int | None = None) -> None:
-    """Write ``<stage>_checkpoint.json``, ``_log.csv`` and ``_summary.json`` into cfg.out_dir."""
+                         header: list[str], rows: list[list], vocab: Vocabulary | None = None) -> None:
+    """Write ``<stage>_checkpoint.json``, ``_log.csv`` and ``_summary.json`` into cfg.out_dir.
+
+    A stage-2 checkpoint carries its vocabulary, the tokens in id order: row i
+    of ``text.tok_embed`` is token i's embedding.
+    """
     os.makedirs(cfg.out_dir, exist_ok=True)
     config = {"encoder": asdict(enc), "stage": stage, "seed": cfg.seed}
-    if vocab_size is not None:
-        config["vocab_size"] = vocab_size
+    if vocab is not None:
+        config["vocab"] = vocab.tokens
     result.checkpoint_path = os.path.join(cfg.out_dir, f"{stage}_checkpoint.json")
     save_checkpoint(result.store, config, result.checkpoint_path)
     result.csv_path = os.path.join(cfg.out_dir, f"{stage}_log.csv")
@@ -640,7 +662,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
     enc = cfg.encoder()
     if isinstance(stage1_checkpoint, str):
         store, ckpt_config = load_checkpoint(stage1_checkpoint)
-        if "encoder" in ckpt_config and EncoderConfig(**ckpt_config["encoder"]) != enc:
+        if EncoderConfig(**ckpt_config["encoder"]) != enc:
             raise ConfigurationError("stage-1 checkpoint was built with a different encoder config")
     else:
         store = stage1_checkpoint.copy()
@@ -708,9 +730,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
     result = StageResult(metrics=metrics, store=store)
     if write_outputs:
         _write_stage_outputs(result, cfg, enc, "stage2", ["step", "l_ind_sum", "l_ove", "l_cnt", "total"], rows,
-                             vocab_size=len(vocab))
-        result.vocab_path = os.path.join(cfg.out_dir, "vocab.json")
-        vocab.save(result.vocab_path)
+                             vocab=vocab)
     return result
 
 

@@ -1,14 +1,16 @@
 """CLI subcommands exercised in-process through main()."""
 
-import base64
 import json
 import re
 
+import numpy as np
 import pytest
 
 from navprompt.cli import main
+from navprompt.data import read_trajectory_jsonl
+from navprompt.encoders import EncoderConfig
 from navprompt.errors import CheckpointError
-from navprompt.training import load_checkpoint
+from navprompt.training import build_vocabulary, evaluate_retrieval, load_checkpoint, save_checkpoint
 
 
 def _cfg_flags(tmp_path, **extra):
@@ -64,21 +66,35 @@ def test_two_stage_pipeline_and_eval(tmp_path, capsys):
     stage1_out = json.loads(capsys.readouterr().out)
     ckpt = stage1_out["checkpoint"]
 
-    rc = main(["stage2", "--stage1-ckpt", ckpt, *_cfg_flags(tmp_path)])
+    train = str(tmp_path / "train.jsonl")
+    assert main(["gen-data", "--kind", "trajectories", *_cfg_flags(tmp_path), "--output", train]) == 0
+    capsys.readouterr()
+    rc = main(["stage2", "--stage1-ckpt", ckpt, "--data", train, *_cfg_flags(tmp_path)])
     assert rc == 0
     stage2_out = json.loads(capsys.readouterr().out)
     assert "retrieval" in stage2_out["metrics"]
+    run_dir = tmp_path / "run"
+    assert not (run_dir / "vocab.json").exists()
 
     data = str(tmp_path / "eval.jsonl")
     assert main(["gen-data", "--kind", "trajectories", "--seed", "3",
                  *_cfg_flags(tmp_path, **{"trajectory-count": 6}), "--output", data]) == 0
     capsys.readouterr()
-    run_dir = str(tmp_path / "run")
-    rc = main(["eval", "--ckpt", f"{run_dir}/stage2_checkpoint.json",
-               "--vocab", f"{run_dir}/vocab.json", "--data", data])
+    ckpt2 = str(run_dir / "stage2_checkpoint.json")
+    rc = main(["eval", "--ckpt", ckpt2, "--data", data])
     assert rc == 0
     metrics = json.loads(capsys.readouterr().out)
     assert set(metrics) == {"subpair_accuracy", "trajectory_accuracy", "count_accuracy"}
+    # the checkpoint's vocabulary is the one stage 2 fitted to its training data
+    store, config = load_checkpoint(ckpt2)
+    enc = EncoderConfig(**config["encoder"])
+    vocab = build_vocabulary(read_trajectory_jsonl(train), enc.max_subpaths)
+    assert metrics == evaluate_retrieval(store, enc, read_trajectory_jsonl(data), vocab)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ckpt", ckpt2, "--vocab", ckpt2, "--data", data])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --vocab" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -103,7 +119,7 @@ def test_missing_input_is_io_error(tmp_path, capsys):
 def test_bad_checkpoint_is_categorized(tmp_path, capsys):
     bad = tmp_path / "ckpt.json"
     bad.write_text("{not json")
-    rc = main(["eval", "--ckpt", str(bad), "--vocab", str(bad), "--data", str(bad)])
+    rc = main(["eval", "--ckpt", str(bad), "--data", str(bad)])
     assert rc == 2
     assert "CheckpointError" in capsys.readouterr().err
 
@@ -111,7 +127,7 @@ def test_bad_checkpoint_is_categorized(tmp_path, capsys):
 def test_eval_rejects_unknown_mode(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     with pytest.raises(SystemExit) as exc:
-        main(["eval", "--ckpt", missing, "--vocab", missing, "--data", missing, "--mode", "cnt_ove"])
+        main(["eval", "--ckpt", missing, "--data", missing, "--mode", "cnt_ove"])
     assert exc.value.code == 2
     assert "invalid choice: 'cnt_ove'" in capsys.readouterr().err
 
@@ -128,14 +144,12 @@ def test_gradcheck_stage1(capsys):
 
 def test_stage2_refuses_a_checkpoint_with_key_biases(tmp_path, capsys):
     # attention no longer has a key bias, and a stage-1 checkpoint written
-    # while it did still carries visual.layer*.attn.bk: it is refused
+    # while it did still carries visual.layer*.attn.bk, signed by its writer: it is refused
     assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
     ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
-    with open(ckpt) as fh:
-        payload = json.load(fh)
-    payload["tensors"]["visual.layer0.attn.bk"] = {"shape": [16], "data": base64.b64encode(bytes(8 * 16)).decode()}
-    with open(ckpt, "w") as fh:
-        json.dump(payload, fh)
+    store, config = load_checkpoint(ckpt)
+    store.add("visual.layer0.attn.bk", np.zeros(16), trainable=False)
+    save_checkpoint(store, config, ckpt)
     with pytest.raises(CheckpointError, match=r"extra \['visual\.layer0\.attn\.bk'\]"):
         load_checkpoint(ckpt)
     assert main(["stage2", "--stage1-ckpt", ckpt, *_cfg_flags(tmp_path)]) == 2
@@ -147,7 +161,7 @@ def test_eval_refuses_a_format_1_checkpoint(tmp_path, capsys):
     ckpt = tmp_path / "stage2_checkpoint.json"
     ckpt.write_text(json.dumps({"format_version": 1, "config": {}, "tensors": {"w": {"shape": [1], "data": [0.5]}},
                                 "frozen": []}))
-    rc = main(["eval", "--ckpt", str(ckpt), "--vocab", str(ckpt), "--data", str(ckpt)])
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(ckpt)])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error[CheckpointError]: {ckpt}: format_version 1 ")
@@ -162,66 +176,42 @@ def test_non_utf8_config_is_one_line_error(tmp_path, capsys):
     assert err == [f"error[ParameterError]: {cfg_file}:2: not UTF-8 text (invalid start byte at byte 24)"]
 
 
-def _untrained_stage2(tmp_path, capsys) -> tuple[str, str]:
-    """A zero-epoch stage-2 run under ``tmp_path/run`` and a 4-trajectory eval file."""
+def test_eval_refuses_a_stage1_checkpoint(tmp_path, capsys):
     assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
-    assert main(["stage2", "--stage1-ckpt", str(tmp_path / "run" / "stage1_checkpoint.json"),
-                 *_cfg_flags(tmp_path, **{"stage2-epochs": 0})]) == 0
     data = str(tmp_path / "eval.jsonl")
     assert main(["gen-data", "--kind", "trajectories", "--seed", "3", "--trajectory-count", "4",
                  "--output", data]) == 0
     capsys.readouterr()
-    return str(tmp_path / "run" / "stage2_checkpoint.json"), data
-
-
-@pytest.mark.parametrize("body", [b'{"<pad>": 0, "<unk>": 1', b'["<pad>", "<unk>"]', b'{"caf\xe9": 4}'],
-                         ids=["truncated", "list", "not-utf8"])
-def test_malformed_vocab_is_one_line_error(tmp_path, capsys, body):
-    ckpt, data = _untrained_stage2(tmp_path, capsys)
-    vocab = tmp_path / "vocab.json"
-    vocab.write_bytes(body)
-    rc = main(["eval", "--ckpt", ckpt, "--vocab", str(vocab), "--data", data])
-    assert rc == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error[VocabularyError]: {vocab}: ")
-
-
-def test_eval_refuses_a_vocabulary_of_another_size(tmp_path, capsys):
-    ckpt, data = _untrained_stage2(tmp_path, capsys)
-    with open(tmp_path / "run" / "vocab.json") as fh:
-        tokens = json.load(fh)
-    size = len(tokens)
-    tokens.update({f"extra{i}": size + i for i in range(500)})
-    padded = tmp_path / "padded_vocab.json"
-    padded.write_text(json.dumps(tokens))
-    rc = main(["eval", "--ckpt", ckpt, "--vocab", str(padded), "--data", data])
-    assert rc == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error[ConfigurationError]: {padded} holds {size + 500} tokens but {ckpt} "
-                   f"was trained with vocab_size {size}"]
-
-
-def test_eval_refuses_a_stage1_checkpoint(tmp_path, capsys):
-    _, data = _untrained_stage2(tmp_path, capsys)
     ckpt = str(tmp_path / "run" / "stage1_checkpoint.json")
-    rc = main(["eval", "--ckpt", ckpt, "--vocab", str(tmp_path / "run" / "vocab.json"), "--data", data])
+    rc = main(["eval", "--ckpt", ckpt, "--data", data])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error[ConfigurationError]: {ckpt}: no vocab_size in its config; eval needs a stage-2 checkpoint"]
+    assert err == [f"error[ConfigurationError]: {ckpt}: no vocab in its config; eval needs a stage-2 checkpoint"]
 
 
 @pytest.mark.parametrize("line,message", [
     ("stage1_lr = abc", "stage1_lr expects a float, got 'abc'"),
     ("temperature = nan", "temperature expects a float, got 'nan'"),
     ("stage1_epochs = 1.5", "stage1_epochs expects an integer, got '1.5'"),
+    ("kl_reverse = ture", "kl_reverse expects a boolean, got 'ture'"),
+    ("lambda1 = nan", "lambda1 expects a float, got 'nan'"),
+    ("smoothing = inf", "smoothing expects a float, got 'inf'"),
 ])
 def test_bad_config_value_is_one_line_error(tmp_path, capsys, line, message):
+    # a config file line and the same value given as a flag are refused alike
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"seed = 3\n{line}\n")
     rc = main(["stage1", "--config", str(cfg_file)])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error[ParameterError]: {cfg_file}:2: {message}"]
+
+    key, value = (part.strip() for part in line.split("="))
+    flag = "--" + key.replace("_", "-")
+    rc = main(["stage1", "--seed", "3", flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error[ParameterError]: {flag}: {message}"]
 
 
 _INDOOR_OK = {"features": [[0.5, -1.0, 0.25, 2.0, 1.0, 0.0], [1.5, 0.5, -0.5, 0.0, 1.0, 2.0]], "label": 1}

@@ -5,8 +5,8 @@ and loads the result.  A loader may accept the file or raise a
 NavPromptError; any other exception type fails the test with the round's
 bytes.  What an accepted file may hold is checked per loader: the JSONL
 loaders account for every non-blank line as a record or a ``path:line``
-skip warning, and a checkpoint that loads carries exactly the saved tensors,
-because its digest covers every tensor's name, shape and bytes.
+skip warning, and a checkpoint that loads carries exactly the saved config,
+frozen set and tensors, because its digest covers all three.
 """
 
 import dataclasses
@@ -27,7 +27,6 @@ from navprompt.data import (
 from navprompt.encoders import EncoderConfig, init_cross_params, init_text_params, init_visual_params
 from navprompt.errors import NavPromptError
 from navprompt.optim import ParamStore
-from navprompt.prompts import Vocabulary
 from navprompt.training import load_checkpoint, parse_config_file, save_checkpoint
 
 ROUNDS = 400
@@ -128,11 +127,13 @@ def test_checkpoint(tmp_path):
     init_text_params(store, enc, 5, rng)
     init_cross_params(store, enc, rng)
     store.set_frozen({"visual.cls", "text.tok_embed"})
+    config = {"encoder": dataclasses.asdict(enc), "vocab": ["<pad>", "<unk>", "<cls>", "<sep>", "left"], "seed": 3}
     path = tmp_path / "reference.json"
-    save_checkpoint(store, {"encoder": dataclasses.asdict(enc), "vocab_size": 5, "seed": 3}, str(path))
+    save_checkpoint(store, config, str(path))
 
     def accepted(loaded, bad):
-        loaded_store, _ = loaded
+        loaded_store, loaded_config = loaded
+        assert loaded_config == config and loaded_store.frozen == store.frozen
         assert sorted(loaded_store.names()) == sorted(store.names())
         for name in store.names():
             assert loaded_store[name].data.tobytes() == store[name].data.tobytes()
@@ -140,9 +141,3 @@ def test_checkpoint(tmp_path):
     refused = _fuzz(tmp_path, "ckpt.json", path.read_bytes(), 4, load_checkpoint, accepted)
     assert refused > ROUNDS // 2
 
-
-def test_vocabulary(tmp_path):
-    path = tmp_path / "reference.json"
-    Vocabulary.build(["walk out of the kitchen and turn left", "stop at the door"]).save(str(path))
-    refused = _fuzz(tmp_path, "vocab.json", path.read_bytes(), 5, Vocabulary.load)
-    assert 0 < refused < ROUNDS

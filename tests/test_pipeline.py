@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from navprompt.errors import (
 )
 from navprompt.optim import ParamStore
 from navprompt.training import (
-    CHECKPOINT_FORMAT_VERSION,
     RunConfig,
     TrajectoryFeatures,
     build_vocabulary,
@@ -72,23 +72,29 @@ def _f64(*values) -> str:
     return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _sha256(tensors: dict) -> str:
-    """The format-2 digest from its definition: for each tensor in name order,
-    the JSON text of ``[name, shape]``, then the tensor's bytes."""
+def _sha256(tensors: dict, config=None, frozen=()) -> str:
+    """The format-3 digest from its definition: the JSON text of ``{"config",
+    "frozen"}`` with sorted keys, then for each tensor in name order the JSON
+    text of ``[name, shape]`` and the tensor's bytes."""
     digest = hashlib.sha256()
+    digest.update(json.dumps({"config": config or {}, "frozen": list(frozen)}, sort_keys=True).encode("utf-8"))
     for name in sorted(tensors):
         digest.update(json.dumps([name, tensors[name]["shape"]]).encode("utf-8"))
         digest.update(base64.b64decode(tensors[name]["data"]))
     return digest.hexdigest()
 
 
-def _v2(tensors: dict, **fields) -> str:
-    """A format-2 checkpoint body holding ``tensors``; no digest unless given."""
-    return json.dumps({"format_version": 2, "tensors": tensors, **fields})
+def _v3(tensors: dict, **fields) -> str:
+    """A format-3 checkpoint body holding ``tensors``; no digest unless given."""
+    return json.dumps({"format_version": 3, "tensors": tensors, **fields})
 
 
-def _signed(tensors: dict) -> str:
-    return _v2(tensors, sha256=_sha256(tensors))
+def _signed(tensors: dict, config=None, frozen=()) -> str:
+    return _v3(tensors, config=config or {}, frozen=list(frozen), sha256=_sha256(tensors, config, frozen))
+
+
+_W = {"w": {"shape": [1], "data": _f64(1.0)}}
+_RESERVED = ["<pad>", "<unk>", "<cls>", "<sep>"]
 
 
 class TestCheckpoints:
@@ -145,30 +151,38 @@ class TestCheckpoints:
             load_checkpoint(str(path))
         assert str(path) in str(exc.value)
 
-    def test_bytes_match_format2_layout(self, tmp_path):
-        values = [-0.0, 5e-324, 1e308, 0.1, 1 / 3]
+    def test_bytes_match_format3_layout(self, tmp_path):
+        enc = EncoderConfig(d=4, heads=2, ff_mult=1, visual_layers=1, text_layers=1, cross_layers=1,
+                            prompt_count=2, prompt_layers=1, num_patches=2, feature_dim=3, num_classes=2,
+                            max_text_len=6, max_viewpoints=4, max_subpaths=3)
+        values = [-0.0, 5e-324, 1e308, 0.1]
         store = ParamStore()
-        store.add("a", np.array(values))
-        store.add("b", np.array([[1.0, -2.5]]), trainable=False)
-        config = {"stage": "stage1", "seed": 3}
+        for k, (name, shape) in enumerate(param_shapes(enc, vocab_size=5).items()):
+            store.add(name, np.full(shape, k / 3))
+        store["visual.cls"].data[0] = values
+        frozen = ["visual.cls", "visual.patch_embed.w"]
+        store.set_frozen(frozen)
+        config = {"encoder": dataclasses.asdict(enc), "stage": "stage2", "seed": 3, "vocab": [*_RESERVED, "go"]}
         path = tmp_path / "ckpt.json"
         save_checkpoint(store, config, str(path))
-        tensors = {"a": {"shape": [5], "data": _f64(*values)}, "b": {"shape": [1, 2], "data": _f64(1.0, -2.5)}}
-        assert _sha256(tensors) == "a3253d49b038cb247885b3c9d2c61cd1cae6a2c7791bbdbb7d4a68539c0687fa"
+        tensors = {name: {"shape": list(store[name].shape), "data": _f64(*store[name].data.ravel())}
+                   for name in store.names()}
+        assert _sha256(tensors, config, frozen) == "6c6a8d1d93242b56d10aa0aa8d7d21593d46beebb8f29bfbb0fb0b7f8de42888"
         reference = json.dumps({
-            "format_version": CHECKPOINT_FORMAT_VERSION,
+            "format_version": 3,
             "config": config,
             "tensors": tensors,
-            "frozen": ["b"],
-            "sha256": _sha256(tensors),
+            "frozen": frozen,
+            "sha256": _sha256(tensors, config, frozen),
         }, sort_keys=True)
         assert path.read_bytes() == reference.encode("ascii")
         loaded, loaded_config = load_checkpoint(str(path))
-        assert loaded_config == config and loaded.frozen == {"b"}
+        assert loaded_config == config and loaded.frozen == set(frozen)
         # bitwise: the sign of -0.0 and the subnormal survive
-        assert loaded["a"].data.tobytes() == np.array(values).tobytes()
-        assert loaded["b"].data.tobytes() == np.array([[1.0, -2.5]]).tobytes()
-        assert loaded["a"].data.flags.writeable
+        assert loaded["visual.cls"].data.tobytes() == np.array([values]).tobytes()
+        for name in store.names():
+            assert loaded[name].data.tobytes() == store[name].data.tobytes()
+        assert loaded["visual.cls"].data.flags.writeable
 
     def test_flipped_data_bit_fails_the_digest(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -182,7 +196,7 @@ class TestCheckpoints:
         raw[0] ^= 1  # lowest mantissa bit of the first value: still a finite float64
         entry["data"] = base64.b64encode(bytes(raw)).decode("ascii")
         path.write_text(json.dumps(payload, sort_keys=True))
-        with pytest.raises(CheckpointError, match="sha256 .* does not match the tensors") as exc:
+        with pytest.raises(CheckpointError, match="sha256 .* does not match the config, frozen set and tensors") as exc:
             load_checkpoint(str(path))
         assert str(path) in str(exc.value)
 
@@ -191,33 +205,49 @@ class TestCheckpoints:
         [
             ('[1, 2]', "expected a JSON object, got list"),
             (b"\xff\xfe\x00", "invalid checkpoint"),
-            ('{"format_version": 2, "tensors": []}', "must be JSON objects"),
-            ('{"format_version": 2, "config": [], "tensors": {}}', "must be JSON objects"),
-            ('{"format_version": 2, "tensors": {}, "frozen": [[1]]}', "'frozen' must be a list"),
-            ('{"format_version": 2, "config": {"encoder": {"bogus": 1}}, "tensors": {}}', "invalid encoder config"),
-            (_v2({"w": _f64(1.0)}), "tensor 'w' needs 'shape' and 'data'"),
-            (_v2({"w": {"shape": [1]}}), "tensor 'w' needs 'shape' and 'data'"),
-            (_v2({"w": {"data": _f64(1.0)}}), "tensor 'w' needs 'shape' and 'data'"),
-            (_v2({"w": {"shape": "ab", "data": _f64(1.0)}}), "tensor 'w' shape"),
-            (_v2({"w": {"shape": [True], "data": _f64(1.0)}}), "tensor 'w' shape"),
-            (_v2({"w": {"shape": [1], "data": [_f64(1.0)]}}), "tensor 'w' data is not a base64 string"),
-            (_v2({"w": {"shape": [2], "data": [1.0, 2.0]}}), "tensor 'w' data is not a base64 string"),
+            ('{"format_version": 3, "tensors": []}', "must be JSON objects"),
+            ('{"format_version": 3, "config": [], "tensors": {}}', "must be JSON objects"),
+            ('{"format_version": 3, "tensors": {}, "frozen": [[1]]}', "'frozen' must be a list"),
+            (_signed({}, config={"encoder": {"bogus": 1}}), "invalid encoder config"),
+            (_v3({"w": _f64(1.0)}), "tensor 'w' needs 'shape' and 'data'"),
+            (_v3({"w": {"shape": [1]}}), "tensor 'w' needs 'shape' and 'data'"),
+            (_v3({"w": {"data": _f64(1.0)}}), "tensor 'w' needs 'shape' and 'data'"),
+            (_v3({"w": {"shape": "ab", "data": _f64(1.0)}}), "tensor 'w' shape"),
+            (_v3({"w": {"shape": [True], "data": _f64(1.0)}}), "tensor 'w' shape"),
+            (_v3({"w": {"shape": [1], "data": [_f64(1.0)]}}), "tensor 'w' data is not a base64 string"),
+            (_v3({"w": {"shape": [2], "data": [1.0, 2.0]}}), "tensor 'w' data is not a base64 string"),
             (_signed({"w": {"shape": [2], "data": _f64(1.0, math.nan)}}), "tensor 'w' holds non-finite"),
             (_signed({"w": {"shape": [1], "data": _f64(math.inf)}}), "tensor 'w' holds non-finite"),
             (_signed({"w": {"shape": [1], "data": _f64(-math.inf)}}), "tensor 'w' holds non-finite"),
-            # format-2 cases
-            (_v2({"w": {"shape": [1], "data": 1.0}}), "tensor 'w' data is not a base64 string"),
-            (_v2({"w": {"shape": [2], "data": _f64(1.0, 2.0)[:-1]}}), "tensor 'w' data is not valid base64"),
-            (_v2({"w": {"shape": [2], "data": "*" + _f64(1.0, 2.0)[1:]}}), "tensor 'w' data is not valid base64"),
-            (_v2({"w": {"shape": [1], "data": "AAAAAAAA8D\u00e9"}}), "tensor 'w' data is not valid base64"),
+            # the base64 payload
+            (_v3({"w": {"shape": [1], "data": 1.0}}), "tensor 'w' data is not a base64 string"),
+            (_v3({"w": {"shape": [2], "data": _f64(1.0, 2.0)[:-1]}}), "tensor 'w' data is not valid base64"),
+            (_v3({"w": {"shape": [2], "data": "*" + _f64(1.0, 2.0)[1:]}}), "tensor 'w' data is not valid base64"),
+            (_v3({"w": {"shape": [1], "data": "AAAAAAAA8D\u00e9"}}), "tensor 'w' data is not valid base64"),
             (_signed({"w": {"shape": [2], "data": _f64(1.0)}}), r"tensor 'w' holds 8 bytes, shape \(2,\) needs 16"),
             (_signed({"w": {"shape": [2, 2], "data": _f64(1.0, 2.0)}}), r"holds 16 bytes, shape \(2, 2\) needs 32"),
-            (_v2({"w": {"shape": [1], "data": _f64(1.0)}}), "sha256 None does not match the tensors"),
-            (_v2({"w": {"shape": [1], "data": _f64(1.0)}}, sha256="0" * 64), "sha256 '0+' does not match"),
-            (_v2({"w": {"shape": [1], "data": _f64(1.0)}}, sha256=_sha256({"v": {"shape": [1], "data": _f64(1.0)}})),
-             "does not match the tensors"),
-            (_v2({"w": {"shape": [1, 2], "data": _f64(1.0, 2.0)}},
-                 sha256=_sha256({"w": {"shape": [2], "data": _f64(1.0, 2.0)}})), "does not match the tensors"),
+            (_v3(_W), "sha256 None does not match the config, frozen set and tensors"),
+            (_v3(_W, sha256="0" * 64), "sha256 '0+' does not match"),
+            (_v3(_W, sha256=_sha256({"v": {"shape": [1], "data": _f64(1.0)}})), "does not match the config"),
+            (_v3({"w": {"shape": [1, 2], "data": _f64(1.0, 2.0)}},
+                 sha256=_sha256({"w": {"shape": [2], "data": _f64(1.0, 2.0)}})), "does not match the config"),
+            # the digest covers the config and the frozen set: an edit to either, unsigned
+            (_v3(_W, config={"encoder": {}, "seed": 4}, frozen=["w"],
+                 sha256=_sha256(_W, {"encoder": {}, "seed": 3}, ["w"])), "does not match the config"),
+            (_v3(_W, config={"encoder": {}}, frozen=[], sha256=_sha256(_W, {"encoder": {}}, ["w"])),
+             "does not match the config"),
+            # a format-2 file is refused by its version before anything else is read
+            (json.dumps({"format_version": 2, "config": {}, "tensors": _W, "frozen": []}),
+             r"format_version 2 is not read; re-run the stage that wrote it"),
+            # the config, read only once its digest matches
+            (_signed(_W, config={"stage": "stage1"}), "config has no 'encoder' object"),
+            (_signed({}, config={"encoder": {}, "vocab": dict(zip(_RESERVED, range(4)))}),
+             r"invalid vocab \(expected a list of tokens in id order, got dict\)"),
+            (_signed({}, config={"encoder": {}, "vocab": [*_RESERVED, 4]}), r"invalid vocab \(token 4 is 4, not a string"),
+            (_signed({}, config={"encoder": {}, "vocab": [*_RESERVED, "go", "go"]}), "token 'go' is listed twice"),
+            (_signed({}, config={"encoder": {}, "vocab": _RESERVED[:3]}), "must start with the reserved tokens"),
+            (_signed({}, config={"encoder": {}, "vocab": ["<unk>", "<pad>", "<cls>", "<sep>"]}),
+             "must start with the reserved tokens"),
         ],
         ids=[
             "list", "not-utf8", "tensors-list", "config-list", "frozen-nested", "encoder-keys",
@@ -225,6 +255,8 @@ class TestCheckpoints:
             "data-nested", "nan", "inf", "neg-inf",
             "data-number", "b64-truncated", "b64-alphabet", "b64-non-ascii", "byte-count-short",
             "byte-count-2d", "no-sha256", "wrong-sha256", "sha256-of-other-name", "sha256-of-other-shape",
+            "config-edited", "frozen-edited", "format-2", "no-encoder", "vocab-dict", "vocab-non-string",
+            "vocab-duplicate", "vocab-reserved-missing", "vocab-reserved-misplaced",
         ],
     )
     def test_malformed_file_raises_checkpoint_error(self, tmp_path, body, match):
@@ -251,21 +283,28 @@ class TestCheckpoints:
         init_text_params(store, cfg.encoder(), 10, np.random.default_rng(1))
         init_cross_params(store, cfg.encoder(), np.random.default_rng(2))
         path = str(tmp_path / "ckpt.json")
-        save_checkpoint(store, {"encoder": {**dataclasses.asdict(cfg.encoder()), **encoder}, "vocab_size": 10}, path)
+        config = {"encoder": {**dataclasses.asdict(cfg.encoder()), **encoder}, "vocab": [*_RESERVED, *"abcdef"]}
+        save_checkpoint(store, config, path)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_vocab_size_is_checked_before_use(self, tmp_path):
+        # the vocabulary's length is the size text.tok_embed must have
         cfg = tiny_cfg(tmp_path)
         store = ParamStore()
         init_visual_params(store, cfg.encoder(), np.random.default_rng(0))
+        init_text_params(store, cfg.encoder(), 10, np.random.default_rng(1))
+        init_cross_params(store, cfg.encoder(), np.random.default_rng(2))
+        encoder = dataclasses.asdict(cfg.encoder())
         path = str(tmp_path / "ckpt.json")
-        save_checkpoint(store, {"encoder": dataclasses.asdict(cfg.encoder()), "vocab_size": 10**12}, path)
-        with pytest.raises(CheckpointError, match="tensor set mismatch"):
+        save_checkpoint(store, {"encoder": encoder, "vocab": [*_RESERVED, *"abcdefgh"]}, path)
+        with pytest.raises(CheckpointError, match=r"'text.tok_embed' has shape \(10, 16\), config implies \(12, 16\)"):
             load_checkpoint(path)
-        save_checkpoint(store, {"encoder": dataclasses.asdict(cfg.encoder()), "vocab_size": "10"}, path)
-        with pytest.raises(CheckpointError, match="vocab_size expects int"):
+        save_checkpoint(store, {"encoder": encoder, "vocab": "10"}, path)
+        with pytest.raises(CheckpointError, match="invalid vocab"):
             load_checkpoint(path)
+        save_checkpoint(store, {"encoder": encoder, "vocab": [*_RESERVED, *"abcdef"]}, path)
+        assert load_checkpoint(path)[0]["text.tok_embed"].shape == (10, 16)
 
 
 class TestStage1:
@@ -384,7 +423,10 @@ class TestStage2:
         a = run_stage2(cfg_a, s1a.store)
         b = run_stage2(cfg_b, s1b.store)
         assert open(a.checkpoint_path, "rb").read() == open(b.checkpoint_path, "rb").read()
-        assert open(a.vocab_path).read() == open(b.vocab_path).read()
+        vocab = load_checkpoint(a.checkpoint_path)[1]["vocab"]
+        assert vocab == load_checkpoint(b.checkpoint_path)[1]["vocab"]
+        assert vocab[:4] == _RESERVED and len(vocab) == a.metrics["vocab_size"]
+        assert not os.path.exists(os.path.join(cfg_a.out_dir, "vocab.json"))
 
     def test_checkpoint_config_mismatch(self, tmp_path):
         cfg, s1 = self._stage1(tmp_path)
@@ -493,7 +535,7 @@ class TestAblationTable:
             RunConfig(ablation="everything").validate()
         missing = str(tmp_path / "missing.json")
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--ckpt", missing, "--vocab", missing, "--data", missing, "--mode", "everything"])
+            main(["eval", "--ckpt", missing, "--data", missing, "--mode", "everything"])
         assert exc.value.code == 2
 
 

@@ -1,11 +1,12 @@
 """Prompt template exactness and tokenizer behavior."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
-from navprompt.errors import ParameterError, VocabularyError
+from navprompt.errors import ParameterError
 from navprompt.prompts import (
     CLS_ID,
     PAD_ID,
@@ -136,37 +137,27 @@ class TestVocabulary:
         assert sorted(v.token_to_id.values()) == list(range(len(v)))
 
     def test_json_round_trip(self):
+        # the token list is what a stage-2 checkpoint stores
         v = Vocabulary.build(["walk out and turn left, then stop."])
-        w = Vocabulary.from_json(v.to_json())
+        w = Vocabulary(json.loads(json.dumps(v.tokens)))
         assert w.token_to_id == v.token_to_id
 
-    def test_file_round_trip(self, tmp_path):
-        v = Vocabulary.build(["walk out and turn left"])
-        v.save(str(tmp_path / "vocab.json"))
-        assert Vocabulary.load(str(tmp_path / "vocab.json")).token_to_id == v.token_to_id
-
-    @pytest.mark.parametrize("body,match", [
-        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2', "not a JSON vocabulary"),
-        (b"", "not a JSON vocabulary"),
-        (b'["<pad>", "<unk>", "<cls>", "<sep>"]', "expected a token -> id object, got list"),
-        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, "caf\xe9": 4}', "not a JSON vocabulary"),
-        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, "go": 4.0}', "'go': 4.0 is not a string token"),
-        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, "go": "4"}', "'go': '4' is not a string token"),
-        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, "go": true}', "'go': True is not a string token"),
-        (b'{"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, "go": 9}', "dense"),
-        (b'{"<pad>": 1, "<unk>": 0, "<cls>": 2, "<sep>": 3}', "reserved token"),
-    ], ids=["truncated", "empty", "list", "not-utf8", "float-id", "string-id", "bool-id", "sparse", "reserved"])
-    def test_malformed_file_names_it(self, tmp_path, body, match):
-        path = tmp_path / "vocab.json"
-        path.write_bytes(body)
-        with pytest.raises(VocabularyError, match=match) as exc:
-            Vocabulary.load(str(path))
-        assert str(exc.value).startswith(f"{path}: ")
+    @pytest.mark.parametrize("tokens,match", [
+        ({"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3}, "expected a list of tokens in id order, got dict"),
+        ("<pad> <unk> <cls> <sep>", "expected a list of tokens in id order, got str"),
+        (["<pad>", "<unk>", "<cls>", "<sep>", "go", "go"], "token 'go' is listed twice"),
+        (["<pad>", "<unk>", "<cls>", "<sep>", "<pad>"], "token '<pad>' is listed twice"),
+        (["<pad>", "<unk>", "<cls>"], "must start with the reserved tokens"),
+        (["<unk>", "<pad>", "<cls>", "<sep>"], "must start with the reserved tokens"),
+        ([], "must start with the reserved tokens"),
+    ], ids=["dict", "string", "duplicate", "duplicate-reserved", "reserved-missing", "reserved-misplaced", "empty"])
+    def test_malformed_token_list(self, tokens, match):
+        with pytest.raises(ParameterError, match=match):
+            Vocabulary(tokens)
 
     def test_non_string_token_is_refused(self):
-        # JSON object keys are always strings, so this reaches only the constructor
-        with pytest.raises(ParameterError, match="is not a string token"):
-            Vocabulary({"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3, 7: 4})
+        with pytest.raises(ParameterError, match="token 4 is 7, not a string"):
+            Vocabulary(["<pad>", "<unk>", "<cls>", "<sep>", 7])
 
 
 class TestTokenize:
