@@ -23,14 +23,21 @@ one place the ablation modes are defined (``ABLATION_TERMS``, weighted by
     ove  overall prompts against whole paths, one matrix per batch
     cnt  count prompts against the count token, one matrix per batch
 
-The per-trajectory terms are scored together: a batch of B trajectories with
-M_1..M_B sub-paths gives one masked (B, M_max, M_max) similarity, where
-trajectory b owns the leading M_b x M_b block of its slice.  Row and column
-softmax, the ground truth (each block with its own ``effective_smoothing``)
-and the KL (each block averaged over its own M_b^2 entries) are computed
-for all blocks at once, entries outside a block take no softmax mass and get
-exactly zero gradient, and the term is the mean over the B trajectories: the
-same loss as a loop of ``pairwise_alignment_loss`` over the blocks.
+Every term is scored by one kernel, ``masked_contrastive_loss``, on a
+stack of ``similarity_matrix`` blocks.  The per-trajectory terms are scored
+together: a batch of B trajectories with M_1..M_B sub-paths gives one masked
+(B, M_max, M_max) similarity, where trajectory b owns the leading M_b x M_b
+block of its slice.  Row and column softmax, the ground truth (each block
+with its own ``effective_smoothing``) and the KL (each block averaged over
+its own M_b^2 entries) are computed for all blocks at once, entries outside
+a block take no softmax mass and get exactly zero gradient, and the term is
+the mean over the B trajectories.  The per-batch terms are the one-block
+case: ``pairwise_alignment_loss`` scores a (1, B, B) stack.
+
+``normalize``, ``kl_divergence`` and ``contrastive_loss`` compose the same
+loss from separate graph ops, on the ``ground_truth_matrix`` target that the
+kernel also builds; the tests keep that composition as the independent
+reference for the kernel, and ``kl_divergence`` shares its entries with it.
 """
 
 from __future__ import annotations
@@ -98,17 +105,22 @@ def cosine_similarity(rx: Tensor, ry: Tensor) -> tuple[Tensor, bool]:
 def similarity_matrix(rx: Tensor, ry: Tensor) -> Tensor:
     """S[a][b] = cosine similarity of rx row a and ry row b.
 
-    Matching (M, d) rows give one (M, M) matrix; matching (B, M, d) stacks
-    give B of them, (B, M, M).
+    (M, d) and (N, d) rows give one (M, N) matrix; (B, M, d) and (B, N, d)
+    stacks give B of them, (B, M, N).
     """
-    if rx.ndim not in (2, 3) or rx.shape != ry.shape:
-        raise ShapeError(f"similarity_matrix needs matching (M, d) or (B, M, d) rows, got {rx.shape} and {ry.shape}")
+    if rx.ndim not in (2, 3) or ry.ndim != rx.ndim or rx.shape[:-2] != ry.shape[:-2] or rx.shape[-1] != ry.shape[-1]:
+        raise ShapeError(f"similarity_matrix needs (M, d) and (N, d) rows, or (B, M, d) and (B, N, d) stacks, "
+                         f"got {rx.shape} and {ry.shape}")
     swap = (1, 0) if rx.ndim == 2 else (0, 2, 1)
     return matmul(_row_normalize(rx), _row_normalize(ry).transpose(swap))
 
 
 def normalize(s: Tensor, mode: str, temperature: float = DEFAULT_TEMPERATURE) -> Tensor:
-    """Softmax of the similarity matrix along rows (mode="rows") or columns."""
+    """Softmax of the similarity matrix along rows (mode="rows") or columns.
+
+    Training's kernel computes its own masked softmax; this op is part of the
+    reference composition the kernel tests compare against.
+    """
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     if mode == "rows":
@@ -119,7 +131,11 @@ def normalize(s: Tensor, mode: str, temperature: float = DEFAULT_TEMPERATURE) ->
 
 
 def ground_truth_matrix(m: int, smoothing: float = DEFAULT_SMOOTHING) -> Tensor:
-    """Smoothed identity: diagonal 1 - eps*(M-1), off-diagonal eps; rows sum to 1."""
+    """Smoothed identity: diagonal 1 - eps*(M-1), off-diagonal eps; rows sum to 1.
+
+    The target of every block the kernel scores, and of the reference
+    composition the kernel tests compare against.
+    """
     if m < 1:
         raise ParameterError(f"matrix size must be >= 1, got {m}")
     if not (0.0 <= smoothing < 1.0 / m):
@@ -143,26 +159,24 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     """Matrix-averaged KL divergence with the 0*log(0) = 0 convention.
 
     Differentiable in both arguments wherever they are positive; raises when
-    some P_ij > 0 meets Q_ij == 0 (prevented upstream by GT smoothing).
+    some P_ij > 0 meets Q_ij == 0 (prevented upstream by GT smoothing).  The
+    summands and both derivatives are the kernel's ``_kl_entries``.  Part of
+    the reference composition the kernel tests compare against.
     """
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape != q.shape:
         raise ShapeError(f"kl_divergence needs equal square matrices, got {p.shape} and {q.shape}")
     if np.any(p.data < 0) or np.any(q.data < 0):
         raise DivergenceError("kl_divergence needs nonnegative entries")
-    support = p.data > 0
-    if np.any(support & (q.data == 0)):
-        raise DivergenceError("P has mass where Q is zero; the divergence is undefined")
     n2 = p.shape[0] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(support, np.log(np.where(support, p.data, 1.0)) - np.log(np.where(support, q.data, 1.0)), 0.0)
-    out = Tensor._result(np.asarray((p.data * ratio).sum() / n2), (p, q))
+    entries, d_p = _kl_entries(p.data, q.data, False)
+    out = Tensor._result(np.asarray(entries.sum() / n2), (p, q))
 
     def _bw(g):
         gs = float(g)
         if p.requires_grad:
-            p._accumulate(gs / n2 * np.where(support, ratio + 1.0, 0.0))
+            p._accumulate(gs / n2 * d_p)
         if q.requires_grad:
-            q._accumulate(-gs / n2 * np.where(support, p.data / np.where(support, q.data, 1.0), 0.0))
+            q._accumulate(gs / n2 * _kl_entries(q.data, p.data, True)[1])
 
     out._backward = _bw
     return out
@@ -173,6 +187,8 @@ def contrastive_loss(s_t: Tensor, s_v: Tensor, gt: Tensor, reverse: bool = False
 
     ``reverse`` swaps each divergence's direction to D(GT || .), kept behind a
     flag for comparison; the default keeps the predicted matrices first.
+    Training scores this loss with ``masked_contrastive_loss``; this graph
+    of ``kl_divergence`` ops is the independent reference its tests use.
     """
     if reverse:
         return (kl_divergence(gt, s_t) + kl_divergence(gt, s_v)) * 0.5
@@ -186,13 +202,13 @@ def pairwise_alignment_loss(
     smoothing: float = DEFAULT_SMOOTHING,
     reverse: bool = False,
 ) -> Tensor:
-    """Full contrastive loss for a batch of matched (text, vision) rows."""
+    """Full contrastive loss for a batch of matched (text, vision) rows.
+
+    The (B, B) similarity is scored as the one block of a (1, B, B) stack.
+    """
     s = similarity_matrix(text_feats, vision_feats)
-    m = s.shape[0]
-    s_t = normalize(s, "rows", temperature)
-    s_v = normalize(s, "cols", temperature)
-    gt = ground_truth_matrix(m, effective_smoothing(m, smoothing))
-    return contrastive_loss(s_t, s_v, gt, reverse=reverse)
+    batch = s.shape[0]
+    return masked_contrastive_loss(s.reshape(1, batch, batch), [batch], temperature, smoothing, reverse)
 
 
 def _masked_softmax(z: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
@@ -229,7 +245,7 @@ def masked_contrastive_loss(
 ) -> Tensor:
     """Mean contrastive loss over the leading sizes[b] x sizes[b] block of each s[b].
 
-    ``s`` is (B, M_max, M_max).  Block b is scored as ``pairwise_alignment_loss``
+    ``s`` is (B, M_max, M_max).  Block b is scored as ``contrastive_loss``
     scores its similarity matrix: row and column softmax, each pulled toward
     the smoothed identity of its own size under a KL averaged over its own
     entries.  Entries outside a block take no softmax mass, add nothing to
@@ -283,7 +299,7 @@ def batched_alignment_loss(
     smoothing: float = DEFAULT_SMOOTHING,
     reverse: bool = False,
 ) -> Tensor:
-    """Mean of ``pairwise_alignment_loss`` over B padded groups of matched rows.
+    """Mean contrastive loss over B padded groups of matched rows.
 
     ``text_feats`` and ``vision_feats`` are (B, M_max, d); group b is their
     leading sizes[b] rows, and the rows past it are padding that neither

@@ -43,7 +43,6 @@ from .tensor import (
     Tensor,
     add_bias,
     concat,
-    embedding,
     gelu,
     layer_norm,
     linear,
@@ -351,7 +350,7 @@ def text_encode(token_ids, store: ParamStore, cfg: EncoderConfig) -> Tensor:
     if ids.min() < 0 or ids.max() >= vocab_size:
         raise InputError(f"token id out of range [0, {vocab_size})")
 
-    x = embedding(store["text.tok_embed"], ids)
+    x = take_rows(store["text.tok_embed"], ids)
     x = x + _tile_param(store["text.pos_embed"][:length], b)
     mask = np.where(ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :]
     # The last layer computes CLS and one more row: numpy sends a one-row
@@ -422,7 +421,7 @@ def cross_modal_encode_batch(
     lengths = np.array([len(r) for r in rows])
     s_max = int(lengths.max())
     index = np.stack([np.pad(r, (0, s_max - len(r)), constant_values=table.shape[0] - 1) for r in rows])
-    x = take_rows(table, index.reshape(-1)).reshape(batch, s_max, cfg.d)
+    x = take_rows(table, index)
 
     mask = np.where(np.arange(s_max) < lengths[:, None], 0.0, MASK_BIAS)[:, None, None, :]
     read = offset + int(t_lens.max())

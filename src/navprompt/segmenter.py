@@ -184,8 +184,9 @@ def load_dataset(path: str) -> list[DatasetRecord]:
 def read_jsonl(path: str, parse: Callable[[object], T], what: str) -> list[T]:
     """Parse every non-blank line of a JSONL file with ``parse``.
 
-    A line that is not JSON, or whose value ``parse`` rejects with a
-    ValidationError or ParseError, is skipped with a ``path:line`` warning.
+    A line that is not JSON (nested too deep to decode included), or whose
+    value ``parse`` rejects with a ValidationError or ParseError, is skipped
+    with a ``path:line`` warning.
     A file that yields no record at all raises DatasetError naming the first
     bad line instead, so a wholly bad file gives one error and no warnings.
     """
@@ -199,7 +200,7 @@ def read_jsonl(path: str, parse: Callable[[object], T], what: str) -> list[T]:
                     continue
                 try:
                     records.append(parse(json.loads(line)))
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deep a nesting
                     skipped.append(f"{path}:{lineno}: invalid JSON ({exc})")
                 except (ParseError, ValidationError) as exc:
                     skipped.append(f"{path}:{lineno}: {exc}")

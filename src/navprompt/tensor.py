@@ -324,7 +324,7 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         if isinstance(key, np.ndarray) or (isinstance(key, tuple) and any(isinstance(k, (np.ndarray, list)) for k in key)):
-            raise ContractError("advanced indexing is not supported; use embedding/gather_index")
+            raise ContractError("advanced indexing is not supported; use take_rows/gather_index")
         out = Tensor._result(self.data[key], (self,))
 
         def _bw(g):
@@ -558,37 +558,19 @@ def gelu(t: Tensor) -> Tensor:
     return out
 
 
-def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup: output shape is ids.shape + (width,)."""
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise InputError("embedding: ids must be integers")
-    if table.ndim != 2:
-        raise ShapeError(f"embedding: table must be 2-d, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise InputError(f"embedding: id out of range [0, {table.shape[0]})")
-    out = Tensor._result(table.data[ids], (table,))
-
-    def _bw(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-
-    out._backward = _bw
-    return out
-
-
 def take_rows(t: Tensor, indices) -> Tensor:
-    """Select rows of a 2-d tensor by index, with repeats allowed.
+    """Select rows of a 2-d tensor by integer indices of any shape, with repeats allowed.
 
-    Backward scatter-adds, so rows shared by several outputs accumulate all
-    of their gradients; this is what makes batch-level deduplication of
-    identical text rows an exact rewrite of the naive computation.
+    The output shape is ``indices.shape + (width,)``.  Backward scatter-adds,
+    so rows shared by several outputs accumulate all of their gradients; this
+    is what makes batch-level deduplication of identical text rows an exact
+    rewrite of the naive computation.
     """
     indices = np.asarray(indices)
-    if t.ndim != 2 or indices.ndim != 1:
-        raise ShapeError(f"take_rows: need a 2-d tensor and 1-d indices, got {t.shape} and {indices.shape}")
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise InputError("take_rows: indices must be integers")
+    if t.ndim != 2:
+        raise ShapeError(f"take_rows: need a 2-d tensor, got {t.shape}")
     if indices.size and (indices.min() < 0 or indices.max() >= t.shape[0]):
         raise InputError(f"take_rows: index out of range [0, {t.shape[0]})")
     out = Tensor._result(t.data[indices], (t,))
@@ -597,7 +579,7 @@ def take_rows(t: Tensor, indices) -> Tensor:
         if t.requires_grad:
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
-            np.add.at(t.grad, indices, g)
+            np.add.at(t.grad, indices.reshape(-1), g.reshape(-1, t.shape[1]))
 
     out._backward = _bw
     return out

@@ -29,6 +29,7 @@ from .alignment import (
     batched_alignment_loss,
     pairwise_alignment_loss,
     retrieval_terms,
+    similarity_matrix,
     total_loss,
 )
 from .data import (
@@ -269,7 +270,7 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, too deep a nesting
         raise CheckpointError(f"{path}: truncated or invalid checkpoint ({exc})") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: expected a JSON object, got {type(payload).__name__}")
@@ -566,7 +567,7 @@ def _padded_rows(rows: Tensor, batch: list[_Prepared]) -> Tensor:
     starts = np.cumsum(sizes) - sizes
     slot = np.arange(sizes.max())
     index = starts[:, None] + np.where(slot < sizes[:, None], slot, 0)
-    return take_rows(rows, index.reshape(-1)).reshape(len(batch), int(sizes.max()), rows.shape[1])
+    return take_rows(rows, index)
 
 
 def stage2_features(
@@ -737,51 +738,44 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
 # -- evaluation -------------------------------------------------------------------
 
 
-@dataclass
-class TrajectoryFeatures:
-    """Projected features for one trajectory, ready for argmax retrieval."""
+def retrieval_metrics(
+    text: np.ndarray,
+    visual: np.ndarray,
+    sizes,
+    whole_text: np.ndarray,
+    whole_visual: np.ndarray,
+    count: np.ndarray | None = None,
+    count_candidates: dict[int, np.ndarray] | None = None,
+) -> dict:
+    """Argmax retrieval metrics over feature arrays, all ranked by ``similarity_matrix``.
 
-    text_feats: np.ndarray            # (M, d) per-sub-instruction
-    visual_feats: np.ndarray          # (M, d) per-sub-path
-    overall_text: np.ndarray          # (d,)
-    overall_visual: np.ndarray        # (d,)
-    count_feature: np.ndarray | None  # (d,)
-    m: int
-
-
-def retrieval_metrics(features: list[TrajectoryFeatures],
-                      count_candidates: dict[int, np.ndarray] | None = None) -> dict:
-    """Pure metric computation over extracted features.
-
-    subpair: within each trajectory, the argmax sub-path of each
-    sub-instruction row must be its own; trajectory: global argmax of each
-    overall text feature over all trajectories' overall visual features;
-    count: the argmax over the candidate count-prompt features, keyed by the
-    count each one states, must pick the trajectory's true sub-path count.
+    ``text`` and ``visual`` are (N, M, d) sub-instruction and sub-path rows,
+    where trajectory n owns its leading sizes[n] rows; ``whole_text`` and
+    ``whole_visual`` are (N, d), and ``count``, when given, is the (N, d)
+    count-token feature.  subpair: within each trajectory, the argmax sub-path
+    of each sub-instruction row must be its own; trajectory: global argmax of
+    each whole-path text feature over every trajectory's visual one; count:
+    the argmax over the candidate count-prompt features, keyed by the count
+    each one states, must pick the trajectory's sub-path count.
     """
-    if not features:
+    sizes = np.asarray(sizes)
+    if sizes.size == 0:
         raise DatasetError("evaluation dataset is empty")
-    sub_hits = 0
-    sub_total = 0
-    count_hits = 0
-    have_counts = bool(count_candidates) and all(f.count_feature is not None for f in features)
-    if have_counts:
-        counts = list(count_candidates)
-        cand = _unit_rows(np.stack(list(count_candidates.values())))
-    for f in features:
-        sim = _unit_rows(f.text_feats) @ _unit_rows(f.visual_feats).T
-        sub_hits += int((sim.argmax(axis=1) == np.arange(f.m)).sum())
-        sub_total += f.m
-        if have_counts:
-            count_hits += int(counts[int((cand @ _unit_rows(f.count_feature[None, :])[0]).argmax())] == f.m)
-    text_mat = _unit_rows(np.stack([f.overall_text for f in features]))
-    vis_mat = _unit_rows(np.stack([f.overall_visual for f in features]))
-    traj_sim = text_mat @ vis_mat.T
-    return {
-        "subpair_accuracy": sub_hits / sub_total,
-        "trajectory_accuracy": float((traj_sim.argmax(axis=1) == np.arange(len(features))).mean()),
-        "count_accuracy": (count_hits / len(features)) if have_counts else None,
+    slot = np.arange(text.shape[1])
+    live = slot < sizes[:, None]
+    sub = similarity_matrix(Tensor(text), Tensor(visual)).data
+    picks = np.where(live[:, None, :], sub, -np.inf).argmax(axis=2)
+    whole = similarity_matrix(Tensor(whole_text), Tensor(whole_visual)).data
+    metrics = {
+        "subpair_accuracy": int((live & (picks == slot)).sum()) / int(sizes.sum()),
+        "trajectory_accuracy": float((whole.argmax(axis=1) == np.arange(sizes.size)).mean()),
+        "count_accuracy": None,
     }
+    if count is not None and count_candidates:
+        counts = np.array(list(count_candidates))
+        cand = similarity_matrix(Tensor(count), Tensor(np.stack(list(count_candidates.values())))).data
+        metrics["count_accuracy"] = int((counts[cand.argmax(axis=1)] == sizes).sum()) / sizes.size
+    return metrics
 
 
 def evaluate_retrieval(
@@ -794,6 +788,8 @@ def evaluate_retrieval(
 ) -> dict:
     """Argmax retrieval metrics over sub-pairs, whole trajectories, and counts.
 
+    Each eval batch's features are the ones training scores; the per-path
+    rows are padded to the longest trajectory and masked past each one's M.
     The count candidates are the count prompts of the sub-path counts that
     occur among the evaluated trajectories, the counts training shows.
     """
@@ -804,6 +800,7 @@ def evaluate_retrieval(
     prepared = prepare_trajectories(dataset, vocab, enc)
     if cached_features is None:
         cached_features = precompute_viewpoint_features(dataset, store, enc)
+    sizes = np.array([p.m for p in prepared])
 
     count_candidates = None
     if "cnt" in terms:
@@ -812,33 +809,19 @@ def evaluate_retrieval(
         projected = linear(pooled_text_features(cnt_ids, store, enc), store["proj.text.w"], store["proj.text.b"]).data
         count_candidates = dict(zip(counts, projected))
 
-    features: list[TrajectoryFeatures] = []
+    def kept(term: str, t: Tensor) -> np.ndarray:
+        return np.pad(t.data, ((0, 0), (0, sizes.max() - t.shape[1]), (0, 0))) if term in PER_PATH_TERMS else t.data
+
+    batches = []
     for start in range(0, len(prepared), EVAL_BATCH):
         batch = prepared[start:start + EVAL_BATCH]
         viewpoints = Tensor(np.concatenate(cached_features[start:start + len(batch)], axis=0))
         # keep only the arrays, so this batch's graph dies before the next is encoded
-        feats = {term: (t.data, v.data)
-                 for term, (t, v) in stage2_features(batch, store, enc, terms, viewpoints).items()}
-        text, visual = feats[per_path]
-        whole_text, whole_visual = feats[whole]
-        count_feats = feats["cnt"][1] if "cnt" in feats else None
-        for j, p in enumerate(batch):
-            features.append(
-                TrajectoryFeatures(
-                    text_feats=text[j, :p.m],
-                    visual_feats=visual[j, :p.m],
-                    overall_text=whole_text[j],
-                    overall_visual=whole_visual[j],
-                    count_feature=None if count_feats is None else count_feats[j],
-                    m=p.m,
-                )
-            )
-    return retrieval_metrics(features, count_candidates)
-
-
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-12)
-    return x / norms
+        batches.append({term: [kept(term, t) for t in pair]
+                        for term, pair in stage2_features(batch, store, enc, terms, viewpoints).items()})
+    feats = {term: [np.concatenate([b[term][i] for b in batches]) for i in (0, 1)] for term in terms}
+    count = feats["cnt"][1] if "cnt" in feats else None
+    return retrieval_metrics(*feats[per_path], sizes, *feats[whole], count, count_candidates)
 
 
 # -- gradient fidelity -----------------------------------------------------------

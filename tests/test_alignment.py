@@ -75,18 +75,29 @@ class TestSimilarityMatrix:
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
-            m, d = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+            m, n, d = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(2, 9))
             rx = rng.uniform(-2, 2, (m, d))
-            ry = rng.uniform(-2, 2, (m, d))
+            ry = rng.uniform(-2, 2, (n, d))
             s = similarity_matrix(Tensor(rx), Tensor(ry))
+            assert s.shape == (m, n)
             for a in range(m):
-                for b in range(m):
+                for b in range(n):
                     expected, _ = cosine_similarity(Tensor(rx[a]), Tensor(ry[b]))
                     assert abs(s.data[a, b] - expected.item()) < 1e-12
+            # a stack of B such pairs gives B matrices, each its own pair's
+            stacked = similarity_matrix(Tensor(np.stack([rx, 2 * rx])), Tensor(np.stack([ry, -ry])))
+            assert stacked.shape == (2, m, n)
+            np.testing.assert_allclose(stacked.data, np.stack([s.data, -s.data]), rtol=0, atol=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            similarity_matrix(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))))
+        for rx, ry in [
+            ((2, 3), (2, 4)),        # unequal widths
+            ((2, 2, 3), (3, 2, 3)),  # unequal stacked axes
+            ((2, 3), (1, 2, 3)),     # a matrix against a stack
+            ((3,), (3,)),            # vectors
+        ]:
+            with pytest.raises(ShapeError):
+                similarity_matrix(Tensor(np.zeros(rx)), Tensor(np.zeros(ry)))
 
 
 class TestNormalize:
@@ -313,6 +324,14 @@ class TestTotalLoss:
             total_loss({})
 
 
+def composed_loss(text, vision, temperature=0.1, smoothing=0.05, reverse=False):
+    """The contrastive loss as a graph of separate ops: the kernel's reference."""
+    s = similarity_matrix(text, vision)
+    m = s.shape[0]
+    gt = ground_truth_matrix(m, effective_smoothing(m, smoothing))
+    return contrastive_loss(normalize(s, "rows", temperature), normalize(s, "cols", temperature), gt, reverse=reverse)
+
+
 def loss_shares(text, vision, temperature=0.1, smoothing=0.05, reverse=False):
     """Each row's share of pairwise_alignment_loss: its S_T row plus its S_V
     column, computed on demand from the same matrices, in plain numpy."""
@@ -348,12 +367,21 @@ class TestPairwiseAlignmentLoss:
         assert abs(loss.item() - sum(shares)) < 1e-12
 
     def test_gradient_flows_to_inputs(self):
+        # the kernel's input gradients are those of the composition of separate ops
         rng = np.random.default_rng(11)
-        text = Tensor(rng.uniform(-1, 1, (3, 6)), requires_grad=True)
-        vision = Tensor(rng.uniform(-1, 1, (3, 6)))
-        loss = pairwise_alignment_loss(text, vision)
-        loss.backward()
-        assert text.grad is not None and np.any(text.grad != 0)
+        t0, v0 = rng.uniform(-1, 1, (3, 6)), rng.uniform(-1, 1, (3, 6))
+        for reverse in (False, True):
+            runs = []
+            for loss_fn in (pairwise_alignment_loss, composed_loss):
+                text, vision = Tensor(t0.copy(), requires_grad=True), Tensor(v0.copy(), requires_grad=True)
+                loss = loss_fn(text, vision, reverse=reverse)
+                loss.backward()
+                runs.append((loss.item(), text.grad, vision.grad))
+            (loss, text_grad, vision_grad), (ref, ref_text, ref_vision) = runs
+            assert np.any(text_grad != 0) and np.any(vision_grad != 0)
+            assert math.isclose(loss, ref, rel_tol=1e-12)
+            np.testing.assert_allclose(text_grad, ref_text, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(vision_grad, ref_vision, rtol=0, atol=1e-12)
 
     def test_reverse_direction_flag(self):
         rng = np.random.default_rng(12)

@@ -124,6 +124,15 @@ def test_bad_checkpoint_is_categorized(tmp_path, capsys):
     assert "CheckpointError" in capsys.readouterr().err
 
 
+def test_deeply_nested_checkpoint_is_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "ckpt.json"
+    bad.write_text("[" * 200000 + "]" * 200000)
+    rc = main(["eval", "--ckpt", str(bad), "--data", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[CheckpointError]: {bad}: truncated or invalid checkpoint")
+
+
 def test_eval_rejects_unknown_mode(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     with pytest.raises(SystemExit) as exc:
@@ -231,6 +240,9 @@ _BAD_LINES = [
     ("infinity", '{"features": [[Infinity, 1.0]], "label": 0}',
      '{"instruction": "turn left", "path": [[1.0], [-Infinity]]}'),
     ("missing-field", json.dumps({"features": [[1.0]]}), json.dumps({"path": [[1.0]]})),
+    # nested deeper than the JSON decoder recurses
+    ("deep-nesting", '{"features": ' + "[" * 100000 + "]" * 100000 + ', "label": 0}',
+     '{"instruction": "turn left", "path": ' + "[" * 100000 + "]" * 100000 + "}"),
 ]
 
 

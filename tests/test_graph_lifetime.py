@@ -27,7 +27,6 @@ from navprompt.tensor import (
     Tensor,
     add_bias,
     concat,
-    embedding,
     gather_index,
     gelu,
     layer_norm,
@@ -90,8 +89,7 @@ OPS = {
     "log_softmax": lambda x: log_softmax(x, axis=1),
     "layer_norm": lambda x: layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3))),
     "gelu": gelu,
-    "embedding": lambda x: embedding(x, np.array([[0, 2], [3, 1]])),
-    "take_rows": lambda x: take_rows(x, np.array([0, 0, 3])),
+    "take_rows": lambda x: take_rows(x, np.array([[0, 2], [3, 0]])),
     "gather_index": lambda x: gather_index(x, np.array([0, 2, 1, 1])),
     "kl_divergence": lambda x: kl_divergence(softmax(x[:3], axis=1), Tensor(np.full((3, 3), 1.0 / 3.0))),
     "segment_mean": lambda x: segment_mean(x.reshape(1, 4, 3), np.array([[[0, 2], [1, 4], [0, 0]]])),

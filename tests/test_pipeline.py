@@ -11,7 +11,16 @@ import os
 import numpy as np
 import pytest
 
-from navprompt.alignment import ABLATION_MODES, ABLATION_TERMS, TERM_WEIGHTS, pairwise_alignment_loss
+from navprompt.alignment import (
+    ABLATION_MODES,
+    ABLATION_TERMS,
+    TERM_WEIGHTS,
+    contrastive_loss,
+    effective_smoothing,
+    ground_truth_matrix,
+    normalize,
+    similarity_matrix,
+)
 from navprompt.cli import main
 from navprompt.data import gen_trajectory_dataset
 from navprompt.encoders import (
@@ -34,7 +43,6 @@ from navprompt.errors import (
 from navprompt.optim import ParamStore
 from navprompt.training import (
     RunConfig,
-    TrajectoryFeatures,
     build_vocabulary,
     evaluate_retrieval,
     gradcheck_config,
@@ -50,6 +58,14 @@ from navprompt.training import (
     precompute_viewpoint_features,
 )
 from navprompt.tensor import Tensor
+
+
+def _composed_loss(text, visual, cfg):
+    """The contrastive loss as a graph of separate ops, independent of the training kernel."""
+    s = similarity_matrix(text, visual)
+    m = s.shape[0]
+    gt = ground_truth_matrix(m, effective_smoothing(m, cfg.smoothing))
+    return contrastive_loss(normalize(s, "rows", cfg.temperature), normalize(s, "cols", cfg.temperature), gt)
 
 
 def tiny_cfg(tmp_path, **overrides):
@@ -248,6 +264,8 @@ class TestCheckpoints:
             (_signed({}, config={"encoder": {}, "vocab": _RESERVED[:3]}), "must start with the reserved tokens"),
             (_signed({}, config={"encoder": {}, "vocab": ["<unk>", "<pad>", "<cls>", "<sep>"]}),
              "must start with the reserved tokens"),
+            # nested deeper than the JSON decoder recurses
+            ("[" * 200000 + "]" * 200000, "truncated or invalid checkpoint"),
         ],
         ids=[
             "list", "not-utf8", "tensors-list", "config-list", "frozen-nested", "encoder-keys",
@@ -256,7 +274,7 @@ class TestCheckpoints:
             "data-number", "b64-truncated", "b64-alphabet", "b64-non-ascii", "byte-count-short",
             "byte-count-2d", "no-sha256", "wrong-sha256", "sha256-of-other-name", "sha256-of-other-shape",
             "config-edited", "frozen-edited", "format-2", "no-encoder", "vocab-dict", "vocab-non-string",
-            "vocab-duplicate", "vocab-reserved-missing", "vocab-reserved-misplaced",
+            "vocab-duplicate", "vocab-reserved-missing", "vocab-reserved-misplaced", "deep-nesting",
         ],
     )
     def test_malformed_file_raises_checkpoint_error(self, tmp_path, body, match):
@@ -520,7 +538,7 @@ class TestAblationTable:
                 pairs = [(Tensor(t[:m]), Tensor(v[:m])) for t, v in zip(text.data, visual.data)]
             else:
                 pairs = [(text, visual)]
-            losses = [pairwise_alignment_loss(t, v, cfg.temperature, cfg.smoothing).item() for t, v in pairs]
+            losses = [_composed_loss(t, v, cfg).item() for t, v in pairs]
             assert abs(values[term] - sum(losses) / len(losses)) < 1e-12
         full_total, _, _, full_metrics = run("full")
         if mode == "cnt_ind_ove":
@@ -560,58 +578,65 @@ class TestEvaluation:
         metrics = evaluate_retrieval(store, enc, dataset, vocab)
         assert 0.15 <= metrics["subpair_accuracy"] <= 0.35
 
+    @staticmethod
+    def _padded(blocks, fill=None):
+        """Stack (m_n, d) row blocks into (N, M_max, d); slots past m_n repeat ``fill`` or hold zeros."""
+        out = np.zeros((len(blocks), max(len(b) for b in blocks), blocks[0].shape[1]))
+        for n, block in enumerate(blocks):
+            out[n, :len(block)] = block
+            if fill is not None:
+                out[n, len(block):] = fill[n]
+        return out
+
     def test_perfect_features_upper_bound(self):
         rng = np.random.default_rng(0)
-        feats = []
         count_candidates = {k: rng.normal(size=8) for k in range(1, 7)}
-        for m in (2, 3, 4):
-            basis = rng.normal(size=(m, 8))
-            feats.append(TrajectoryFeatures(
-                text_feats=basis.copy(),
-                visual_feats=basis.copy(),
-                overall_text=basis.sum(axis=0),
-                overall_visual=basis.sum(axis=0),
-                count_feature=count_candidates[m],
-                m=m,
-            ))
-        metrics = retrieval_metrics(feats, count_candidates)
+        sizes = np.array([2, 3, 4])
+        bases = [rng.normal(size=(m, 8)) for m in sizes]
+        whole = np.stack([b.sum(axis=0) for b in bases])
+        count = np.stack([count_candidates[m] for m in sizes])
+        rows = self._padded(bases)
+        metrics = retrieval_metrics(rows, rows.copy(), sizes, whole, whole.copy(), count, count_candidates)
         assert metrics["subpair_accuracy"] == 1.0
         assert metrics["trajectory_accuracy"] == 1.0
         assert metrics["count_accuracy"] == 1.0
 
     def test_metrics_invariant_under_shuffling(self):
         rng = np.random.default_rng(1)
-        feats = []
-        for m in (2, 3, 2, 4, 3, 2):
-            t = rng.normal(size=(m, 8))
-            v = t + 0.05 * rng.normal(size=(m, 8))
-            feats.append(TrajectoryFeatures(
-                text_feats=t, visual_feats=v,
-                overall_text=t.mean(axis=0), overall_visual=v.mean(axis=0),
-                count_feature=None, m=m,
-            ))
-        base = retrieval_metrics(feats)
+        sizes = np.array([2, 3, 2, 4, 3, 2])
+        texts = [rng.normal(size=(m, 8)) for m in sizes]
+        visuals = [t + 0.05 * rng.normal(size=t.shape) for t in texts]
+
+        def metrics(order, fill=None):
+            t = [texts[i] for i in order]
+            v = [visuals[i] for i in order]
+            return retrieval_metrics(self._padded(t), self._padded(v, fill), sizes[order],
+                                     np.stack([x.mean(axis=0) for x in t]), np.stack([x.mean(axis=0) for x in v]))
+
+        base = metrics(np.arange(len(sizes)))
+        assert base["count_accuracy"] is None
         for seed in range(3):
-            order = np.random.default_rng(seed).permutation(len(feats))
-            shuffled = retrieval_metrics([feats[i] for i in order])
+            order = np.random.default_rng(seed).permutation(len(sizes))
+            shuffled = metrics(order)
             assert shuffled["subpair_accuracy"] == base["subpair_accuracy"]
             assert shuffled["trajectory_accuracy"] == base["trajectory_accuracy"]
+            # a padding column that copies a text row exactly would win that row, were it not masked
+            assert metrics(order, fill=[texts[i][0] for i in order]) == shuffled
 
     def test_empty_dataset(self):
         with pytest.raises(DatasetError):
-            retrieval_metrics([])
+            retrieval_metrics(np.zeros((0, 1, 8)), np.zeros((0, 1, 8)), [], np.zeros((0, 8)), np.zeros((0, 8)))
 
     def test_count_candidates_are_keyed_by_their_count(self):
         # two candidates stating 3 and 7 sub-paths: the winner's key is the
         # retrieved count, whatever its position among the candidates
         rng = np.random.default_rng(2)
         three, seven = rng.normal(size=8), rng.normal(size=8)
-        feats = []
-        for m, count_feature in ((7, seven), (3, three), (7, three)):
-            t = rng.normal(size=(m, 8))
-            feats.append(TrajectoryFeatures(text_feats=t, visual_feats=t, overall_text=t[0], overall_visual=t[0],
-                                            count_feature=count_feature, m=m))
-        assert retrieval_metrics(feats, {3: three, 7: seven})["count_accuracy"] == 2 / 3
+        sizes = np.array([7, 3, 7])
+        rows = self._padded([rng.normal(size=(m, 8)) for m in sizes])
+        whole = rows[:, 0]
+        count = np.stack([seven, three, three])
+        assert retrieval_metrics(rows, rows, sizes, whole, whole, count, {3: three, 7: seven})["count_accuracy"] == 2 / 3
 
     def test_count_retrieval_scores_only_the_counts_that_occur(self):
         # every trajectory has 2 sub-paths, so the one candidate is the count

@@ -2,8 +2,9 @@
 
 The per-trajectory terms (``ind`` and ``sub``) are scored as one masked
 batched loss over padded features.  The reference here is the loop it
-replaced: one ``pairwise_alignment_loss`` per trajectory on its own rows,
-averaged over the batch.  Each draw picks trajectories with random sub-path
+replaced, scored independently of the masked kernel: per trajectory, its
+own rows' similarity matrix, row and column softmax and KL divergences as a
+graph of separate ops (``contrastive_loss``), averaged over the batch.  Each draw picks trajectories with random sub-path
 counts (1 to ``max_subpaths``) and a random batch of them.
 """
 
@@ -12,7 +13,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from navprompt.alignment import ABLATION_TERMS, batched_alignment_loss, pairwise_alignment_loss
+from navprompt.alignment import (
+    ABLATION_TERMS,
+    batched_alignment_loss,
+    contrastive_loss,
+    effective_smoothing,
+    ground_truth_matrix,
+    normalize,
+    similarity_matrix,
+)
 from navprompt.encoders import apply_stage_freeze, init_cross_params, init_text_params, init_visual_params
 from navprompt.errors import AlignmentError
 from navprompt.optim import ParamStore, backward
@@ -67,6 +76,15 @@ def _features(model, idx, term):
     return batch, text, visual
 
 
+def _composed_loss(text, visual, cfg, reverse):
+    """One trajectory's contrastive loss as a graph of separate ops."""
+    s = similarity_matrix(text, visual)
+    m = s.shape[0]
+    gt = ground_truth_matrix(m, effective_smoothing(m, cfg.smoothing))
+    return contrastive_loss(normalize(s, "rows", cfg.temperature), normalize(s, "cols", cfg.temperature), gt,
+                            reverse=reverse)
+
+
 def _loss_and_grads(model, idx, term, reverse, batched):
     cfg, _, store, _, _ = model
     batch, text, visual = _features(model, idx, term)
@@ -76,8 +94,7 @@ def _loss_and_grads(model, idx, term, reverse, batched):
     else:
         loss = None
         for b, p in enumerate(batch):
-            part = pairwise_alignment_loss(text[b, :p.m], visual[b, :p.m], cfg.temperature, cfg.smoothing, reverse)
-            part = part * (1.0 / len(batch))
+            part = _composed_loss(text[b, :p.m], visual[b, :p.m], cfg, reverse) * (1.0 / len(batch))
             loss = part if loss is None else loss + part
     return loss.item(), backward(loss, store)
 

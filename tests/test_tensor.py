@@ -10,7 +10,6 @@ from navprompt.tensor import (
     Tensor,
     add_bias,
     concat,
-    embedding,
     gather_index,
     gelu,
     layer_norm,
@@ -288,10 +287,11 @@ def test_layer_norm_param_gradients():
     np.testing.assert_allclose(b.grad, num_b, atol=1e-6)
 
 
-def test_embedding_lookup_and_grad():
+def test_take_rows_lookup_and_grad():
+    # indices of any shape: the output is indices.shape + (width,)
     table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     ids = np.array([[0, 2], [2, 3]])
-    out = embedding(table, ids)
+    out = take_rows(table, ids)
     assert out.shape == (2, 2, 3)
     np.testing.assert_array_equal(out.data[0, 1], [6.0, 7.0, 8.0])
     out.sum().backward()
@@ -301,11 +301,15 @@ def test_embedding_lookup_and_grad():
     np.testing.assert_array_equal(table.grad, expected)
 
 
-def test_embedding_rejects_out_of_range():
-    from navprompt.errors import InputError
-
+def test_take_rows_rejects_bad_indices():
     with pytest.raises(InputError):
-        embedding(Tensor(np.zeros((4, 3))), np.array([4]))
+        take_rows(Tensor(np.zeros((4, 3))), np.array([4]))
+    with pytest.raises(InputError):
+        take_rows(Tensor(np.zeros((4, 3))), np.array([[-1, 0]]))
+    with pytest.raises(InputError):
+        take_rows(Tensor(np.zeros((4, 3))), np.array([0.0, 1.0]))
+    with pytest.raises(ShapeError):
+        take_rows(Tensor(np.zeros((2, 4, 3))), np.array([0]))
 
 
 def test_gather_index():
