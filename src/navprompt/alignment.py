@@ -2,8 +2,8 @@
 
 A batch of text representations and a batch of vision representations give a
 square cosine-similarity matrix S.  Softmax over rows yields S_T, over
-columns S_V, and both are pulled toward a smoothed identity ground truth with
-a matrix-averaged KL divergence:
+columns S_V, and both are pulled toward a smoothed identity ground truth GT
+with a matrix-averaged KL divergence, D(S_T || GT) and D(S_V || GT):
 
     D(P || Q) = (1/N^2) * sum_ij P_ij * log(P_ij / Q_ij)
 
@@ -13,7 +13,6 @@ one place the ablation modes are defined (``ABLATION_TERMS``, weighted by
 
     mode          total
     full          ove * lambda1 + cnt * lambda2 + ind
-    cnt_ind_ove   ove * lambda1 + cnt * lambda2 + ind   (an alias of full)
     cnt_ind       cnt * lambda2 + ind
     cnt           cnt * lambda2
     sub_only      sub
@@ -59,7 +58,6 @@ DEFAULT_SMOOTHING = 0.05
 # mode -> the loss terms it trains, in the order the total adds them
 ABLATION_TERMS: dict[str, tuple[str, ...]] = {
     "full": ("ove", "cnt", "ind"),
-    "cnt_ind_ove": ("ove", "cnt", "ind"),
     "cnt_ind": ("cnt", "ind"),
     "cnt": ("cnt",),
     "sub_only": ("sub",),
@@ -160,7 +158,7 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
 
     Differentiable in both arguments wherever they are positive; raises when
     some P_ij > 0 meets Q_ij == 0 (prevented upstream by GT smoothing).  The
-    summands and both derivatives are the kernel's ``_kl_entries``.  Part of
+    summands and the P-derivative are the kernel's ``_kl_entries``.  Part of
     the reference composition the kernel tests compare against.
     """
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape != q.shape:
@@ -168,7 +166,7 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     if np.any(p.data < 0) or np.any(q.data < 0):
         raise DivergenceError("kl_divergence needs nonnegative entries")
     n2 = p.shape[0] ** 2
-    entries, d_p = _kl_entries(p.data, q.data, False)
+    entries, d_p = _kl_entries(p.data, q.data)
     out = Tensor._result(np.asarray(entries.sum() / n2), (p, q))
 
     def _bw(g):
@@ -176,22 +174,19 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
         if p.requires_grad:
             p._accumulate(gs / n2 * d_p)
         if q.requires_grad:
-            q._accumulate(gs / n2 * _kl_entries(q.data, p.data, True)[1])
+            support = p.data > 0
+            q._accumulate(gs / n2 * np.where(support, -p.data / np.where(support, q.data, 1.0), 0.0))
 
     out._backward = _bw
     return out
 
 
-def contrastive_loss(s_t: Tensor, s_v: Tensor, gt: Tensor, reverse: bool = False) -> Tensor:
-    """Half the sum of D(S_T || GT) and D(S_V || GT).
+def contrastive_loss(s_t: Tensor, s_v: Tensor, gt: Tensor) -> Tensor:
+    """Half the sum of D(S_T || GT) and D(S_V || GT), the predicted matrices first.
 
-    ``reverse`` swaps each divergence's direction to D(GT || .), kept behind a
-    flag for comparison; the default keeps the predicted matrices first.
     Training scores this loss with ``masked_contrastive_loss``; this graph
     of ``kl_divergence`` ops is the independent reference its tests use.
     """
-    if reverse:
-        return (kl_divergence(gt, s_t) + kl_divergence(gt, s_v)) * 0.5
     return (kl_divergence(s_t, gt) + kl_divergence(s_v, gt)) * 0.5
 
 
@@ -200,7 +195,6 @@ def pairwise_alignment_loss(
     vision_feats: Tensor,
     temperature: float = DEFAULT_TEMPERATURE,
     smoothing: float = DEFAULT_SMOOTHING,
-    reverse: bool = False,
 ) -> Tensor:
     """Full contrastive loss for a batch of matched (text, vision) rows.
 
@@ -208,7 +202,7 @@ def pairwise_alignment_loss(
     """
     s = similarity_matrix(text_feats, vision_feats)
     batch = s.shape[0]
-    return masked_contrastive_loss(s.reshape(1, batch, batch), [batch], temperature, smoothing, reverse)
+    return masked_contrastive_loss(s.reshape(1, batch, batch), [batch], temperature, smoothing)
 
 
 def _masked_softmax(z: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
@@ -219,21 +213,19 @@ def _masked_softmax(z: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
     return e / np.where(total > 0, total, 1.0)
 
 
-def _kl_entries(pred: np.ndarray, gt: np.ndarray, reverse: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The summands of D(pred || gt), or D(gt || pred), and their derivative in pred.
+def _kl_entries(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The summands of D(p || q) and their derivative in p.
 
-    Zero-mass entries of the divergence's first argument add nothing (the
-    0*log(0) = 0 convention of ``kl_divergence``), which also silences every
-    masked entry, where both matrices are zero.
+    Zero-mass entries of p add nothing (the 0*log(0) = 0 convention of
+    ``kl_divergence``), which also silences every masked entry, where both
+    matrices are zero.
     """
-    p, q = (gt, pred) if reverse else (pred, gt)
     support = p > 0
     if np.any(support & (q == 0)):
         raise DivergenceError("P has mass where Q is zero; the divergence is undefined")
     safe_p, safe_q = np.where(support, p, 1.0), np.where(support, q, 1.0)
     ratio = np.where(support, np.log(safe_p) - np.log(safe_q), 0.0)
-    grad = np.where(support, -p / safe_q, 0.0) if reverse else np.where(support, ratio + 1.0, 0.0)
-    return p * ratio, grad
+    return p * ratio, np.where(support, ratio + 1.0, 0.0)
 
 
 def masked_contrastive_loss(
@@ -241,7 +233,6 @@ def masked_contrastive_loss(
     sizes,
     temperature: float = DEFAULT_TEMPERATURE,
     smoothing: float = DEFAULT_SMOOTHING,
-    reverse: bool = False,
 ) -> Tensor:
     """Mean contrastive loss over the leading sizes[b] x sizes[b] block of each s[b].
 
@@ -271,8 +262,8 @@ def masked_contrastive_loss(
     z = s.data / temperature
     p_rows = _masked_softmax(z, mask, axis=2)
     p_cols = _masked_softmax(z, mask, axis=1)
-    kl_rows, d_rows = _kl_entries(p_rows, gt, reverse)
-    kl_cols, d_cols = _kl_entries(p_cols, gt, reverse)
+    kl_rows, d_rows = _kl_entries(p_rows, gt)
+    kl_cols, d_cols = _kl_entries(p_cols, gt)
     n2 = (sizes * sizes).astype(np.float64)
     per_block = (kl_rows.reshape(batch, -1).sum(axis=1) / n2 + kl_cols.reshape(batch, -1).sum(axis=1) / n2) * 0.5
     out = Tensor._result(np.asarray(per_block.mean()), (s,))
@@ -297,7 +288,6 @@ def batched_alignment_loss(
     sizes,
     temperature: float = DEFAULT_TEMPERATURE,
     smoothing: float = DEFAULT_SMOOTHING,
-    reverse: bool = False,
 ) -> Tensor:
     """Mean contrastive loss over B padded groups of matched rows.
 
@@ -305,7 +295,7 @@ def batched_alignment_loss(
     leading sizes[b] rows, and the rows past it are padding that neither
     changes the loss nor receives gradient.
     """
-    return masked_contrastive_loss(similarity_matrix(text_feats, vision_feats), sizes, temperature, smoothing, reverse)
+    return masked_contrastive_loss(similarity_matrix(text_feats, vision_feats), sizes, temperature, smoothing)
 
 
 @dataclass

@@ -128,6 +128,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0 < args.tolerance < np.inf:
+        raise ParameterError(f"--tolerance must be finite and above 0, got {args.tolerance}")
     ok = True
     for stage, label, check in (("1", "stage1 cross-entropy", stage1_gradient_report),
                                 ("2", "stage2 weighted alignment loss", stage2_gradient_report)):

@@ -339,8 +339,6 @@ def text_encode(token_ids, store: ParamStore, cfg: EncoderConfig) -> Tensor:
     excluded from attention via a large negative score bias.
     """
     ids = np.asarray(token_ids)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     if ids.ndim != 2:
         raise ShapeError(f"token ids must be (B, L), got {ids.shape}")
     b, length = ids.shape
@@ -372,7 +370,6 @@ def cross_modal_encode_batch(
     boundaries: Sequence[Sequence[tuple[int, int]]],
     store: ParamStore,
     cfg: EncoderConfig,
-    include_count: bool = True,
 ) -> CrossModalOutput:
     """Fuse each trajectory's viewpoint features with its per-ordinal prompt features.
 
@@ -384,14 +381,16 @@ def cross_modal_encode_batch(
     attention, and one segment mean pools the count token, the whole path and
     each sub-path from the outputs.  They read only the count token and the
     viewpoint rows, so the last layer computes the leading
-    ``offset + max(T_b)`` rows alone.
+    ``offset + max(T_b)`` rows alone.  Without ``prompts`` (the prompt-free
+    mode) the count row is left out too, and the output has no count.
     """
     batch = len(boundaries)
     t_lens = np.array([bounds[-1][1] for bounds in boundaries])
     m_lens = np.array([len(bounds) for bounds in boundaries])
     if viewpoints.ndim != 2 or viewpoints.shape[0] != t_lens.sum():
         raise AlignmentError(f"{viewpoints.shape[0]} viewpoint rows for paths of {t_lens.sum()} viewpoints")
-    if prompts is not None and (prompts.ndim != 2 or prompts.shape[0] != m_lens.sum()):
+    prompted = prompts is not None
+    if prompted and (prompts.ndim != 2 or prompts.shape[0] != m_lens.sum()):
         raise AlignmentError(f"{prompts.shape[0]} prompt rows for {m_lens.sum()} sub-paths")
     if t_lens.max() > cfg.max_viewpoints:
         raise ConfigurationError(f"trajectory length {t_lens.max()} exceeds max_viewpoints {cfg.max_viewpoints}")
@@ -404,13 +403,12 @@ def cross_modal_encode_batch(
     # one table of rows [count | viewpoints | prompts | pad]; sequence b
     # gathers [count | its viewpoints | its prompts] and pad rows after them
     seg = store["cross.seg_embed"]
-    offset = 1 if include_count else 0
-    parts = [add_bias(store["cross.cnt"], seg[0])] if include_count else []
+    offset = int(prompted)
+    parts = [add_bias(store["cross.cnt"], seg[0])] if prompted else []
     parts.append(add_bias(viewpoints + take_rows(store["cross.pos_visual"], positions(t_lens)), seg[1]))
-    p_lens = np.zeros(batch, dtype=int)
-    if prompts is not None:
+    p_lens = m_lens if prompted else np.zeros(batch, dtype=int)
+    if prompted:
         parts.append(add_bias(prompts + take_rows(store["cross.pos_prompt"], positions(m_lens)), seg[2]))
-        p_lens = m_lens
     parts.append(Tensor(np.zeros((1, cfg.d))))
     table = concat(parts, axis=0)
 
@@ -431,7 +429,7 @@ def cross_modal_encode_batch(
 
     # pooled rows: [count | whole path | sub-paths, padded with empty ranges]
     bounds = np.zeros((batch, offset + 1 + int(m_lens.max()), 2), dtype=int)
-    if include_count:
+    if prompted:
         bounds[:, 0] = (0, 1)
     bounds[:, offset] = np.stack([np.full(batch, offset), offset + t_lens], axis=1)
     for b, chunks in enumerate(boundaries):
@@ -440,7 +438,7 @@ def cross_modal_encode_batch(
     return CrossModalOutput(
         subpaths=pooled[:, offset + 1:],
         overall=pooled[:, offset],
-        count=pooled[:, 0] if include_count else None,
+        count=pooled[:, 0] if prompted else None,
     )
 
 

@@ -1,4 +1,4 @@
-"""Named parameter store with a freeze mask, optimizers, and gradient checking."""
+"""Named parameter store with a freeze mask, the Adam optimizer, and gradient checking."""
 
 from __future__ import annotations
 
@@ -87,30 +87,26 @@ def backward(loss: Tensor, store: ParamStore) -> dict[str, np.ndarray]:
 
 @dataclass
 class OptimConfig:
-    algorithm: str = "adam"
+    """Adam's learning rate, moment decay rates and denominator epsilon."""
+
     learning_rate: float = 1e-3
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    weight_decay: float = 0.0
 
     def validate(self) -> None:
-        if self.algorithm not in ("sgd", "adam"):
-            raise ParameterError(f"unknown optimizer algorithm {self.algorithm!r}")
         if self.learning_rate <= 0:
             raise ParameterError("learning_rate must be positive")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ParameterError("adam betas must lie in [0, 1)")
         if self.adam_eps <= 0:
             raise ParameterError("adam_eps must be positive")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be nonnegative")
 
 
 class Optimizer:
-    """SGD or Adam update that never touches frozen entries.
+    """Adam update that never touches frozen entries.
 
-    Adam first/second moments persist per parameter name across steps.
+    First/second moments and step counts persist per parameter name across steps.
     """
 
     def __init__(self, cfg: OptimConfig):
@@ -129,20 +125,15 @@ class Optimizer:
             p = store.entries[name]
             if g.shape != p.data.shape:
                 raise ContractError(f"gradient shape {g.shape} does not match parameter {name!r} {p.data.shape}")
-            if cfg.weight_decay:
-                g = g + cfg.weight_decay * p.data
-            if cfg.algorithm == "sgd":
-                p.data -= cfg.learning_rate * g
-            else:
-                m, v = self._moments.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
-                t = self._steps.get(name, 0) + 1
-                m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-                v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * (g * g)
-                self._moments[name] = (m, v)
-                self._steps[name] = t
-                mhat = m / (1 - cfg.adam_beta1 ** t)
-                vhat = v / (1 - cfg.adam_beta2 ** t)
-                p.data -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            m, v = self._moments.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+            t = self._steps.get(name, 0) + 1
+            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
+            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * (g * g)
+            self._moments[name] = (m, v)
+            self._steps[name] = t
+            mhat = m / (1 - cfg.adam_beta1 ** t)
+            vhat = v / (1 - cfg.adam_beta2 ** t)
+            p.data -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
 
 
 @dataclass

@@ -87,18 +87,15 @@ class RunConfig:
     stage2_epochs: int = 20
     stage2_batch_size: int = 20
     stage2_lr: float = 1e-3
-    optimizer: str = "adam"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     # objective
     lambda1: float = 0.5
     lambda2: float = 0.1
     temperature: float = 0.1
     smoothing: float = 0.05
     ablation: str = "full"
-    kl_reverse: bool = False
     joint_prompt_tuning: bool = False
     # encoder
     d: int = 64
@@ -150,16 +147,17 @@ class RunConfig:
         )
 
     def optim(self, lr: float) -> OptimConfig:
-        return OptimConfig(
-            algorithm=self.optimizer, learning_rate=lr,
-            adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps, weight_decay=self.weight_decay,
-        )
+        return OptimConfig(learning_rate=lr, adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2,
+                           adam_eps=self.adam_eps)
 
     def validate(self) -> None:
         self.encoder()
         self.optim(self.stage1_lr).validate()
         self.optim(self.stage2_lr).validate()
+        for name, least in (("stage1_batch_size", 1), ("stage2_batch_size", 1), ("stage1_epochs", 0),
+                            ("stage2_epochs", 0)):
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not (0 <= self.val_fraction < 1):
             raise ParameterError("val_fraction must lie in [0, 1)")
         if self.ablation not in ABLATION_MODES:
@@ -606,10 +604,8 @@ def stage2_features(
         if name in wanted:
             text[name] = pooled_text_features(ids(name), store, enc)
 
-    cross = cross_modal_encode_batch(
-        viewpoints, text["seq"] if prompted else None,
-        [p.sample.chunks for p in batch], store, enc, include_count=prompted,
-    )
+    cross = cross_modal_encode_batch(viewpoints, text["seq"] if prompted else None,
+                                     [p.sample.chunks for p in batch], store, enc)
     visual = {"cnt": cross.count, "ove": cross.overall, "ins": cross.overall}
 
     w_t, b_t = store["proj.text.w"], store["proj.text.b"]
@@ -651,9 +647,9 @@ def stage2_losses(
     losses: dict[str, Tensor] = {}
     for term, (text, visual) in features.items():
         if term in PER_PATH_TERMS:
-            losses[term] = batched_alignment_loss(text, visual, sizes, cfg.temperature, cfg.smoothing, cfg.kl_reverse)
+            losses[term] = batched_alignment_loss(text, visual, sizes, cfg.temperature, cfg.smoothing)
         else:
-            losses[term] = pairwise_alignment_loss(text, visual, cfg.temperature, cfg.smoothing, cfg.kl_reverse)
+            losses[term] = pairwise_alignment_loss(text, visual, cfg.temperature, cfg.smoothing)
     return total_loss(losses, cfg.lambda1, cfg.lambda2)
 
 

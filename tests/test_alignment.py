@@ -239,7 +239,7 @@ class TestContrastiveLoss:
         gt = ground_truth_matrix(m, 0.05)
         store = ParamStore()
         store.add("z", np.zeros((m, m)))
-        opt = Optimizer(OptimConfig(algorithm="adam", learning_rate=0.05))
+        opt = Optimizer(OptimConfig(learning_rate=0.05))
         for _ in range(400):
             s_t = softmax(store["z"], axis=1)
             loss = kl_divergence(s_t, gt)
@@ -324,15 +324,15 @@ class TestTotalLoss:
             total_loss({})
 
 
-def composed_loss(text, vision, temperature=0.1, smoothing=0.05, reverse=False):
+def composed_loss(text, vision, temperature=0.1, smoothing=0.05):
     """The contrastive loss as a graph of separate ops: the kernel's reference."""
     s = similarity_matrix(text, vision)
     m = s.shape[0]
     gt = ground_truth_matrix(m, effective_smoothing(m, smoothing))
-    return contrastive_loss(normalize(s, "rows", temperature), normalize(s, "cols", temperature), gt, reverse=reverse)
+    return contrastive_loss(normalize(s, "rows", temperature), normalize(s, "cols", temperature), gt)
 
 
-def loss_shares(text, vision, temperature=0.1, smoothing=0.05, reverse=False):
+def loss_shares(text, vision, temperature=0.1, smoothing=0.05):
     """Each row's share of pairwise_alignment_loss: its S_T row plus its S_V
     column, computed on demand from the same matrices, in plain numpy."""
     s = similarity_matrix(text, vision)
@@ -348,10 +348,7 @@ def loss_shares(text, vision, temperature=0.1, smoothing=0.05, reverse=False):
 
     shares = []
     for i in range(m):
-        if reverse:
-            row, col = contrib(gt[i], s_t[i]), contrib(gt[:, i], s_v[:, i])
-        else:
-            row, col = contrib(s_t[i], gt[i]), contrib(s_v[:, i], gt[:, i])
+        row, col = contrib(s_t[i], gt[i]), contrib(s_v[:, i], gt[:, i])
         shares.append(0.5 * (row + col) / (m * m))
     return shares
 
@@ -370,28 +367,18 @@ class TestPairwiseAlignmentLoss:
         # the kernel's input gradients are those of the composition of separate ops
         rng = np.random.default_rng(11)
         t0, v0 = rng.uniform(-1, 1, (3, 6)), rng.uniform(-1, 1, (3, 6))
-        for reverse in (False, True):
-            runs = []
-            for loss_fn in (pairwise_alignment_loss, composed_loss):
-                text, vision = Tensor(t0.copy(), requires_grad=True), Tensor(v0.copy(), requires_grad=True)
-                loss = loss_fn(text, vision, reverse=reverse)
-                loss.backward()
-                runs.append((loss.item(), text.grad, vision.grad))
-            (loss, text_grad, vision_grad), (ref, ref_text, ref_vision) = runs
-            assert np.any(text_grad != 0) and np.any(vision_grad != 0)
-            assert math.isclose(loss, ref, rel_tol=1e-12)
-            np.testing.assert_allclose(text_grad, ref_text, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(vision_grad, ref_vision, rtol=0, atol=1e-12)
+        runs = []
+        for loss_fn in (pairwise_alignment_loss, composed_loss):
+            text, vision = Tensor(t0.copy(), requires_grad=True), Tensor(v0.copy(), requires_grad=True)
+            loss = loss_fn(text, vision)
+            loss.backward()
+            runs.append((loss.item(), text.grad, vision.grad))
+        (loss, text_grad, vision_grad), (ref, ref_text, ref_vision) = runs
+        assert np.any(text_grad != 0) and np.any(vision_grad != 0)
+        assert math.isclose(loss, ref, rel_tol=1e-12)
+        np.testing.assert_allclose(text_grad, ref_text, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vision_grad, ref_vision, rtol=0, atol=1e-12)
 
-    def test_reverse_direction_flag(self):
-        rng = np.random.default_rng(12)
-        text = Tensor(rng.uniform(-1, 1, (3, 6)))
-        vision = Tensor(rng.uniform(-1, 1, (3, 6)))
-        fwd = pairwise_alignment_loss(text, vision, reverse=False)
-        rev = pairwise_alignment_loss(text, vision, reverse=True)
-        rev_shares = loss_shares(text, vision, reverse=True)
-        assert fwd.item() != rev.item()
-        assert abs(rev.item() - sum(rev_shares)) < 1e-12
 
 def _padded_similarity(blocks, m_max, fill):
     """Stack square blocks into (B, m_max, m_max), filling the rest with ``fill``."""
@@ -410,50 +397,47 @@ class TestMaskedContrastiveLoss:
         return [rng.uniform(-1, 1, (1, 1)), rng.uniform(-1, 1, (4, 4))]
 
     @staticmethod
-    def _reference(blocks, reverse=False, temperature=0.1, smoothing=0.05):
+    def _reference(blocks, temperature=0.1, smoothing=0.05):
         losses = []
         for block in blocks:
             m = len(block)
             s = Tensor(block)
             gt = ground_truth_matrix(m, effective_smoothing(m, smoothing))
             losses.append(contrastive_loss(normalize(s, "rows", temperature), normalize(s, "cols", temperature),
-                                           gt, reverse=reverse).item())
+                                           gt).item())
         return sum(losses) / len(losses)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_matches_per_block_losses_whatever_the_padding(self, reverse):
+    def test_matches_per_block_losses_whatever_the_padding(self):
         blocks = self._blocks()
         for fill in (0.0, 0.9, -5.0):
             s = Tensor(_padded_similarity(blocks, 4, fill))
-            loss = masked_contrastive_loss(s, np.array([1, 4]), reverse=reverse).item()
+            loss = masked_contrastive_loss(s, np.array([1, 4])).item()
             assert math.isfinite(loss)
-            assert math.isclose(loss, self._reference(blocks, reverse), rel_tol=1e-12)
+            assert math.isclose(loss, self._reference(blocks), rel_tol=1e-12)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_gradient_matches_finite_differences(self, reverse):
+    def test_gradient_matches_finite_differences(self):
         blocks = self._blocks(31)
         sizes = np.array([1, 4])
         s0 = _padded_similarity(blocks, 4, 0.3)
         s = Tensor(s0.copy(), requires_grad=True)
-        masked_contrastive_loss(s, sizes, temperature=0.5, reverse=reverse).backward()
+        masked_contrastive_loss(s, sizes, temperature=0.5).backward()
         eps = 1e-6
         flat = s0.reshape(-1)
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps
-            hi = masked_contrastive_loss(Tensor(s0), sizes, temperature=0.5, reverse=reverse).item()
+            hi = masked_contrastive_loss(Tensor(s0), sizes, temperature=0.5).item()
             flat[i] = keep - eps
-            lo = masked_contrastive_loss(Tensor(s0), sizes, temperature=0.5, reverse=reverse).item()
+            lo = masked_contrastive_loss(Tensor(s0), sizes, temperature=0.5).item()
             flat[i] = keep
             numeric[i] = (hi - lo) / (2 * eps)
         got = s.grad.reshape(-1)
         assert np.max(np.abs(got - numeric)) / np.max(np.abs(numeric)) < 1e-6
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_masked_entries_get_exactly_zero_gradient(self, reverse):
+    def test_masked_entries_get_exactly_zero_gradient(self):
         s = Tensor(_padded_similarity(self._blocks(32), 4, 0.7), requires_grad=True)
-        masked_contrastive_loss(s, np.array([1, 4]), reverse=reverse).backward()
+        masked_contrastive_loss(s, np.array([1, 4])).backward()
         assert np.all(s.grad[0] == 0.0)  # a 1 x 1 block's softmaxes are constant
         assert np.all(s.grad[1] != 0.0)
         assert np.all(np.isfinite(s.grad))
@@ -478,8 +462,6 @@ class TestMaskedContrastiveLoss:
         s = Tensor(_padded_similarity(self._blocks(), 4, 0.0))
         with pytest.raises(DivergenceError):
             masked_contrastive_loss(s, np.array([1, 4]), smoothing=0.0)
-        # the reverse direction only needs the predicted diagonal
-        assert math.isfinite(masked_contrastive_loss(s, np.array([1, 4]), smoothing=0.0, reverse=True).item())
 
     def test_rejects_bad_shapes_and_sizes(self):
         s = Tensor(np.zeros((2, 4, 4)))

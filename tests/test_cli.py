@@ -135,10 +135,11 @@ def test_deeply_nested_checkpoint_is_one_line_error(tmp_path, capsys):
 
 def test_eval_rejects_unknown_mode(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--ckpt", missing, "--data", missing, "--mode", "cnt_ove"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'cnt_ove'" in capsys.readouterr().err
+    for mode in ("cnt_ove", "cnt_ind_ove"):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--ckpt", missing, "--data", missing, "--mode", mode])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{mode}'" in capsys.readouterr().err
 
 
 def test_gradcheck_stage1(capsys):
@@ -149,6 +150,22 @@ def test_gradcheck_stage1(capsys):
     assert worst, first
     assert worst[1].startswith(("visual.prompt.", "head.")) and float(worst[2]) < 1e-4
     assert last == "gradcheck: PASS"
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
+def test_gradcheck_refuses_a_bad_tolerance(monkeypatch, capsys, tolerance):
+    import navprompt.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the finite-difference sweep ran")
+
+    monkeypatch.setattr(cli, "stage1_gradient_report", no_sweep)
+    monkeypatch.setattr(cli, "stage2_gradient_report", no_sweep)
+    assert main(["gradcheck", "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error[ParameterError]: --tolerance must be finite and above 0, got {float(tolerance)}"]
 
 
 def test_stage2_refuses_a_checkpoint_with_key_biases(tmp_path, capsys):
@@ -198,29 +215,43 @@ def test_eval_refuses_a_stage1_checkpoint(tmp_path, capsys):
     assert err == [f"error[ConfigurationError]: {ckpt}: no vocab in its config; eval needs a stage-2 checkpoint"]
 
 
+# values that parse but that RunConfig.validate refuses before any data is
+# built; the error names the field rather than the line or flag
+_OUT_OF_RANGE = [
+    ("stage1_batch_size = 0", "stage1_batch_size must be at least 1, got 0"),
+    ("stage1_batch_size = -5", "stage1_batch_size must be at least 1, got -5"),
+    ("stage2_batch_size = 0", "stage2_batch_size must be at least 1, got 0"),
+    ("stage1_epochs = -1", "stage1_epochs must be at least 0, got -1"),
+    ("stage2_epochs = -1", "stage2_epochs must be at least 0, got -1"),
+]
+
+
 @pytest.mark.parametrize("line,message", [
     ("stage1_lr = abc", "stage1_lr expects a float, got 'abc'"),
     ("temperature = nan", "temperature expects a float, got 'nan'"),
     ("stage1_epochs = 1.5", "stage1_epochs expects an integer, got '1.5'"),
-    ("kl_reverse = ture", "kl_reverse expects a boolean, got 'ture'"),
+    ("joint_prompt_tuning = ture", "joint_prompt_tuning expects a boolean, got 'ture'"),
     ("lambda1 = nan", "lambda1 expects a float, got 'nan'"),
     ("smoothing = inf", "smoothing expects a float, got 'inf'"),
+    *_OUT_OF_RANGE,
 ])
 def test_bad_config_value_is_one_line_error(tmp_path, capsys, line, message):
     # a config file line and the same value given as a flag are refused alike
+    located = (line, message) not in _OUT_OF_RANGE
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"seed = 3\n{line}\n")
-    rc = main(["stage1", "--config", str(cfg_file)])
+    rc = main(["stage1", "--config", str(cfg_file), "--out-dir", str(tmp_path / "run")])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error[ParameterError]: {cfg_file}:2: {message}"]
+    assert err == [f"error[ParameterError]: {f'{cfg_file}:2: ' if located else ''}{message}"]
 
     key, value = (part.strip() for part in line.split("="))
     flag = "--" + key.replace("_", "-")
-    rc = main(["stage1", "--seed", "3", flag, value])
+    rc = main(["stage1", "--seed", "3", "--out-dir", str(tmp_path / "run"), flag, value])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error[ParameterError]: {flag}: {message}"]
+    assert err == [f"error[ParameterError]: {f'{flag}: ' if located else ''}{message}"]
+    assert not (tmp_path / "run").exists()
 
 
 _INDOOR_OK = {"features": [[0.5, -1.0, 0.25, 2.0, 1.0, 0.0], [1.5, 0.5, -0.5, 0.0, 1.0, 2.0]], "label": 1}

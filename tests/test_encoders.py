@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from navprompt.alignment import ABLATION_MODES
 from navprompt.encoders import (
     CrossModalOutput,
     EncoderConfig,
@@ -23,7 +24,7 @@ from navprompt.encoders import (
     trainable_parameters,
     visual_encode,
 )
-from navprompt.errors import AlignmentError, ConfigurationError, InputError, ParameterError
+from navprompt.errors import AlignmentError, ConfigurationError, InputError, ParameterError, ShapeError
 from navprompt.optim import OptimConfig, Optimizer, ParamStore, backward
 from navprompt.prompts import PAD_ID, Vocabulary, tokenize
 from navprompt.tensor import Tensor, gather_index, log_softmax, softmax
@@ -131,15 +132,15 @@ def ref_text(ids, cfg, store):
     return x
 
 
-def ref_cross(vps, pfs, cfg, store, include_count=True):
-    """[count | viewpoints | prompts | pad] rows through every cross layer."""
+def ref_cross(vps, pfs, cfg, store):
+    """[count | viewpoints | prompts | pad] rows through every cross layer; without prompts, no count row."""
     def w(name):
         return store[name].data
 
     seg = w("cross.seg_embed")
     seqs = []
     for j, vp in enumerate(vps):
-        parts = [w("cross.cnt") + seg[0]] if include_count else []
+        parts = [w("cross.cnt") + seg[0]] if pfs is not None else []
         parts.append(vp + w("cross.pos_visual")[: len(vp)] + seg[1])
         if pfs is not None:
             parts.append(pfs[j] + w("cross.pos_prompt")[: len(pfs[j])] + seg[2])
@@ -277,7 +278,7 @@ class TestVisualEncode:
         apply_stage_freeze(store, "stage1")
         name = "visual.layer0.attn.wq"
         baseline = store[name].data.tobytes()
-        opt = Optimizer(OptimConfig(algorithm="adam", learning_rate=0.1))
+        opt = Optimizer(OptimConfig(learning_rate=0.1))
         opt.step(store, {name: np.ones_like(store[name].data), "visual.prompt.0": np.ones_like(store["visual.prompt.0"].data)})
         assert store[name].data.tobytes() == baseline
         assert not np.allclose(store["visual.prompt.0"].data, build_store(cfg, seed=6)["visual.prompt.0"].data)
@@ -373,6 +374,11 @@ class TestTextEncode:
         with pytest.raises(InputError):
             text_encode(np.array([[0, 1, len(vocab)]]), store, cfg)
 
+    def test_ids_must_be_rows(self):
+        cfg, vocab, store = self._setup()
+        with pytest.raises(ShapeError):
+            text_encode(tokenize("turn left", vocab, cfg.max_text_len), store, cfg)
+
     def test_pooled_width(self):
         cfg, vocab, store = self._setup()
         for text in ("turn left", "walk out of the bathroom please now"):
@@ -445,7 +451,7 @@ class TestCrossModal:
     def test_without_count_token(self):
         cfg, store = self._setup()
         vp = Tensor(np.random.default_rng(6).normal(size=(3, cfg.d)))
-        out = cross_modal_encode_batch(vp, None, [[(0, 3)]], store, cfg, include_count=False)
+        out = cross_modal_encode_batch(vp, None, [[(0, 3)]], store, cfg)
         assert out.count is None
         assert isinstance(out, CrossModalOutput)
 
@@ -479,9 +485,8 @@ class TestCrossModal:
         vps, pfs = self._ragged_batch(cfg)
         if not prompted:
             pfs = None
-        out = cross_modal_encode_batch(stacked(vps), None if pfs is None else stacked(pfs),
-                                       self.BOUNDS, store, cfg, include_count=prompted)
-        ref = ref_cross(vps, pfs, cfg, store, include_count=prompted)
+        out = cross_modal_encode_batch(stacked(vps), None if pfs is None else stacked(pfs), self.BOUNDS, store, cfg)
+        ref = ref_cross(vps, pfs, cfg, store)
         offset = 1 if prompted else 0
         for j, bounds in enumerate(self.BOUNDS):
             row = ref[j]
@@ -537,11 +542,21 @@ class TestStagePartitions:
             trainable_parameters("stage3", ParamStore())
 
 
+# stage 1, and stage 2 in every ablation mode; the default mode keeps the plain report id
+LIVE_GRADIENT_CASES = [("stage1_gradient_report", "full"), *(("stage2_gradient_report", m) for m in ABLATION_MODES)]
+# trainable tensors that a mode's loss never reaches: sub_only leaves the
+# count token and the prompt positions out of the cross-modal input
+DEAD_IN_MODE = {"sub_only": {"cross.cnt", "cross.pos_prompt"}}
+
+
 class TestGradientFidelity:
-    @pytest.mark.parametrize("report", ["stage1_gradient_report", "stage2_gradient_report"])
-    def test_every_trainable_tensor_has_a_live_gradient(self, monkeypatch, report):
+    @pytest.mark.parametrize("report,mode", LIVE_GRADIENT_CASES,
+                             ids=[r if m == "full" else f"{r}-{m}" for r, m in LIVE_GRADIENT_CASES])
+    def test_every_trainable_tensor_has_a_live_gradient(self, monkeypatch, report, mode):
         # a parameter no output depends on, such as a key bias under softmax,
         # gets a gradient of rounding noise that no gradient check can score
+        import dataclasses
+
         import navprompt.training as training
         from navprompt.optim import FiniteDifferenceReport
 
@@ -554,9 +569,9 @@ class TestGradientFidelity:
             return FiniteDifferenceReport(max_rel_error=0.0)
 
         monkeypatch.setattr(training, "finite_difference_check", record_scales)
-        getattr(training, report)()
+        getattr(training, report)(dataclasses.replace(training.gradcheck_config(), ablation=mode))
         assert scales
-        assert {name: s for name, s in scales.items() if s <= 1e-12} == {}
+        assert {name for name, s in scales.items() if s <= 1e-12} == DEAD_IN_MODE.get(mode, set())
 
     def test_stage1_loss_grads_match_finite_differences(self):
         from navprompt.optim import finite_difference_check

@@ -22,27 +22,24 @@ def _store_with(name="p", value=1.0, trainable=True):
 
 
 class TestOptimizerStep:
-    def test_sgd_one_step(self):
-        store = _store_with(value=1.0)
-        cfg = OptimConfig(algorithm="sgd", learning_rate=0.1)
-        Optimizer(cfg).step(store, {"p": np.array([2.0])})
-        np.testing.assert_allclose(store["p"].data, [0.8], atol=0)
-
     def test_frozen_untouched_bitwise(self):
         store = ParamStore()
         store.add("p", np.array([1.0]))
         store.add("q", np.array([np.pi]))
         store.set_frozen({"q"})
         before = store["q"].data.tobytes()
-        cfg = OptimConfig(algorithm="sgd", learning_rate=0.5)
-        Optimizer(cfg).step(store, {"p": np.array([1.0]), "q": np.array([100.0])})
+        cfg = OptimConfig(learning_rate=0.5)
+        opt = Optimizer(cfg)
+        opt.step(store, {"p": np.array([1.0]), "q": np.array([100.0])})
         assert store["q"].data.tobytes() == before
-        np.testing.assert_allclose(store["p"].data, [0.5])
+        assert "q" not in opt._moments and "q" not in opt._steps
+        # the trainable entry took Adam's first step, lr / (1 + eps) for g = 1
+        np.testing.assert_allclose(store["p"].data, [1.0 - cfg.learning_rate / (1.0 + cfg.adam_eps)], atol=0)
 
     def test_adam_first_step_formula(self):
         # Oracle: with g=1 the bias-corrected ratio is exactly 1, so the step
         # is lr / (1 + eps) regardless of the betas.
-        cfg = OptimConfig(algorithm="adam", learning_rate=1e-3)
+        cfg = OptimConfig(learning_rate=1e-3)
         store = _store_with(value=1.0)
         Optimizer(cfg).step(store, {"p": np.array([1.0])})
         expected = 1.0 - cfg.learning_rate * 1.0 / (1.0 + cfg.adam_eps)
@@ -50,7 +47,7 @@ class TestOptimizerStep:
         assert store["p"].data[0] < 1.0
 
     def test_adam_moments_persist(self):
-        cfg = OptimConfig(algorithm="adam", learning_rate=1e-3)
+        cfg = OptimConfig(learning_rate=1e-3)
         opt = Optimizer(cfg)
         store = _store_with(value=1.0)
         opt.step(store, {"p": np.array([1.0])})
@@ -76,7 +73,7 @@ class TestOptimizerStep:
         with pytest.raises(ParameterError):
             OptimConfig(adam_beta1=1.0).validate()
         with pytest.raises(ParameterError):
-            OptimConfig(algorithm="rmsprop").validate()
+            OptimConfig(adam_eps=0.0).validate()
 
 
 class TestParamStore:
