@@ -65,6 +65,9 @@ ABLATION_TERMS: dict[str, tuple[str, ...]] = {
 # term -> the coefficient that weights it; None adds the term with weight 1
 TERM_WEIGHTS = {"ind": None, "sub": None, "ove": "lambda1", "cnt": "lambda2"}
 ABLATION_MODES = tuple(ABLATION_TERMS)
+# the modes whose cross-modal input carries the sequential prompts and the
+# count token: every mode but the prompt-free one, which scores raw sub-instructions
+PROMPTED_MODES = frozenset(mode for mode, terms in ABLATION_TERMS.items() if "sub" not in terms)
 
 
 def retrieval_terms(mode: str) -> tuple[str, ...]:
@@ -76,7 +79,7 @@ def retrieval_terms(mode: str) -> tuple[str, ...]:
     """
     if mode not in ABLATION_TERMS:
         raise ParameterError(f"unknown ablation mode {mode!r}")
-    return ("sub", "ins") if "sub" in ABLATION_TERMS[mode] else ("ind", "ove", "cnt")
+    return ("ind", "ove", "cnt") if mode in PROMPTED_MODES else ("sub", "ins")
 
 
 def _row_normalize(r: Tensor) -> Tensor:

@@ -57,6 +57,8 @@ def gen_indoor_dataset(
         raise ParameterError(f"need at least 2 classes, got {num_classes}")
     if samples_per_class < 1:
         raise ParameterError("samples_per_class must be positive")
+    if not noise >= 0:
+        raise ParameterError(f"noise must be nonnegative, got {noise}")
     rng = np.random.default_rng([seed, 101])
     prototypes = rng.normal(size=(num_classes, num_patches, feature_dim))
     samples = []
@@ -90,6 +92,10 @@ def gen_trajectory_dataset(
         raise ParameterError(f"viewpoint range {viewpoints_range} cannot cover up to {m_hi} sub-paths")
     if count < 1:
         raise ParameterError("count must be positive")
+    if not noise >= 0:
+        raise ParameterError(f"noise must be nonnegative, got {noise}")
+    if not 0 <= duplicate_prob <= 1:
+        raise ParameterError(f"duplicate_prob must lie in [0, 1], got {duplicate_prob}")
 
     rng = np.random.default_rng([seed, 202])
     prototypes = rng.normal(size=(len(ACTION_BANK), feature_dim))

@@ -4,12 +4,13 @@ Three stacks share one parameter store:
 
 * a visual encoder whose input sequence is [CLS | prompt slots | patches];
   the prompt slots of the first ``prompt_layers`` layers are replaced with
-  fresh learnable vectors on the way up, so tuning the prompts steers a
-  completely frozen backbone.  A replaced slot's output is never read, so a
-  layer whose prompts are a bank parameter and whose prompt outputs no later
-  layer reads takes them as shared key/value rows: they are normalized and
-  projected once per batch, attended to by every image, and their queries,
-  attention outputs and feed-forward are never computed;
+  fresh learnable vectors on the way up (deep prompts; ``prompt_layers = 1``
+  is shallow prompting), so tuning the prompts steers a completely frozen
+  backbone.  A replaced slot's output is never read, so a layer whose prompt
+  outputs no later layer reads takes its prompts as shared key/value rows:
+  they are normalized and projected once per batch, attended to by every
+  image, and their queries, attention outputs and feed-forward are never
+  computed;
 * a text encoder (token + position embeddings, padding masked out of
   attention) whose pooled output is the CLS position;
 * a cross-modal encoder over [count token | viewpoint features | per-ordinal
@@ -72,7 +73,6 @@ class EncoderConfig:
     max_text_len: int = 48
     max_viewpoints: int = 16
     max_subpaths: int = 12
-    deep_prompt_mode: str = "replace"  # or "propagate": input prompts only
 
     def validate(self) -> None:
         for f in fields(self):
@@ -88,8 +88,6 @@ class EncoderConfig:
             raise ConfigurationError("prompt_layers must lie in [0, visual_layers]")
         if self.prompt_count < 0:
             raise ConfigurationError("prompt_count must be nonnegative")
-        if self.deep_prompt_mode not in ("replace", "propagate"):
-            raise ConfigurationError(f"unknown deep_prompt_mode {self.deep_prompt_mode!r}")
 
 
 @dataclass
@@ -288,12 +286,11 @@ def visual_encode(
 ) -> LayerState:
     """Encode patch features (B, E, feature_dim) through the prompted backbone.
 
-    A layer whose prompt input is a bank parameter (layer 0, or any banked
-    layer in ``replace`` mode) and whose prompt outputs no later layer reads
-    (the next layer replaces them, or it is the last layer) takes its prompts
-    as shared key/value rows.  Otherwise the prompts join the live sequence
-    and are carried upward, as in ``propagate`` mode or at the last banked
-    layer below an unprompted one.
+    Each banked layer ``i`` reads ``visual.prompt.{i}`` in its prompt slots.
+    When the next layer is banked too, or this is the last layer, no later
+    layer reads this layer's prompt outputs, so the prompts are shared
+    key/value rows.  The last banked layer below an unprompted one splices
+    its prompts into the live sequence, and they are carried upward.
     """
     if not isinstance(patches, Tensor):
         patches = Tensor(patches)
@@ -301,16 +298,15 @@ def visual_encode(
         raise ShapeError(f"patches must be (B, E, {cfg.feature_dim}), got {patches.shape}")
     b = patches.shape[0]
     banked = cfg.prompt_layers if cfg.prompt_count > 0 else 0
-    replace = cfg.deep_prompt_mode == "replace"
 
     emb = linear(patches, store["visual.patch_embed.w"], store["visual.patch_embed.b"])
     x = concat([_tile_param(store["visual.cls"], b), emb], axis=1)
     carried = 0  # prompt rows held in the live sequence after CLS
     for i in range(cfg.visual_layers):
         shared = None
-        if i < banked and (i == 0 or replace):
+        if i < banked:
             prompt = store[f"visual.prompt.{i}"]
-            if i == cfg.visual_layers - 1 or (replace and i + 1 < banked):
+            if i == cfg.visual_layers - 1 or i + 1 < banked:
                 shared = prompt
             else:
                 x = _splice_rows(x, prompt)
@@ -445,26 +441,26 @@ def cross_modal_encode_batch(
 # -- stage partitions ---------------------------------------------------------------
 
 
-def trainable_parameters(stage: str, store: ParamStore, joint_prompt_tuning: bool = False) -> set[str]:
+def trainable_parameters(stage: str, store: ParamStore, prompted: bool = True) -> set[str]:
     """Which names train in each stage; everything else is frozen.
 
     Stage 1 updates only the prompt bank and the classification head.  Stage 2
-    keeps the visual backbone and (by default) the prompts fixed, and trains
-    the text encoder, the cross-modal encoder with its count token, and the
-    similarity projections.
+    keeps the visual backbone and the prompts fixed, and trains the text
+    encoder, the cross-modal encoder and the similarity projections.  A mode
+    that is not ``prompted`` feeds the cross-modal encoder no count token and
+    no prompt rows, so it also freezes ``cross.cnt`` and ``cross.pos_prompt``:
+    a stage trains exactly the tensors its loss reads.
     """
     names = store.names()
     if stage == "stage1":
         return {n for n in names if n.startswith("visual.prompt.") or n.startswith("head.")}
     if stage == "stage2":
-        trainable = {n for n in names if n.startswith(("text.", "cross.", "proj."))}
-        if joint_prompt_tuning:
-            trainable |= {n for n in names if n.startswith("visual.prompt.")}
-        return trainable
+        unread = set() if prompted else {"cross.cnt", "cross.pos_prompt"}
+        return {n for n in names if n.startswith(("text.", "cross.", "proj."))} - unread
     raise ParameterError(f"unknown stage {stage!r}")
 
 
-def apply_stage_freeze(store: ParamStore, stage: str, joint_prompt_tuning: bool = False) -> set[str]:
-    trainable = trainable_parameters(stage, store, joint_prompt_tuning)
+def apply_stage_freeze(store: ParamStore, stage: str, prompted: bool = True) -> set[str]:
+    trainable = trainable_parameters(stage, store, prompted)
     store.set_frozen(set(store.names()) - trainable)
     return trainable

@@ -1,9 +1,10 @@
 """Training drivers for both stages, checkpointing, and retrieval evaluation.
 
 Stage 1 fits the prompt bank and classification head with cross-entropy on a
-frozen backbone.  Stage 2 keeps the backbone (and by default the prompts)
-frozen and aligns prompt text features with cross-modal sub-path features
-under the weighted contrastive objective.  Both drivers are bitwise
+frozen backbone.  Stage 2 keeps the backbone and the prompts frozen, encodes
+every viewpoint once through them, and aligns text features with cross-modal
+sub-path features under the weighted contrastive objective; it trains exactly
+the tensors that its mode's loss reads.  Both drivers are bitwise
 deterministic for a fixed RunConfig: all randomness flows from the seed, and
 logs never contain wall-clock values.
 """
@@ -25,6 +26,7 @@ import numpy as np
 from .alignment import (
     ABLATION_MODES,
     ABLATION_TERMS,
+    PROMPTED_MODES,
     LossReport,
     batched_alignment_loss,
     pairwise_alignment_loss,
@@ -96,7 +98,6 @@ class RunConfig:
     temperature: float = 0.1
     smoothing: float = 0.05
     ablation: str = "full"
-    joint_prompt_tuning: bool = False
     # encoder
     d: int = 64
     heads: int = 4
@@ -112,7 +113,6 @@ class RunConfig:
     max_text_len: int = 48
     max_viewpoints: int = 16
     max_subpaths: int = 12
-    deep_prompt_mode: str = "replace"
     # datasets
     indoor_samples_per_class: int = 100
     indoor_noise: float = 0.1
@@ -195,12 +195,6 @@ def parse_config_file(path: str) -> dict:
 
 def coerce_field(key: str, value: str):
     current = getattr(RunConfig(), key)
-    if isinstance(current, bool):
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ParameterError(f"{key} expects a boolean, got {value!r}")
     if isinstance(current, int):
         try:
             return int(value)
@@ -257,6 +251,18 @@ def save_checkpoint(store: ParamStore, config: dict, path: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True))
     os.replace(tmp, path)
+
+
+def layout_mismatch(store: ParamStore, expected: dict[str, tuple[int, ...]]) -> str | None:
+    """How a store's tensor names or shapes differ from a ``param_shapes`` layout, or None."""
+    missing = set(expected) - set(store.names())
+    extra = set(store.names()) - set(expected)
+    if missing or extra:
+        return f"tensor set mismatch (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
+    for name, shape in expected.items():
+        if store[name].shape != shape:
+            return f"tensor {name!r} has shape {store[name].shape}, config implies {shape}"
+    return None
 
 
 def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
@@ -326,13 +332,9 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         expected = param_shapes(EncoderConfig(**config["encoder"]), vocab_size)
     except (TypeError, ConfigurationError) as exc:
         raise CheckpointError(f"{path}: invalid encoder config ({exc})") from exc
-    missing = set(expected) - set(tensors)
-    extra = set(tensors) - set(expected)
-    if missing or extra:
-        raise CheckpointError(f"{path}: tensor set mismatch (missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
-    for name, shape in expected.items():
-        if store[name].shape != shape:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {store[name].shape}, config implies {shape}")
+    mismatch = layout_mismatch(store, expected)
+    if mismatch:
+        raise CheckpointError(f"{path}: {mismatch}")
     store.set_frozen(set(frozen) & set(store.names()))
     return store, config
 
@@ -535,13 +537,6 @@ def precompute_viewpoint_features(dataset: list[TrajectorySample], store: ParamS
     return features
 
 
-def _live_viewpoint_features(batch: list[_Prepared], store: ParamStore, enc: EncoderConfig) -> Tensor:
-    """The batch's viewpoint features, stacked in batch order, through the prompted visual encoder."""
-    rows = np.concatenate([p.sample.viewpoints for p in batch], axis=0)[:, None, :]
-    state = visual_encode(rows, store, enc)
-    return state.patch_block.reshape(rows.shape[0], enc.d)
-
-
 def pooled_text_features(ids: np.ndarray, store: ParamStore, enc: EncoderConfig) -> Tensor:
     """Pooled text features for id rows, deduplicated and pad-trimmed.
 
@@ -572,19 +567,20 @@ def stage2_features(
     batch: list[_Prepared],
     store: ParamStore,
     enc: EncoderConfig,
+    mode: str,
     terms: Sequence[str],
     viewpoints: Tensor,
 ) -> dict[str, tuple[Tensor, Tensor]]:
-    """The projected (text, visual) features of each requested term.
+    """The projected (text, visual) features of each requested term under ``mode``.
 
     ``viewpoints`` stacks every trajectory's viewpoint features in batch
     order.  ``ind`` and ``sub`` give (B, M_max, d) rows: each trajectory's
     sub-instruction rows against its sub-path rows, padded past its M (see
     ``_padded_rows``).  ``ove``, ``ins`` and ``cnt`` give (B, d) rows, one
-    per trajectory.  When a prompted term (ind, ove, cnt) is requested, the
-    sequential prompts and the count token enter the cross-modal encoder.
+    per trajectory.  In a prompted mode the sequential prompts and the count
+    token enter the cross-modal encoder.
     """
-    prompted = not {"ind", "ove", "cnt"}.isdisjoint(terms)
+    prompted = mode in PROMPTED_MODES
     wanted = {*terms, "seq"} if prompted else set(terms)
 
     def ids(name: str) -> np.ndarray:
@@ -625,24 +621,21 @@ def stage2_losses(
     store: ParamStore,
     enc: EncoderConfig,
     cfg: RunConfig,
-    viewpoints: Sequence[np.ndarray] | None = None,
+    viewpoints: Sequence[np.ndarray],
 ) -> tuple[Tensor, LossReport]:
     """The weighted alignment loss of one mini-batch under cfg.ablation.
 
-    ``viewpoints`` holds each trajectory's precomputed viewpoint features, in
-    batch order; None encodes them live, through the visual prompts.  Each
-    term's loss is the mean of its contrastive losses: one per trajectory for
-    ind and sub, scored together by one masked batched loss, and one over
-    the batch for ove and cnt.
+    ``viewpoints`` holds each trajectory's precomputed viewpoint features
+    (``precompute_viewpoint_features``), in batch order.  Each term's loss is
+    the mean of its contrastive losses: one per trajectory for ind and sub,
+    scored together by one masked batched loss, and one over the batch for
+    ove and cnt.
     """
-    if viewpoints is None:
-        vp = _live_viewpoint_features(batch, store, enc)
-    elif len(viewpoints) != len(batch):
+    if len(viewpoints) != len(batch):
         raise AlignmentError(f"{len(viewpoints)} viewpoint feature blocks for a batch of {len(batch)}")
-    else:
-        vp = Tensor(np.concatenate(viewpoints, axis=0))
+    vp = Tensor(np.concatenate(viewpoints, axis=0))
 
-    features = stage2_features(batch, store, enc, ABLATION_TERMS[cfg.ablation], vp)
+    features = stage2_features(batch, store, enc, cfg.ablation, ABLATION_TERMS[cfg.ablation], vp)
     sizes = np.array([p.m for p in batch])
     losses: dict[str, Tensor] = {}
     for term, (text, visual) in features.items():
@@ -663,6 +656,9 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
             raise ConfigurationError("stage-1 checkpoint was built with a different encoder config")
     else:
         store = stage1_checkpoint.copy()
+        mismatch = layout_mismatch(store, param_shapes(enc))
+        if mismatch:
+            raise ConfigurationError(f"stage-1 store does not match the encoder config: {mismatch}")
 
     if dataset is None:
         dataset = cfg.trajectory_dataset()
@@ -670,7 +666,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
     rng = np.random.default_rng([cfg.seed, 21])
     init_text_params(store, enc, len(vocab), rng)
     init_cross_params(store, enc, rng)
-    trainable = apply_stage_freeze(store, "stage2", cfg.joint_prompt_tuning)
+    trainable = apply_stage_freeze(store, "stage2", cfg.ablation in PROMPTED_MODES)
     baseline = {name: store[name].data.copy() for name in store.frozen}
 
     prepared = prepare_trajectories(dataset, vocab, enc)
@@ -678,9 +674,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
     if not train_idx:
         raise DatasetError("stage 2 training split is empty")
 
-    cache = None
-    if not cfg.joint_prompt_tuning:
-        cache = precompute_viewpoint_features(dataset, store, enc)
+    cache = precompute_viewpoint_features(dataset, store, enc)
 
     optimizer = Optimizer(cfg.optim(cfg.stage2_lr))
     shuffle_rng = np.random.default_rng([cfg.seed, 22])
@@ -692,8 +686,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
         epoch_losses = []
         for batch_idx in _batches(order, cfg.stage2_batch_size):
             batch = [prepared[i] for i in batch_idx]
-            viewpoints = None if cache is None else [cache[i] for i in batch_idx]
-            total, report = stage2_losses(batch, store, enc, cfg, viewpoints)
+            total, report = stage2_losses(batch, store, enc, cfg, [cache[i] for i in batch_idx])
             grads = backward(total, store)
             optimizer.step(store, grads)
             _assert_frozen_unchanged(store, baseline, f"stage2 step {step}")
@@ -721,7 +714,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
     eval_idx = val_idx if val_idx else train_idx
     metrics["retrieval"] = evaluate_retrieval(
         store, enc, [dataset[i] for i in eval_idx], vocab,
-        mode=cfg.ablation, cached_features=[cache[i] for i in eval_idx] if cache else None,
+        mode=cfg.ablation, cached_features=[cache[i] for i in eval_idx],
     )
 
     result = StageResult(metrics=metrics, store=store)
@@ -814,7 +807,7 @@ def evaluate_retrieval(
         viewpoints = Tensor(np.concatenate(cached_features[start:start + len(batch)], axis=0))
         # keep only the arrays, so this batch's graph dies before the next is encoded
         batches.append({term: [kept(term, t) for t in pair]
-                        for term, pair in stage2_features(batch, store, enc, terms, viewpoints).items()})
+                        for term, pair in stage2_features(batch, store, enc, mode, terms, viewpoints).items()})
     feats = {term: [np.concatenate([b[term][i] for b in batches]) for i in (0, 1)] for term in terms}
     count = feats["cnt"][1] if "cnt" in feats else None
     return retrieval_metrics(*feats[per_path], sizes, *feats[whole], count, count_candidates)
@@ -859,10 +852,9 @@ def stage2_gradient_report(cfg: RunConfig | None = None, eps: float = 1e-5) -> F
     init_visual_params(store, enc, rng)
     init_text_params(store, enc, len(vocab), rng)
     init_cross_params(store, enc, rng)
-    apply_stage_freeze(store, "stage2", cfg.joint_prompt_tuning)
+    apply_stage_freeze(store, "stage2", cfg.ablation in PROMPTED_MODES)
     prepared = prepare_trajectories(dataset, vocab, enc)
-    # joint prompt tuning encodes the viewpoints live, through the prompts
-    cache = None if cfg.joint_prompt_tuning else precompute_viewpoint_features(dataset, store, enc)
+    cache = precompute_viewpoint_features(dataset, store, enc)
 
     def loss_fn(s):
         total, _ = stage2_losses(prepared, s, enc, cfg, cache)

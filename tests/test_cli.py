@@ -183,6 +183,24 @@ def test_stage2_refuses_a_checkpoint_with_key_biases(tmp_path, capsys):
     assert err.startswith("error[CheckpointError]: ") and "visual.layer0.attn.bk" in err
 
 
+def test_eval_refuses_a_checkpoint_with_deep_prompt_mode(tmp_path, capsys):
+    # the encoder config once had a deep_prompt_mode field; a checkpoint
+    # written then still carries it in its signed config, and is refused
+    assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
+    s1 = json.loads(capsys.readouterr().out)["checkpoint"]
+    assert main(["stage2", "--stage1-ckpt", s1, *_cfg_flags(tmp_path, **{"stage2-epochs": 0})]) == 0
+    ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
+    store, config = load_checkpoint(ckpt)
+    config["encoder"]["deep_prompt_mode"] = "replace"
+    save_checkpoint(store, config, ckpt)
+    with pytest.raises(CheckpointError, match="invalid encoder config .*'deep_prompt_mode'") as exc:
+        load_checkpoint(ckpt)
+    assert str(exc.value).startswith(f"{ckpt}: ")
+    assert main(["eval", "--ckpt", ckpt, "--data", ckpt]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[CheckpointError]: {ckpt}: invalid encoder config")
+
+
 def test_eval_refuses_a_format_1_checkpoint(tmp_path, capsys):
     ckpt = tmp_path / "stage2_checkpoint.json"
     ckpt.write_text(json.dumps({"format_version": 1, "config": {}, "tensors": {"w": {"shape": [1], "data": [0.5]}},
@@ -230,7 +248,6 @@ _OUT_OF_RANGE = [
     ("stage1_lr = abc", "stage1_lr expects a float, got 'abc'"),
     ("temperature = nan", "temperature expects a float, got 'nan'"),
     ("stage1_epochs = 1.5", "stage1_epochs expects an integer, got '1.5'"),
-    ("joint_prompt_tuning = ture", "joint_prompt_tuning expects a boolean, got 'ture'"),
     ("lambda1 = nan", "lambda1 expects a float, got 'nan'"),
     ("smoothing = inf", "smoothing expects a float, got 'inf'"),
     *_OUT_OF_RANGE,

@@ -110,7 +110,7 @@ def test_trajectory_jsonl(tmp_path, caplog):
 
 def test_config_file(tmp_path):
     path = tmp_path / "reference.cfg"
-    path.write_bytes(b"# run settings\nseed = 3\nstage1_lr = 0.001\njoint_prompt_tuning = true\n"
+    path.write_bytes(b"# run settings\nseed = 3\nstage1_lr = 0.001\nprompt_layers = 1\n"
                      b"ablation = cnt_ind\nd = 16\ntemperature = 0.1  # tau\n")
     assert parse_config_file(str(path))["d"] == 16
     refused = _fuzz(tmp_path, "run.cfg", path.read_bytes(), 3, parse_config_file)

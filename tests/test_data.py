@@ -42,6 +42,8 @@ class TestIndoorGenerator:
     def test_class_floor(self):
         with pytest.raises(ParameterError):
             gen_indoor_dataset(num_classes=1, samples_per_class=5, seed=0)
+        with pytest.raises(ParameterError, match=r"noise must be nonnegative, got -1\.0"):
+            gen_indoor_dataset(num_classes=2, samples_per_class=5, noise=-1.0, seed=0)
 
 
 class TestTrajectoryGenerator:
@@ -71,6 +73,13 @@ class TestTrajectoryGenerator:
     def test_range_validation(self):
         with pytest.raises(ParameterError):
             gen_trajectory_dataset(count=5, subpaths_range=(3, 5), viewpoints_range=(2, 4), seed=0)
+        for kwargs, message in (
+            ({"duplicate_prob": 2.0}, r"duplicate_prob must lie in \[0, 1\], got 2\.0"),
+            ({"duplicate_prob": -0.5}, r"duplicate_prob must lie in \[0, 1\], got -0\.5"),
+            ({"noise": -1.0}, r"noise must be nonnegative, got -1\.0"),
+        ):
+            with pytest.raises(ParameterError, match=message):
+                gen_trajectory_dataset(count=5, seed=0, **kwargs)
 
     def test_action_bank_is_segmentation_safe(self):
         for action in ACTION_BANK:

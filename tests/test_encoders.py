@@ -104,8 +104,8 @@ def ref_plain_visual(patches, cfg, store):
 def ref_prompted_visual(patches, cfg, store):
     """[CLS | prompts | patches] through the whole backbone, every row computed.
 
-    Layer 0 reads ``visual.prompt.0``; in replace mode each later banked layer
-    overwrites the prompt rows with its own bank entry.  Returns (cls, patches).
+    Layer 0 reads ``visual.prompt.0``; each later banked layer overwrites the
+    prompt rows with its own bank entry.  Returns (cls, patches).
     """
     b = patches.shape[0]
     h_count = cfg.prompt_count if cfg.prompt_count and cfg.prompt_layers else 0
@@ -117,7 +117,7 @@ def ref_prompted_visual(patches, cfg, store):
     cls = np.broadcast_to(store["visual.cls"].data, (b, 1, cfg.d))
     x = np.concatenate([cls, prompts(0), emb] if h_count else [cls, emb], axis=1)
     for i in range(cfg.visual_layers):
-        if h_count and cfg.deep_prompt_mode == "replace" and 1 <= i < cfg.prompt_layers:
+        if h_count and 1 <= i < cfg.prompt_layers:
             x = np.concatenate([x[:, :1], prompts(i), x[:, 1 + h_count:]], axis=1)
         x = ref_layer(x, f"visual.layer{i}", cfg, store)
     return x[:, :1], x[:, 1 + h_count:]
@@ -170,19 +170,19 @@ def record_gelu_rows(monkeypatch):
     return shapes
 
 
-# (deep_prompt_mode, visual_layers, prompt_layers, prompt_count)
+# (visual_layers, prompt_layers, prompt_count); shallow prompting is prompt_layers = 1
 PROMPT_LAYOUTS = {
-    "replace-all": ("replace", 3, 3, 3),
-    "replace-partial": ("replace", 3, 2, 3),
-    "propagate": ("propagate", 3, 3, 3),
-    "promptless": ("replace", 3, 0, 0),
-    "single-layer": ("propagate", 1, 1, 3),
+    "replace-all": (3, 3, 3),
+    "replace-partial": (3, 2, 3),
+    "shallow": (3, 1, 3),
+    "promptless": (3, 0, 0),
+    "single-layer": (1, 1, 3),
 }
 
 
 def layout_config(layout: str) -> EncoderConfig:
-    mode, layers, prompted, count = PROMPT_LAYOUTS[layout]
-    return tiny_config(deep_prompt_mode=mode, visual_layers=layers, prompt_layers=prompted, prompt_count=count)
+    layers, prompted, count = PROMPT_LAYOUTS[layout]
+    return tiny_config(visual_layers=layers, prompt_layers=prompted, prompt_count=count)
 
 
 class TestVisualEncode:
@@ -250,9 +250,8 @@ class TestVisualEncode:
             got = analytic.get(name, np.zeros_like(store[name].data)).reshape(-1)
             scale = max(np.abs(numeric).max(), 1e-3)
             assert np.abs(got - numeric).max() / scale < 1e-4, name
-            # a prompt that no layer reads (propagate mode above layer 0) has none
-            read = cfg.deep_prompt_mode == "replace" or name == "visual.prompt.0"
-            assert np.abs(numeric).max() > 1e-3 if read else np.all(got == 0.0)
+            # every prompt tensor is read, so every one has a live gradient
+            assert np.abs(numeric).max() > 1e-3, name
 
     def test_replace_mode_feeds_forward_live_rows_only(self, monkeypatch):
         cfg = tiny_config(prompt_count=10, num_patches=4, feature_dim=4, visual_layers=3, prompt_layers=3)
@@ -288,17 +287,10 @@ class TestVisualEncode:
         store = build_store(cfg, seed=7)
         patches = np.random.default_rng(8).normal(size=(1, cfg.num_patches, cfg.feature_dim))
         base = visual_encode(patches, store, cfg).cls.data.copy()
-        # Layer-1 prompts participate in replace mode ...
+        # layer 1 reads its own bank entry
         store["visual.prompt.1"].data[0, 0] += 0.5
         replaced = visual_encode(patches, store, cfg).cls.data.copy()
         assert not np.allclose(base, replaced)
-        # ... but are ignored in propagate mode, which only reads prompt 0.
-        cfg2 = tiny_config(deep_prompt_mode="propagate")
-        store2 = build_store(cfg2, seed=7)
-        prop_base = visual_encode(patches, store2, cfg2).cls.data.copy()
-        store2["visual.prompt.1"].data[0, 0] += 0.5
-        prop_after = visual_encode(patches, store2, cfg2).cls.data
-        np.testing.assert_array_equal(prop_base, prop_after)
 
 
 class TestClassify:
@@ -534,8 +526,9 @@ class TestStagePartitions:
         assert "proj.text.w" in trainable
         assert all(not n.startswith("visual.") for n in trainable)
         assert "head.w1" in store.frozen
-        joint = trainable_parameters("stage2", store, joint_prompt_tuning=True)
-        assert "visual.prompt.0" in joint
+        # the prompt-free mode reads neither the count token nor the prompt positions
+        prompt_free = trainable_parameters("stage2", store, prompted=False)
+        assert trainable - prompt_free == {"cross.cnt", "cross.pos_prompt"}
 
     def test_unknown_stage(self):
         with pytest.raises(ParameterError):
@@ -544,9 +537,6 @@ class TestStagePartitions:
 
 # stage 1, and stage 2 in every ablation mode; the default mode keeps the plain report id
 LIVE_GRADIENT_CASES = [("stage1_gradient_report", "full"), *(("stage2_gradient_report", m) for m in ABLATION_MODES)]
-# trainable tensors that a mode's loss never reaches: sub_only leaves the
-# count token and the prompt positions out of the cross-modal input
-DEAD_IN_MODE = {"sub_only": {"cross.cnt", "cross.pos_prompt"}}
 
 
 class TestGradientFidelity:
@@ -571,7 +561,7 @@ class TestGradientFidelity:
         monkeypatch.setattr(training, "finite_difference_check", record_scales)
         getattr(training, report)(dataclasses.replace(training.gradcheck_config(), ablation=mode))
         assert scales
-        assert {name for name, s in scales.items() if s <= 1e-12} == DEAD_IN_MODE.get(mode, set())
+        assert {name for name, s in scales.items() if s <= 1e-12} == set()
 
     def test_stage1_loss_grads_match_finite_differences(self):
         from navprompt.optim import finite_difference_check
@@ -590,16 +580,6 @@ class TestGradientFidelity:
             return -gather_index(logp, labels).mean()
 
         report = finite_difference_check(loss_fn, store, eps=1e-5)
-        assert report.max_rel_error < 1e-4, report.per_param
-
-    def test_stage2_joint_prompt_tuning_grads_match_finite_differences(self):
-        # the one stage-2 path that backpropagates through visual_encode
-        import dataclasses
-
-        from navprompt.training import gradcheck_config, stage2_gradient_report
-
-        report = stage2_gradient_report(dataclasses.replace(gradcheck_config(), joint_prompt_tuning=True))
-        assert {"visual.prompt.0", "visual.prompt.1"} <= set(report.per_param)
         assert report.max_rel_error < 1e-4, report.per_param
 
     def test_stage2_multilayer_grads_match_central_differences(self):

@@ -162,7 +162,7 @@ def _stage2_setup(mode):
     init_visual_params(store, enc, rng)
     init_text_params(store, enc, len(vocab), rng)
     init_cross_params(store, enc, rng)
-    apply_stage_freeze(store, "stage2", cfg.joint_prompt_tuning)
+    apply_stage_freeze(store, "stage2")
     prepared = prepare_trajectories(dataset, vocab, enc)
     cache = precompute_viewpoint_features(dataset, store, enc)
     return store, lambda: stage2_losses(prepared, store, enc, cfg, cache)[0]

@@ -183,7 +183,7 @@ class TestCheckpoints:
         save_checkpoint(store, config, str(path))
         tensors = {name: {"shape": list(store[name].shape), "data": _f64(*store[name].data.ravel())}
                    for name in store.names()}
-        assert _sha256(tensors, config, frozen) == "6c6a8d1d93242b56d10aa0aa8d7d21593d46beebb8f29bfbb0fb0b7f8de42888"
+        assert _sha256(tensors, config, frozen) == "71602b2bdd0c1360e5c286ff1b87c7c9be35104efd93525ee21fe7b5dae74038"
         reference = json.dumps({
             "format_version": 3,
             "config": config,
@@ -475,14 +475,25 @@ class TestStage2:
         with pytest.raises(ValidationError, match=r"chunk \[3, 3\) is empty"):
             prepare_trajectories(dataset, vocab, cfg.encoder())
 
-    def test_joint_prompt_tuning_trains_prompts(self, tmp_path):
-        cfg, s1 = self._stage1(tmp_path, joint_prompt_tuning=True, stage2_epochs=1)
-        before = s1.store["visual.prompt.0"].data.copy()
+    @pytest.mark.parametrize("field,value,match", [
+        ("prompt_count", 2, r"tensor 'visual.prompt.0' has shape \(3, 16\), config implies \(2, 16\)"),
+        ("prompt_layers", 1, r"tensor set mismatch \(missing \[\], extra \['visual.prompt.1'\]\)"),
+    ])
+    def test_in_memory_stage1_store_is_checked(self, tmp_path, monkeypatch, field, value, match):
+        # the path form checks the checkpoint's encoder config; a store is
+        # checked against the layout the run's encoder config implies
+        cfg, s1 = self._stage1(tmp_path)
+        monkeypatch.setattr(RunConfig, "trajectory_dataset", lambda self: pytest.fail("data was built"))
+        with pytest.raises(ConfigurationError, match="stage-1 store does not match the encoder config: " + match):
+            run_stage2(dataclasses.replace(cfg, **{field: value}), s1.store)
+        assert not os.path.exists(cfg.out_dir)
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_stage2_trains_what_its_loss_reads(self, tmp_path, mode):
+        cfg, s1 = self._stage1(tmp_path, ablation=mode, stage2_epochs=1)
         result = run_stage2(cfg, s1.store, write_outputs=False)
-        assert "visual.prompt.0" not in result.store.frozen
-        assert not np.array_equal(result.store["visual.prompt.0"].data, before)
-        # the backbone itself stays frozen even when prompts train jointly
-        assert "visual.layer0.attn.wq" in result.store.frozen
+        unread = {"cross.cnt", "cross.pos_prompt"}
+        assert unread <= result.store.frozen if mode == "sub_only" else not unread & result.store.frozen
 
 
 class TestAblationTable:
@@ -505,7 +516,7 @@ class TestAblationTable:
         def run(mode):
             prepared = prepare_trajectories(dataset, vocab, enc)
             report = stage2_losses(prepared, store, enc, dataclasses.replace(cfg, ablation=mode), cache)[1]
-            features = stage2_features(prepared, store, enc, ABLATION_TERMS[mode], Tensor(np.concatenate(cache)))
+            features = stage2_features(prepared, store, enc, mode, ABLATION_TERMS[mode], Tensor(np.concatenate(cache)))
             metrics = evaluate_retrieval(store, enc, dataset, vocab, mode=mode, cached_features=cache)
             return report, features, metrics
 
@@ -652,14 +663,15 @@ class TestEvaluation:
 class TestConfigFile:
     def test_parse_and_coerce(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 3\nstage1_lr = 0.01\njoint_prompt_tuning = true\nablation = cnt_ind\n# comment\n")
+        path.write_text("seed = 3\nstage1_lr = 0.01\nprompt_layers = 1\nablation = cnt_ind\n# comment\n")
         values = parse_config_file(str(path))
-        assert values == {"seed": 3, "stage1_lr": 0.01, "joint_prompt_tuning": True, "ablation": "cnt_ind"}
+        assert values == {"seed": 3, "stage1_lr": 0.01, "prompt_layers": 1, "ablation": "cnt_ind"}
 
     def test_unknown_key(self, tmp_path):
         # mystery never existed; the rest are run settings that were removed
         path = tmp_path / "run.cfg"
-        for key, value in (("mystery", "1"), ("kl_reverse", "true"), ("optimizer", "sgd"), ("weight_decay", "0.01")):
+        for key, value in (("mystery", "1"), ("kl_reverse", "true"), ("optimizer", "sgd"), ("weight_decay", "0.01"),
+                           ("joint_prompt_tuning", "true"), ("deep_prompt_mode", "propagate")):
             path.write_text(f"{key} = {value}\n")
             with pytest.raises(ParameterError) as err:
                 parse_config_file(str(path))
