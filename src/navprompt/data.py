@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoders import EncoderConfig
 from .errors import ParameterError, ValidationError
 from .segmenter import Instruction, load_dataset, numeric_matrix, read_jsonl
 
@@ -30,6 +31,14 @@ ACTION_BANK: list[str] = [f"{verb} {room}" for verb in _VERBS for room in _ROOMS
 
 _JOINERS = [", ", " and ", ". "]
 
+# generator defaults, which RunConfig's dataset fields share; widths come from EncoderConfig
+DEFAULT_SAMPLES_PER_CLASS = 100
+DEFAULT_TRAJECTORY_COUNT = 500
+DEFAULT_SUBPATHS = (2, 4)
+DEFAULT_VIEWPOINTS = (4, 8)
+DEFAULT_NOISE = 0.1
+DEFAULT_DUPLICATE_PROB = 0.3
+
 
 @dataclass
 class IndoorSample:
@@ -46,12 +55,12 @@ class TrajectorySample:
 
 
 def gen_indoor_dataset(
-    num_classes: int = 10,
-    samples_per_class: int = 100,
-    noise: float = 0.1,
+    num_classes: int = EncoderConfig.num_classes,
+    samples_per_class: int = DEFAULT_SAMPLES_PER_CLASS,
+    noise: float = DEFAULT_NOISE,
     seed: int = 0,
-    num_patches: int = 4,
-    feature_dim: int = 16,
+    num_patches: int = EncoderConfig.num_patches,
+    feature_dim: int = EncoderConfig.feature_dim,
 ) -> list[IndoorSample]:
     if num_classes < 2:
         raise ParameterError(f"need at least 2 classes, got {num_classes}")
@@ -70,13 +79,13 @@ def gen_indoor_dataset(
 
 
 def gen_trajectory_dataset(
-    count: int = 500,
-    subpaths_range: tuple[int, int] = (2, 4),
-    viewpoints_range: tuple[int, int] = (4, 8),
+    count: int = DEFAULT_TRAJECTORY_COUNT,
+    subpaths_range: tuple[int, int] = DEFAULT_SUBPATHS,
+    viewpoints_range: tuple[int, int] = DEFAULT_VIEWPOINTS,
     seed: int = 0,
-    feature_dim: int = 16,
-    noise: float = 0.1,
-    duplicate_prob: float = 0.3,
+    feature_dim: int = EncoderConfig.feature_dim,
+    noise: float = DEFAULT_NOISE,
+    duplicate_prob: float = DEFAULT_DUPLICATE_PROB,
 ) -> list[TrajectorySample]:
     """Trajectories whose sub-paths are noisy copies of per-action prototypes.
 

@@ -6,7 +6,9 @@ every viewpoint once through them, and aligns text features with cross-modal
 sub-path features under the weighted contrastive objective; it trains exactly
 the tensors that its mode's loss reads.  Both drivers are bitwise
 deterministic for a fixed RunConfig: all randomness flows from the seed, and
-logs never contain wall-clock values.
+logs never contain wall-clock values.  Both drivers train through one loop,
+``_train``: shuffled mini-batches of Adam steps, each followed by a check
+that no frozen tensor moved.
 """
 
 from __future__ import annotations
@@ -18,14 +20,18 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .alignment import (
     ABLATION_MODES,
     ABLATION_TERMS,
+    DEFAULT_LAMBDA1,
+    DEFAULT_LAMBDA2,
+    DEFAULT_SMOOTHING,
+    DEFAULT_TEMPERATURE,
     PROMPTED_MODES,
     LossReport,
     batched_alignment_loss,
@@ -35,6 +41,12 @@ from .alignment import (
     total_loss,
 )
 from .data import (
+    DEFAULT_DUPLICATE_PROB,
+    DEFAULT_NOISE,
+    DEFAULT_SAMPLES_PER_CLASS,
+    DEFAULT_SUBPATHS,
+    DEFAULT_TRAJECTORY_COUNT,
+    DEFAULT_VIEWPOINTS,
     IndoorSample,
     TrajectorySample,
     gen_indoor_dataset,
@@ -77,52 +89,40 @@ PER_PATH_TERMS = ("ind", "sub")
 
 
 @dataclass
-class RunConfig:
-    """Flat run configuration; CLI flags and config-file keys mirror the fields."""
+class RunConfig(EncoderConfig):
+    """Flat run configuration; CLI flags and config-file keys mirror the fields.
+
+    The encoder fields come from EncoderConfig; other defaults are the ones their modules declare.
+    """
 
     seed: int = 0
     out_dir: str = "runs"
     # stage schedules
     stage1_epochs: int = 20
     stage1_batch_size: int = 10
-    stage1_lr: float = 1e-3
+    stage1_lr: float = OptimConfig.learning_rate
     stage2_epochs: int = 20
     stage2_batch_size: int = 20
-    stage2_lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    stage2_lr: float = OptimConfig.learning_rate
+    adam_beta1: float = OptimConfig.adam_beta1
+    adam_beta2: float = OptimConfig.adam_beta2
+    adam_eps: float = OptimConfig.adam_eps
     # objective
-    lambda1: float = 0.5
-    lambda2: float = 0.1
-    temperature: float = 0.1
-    smoothing: float = 0.05
+    lambda1: float = DEFAULT_LAMBDA1
+    lambda2: float = DEFAULT_LAMBDA2
+    temperature: float = DEFAULT_TEMPERATURE
+    smoothing: float = DEFAULT_SMOOTHING
     ablation: str = "full"
-    # encoder
-    d: int = 64
-    heads: int = 4
-    ff_mult: int = 4
-    visual_layers: int = 4
-    text_layers: int = 2
-    cross_layers: int = 2
-    prompt_count: int = 10
-    prompt_layers: int = 4
-    num_patches: int = 4
-    feature_dim: int = 16
-    num_classes: int = 10
-    max_text_len: int = 48
-    max_viewpoints: int = 16
-    max_subpaths: int = 12
     # datasets
-    indoor_samples_per_class: int = 100
-    indoor_noise: float = 0.1
-    trajectory_count: int = 500
-    subpaths_min: int = 2
-    subpaths_max: int = 4
-    viewpoints_min: int = 4
-    viewpoints_max: int = 8
-    viewpoint_noise: float = 0.1
-    duplicate_prob: float = 0.3
+    indoor_samples_per_class: int = DEFAULT_SAMPLES_PER_CLASS
+    indoor_noise: float = DEFAULT_NOISE
+    trajectory_count: int = DEFAULT_TRAJECTORY_COUNT
+    subpaths_min: int = DEFAULT_SUBPATHS[0]
+    subpaths_max: int = DEFAULT_SUBPATHS[1]
+    viewpoints_min: int = DEFAULT_VIEWPOINTS[0]
+    viewpoints_max: int = DEFAULT_VIEWPOINTS[1]
+    viewpoint_noise: float = DEFAULT_NOISE
+    duplicate_prob: float = DEFAULT_DUPLICATE_PROB
     val_fraction: float = 0.1
 
     def encoder(self) -> EncoderConfig:
@@ -155,9 +155,11 @@ class RunConfig:
         self.optim(self.stage1_lr).validate()
         self.optim(self.stage2_lr).validate()
         for name, least in (("stage1_batch_size", 1), ("stage2_batch_size", 1), ("stage1_epochs", 0),
-                            ("stage2_epochs", 0)):
-            if getattr(self, name) < least:
+                            ("stage2_epochs", 0), ("indoor_noise", 0), ("viewpoint_noise", 0)):
+            if not getattr(self, name) >= least:
                 raise ParameterError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not 0 <= self.duplicate_prob <= 1:
+            raise ParameterError(f"duplicate_prob must lie in [0, 1], got {self.duplicate_prob}")
         if not (0 <= self.val_fraction < 1):
             raise ParameterError("val_fraction must lie in [0, 1)")
         if self.ablation not in ABLATION_MODES:
@@ -349,25 +351,42 @@ def _float_cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _batches(indices: Sequence[int], size: int):
     for i in range(0, len(indices), size):
         yield list(indices[i:i + size])
+
+
+def _train(store: ParamStore, stage: str, optim_cfg: OptimConfig, epochs: int, batch_size: int,
+           train_idx: Sequence[int], shuffle_rng: np.random.Generator,
+           batch_loss: Callable[[list[int]], tuple[Tensor, object]], end_epoch: Callable[[list], None]) -> None:
+    """The training loop of both stages.
+
+    Each epoch visits ``train_idx`` in a fresh permutation, in mini-batches.
+    ``batch_loss(indices)`` returns a batch's loss and a value to log; each
+    step backpropagates the loss, takes one Adam step and checks that no
+    frozen tensor moved.  ``end_epoch`` receives the epoch's logged values.
+    """
+    baseline = {name: store[name].data.copy() for name in store.frozen}
+    optimizer = Optimizer(optim_cfg)
+    step = 0
+    for _ in range(epochs):
+        values = []
+        for batch in _batches([train_idx[i] for i in shuffle_rng.permutation(len(train_idx))], batch_size):
+            loss, value = batch_loss(batch)
+            optimizer.step(store, backward(loss, store))
+            _assert_frozen_unchanged(store, baseline, f"{stage} step {step}")
+            values.append(value)
+            step += 1
+        end_epoch(values)
 
 
 @dataclass
 class StageResult:
     metrics: dict
     store: ParamStore
-    checkpoint_path: str | None = None
-    csv_path: str | None = None
-    summary_path: str | None = None
+    checkpoint_path: str
+    csv_path: str
+    summary_path: str
 
 
 # -- stage 1 ------------------------------------------------------------------------
@@ -395,8 +414,15 @@ def _stage1_accuracy(samples: list[IndoorSample], indices: Sequence[int], store:
     return hits / len(indices)
 
 
-def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None,
-               write_outputs: bool = True) -> StageResult:
+def _stage1_store(enc: EncoderConfig, rng: np.random.Generator) -> ParamStore:
+    """A new store holding the visual stack and head, frozen for stage 1."""
+    store = ParamStore()
+    init_visual_params(store, enc, rng)
+    apply_stage_freeze(store, "stage1")
+    return store
+
+
+def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None) -> StageResult:
     cfg.validate()
     enc = cfg.encoder()
     if dataset is None:
@@ -404,52 +430,38 @@ def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None,
     train_idx, val_idx = split_indices(len(dataset), cfg.seed, cfg.val_fraction)
     if not train_idx:
         raise DatasetError("stage 1 training split is empty")
+    store = _stage1_store(enc, np.random.default_rng([cfg.seed, 11]))
 
-    store = ParamStore()
-    init_visual_params(store, enc, np.random.default_rng([cfg.seed, 11]))
-    trainable = apply_stage_freeze(store, "stage1")
-    baseline = {name: store[name].data.copy() for name in store.frozen}
+    def batch_loss(batch: list[int]) -> tuple[Tensor, float]:
+        loss = stage1_loss(np.stack([dataset[i].features for i in batch]),
+                           np.array([dataset[i].label for i in batch]), store, enc)
+        return loss, loss.item()
 
-    optimizer = Optimizer(cfg.optim(cfg.stage1_lr))
-    shuffle_rng = np.random.default_rng([cfg.seed, 12])
-    rows = []
-    for epoch in range(cfg.stage1_epochs):
-        order = [train_idx[i] for i in shuffle_rng.permutation(len(train_idx))]
-        losses = []
-        for batch in _batches(order, cfg.stage1_batch_size):
-            feats = np.stack([dataset[i].features for i in batch])
-            labels = np.array([dataset[i].label for i in batch])
-            loss = stage1_loss(feats, labels, store, enc)
-            grads = backward(loss, store)
-            optimizer.step(store, grads)
-            _assert_frozen_unchanged(store, baseline, f"stage1 epoch {epoch}")
-            losses.append(loss.item())
-        train_acc = _stage1_accuracy(dataset, train_idx, store, enc)
-        val_acc = _stage1_accuracy(dataset, val_idx, store, enc)
-        rows.append([epoch, repr(float(np.mean(losses))), repr(train_acc), repr(val_acc)])
+    def accuracies() -> tuple[float, float]:
+        return _stage1_accuracy(dataset, train_idx, store, enc), _stage1_accuracy(dataset, val_idx, store, enc)
 
+    history = []  # (mean loss, train accuracy, val accuracy) per epoch
+    _train(store, "stage1", cfg.optim(cfg.stage1_lr), cfg.stage1_epochs, cfg.stage1_batch_size, train_idx,
+           np.random.default_rng([cfg.seed, 12]), batch_loss,
+           lambda losses: history.append((float(np.mean(losses)), *accuracies())))
+    rows = [[epoch, *map(repr, row)] for epoch, row in enumerate(history)]
     # after any epoch, the last one has already measured the final store
-    if cfg.stage1_epochs == 0:
-        train_acc = _stage1_accuracy(dataset, train_idx, store, enc)
-        val_acc = _stage1_accuracy(dataset, val_idx, store, enc)
-    prompt_params = enc.prompt_layers * enc.prompt_count * enc.d if enc.prompt_count else 0
+    train_acc, val_acc = history[-1][1:] if history else accuracies()
     metrics = {
         "train_accuracy": train_acc,
         "val_accuracy": val_acc,
-        "trainable_parameters": int(sum(store[n].size for n in trainable)),
-        "prompt_parameters": int(prompt_params),
+        "trainable_parameters": int(sum(store[n].size for n in store.trainable_names())),
+        "prompt_parameters": enc.prompt_layers * enc.prompt_count * enc.d,
         "epochs": cfg.stage1_epochs,
         "train_size": len(train_idx),
         "val_size": len(val_idx),
     }
-    result = StageResult(metrics=metrics, store=store)
-    if write_outputs:
-        _write_stage_outputs(result, cfg, enc, "stage1", ["epoch", "train_loss", "train_acc", "val_acc"], rows)
-    return result
+    header = ["epoch", "train_loss", "train_acc", "val_acc"]
+    return _write_stage_outputs(cfg, enc, "stage1", metrics, store, header, rows)
 
 
-def _write_stage_outputs(result: StageResult, cfg: RunConfig, enc: EncoderConfig, stage: str,
-                         header: list[str], rows: list[list], vocab: Vocabulary | None = None) -> None:
+def _write_stage_outputs(cfg: RunConfig, enc: EncoderConfig, stage: str, metrics: dict, store: ParamStore,
+                         header: list[str], rows: list[list], vocab: Vocabulary | None = None) -> StageResult:
     """Write ``<stage>_checkpoint.json``, ``_log.csv`` and ``_summary.json`` into cfg.out_dir.
 
     A stage-2 checkpoint carries its vocabulary, the tokens in id order: row i
@@ -459,13 +471,16 @@ def _write_stage_outputs(result: StageResult, cfg: RunConfig, enc: EncoderConfig
     config = {"encoder": asdict(enc), "stage": stage, "seed": cfg.seed}
     if vocab is not None:
         config["vocab"] = vocab.tokens
-    result.checkpoint_path = os.path.join(cfg.out_dir, f"{stage}_checkpoint.json")
-    save_checkpoint(result.store, config, result.checkpoint_path)
-    result.csv_path = os.path.join(cfg.out_dir, f"{stage}_log.csv")
-    _write_csv(result.csv_path, header, rows)
-    result.summary_path = os.path.join(cfg.out_dir, f"{stage}_summary.json")
+    result = StageResult(metrics, store, *(os.path.join(cfg.out_dir, f"{stage}_{name}")
+                                           for name in ("checkpoint.json", "log.csv", "summary.json")))
+    save_checkpoint(store, config, result.checkpoint_path)
+    with open(result.csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
     with open(result.summary_path, "w", encoding="utf-8") as fh:
-        json.dump({"metrics": result.metrics, "config": asdict(cfg)}, fh, sort_keys=True, indent=2)
+        json.dump({"metrics": metrics, "config": asdict(cfg)}, fh, sort_keys=True, indent=2)
+    return result
 
 
 # -- stage 2 ------------------------------------------------------------------------
@@ -646,8 +661,15 @@ def stage2_losses(
     return total_loss(losses, cfg.lambda1, cfg.lambda2)
 
 
-def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample] | None = None,
-               write_outputs: bool = True) -> StageResult:
+def _add_stage2_params(store: ParamStore, enc: EncoderConfig, vocab_size: int, rng: np.random.Generator,
+                       prompted: bool) -> None:
+    """Add the text and cross-modal stacks to a stage-1 store and freeze it for stage 2."""
+    init_text_params(store, enc, vocab_size, rng)
+    init_cross_params(store, enc, rng)
+    apply_stage_freeze(store, "stage2", prompted)
+
+
+def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample] | None = None) -> StageResult:
     cfg.validate()
     enc = cfg.encoder()
     if isinstance(stage1_checkpoint, str):
@@ -663,12 +685,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
     if dataset is None:
         dataset = cfg.trajectory_dataset()
     vocab = build_vocabulary(dataset, enc.max_subpaths)
-    rng = np.random.default_rng([cfg.seed, 21])
-    init_text_params(store, enc, len(vocab), rng)
-    init_cross_params(store, enc, rng)
-    trainable = apply_stage_freeze(store, "stage2", cfg.ablation in PROMPTED_MODES)
-    baseline = {name: store[name].data.copy() for name in store.frozen}
-
+    _add_stage2_params(store, enc, len(vocab), np.random.default_rng([cfg.seed, 21]), cfg.ablation in PROMPTED_MODES)
     prepared = prepare_trajectories(dataset, vocab, enc)
     train_idx, val_idx = split_indices(len(prepared), cfg.seed, cfg.val_fraction)
     if not train_idx:
@@ -676,36 +693,17 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
 
     cache = precompute_viewpoint_features(dataset, store, enc)
 
-    optimizer = Optimizer(cfg.optim(cfg.stage2_lr))
-    shuffle_rng = np.random.default_rng([cfg.seed, 22])
-    rows = []
-    step = 0
-    epoch_totals = []
-    for epoch in range(cfg.stage2_epochs):
-        order = [train_idx[i] for i in shuffle_rng.permutation(len(train_idx))]
-        epoch_losses = []
-        for batch_idx in _batches(order, cfg.stage2_batch_size):
-            batch = [prepared[i] for i in batch_idx]
-            total, report = stage2_losses(batch, store, enc, cfg, [cache[i] for i in batch_idx])
-            grads = backward(total, store)
-            optimizer.step(store, grads)
-            _assert_frozen_unchanged(store, baseline, f"stage2 step {step}")
-            # the l_ind_sum column holds the per-trajectory term, a mean over the batch: ind, or sub
-            per_path = report.l_ind if report.l_sub is None else report.l_sub
-            rows.append([
-                step,
-                _float_cell(per_path),
-                _float_cell(report.l_ove),
-                _float_cell(report.l_cnt),
-                _float_cell(report.total),
-            ])
-            epoch_losses.append(report.total)
-            step += 1
-        epoch_totals.append(float(np.mean(epoch_losses)))
-
+    epochs = []  # each epoch's per-step LossReports
+    _train(store, "stage2", cfg.optim(cfg.stage2_lr), cfg.stage2_epochs, cfg.stage2_batch_size, train_idx,
+           np.random.default_rng([cfg.seed, 22]),
+           lambda batch: stage2_losses([prepared[i] for i in batch], store, enc, cfg, [cache[i] for i in batch]),
+           epochs.append)
+    # the l_ind_sum column holds the per-trajectory term, a mean over the batch: ind, or sub
+    rows = [[step, *map(_float_cell, (r.l_ind if r.l_sub is None else r.l_sub, r.l_ove, r.l_cnt, r.total))]
+            for step, r in enumerate(r for reports in epochs for r in reports)]
     metrics = {
-        "epoch_total_loss": epoch_totals,
-        "trainable_parameters": int(sum(store[n].size for n in trainable)),
+        "epoch_total_loss": [float(np.mean([r.total for r in reports])) for reports in epochs],
+        "trainable_parameters": int(sum(store[n].size for n in store.trainable_names())),
         "train_size": len(train_idx),
         "val_size": len(val_idx),
         "vocab_size": len(vocab),
@@ -717,11 +715,8 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
         mode=cfg.ablation, cached_features=[cache[i] for i in eval_idx],
     )
 
-    result = StageResult(metrics=metrics, store=store)
-    if write_outputs:
-        _write_stage_outputs(result, cfg, enc, "stage2", ["step", "l_ind_sum", "l_ove", "l_cnt", "total"], rows,
-                             vocab=vocab)
-    return result
+    header = ["step", "l_ind_sum", "l_ove", "l_cnt", "total"]
+    return _write_stage_outputs(cfg, enc, "stage2", metrics, store, header, rows, vocab=vocab)
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -836,9 +831,7 @@ def stage1_gradient_report(cfg: RunConfig | None = None, eps: float = 1e-5) -> F
     dataset = cfg.indoor_dataset()
     feats = np.stack([s.features for s in dataset[:4]])
     labels = np.array([s.label for s in dataset[:4]])
-    store = ParamStore()
-    init_visual_params(store, enc, np.random.default_rng([cfg.seed, 11]))
-    apply_stage_freeze(store, "stage1")
+    store = _stage1_store(enc, np.random.default_rng([cfg.seed, 11]))
     return finite_difference_check(lambda s: stage1_loss(feats, labels, s, enc), store, eps=eps)
 
 
@@ -847,17 +840,10 @@ def stage2_gradient_report(cfg: RunConfig | None = None, eps: float = 1e-5) -> F
     enc = cfg.encoder()
     dataset = cfg.trajectory_dataset()
     vocab = build_vocabulary(dataset, enc.max_subpaths)
-    store = ParamStore()
+    # the text and cross-modal stacks continue the visual stack's random stream
     rng = np.random.default_rng([cfg.seed, 11])
-    init_visual_params(store, enc, rng)
-    init_text_params(store, enc, len(vocab), rng)
-    init_cross_params(store, enc, rng)
-    apply_stage_freeze(store, "stage2", cfg.ablation in PROMPTED_MODES)
+    store = _stage1_store(enc, rng)
+    _add_stage2_params(store, enc, len(vocab), rng, cfg.ablation in PROMPTED_MODES)
     prepared = prepare_trajectories(dataset, vocab, enc)
     cache = precompute_viewpoint_features(dataset, store, enc)
-
-    def loss_fn(s):
-        total, _ = stage2_losses(prepared, s, enc, cfg, cache)
-        return total
-
-    return finite_difference_check(loss_fn, store, eps=eps)
+    return finite_difference_check(lambda s: stage2_losses(prepared, s, enc, cfg, cache)[0], store, eps=eps)

@@ -97,6 +97,27 @@ def test_two_stage_pipeline_and_eval(tmp_path, capsys):
     assert "unrecognized arguments: --vocab" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--indoor-noise", "-1", "indoor_noise must be at least 0, got -1.0"),
+    ("--viewpoint-noise", "-1", "viewpoint_noise must be at least 0, got -1.0"),
+    ("--duplicate-prob", "2", "duplicate_prob must lie in [0, 1], got 2.0"),
+], ids=["indoor_noise", "viewpoint_noise", "duplicate_prob"])
+def test_generator_ranges_are_refused_by_name(tmp_path, monkeypatch, capsys, flag, value, message):
+    # the run setting is refused before any data is built or the output directory is made
+    import navprompt.training as training
+
+    for build in ("indoor_dataset", "trajectory_dataset"):
+        monkeypatch.setattr(training.RunConfig, build, lambda self: pytest.fail("data was built"))
+    out = tmp_path / "out"
+    for argv in (["gen-data", "--kind", "indoor", "--seed", "0", "--output", str(out / "x.jsonl")],
+                 ["gen-data", "--kind", "trajectories", "--seed", "0", "--output", str(out / "x.jsonl")],
+                 ["stage1", "--out-dir", str(out)],
+                 ["stage2", "--stage1-ckpt", str(tmp_path / "none.json"), "--out-dir", str(out)]):
+        assert main([*argv, flag, value]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error[ParameterError]: {message}"]
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("seed = 9\nstage1_epochs = 1\n")

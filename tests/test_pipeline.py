@@ -377,11 +377,13 @@ class TestStage1:
         assert result.metrics["trainable_parameters"] == enc.prompt_layers * enc.prompt_count * enc.d + head
         assert result.metrics["prompt_parameters"] == enc.prompt_layers * enc.prompt_count * enc.d
 
-    def test_freeze_violation_trap(self, tmp_path, monkeypatch):
-        cfg = tiny_cfg(tmp_path, stage1_epochs=1)
-        from navprompt import training as T
+    @pytest.mark.parametrize("stage", ["stage1", "stage2"])
+    def test_freeze_violation_trap(self, tmp_path, monkeypatch, stage):
+        # both stages freeze the visual backbone; an Adam step that moves it is caught at once
         from navprompt.optim import Optimizer
 
+        cfg = tiny_cfg(tmp_path, stage1_epochs=1, stage2_epochs=1)
+        s1 = run_stage1(cfg) if stage == "stage2" else None
         real_step = Optimizer.step
 
         def sabotage(self, store, grads):
@@ -389,14 +391,15 @@ class TestStage1:
             store["visual.cls"].data[0, 0] += 1.0  # corrupt a frozen tensor
 
         monkeypatch.setattr(Optimizer, "step", sabotage)
-        with pytest.raises(FreezeViolationError):
-            run_stage1(cfg, write_outputs=False)
+        message = rf"^frozen parameter 'visual\.cls' changed during {stage} step 0$"
+        with pytest.raises(FreezeViolationError, match=message):
+            run_stage1(cfg) if stage == "stage1" else run_stage2(cfg, s1.store)
 
 
 class TestStage2:
     def _stage1(self, tmp_path, **kw):
         cfg = tiny_cfg(tmp_path, **kw)
-        return cfg, run_stage1(cfg, write_outputs=False)
+        return cfg, run_stage1(cfg)
 
     def test_composition_identity_every_step(self, tmp_path):
         cfg, s1 = self._stage1(tmp_path)
@@ -460,7 +463,7 @@ class TestStage2:
                                          feature_dim=cfg.feature_dim)
         dataset[1].sub_instructions.append("turn left")
         with pytest.raises(AlignmentError):
-            run_stage2(cfg, s1.store, dataset=dataset, write_outputs=False)
+            run_stage2(cfg, s1.store, dataset=dataset)
 
     def test_boundary_gap_rejected(self, tmp_path):
         # sub-path chunks are checked once, when trajectories are prepared
@@ -469,7 +472,7 @@ class TestStage2:
                                          feature_dim=cfg.feature_dim)
         dataset[1].chunks = [(0, 1), (2, 4)]
         with pytest.raises(ValidationError, match="gap or overlap at index 1"):
-            run_stage2(cfg, s1.store, dataset=dataset, write_outputs=False)
+            run_stage2(cfg, s1.store, dataset=dataset)
         dataset[1].chunks = [(0, 3), (3, 3)]
         vocab = build_vocabulary(dataset, cfg.max_subpaths)
         with pytest.raises(ValidationError, match=r"chunk \[3, 3\) is empty"):
@@ -484,14 +487,15 @@ class TestStage2:
         # checked against the layout the run's encoder config implies
         cfg, s1 = self._stage1(tmp_path)
         monkeypatch.setattr(RunConfig, "trajectory_dataset", lambda self: pytest.fail("data was built"))
+        out_dir = str(tmp_path / "stage2")
         with pytest.raises(ConfigurationError, match="stage-1 store does not match the encoder config: " + match):
-            run_stage2(dataclasses.replace(cfg, **{field: value}), s1.store)
-        assert not os.path.exists(cfg.out_dir)
+            run_stage2(dataclasses.replace(cfg, out_dir=out_dir, **{field: value}), s1.store)
+        assert not os.path.exists(out_dir)
 
     @pytest.mark.parametrize("mode", ABLATION_MODES)
     def test_stage2_trains_what_its_loss_reads(self, tmp_path, mode):
         cfg, s1 = self._stage1(tmp_path, ablation=mode, stage2_epochs=1)
-        result = run_stage2(cfg, s1.store, write_outputs=False)
+        result = run_stage2(cfg, s1.store)
         unread = {"cross.cnt", "cross.pos_prompt"}
         assert unread <= result.store.frozen if mode == "sub_only" else not unread & result.store.frozen
 
