@@ -18,14 +18,15 @@ from .alignment import ABLATION_MODES
 from .data import read_indoor_jsonl, read_trajectory_jsonl, write_indoor_jsonl, write_trajectory_jsonl
 from .encoders import EncoderConfig
 from .errors import ConfigurationError, NavPromptError, ParameterError
-from .prompts import Vocabulary, build_prompt_set
-from .segmenter import load_dataset
+from .prompts import Vocabulary
 from .training import (
     RunConfig,
     coerce_field,
     evaluate_retrieval,
     load_checkpoint,
     parse_config_file,
+    precompute_viewpoint_features,
+    prepare_trajectories,
     run_stage1,
     run_stage2,
     stage1_gradient_report,
@@ -74,27 +75,25 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    records = load_dataset(args.input)
-    written = 0
+    samples = read_trajectory_jsonl(args.input)
     with open(args.output, "w", encoding="utf-8") as fh:
-        for rec in records:
+        for s in samples:
+            ranges = [list(c) for c in s.chunks]
             fh.write(json.dumps({
-                "instruction": rec.instruction.text,
-                "path": rec.path,
-                "chunk_view": [list(c) for c in rec.chunks] if rec.chunks else None,
-                "sub_instructions": [p.sub_instruction.text for p in rec.pairs],
-                "aligned_ranges": [[p.start, p.end] for p in rec.pairs],
+                "instruction": s.instruction.text,
+                "path": s.viewpoints.tolist(),
+                "chunk_view": ranges,
+                "sub_instructions": s.sub_instructions,
+                "aligned_ranges": ranges,
             }))
             fh.write("\n")
-            written += 1
-    print(f"segmented {written} records into {args.output}")
+    print(f"segmented {len(samples)} records into {args.output}")
     return 0
 
 
 def _cmd_prompts(args) -> int:
-    records = load_dataset(args.input)
-    for rec in records:
-        print(json.dumps(build_prompt_set([p.sub_instruction for p in rec.pairs]).as_dict()))
+    for s in read_trajectory_jsonl(args.input):
+        print(json.dumps(dataclasses.asdict(s.prompt_set())))
     return 0
 
 
@@ -120,9 +119,11 @@ def _cmd_eval(args) -> int:
     store, config = load_checkpoint(args.ckpt)
     if "vocab" not in config:
         raise ConfigurationError(f"{args.ckpt}: no vocab in its config; eval needs a stage-2 checkpoint")
+    enc = EncoderConfig(**config["encoder"])
     dataset = read_trajectory_jsonl(args.data)
-    metrics = evaluate_retrieval(store, EncoderConfig(**config["encoder"]), dataset, Vocabulary(config["vocab"]),
-                                 mode=args.mode)
+    features = precompute_viewpoint_features(dataset, store, enc)
+    prepared = prepare_trajectories(dataset, Vocabulary(config["vocab"]), enc, features)
+    metrics = evaluate_retrieval(store, enc, prepared, mode=args.mode)
     print(json.dumps(metrics, indent=2))
     return 0
 

@@ -1,4 +1,11 @@
-"""Synthetic datasets: labeled patch features and instruction/trajectory pairs.
+"""Dataset records, their synthetic generators and their JSONL files.
+
+A ``TrajectorySample`` is the one trajectory record from file to batch: its
+viewpoint features, its instruction, and the instruction's sub-instructions,
+each paired with a contiguous sub-path.  It checks that pairing once, when it
+is built, so every stage that reads it can trust it.  ``read_trajectory_jsonl``
+builds the records of a file, segmenting each instruction and pairing its
+sub-instructions from the record's ``chunk_view`` or by the even partition.
 
 Every class (stage 1) and every action type (stage 2) gets a fixed random
 prototype feature pattern; samples add Gaussian noise around it, so both
@@ -9,13 +16,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .encoders import EncoderConfig
-from .errors import ParameterError, ValidationError
-from .segmenter import Instruction, load_dataset, numeric_matrix, read_jsonl
+from .errors import DatasetError, ParameterError, ParseError, ValidationError
+from .prompts import ContextPromptSet, build_prompt_set
+from .segmenter import Instruction, SubInstruction, check_partition, even_partition, split_instruction
+
+log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 _VERBS = [
     "walk into the", "walk out of the", "walk past the",
@@ -46,12 +60,30 @@ class IndoorSample:
     label: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # eq=False: the viewpoint array has no truth value to compare by
 class TrajectorySample:
+    """One trajectory whose sub-instructions pair, in order, with sub-paths that partition it.
+
+    Construction normalizes ``chunks`` to (int, int) pairs and raises
+    ValidationError unless they partition the viewpoints and number as many
+    as the sub-instructions, at least one.
+    """
+
     viewpoints: np.ndarray  # (T, feature_dim)
     instruction: Instruction
     chunks: list[tuple[int, int]]
     sub_instructions: list[str]
+
+    def __post_init__(self):
+        chunks = check_partition(self.chunks, len(self.viewpoints))
+        if not len(self.sub_instructions) == len(chunks) >= 1:
+            raise ValidationError(f"{len(chunks)} chunks for {len(self.sub_instructions)} sub-instructions")
+        object.__setattr__(self, "chunks", chunks)
+        object.__setattr__(self, "sub_instructions", list(self.sub_instructions))
+
+    def prompt_set(self) -> ContextPromptSet:
+        return build_prompt_set([SubInstruction(index=i + 1, text=text, tokens=text.split())
+                                 for i, text in enumerate(self.sub_instructions)])
 
 
 def gen_indoor_dataset(
@@ -162,7 +194,7 @@ def write_indoor_jsonl(samples: list[IndoorSample], path: str) -> None:
 
 
 def read_indoor_jsonl(path: str) -> list[IndoorSample]:
-    """Load {features, label} records; bad lines are skipped as in load_dataset."""
+    """Load {features, label} records; bad lines are skipped as ``read_jsonl`` describes."""
     return read_jsonl(path, _parse_indoor, "indoor samples")
 
 
@@ -192,15 +224,78 @@ def write_trajectory_jsonl(samples: list[TrajectorySample], path: str) -> None:
 
 
 def read_trajectory_jsonl(path: str) -> list[TrajectorySample]:
-    """Load trajectories, re-segmenting and uniformly chunking where absent."""
-    samples = []
-    for rec in load_dataset(path):
-        samples.append(
-            TrajectorySample(
-                viewpoints=np.asarray(rec.path, dtype=np.float64),
-                instruction=rec.instruction,
-                chunks=[(p.start, p.end) for p in rec.pairs],
-                sub_instructions=[p.sub_instruction.text for p in rec.pairs],
-            )
-        )
-    return samples
+    """Load {instruction, path, chunk_view?} records as trajectories.
+
+    Each instruction is segmented afresh; a record without ``chunk_view``
+    pairs its sub-instructions with the even partition of its path.  A line
+    that makes no valid record is skipped as ``read_jsonl`` describes.
+    """
+    return read_jsonl(path, _parse_trajectory, "records")
+
+
+def _parse_trajectory(obj) -> TrajectorySample:
+    if not isinstance(obj, dict):
+        raise ValidationError("record is not a JSON object")
+    text = obj.get("instruction")
+    if not isinstance(text, str):
+        raise ValidationError("missing or non-string 'instruction'")
+    viewpoints = numeric_matrix(obj.get("path"), "path")
+    chunks = obj.get("chunk_view")
+    if chunks is not None and not isinstance(chunks, list):
+        raise ValidationError("'chunk_view' must be a list of [start, end) pairs")
+    instruction = Instruction.from_text(text)
+    subs = [sub.text for sub in split_instruction(instruction)]
+    if chunks is None:
+        chunks = even_partition(len(viewpoints), len(subs))
+    return TrajectorySample(viewpoints=viewpoints, instruction=instruction, chunks=chunks, sub_instructions=subs)
+
+
+def read_jsonl(path: str, parse: Callable[[object], T], what: str) -> list[T]:
+    """Parse every non-blank line of a JSONL file with ``parse``.
+
+    A line that is not JSON (nested too deep to decode included), or whose
+    value ``parse`` rejects with a ValidationError or ParseError, is skipped
+    with a ``path:line`` warning.
+    A file that yields no record at all raises DatasetError naming the first
+    bad line instead, so a wholly bad file gives one error and no warnings.
+    """
+    records: list[T] = []
+    skipped: list[str] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(parse(json.loads(line)))
+                except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deep a nesting
+                    skipped.append(f"{path}:{lineno}: invalid JSON ({exc})")
+                except (ParseError, ValidationError) as exc:
+                    skipped.append(f"{path}:{lineno}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from exc
+    if not records:
+        first = f"; {len(skipped)} bad lines, the first at {skipped[0]}" if skipped else ""
+        raise DatasetError(f"{path}: no valid {what}{first}")
+    for message in skipped:
+        log.warning("%s; line skipped", message)
+    return records
+
+
+def numeric_matrix(value, name: str) -> np.ndarray:
+    """``value`` as a non-empty 2-d float64 array of finite numbers.
+
+    Strings, booleans, nulls, ragged rows and NaN/Infinity raise
+    ValidationError, so a loaded record can never carry them into training.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.size == 0 or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"'{name}' must be a non-empty 2-d array of numbers")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"'{name}' holds non-finite values")
+    return arr

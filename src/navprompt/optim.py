@@ -45,13 +45,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self.entries)
 
-    def copy(self) -> "ParamStore":
-        dup = ParamStore()
-        for name, t in self.entries.items():
-            dup.add(name, t.data.copy(), trainable=name not in self.frozen)
-        dup.frozen = set(self.frozen)
-        return dup
-
     def set_frozen(self, names: Iterable[str]) -> None:
         names = set(names)
         unknown = names - set(self.entries)

@@ -55,15 +55,6 @@ class ContextPromptSet:
     overall_prompt: str
     m: int
 
-    def as_dict(self) -> dict:
-        return {
-            "count_prompt": self.count_prompt,
-            "sequential_prompts": self.sequential_prompts,
-            "individual_prompts": self.individual_prompts,
-            "overall_prompt": self.overall_prompt,
-            "m": self.m,
-        }
-
 
 def build_prompt_set(subs: list[SubInstruction]) -> ContextPromptSet:
     """All four prompt forms for one segmented instruction."""

@@ -175,20 +175,6 @@ class Tensor:
         out._backward = _bw
         return out
 
-    def __sub__(self, other) -> "Tensor":
-        a, b = self, Tensor._coerce(other)
-        Tensor._check_elementwise(a, b, "sub")
-        out = Tensor._result(a.data - b.data, (a, b))
-
-        def _bw(g):
-            if a.requires_grad:
-                a._accumulate(Tensor._reduce_to(g, a))
-            if b.requires_grad:
-                b._accumulate(Tensor._reduce_to(-g, b))
-
-        out._backward = _bw
-        return out
-
     def __mul__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         Tensor._check_elementwise(a, b, "mul")

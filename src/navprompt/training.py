@@ -4,7 +4,12 @@ Stage 1 fits the prompt bank and classification head with cross-entropy on a
 frozen backbone.  Stage 2 keeps the backbone and the prompts frozen, encodes
 every viewpoint once through them, and aligns text features with cross-modal
 sub-path features under the weighted contrastive objective; it trains exactly
-the tensors that its mode's loss reads.  Both drivers are bitwise
+the tensors that its mode's loss reads.  Its records flow one way: each
+validated ``TrajectorySample`` gets its frozen viewpoint features
+(``precompute_viewpoint_features``), then its token ids
+(``prepare_trajectories``); the resulting ``_Prepared`` record is all that a
+training step (``stage2_losses``) or an eval batch (``evaluate_retrieval``)
+reads.  Both drivers are bitwise
 deterministic for a fixed RunConfig: all randomness flows from the seed, and
 logs never contain wall-clock values.  Both drivers train through one loop,
 ``_train``: shuffled mini-batches of Adam steps, each followed by a check
@@ -66,7 +71,6 @@ from .encoders import (
     visual_encode,
 )
 from .errors import (
-    AlignmentError,
     CheckpointError,
     ConfigurationError,
     DatasetError,
@@ -74,8 +78,7 @@ from .errors import (
     ParameterError,
 )
 from .optim import FiniteDifferenceReport, OptimConfig, Optimizer, ParamStore, backward, finite_difference_check
-from .prompts import PAD_ID, Vocabulary, build_prompt_set, count_prompt, tokenize
-from .segmenter import SubInstruction, check_partition
+from .prompts import PAD_ID, Vocabulary, count_prompt, tokenize
 from .tensor import Tensor, gather_index, linear, log_softmax, take_rows
 
 CHECKPOINT_FORMAT_VERSION = 3
@@ -488,17 +491,17 @@ def _write_stage_outputs(cfg: RunConfig, enc: EncoderConfig, stage: str, metrics
 
 @dataclass
 class _Prepared:
+    """Everything a training step or an eval batch reads of one trajectory."""
+
     sample: TrajectorySample
     m: int
     ids: dict[str, np.ndarray]  # text name -> (rows, max_text_len) token ids
+    viewpoints: np.ndarray  # (T, d) frozen viewpoint features, see precompute_viewpoint_features
 
 
 def _texts_for(sample: TrajectorySample) -> dict[str, list[str]]:
     """Every text of a trajectory that stage 2 encodes, by name."""
-    ps = build_prompt_set([
-        SubInstruction(index=i + 1, text=text, tokens=text.split())
-        for i, text in enumerate(sample.sub_instructions)
-    ])
+    ps = sample.prompt_set()
     return {
         "ind": ps.individual_prompts, "seq": ps.sequential_prompts,
         "cnt": [ps.count_prompt], "ove": [ps.overall_prompt],
@@ -513,17 +516,24 @@ def build_vocabulary(dataset: list[TrajectorySample], max_subpaths: int) -> Voca
     return Vocabulary.build(texts)
 
 
-def prepare_trajectories(dataset: list[TrajectorySample], vocab: Vocabulary, enc: EncoderConfig) -> list[_Prepared]:
+def prepare_trajectories(dataset: list[TrajectorySample], vocab: Vocabulary, enc: EncoderConfig,
+                         viewpoints: Sequence[np.ndarray]) -> list[_Prepared]:
+    """Each trajectory's token ids, with its features from ``precompute_viewpoint_features(dataset, ...)``.
+
+    A trajectory with more viewpoints or sub-paths than the cross-modal
+    encoder's position tables hold is refused here, by its index, before any
+    step runs.
+    """
     prepared = []
-    for sample in dataset:
-        if len(sample.sub_instructions) != len(sample.chunks):
-            raise AlignmentError(
-                f"{len(sample.sub_instructions)} sub-instructions but {len(sample.chunks)} sub-path chunks"
-            )
-        check_partition(sample.chunks, sample.viewpoints.shape[0])
+    for i, (sample, features) in enumerate(zip(dataset, viewpoints, strict=True)):
+        length, m = len(sample.viewpoints), len(sample.chunks)
+        if length > enc.max_viewpoints or m > enc.max_subpaths:
+            raise ConfigurationError(f"trajectory {i} has {length} viewpoints and {m} sub-paths; the encoder "
+                                     f"takes at most max_viewpoints {enc.max_viewpoints} and max_subpaths "
+                                     f"{enc.max_subpaths}")
         ids = {name: np.array([tokenize(t, vocab, enc.max_text_len) for t in texts])
                for name, texts in _texts_for(sample).items()}
-        prepared.append(_Prepared(sample, len(sample.sub_instructions), ids))
+        prepared.append(_Prepared(sample, m, ids, features))
     return prepared
 
 
@@ -535,7 +545,13 @@ def precompute_viewpoint_features(dataset: list[TrajectorySample], store: ParamS
     patch position's final-layer output, whose residual stream keeps the
     viewpoint's own content (the CLS position is reserved for the stage-1
     classification contract and is nearly input-independent at small init).
+    A trajectory whose viewpoints are not ``feature_dim`` wide is refused by
+    its index.
     """
+    for i, s in enumerate(dataset):
+        if s.viewpoints.shape[1] != enc.feature_dim:
+            raise ConfigurationError(f"trajectory {i} has viewpoints {s.viewpoints.shape[1]} wide; the encoder "
+                                     f"takes feature_dim {enc.feature_dim}")
     all_rows = np.concatenate([s.viewpoints for s in dataset], axis=0)
     outputs = []
     for i in range(0, all_rows.shape[0], PRECOMPUTE_CHUNK):
@@ -584,16 +600,15 @@ def stage2_features(
     enc: EncoderConfig,
     mode: str,
     terms: Sequence[str],
-    viewpoints: Tensor,
 ) -> dict[str, tuple[Tensor, Tensor]]:
     """The projected (text, visual) features of each requested term under ``mode``.
 
-    ``viewpoints`` stacks every trajectory's viewpoint features in batch
-    order.  ``ind`` and ``sub`` give (B, M_max, d) rows: each trajectory's
+    ``ind`` and ``sub`` give (B, M_max, d) rows: each trajectory's
     sub-instruction rows against its sub-path rows, padded past its M (see
     ``_padded_rows``).  ``ove``, ``ins`` and ``cnt`` give (B, d) rows, one
     per trajectory.  In a prompted mode the sequential prompts and the count
-    token enter the cross-modal encoder.
+    token enter the cross-modal encoder.  Every input, token ids and frozen
+    viewpoint features alike, comes from the prepared records.
     """
     prompted = mode in PROMPTED_MODES
     wanted = {*terms, "seq"} if prompted else set(terms)
@@ -615,6 +630,7 @@ def stage2_features(
         if name in wanted:
             text[name] = pooled_text_features(ids(name), store, enc)
 
+    viewpoints = Tensor(np.concatenate([p.viewpoints for p in batch], axis=0))
     cross = cross_modal_encode_batch(viewpoints, text["seq"] if prompted else None,
                                      [p.sample.chunks for p in batch], store, enc)
     visual = {"cnt": cross.count, "ove": cross.overall, "ins": cross.overall}
@@ -636,21 +652,14 @@ def stage2_losses(
     store: ParamStore,
     enc: EncoderConfig,
     cfg: RunConfig,
-    viewpoints: Sequence[np.ndarray],
 ) -> tuple[Tensor, LossReport]:
     """The weighted alignment loss of one mini-batch under cfg.ablation.
 
-    ``viewpoints`` holds each trajectory's precomputed viewpoint features
-    (``precompute_viewpoint_features``), in batch order.  Each term's loss is
-    the mean of its contrastive losses: one per trajectory for ind and sub,
-    scored together by one masked batched loss, and one over the batch for
-    ove and cnt.
+    Each term's loss is the mean of its contrastive losses: one per
+    trajectory for ind and sub, scored together by one masked batched loss,
+    and one over the batch for ove and cnt.
     """
-    if len(viewpoints) != len(batch):
-        raise AlignmentError(f"{len(viewpoints)} viewpoint feature blocks for a batch of {len(batch)}")
-    vp = Tensor(np.concatenate(viewpoints, axis=0))
-
-    features = stage2_features(batch, store, enc, cfg.ablation, ABLATION_TERMS[cfg.ablation], vp)
+    features = stage2_features(batch, store, enc, cfg.ablation, ABLATION_TERMS[cfg.ablation])
     sizes = np.array([p.m for p in batch])
     losses: dict[str, Tensor] = {}
     for term, (text, visual) in features.items():
@@ -669,35 +678,30 @@ def _add_stage2_params(store: ParamStore, enc: EncoderConfig, vocab_size: int, r
     apply_stage_freeze(store, "stage2", prompted)
 
 
-def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample] | None = None) -> StageResult:
+def run_stage2(cfg: RunConfig, stage1_checkpoint: str, dataset: list[TrajectorySample] | None = None) -> StageResult:
     cfg.validate()
     enc = cfg.encoder()
-    if isinstance(stage1_checkpoint, str):
-        store, ckpt_config = load_checkpoint(stage1_checkpoint)
-        if EncoderConfig(**ckpt_config["encoder"]) != enc:
-            raise ConfigurationError("stage-1 checkpoint was built with a different encoder config")
-    else:
-        store = stage1_checkpoint.copy()
-        mismatch = layout_mismatch(store, param_shapes(enc))
-        if mismatch:
-            raise ConfigurationError(f"stage-1 store does not match the encoder config: {mismatch}")
+    store, ckpt_config = load_checkpoint(stage1_checkpoint)
+    built = EncoderConfig(**ckpt_config["encoder"])
+    differ = [f"{f.name} {getattr(built, f.name)} (run: {getattr(enc, f.name)})"
+              for f in fields(EncoderConfig) if getattr(built, f.name) != getattr(enc, f.name)]
+    if differ:
+        raise ConfigurationError("stage-1 checkpoint was built with a different encoder config: " + ", ".join(differ))
 
     if dataset is None:
         dataset = cfg.trajectory_dataset()
     vocab = build_vocabulary(dataset, enc.max_subpaths)
     _add_stage2_params(store, enc, len(vocab), np.random.default_rng([cfg.seed, 21]), cfg.ablation in PROMPTED_MODES)
-    prepared = prepare_trajectories(dataset, vocab, enc)
-    train_idx, val_idx = split_indices(len(prepared), cfg.seed, cfg.val_fraction)
+    train_idx, val_idx = split_indices(len(dataset), cfg.seed, cfg.val_fraction)
     if not train_idx:
         raise DatasetError("stage 2 training split is empty")
-
-    cache = precompute_viewpoint_features(dataset, store, enc)
+    features = precompute_viewpoint_features(dataset, store, enc)
+    prepared = prepare_trajectories(dataset, vocab, enc, features)
 
     epochs = []  # each epoch's per-step LossReports
     _train(store, "stage2", cfg.optim(cfg.stage2_lr), cfg.stage2_epochs, cfg.stage2_batch_size, train_idx,
            np.random.default_rng([cfg.seed, 22]),
-           lambda batch: stage2_losses([prepared[i] for i in batch], store, enc, cfg, [cache[i] for i in batch]),
-           epochs.append)
+           lambda batch: stage2_losses([prepared[i] for i in batch], store, enc, cfg), epochs.append)
     # the l_ind_sum column holds the per-trajectory term, a mean over the batch: ind, or sub
     rows = [[step, *map(_float_cell, (r.l_ind if r.l_sub is None else r.l_sub, r.l_ove, r.l_cnt, r.total))]
             for step, r in enumerate(r for reports in epochs for r in reports)]
@@ -710,10 +714,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint, dataset: list[TrajectorySample
         "ablation": cfg.ablation,
     }
     eval_idx = val_idx if val_idx else train_idx
-    metrics["retrieval"] = evaluate_retrieval(
-        store, enc, [dataset[i] for i in eval_idx], vocab,
-        mode=cfg.ablation, cached_features=[cache[i] for i in eval_idx],
-    )
+    metrics["retrieval"] = evaluate_retrieval(store, enc, [prepared[i] for i in eval_idx], mode=cfg.ablation)
 
     header = ["step", "l_ind_sum", "l_ove", "l_cnt", "total"]
     return _write_stage_outputs(cfg, enc, "stage2", metrics, store, header, rows, vocab=vocab)
@@ -762,14 +763,7 @@ def retrieval_metrics(
     return metrics
 
 
-def evaluate_retrieval(
-    store: ParamStore,
-    enc: EncoderConfig,
-    dataset: list[TrajectorySample],
-    vocab: Vocabulary,
-    mode: str = "full",
-    cached_features: list[np.ndarray] | None = None,
-) -> dict:
+def evaluate_retrieval(store: ParamStore, enc: EncoderConfig, prepared: list[_Prepared], mode: str = "full") -> dict:
     """Argmax retrieval metrics over sub-pairs, whole trajectories, and counts.
 
     Each eval batch's features are the ones training scores; the per-path
@@ -777,20 +771,18 @@ def evaluate_retrieval(
     The count candidates are the count prompts of the sub-path counts that
     occur among the evaluated trajectories, the counts training shows.
     """
-    if not dataset:
+    if not prepared:
         raise DatasetError("evaluation dataset is empty")
     terms = retrieval_terms(mode)
     per_path, whole = terms[:2]
-    prepared = prepare_trajectories(dataset, vocab, enc)
-    if cached_features is None:
-        cached_features = precompute_viewpoint_features(dataset, store, enc)
     sizes = np.array([p.m for p in prepared])
 
     count_candidates = None
     if "cnt" in terms:
-        counts = sorted({p.m for p in prepared})
-        cnt_ids = np.array([tokenize(count_prompt(k), vocab, enc.max_text_len) for k in counts])
-        projected = linear(pooled_text_features(cnt_ids, store, enc), store["proj.text.w"], store["proj.text.b"]).data
+        cnt_ids = {p.m: p.ids["cnt"][0] for p in prepared}  # each trajectory's count prompt
+        counts = sorted(cnt_ids)
+        projected = linear(pooled_text_features(np.stack([cnt_ids[k] for k in counts]), store, enc),
+                           store["proj.text.w"], store["proj.text.b"]).data
         count_candidates = dict(zip(counts, projected))
 
     def kept(term: str, t: Tensor) -> np.ndarray:
@@ -799,10 +791,9 @@ def evaluate_retrieval(
     batches = []
     for start in range(0, len(prepared), EVAL_BATCH):
         batch = prepared[start:start + EVAL_BATCH]
-        viewpoints = Tensor(np.concatenate(cached_features[start:start + len(batch)], axis=0))
         # keep only the arrays, so this batch's graph dies before the next is encoded
         batches.append({term: [kept(term, t) for t in pair]
-                        for term, pair in stage2_features(batch, store, enc, mode, terms, viewpoints).items()})
+                        for term, pair in stage2_features(batch, store, enc, mode, terms).items()})
     feats = {term: [np.concatenate([b[term][i] for b in batches]) for i in (0, 1)] for term in terms}
     count = feats["cnt"][1] if "cnt" in feats else None
     return retrieval_metrics(*feats[per_path], sizes, *feats[whole], count, count_candidates)
@@ -844,6 +835,5 @@ def stage2_gradient_report(cfg: RunConfig | None = None, eps: float = 1e-5) -> F
     rng = np.random.default_rng([cfg.seed, 11])
     store = _stage1_store(enc, rng)
     _add_stage2_params(store, enc, len(vocab), rng, cfg.ablation in PROMPTED_MODES)
-    prepared = prepare_trajectories(dataset, vocab, enc)
-    cache = precompute_viewpoint_features(dataset, store, enc)
-    return finite_difference_check(lambda s: stage2_losses(prepared, s, enc, cfg, cache)[0], store, eps=eps)
+    prepared = prepare_trajectories(dataset, vocab, enc, precompute_viewpoint_features(dataset, store, enc))
+    return finite_difference_check(lambda s: stage2_losses(prepared, s, enc, cfg)[0], store, eps=eps)

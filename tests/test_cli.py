@@ -10,7 +10,14 @@ from navprompt.cli import main
 from navprompt.data import read_trajectory_jsonl
 from navprompt.encoders import EncoderConfig
 from navprompt.errors import CheckpointError
-from navprompt.training import build_vocabulary, evaluate_retrieval, load_checkpoint, save_checkpoint
+from navprompt.training import (
+    build_vocabulary,
+    evaluate_retrieval,
+    load_checkpoint,
+    precompute_viewpoint_features,
+    prepare_trajectories,
+    save_checkpoint,
+)
 
 
 def _cfg_flags(tmp_path, **extra):
@@ -60,6 +67,58 @@ def test_gen_segment_prompts_round_trip(tmp_path, capsys):
     assert set(parsed) == {"count_prompt", "sequential_prompts", "individual_prompts", "overall_prompt", "m"}
 
 
+def test_segment_and_prompts_output_is_pinned(tmp_path, capsys):
+    # on a gen-data file, segment writes each line back with its aligned
+    # ranges appended: the same bytes it wrote when it echoed the raw path
+    data = tmp_path / "traj.jsonl"
+    assert main(["gen-data", "--kind", "trajectories", "--seed", "3", "--trajectory-count", "6",
+                 "--output", str(data)]) == 0
+    seg = tmp_path / "seg.jsonl"
+    assert main(["segment", "--input", str(data), "--output", str(seg)]) == 0
+    lines = data.read_text().splitlines()
+    assert seg.read_text().splitlines() == [
+        line[:-1] + ', "aligned_ranges": ' + json.dumps(json.loads(line)["chunk_view"]) + "}" for line in lines
+    ]
+    # a record with integer path entries and no chunk_view
+    record = tmp_path / "rec.jsonl"
+    record.write_text(json.dumps({"instruction": "Walk out of the bathroom and turn left.",
+                                  "path": [[0, 1], [1, 0], [2, 1]]}) + "\n")
+    assert main(["segment", "--input", str(record), "--output", str(seg)]) == 0
+    assert seg.read_text() == (
+        '{"instruction": "Walk out of the bathroom and turn left.", "path": [[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]], '
+        '"chunk_view": [[0, 2], [2, 3]], "sub_instructions": ["walk out of the bathroom", "turn left"], '
+        '"aligned_ranges": [[0, 2], [2, 3]]}\n'
+    )
+    capsys.readouterr()
+    assert main(["prompts", "--input", str(record)]) == 0
+    assert capsys.readouterr().out == (
+        '{"count_prompt": "this instruction contains 2 actions", '
+        '"sequential_prompts": ["this is the first action", "this is the second action"], '
+        '"individual_prompts": ["first, perform the action walk out of the bathroom", '
+        '"second, perform the action turn left"], '
+        '"overall_prompt": "first, perform the action walk out of the bathroom, '
+        'second, perform the action turn left", "m": 2}\n'
+    )
+
+
+def test_viewpoint_width_is_checked_by_trajectory(tmp_path, capsys):
+    # records of two path widths: the one that differs from feature_dim is
+    # named, and the run ends in a one-line error, not a traceback
+    rc = main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})])
+    assert rc == 0
+    ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
+    data = tmp_path / "mixed.jsonl"
+    data.write_text("".join(json.dumps({"instruction": "walk out of the bathroom and turn left",
+                                        "path": np.zeros((3, width)).tolist()}) + "\n" for width in (6, 4)))
+    out = tmp_path / "stage2"
+    assert main(["stage2", "--stage1-ckpt", ckpt, "--data", str(data), *_cfg_flags(tmp_path),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error[ConfigurationError]: trajectory 1 has viewpoints 4 wide; the encoder takes feature_dim 6"
+    ]
+    assert not out.exists()
+
+
 def test_two_stage_pipeline_and_eval(tmp_path, capsys):
     rc = main(["stage1", *_cfg_flags(tmp_path)])
     assert rc == 0
@@ -89,7 +148,9 @@ def test_two_stage_pipeline_and_eval(tmp_path, capsys):
     store, config = load_checkpoint(ckpt2)
     enc = EncoderConfig(**config["encoder"])
     vocab = build_vocabulary(read_trajectory_jsonl(train), enc.max_subpaths)
-    assert metrics == evaluate_retrieval(store, enc, read_trajectory_jsonl(data), vocab)
+    dataset = read_trajectory_jsonl(data)
+    prepared = prepare_trajectories(dataset, vocab, enc, precompute_viewpoint_features(dataset, store, enc))
+    assert metrics == evaluate_retrieval(store, enc, prepared)
 
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--ckpt", ckpt2, "--vocab", ckpt2, "--data", data])

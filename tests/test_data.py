@@ -1,10 +1,13 @@
-"""Synthetic dataset generators and their persistence."""
+"""The trajectory record, the synthetic dataset generators and their persistence."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from navprompt.data import (
     ACTION_BANK,
+    TrajectorySample,
     gen_indoor_dataset,
     gen_trajectory_dataset,
     read_indoor_jsonl,
@@ -13,8 +16,41 @@ from navprompt.data import (
     write_indoor_jsonl,
     write_trajectory_jsonl,
 )
-from navprompt.errors import DatasetError, ParameterError
-from navprompt.segmenter import split_instruction
+from navprompt.errors import DatasetError, ParameterError, ValidationError
+from navprompt.segmenter import Instruction, split_instruction
+
+
+def _record(length, chunks, subs):
+    return TrajectorySample(viewpoints=np.zeros((length, 2)), instruction=Instruction.from_text("walk"),
+                            chunks=chunks, sub_instructions=subs)
+
+
+class TestTrajectorySample:
+    @pytest.mark.parametrize("length,chunks,subs,message", [
+        (4, [(0, 1), (2, 4)], ["a", "b"], r"gap or overlap at index 1 \(got start 2\)"),
+        (4, [(0, 3), (2, 4)], ["a", "b"], r"gap or overlap at index 3 \(got start 2\)"),
+        (4, [(0, 2), (2, 2), (2, 4)], ["a", "b", "c"], r"chunk \[2, 2\) is empty or reversed"),
+        (4, [(0, 1), (1, 3)], ["a", "b"], r"chunks cover \[0, 3\) but the path has length 4"),
+        (4, [(0, 2), (2, 5)], ["a", "b"], r"chunks cover \[0, 5\) but the path has length 4"),
+        (4, [(0, 2), (2, 4)], ["a", "b", "c"], r"^2 chunks for 3 sub-instructions$"),
+        (0, [], [], r"^0 chunks for 0 sub-instructions$"),
+        (4, [(0, 2), (2, 3, 4)], ["a", "b"], r"chunk \(2, 3, 4\) is not a \[start, end\) pair"),
+        (4, [(0, 2), (2.0, 4)], ["a", "b"], r"chunk \(2\.0, 4\) must hold integers"),
+        (2, [[False, 1], [True, 2]], ["a", "b"], r"chunk \[False, 1\] must hold integers"),
+    ], ids=["gap", "overlap", "empty_chunk", "short_cover", "long_cover", "count_mismatch", "no_chunks",
+            "non_pair", "non_integer", "boolean"])
+    def test_malformed_record_is_refused_at_construction(self, length, chunks, subs, message):
+        with pytest.raises(ValidationError, match=message):
+            _record(length, chunks, subs)
+
+    def test_fields_are_normalized_and_frozen(self):
+        sample = _record(4, [[np.int64(0), 1], (1, np.int32(4))], ("a", "b"))
+        assert sample.chunks == [(0, 1), (1, 4)]
+        assert all(type(i) is int for chunk in sample.chunks for i in chunk)
+        assert sample.sub_instructions == ["a", "b"]
+        for field in ("chunks", "sub_instructions", "viewpoints", "instruction"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sample, field, getattr(sample, field))
 
 
 class TestIndoorGenerator:
@@ -125,8 +161,10 @@ class TestJsonlRoundTrip:
         assert len(loaded) == 8
         for a, b in zip(samples, loaded):
             np.testing.assert_array_equal(a.viewpoints, b.viewpoints)
+            assert a.viewpoints.dtype == b.viewpoints.dtype and a.viewpoints.tobytes() == b.viewpoints.tobytes()
             assert a.chunks == b.chunks
             assert a.sub_instructions == b.sub_instructions
+            assert a.instruction.text == b.instruction.text
 
     def test_trajectories_without_chunks_fall_back_to_uniform(self, tmp_path):
         import json

@@ -601,11 +601,10 @@ class TestGradientFidelity:
         vocab = build_vocabulary(dataset, enc.max_subpaths)
         store = build_store(enc, seed=40, vocab_size=len(vocab))
         apply_stage_freeze(store, "stage2")
-        prepared = prepare_trajectories(dataset, vocab, enc)
-        cache = precompute_viewpoint_features(dataset, store, enc)
+        prepared = prepare_trajectories(dataset, vocab, enc, precompute_viewpoint_features(dataset, store, enc))
 
         def loss_fn(s):
-            return stage2_losses(prepared, s, enc, cfg, cache)[0]
+            return stage2_losses(prepared, s, enc, cfg)[0]
 
         analytic = backward(loss_fn(store), store)
         names = store.trainable_names()

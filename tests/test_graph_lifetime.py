@@ -66,7 +66,6 @@ def _pos(shape):
 # name -> builder of the op's output from one requires_grad input
 OPS = {
     "__add__": lambda x: x + 1.0,
-    "__sub__": lambda x: x - 1.0,
     "__mul__": lambda x: x * 2.0,
     "__truediv__": lambda x: x / 2.0,
     "__neg__": lambda x: -x,
@@ -163,9 +162,8 @@ def _stage2_setup(mode):
     init_text_params(store, enc, len(vocab), rng)
     init_cross_params(store, enc, rng)
     apply_stage_freeze(store, "stage2")
-    prepared = prepare_trajectories(dataset, vocab, enc)
-    cache = precompute_viewpoint_features(dataset, store, enc)
-    return store, lambda: stage2_losses(prepared, store, enc, cfg, cache)[0]
+    prepared = prepare_trajectories(dataset, vocab, enc, precompute_viewpoint_features(dataset, store, enc))
+    return store, lambda: stage2_losses(prepared, store, enc, cfg)[0]
 
 
 def _stage1_setup():
@@ -233,11 +231,11 @@ def test_evaluate_retrieval_drops_each_batch_graph(monkeypatch, no_gc):
     cfg = gradcheck_config()
     enc = cfg.encoder()
     dataset = cfg.trajectory_dataset()
-    cache = precompute_viewpoint_features(dataset, store, enc)
+    prepared = prepare_trajectories(dataset, build_vocabulary(dataset, enc.max_subpaths), enc,
+                                    precompute_viewpoint_features(dataset, store, enc))
     monkeypatch.setattr(training, "EVAL_BATCH", 1)
     refs = _spy_on(monkeypatch, "stage2_features", lambda feats: [t for pair in feats.values() for t in pair])
-    training.evaluate_retrieval(store, enc, dataset, build_vocabulary(dataset, enc.max_subpaths),
-                                cached_features=cache)
+    training.evaluate_retrieval(store, enc, prepared)
     assert len(refs) == 2 * 2 * 3 and all(ref() is None for ref in refs)
 
 

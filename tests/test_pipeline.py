@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+import navprompt.training as training
 from navprompt.alignment import (
     ABLATION_MODES,
     ABLATION_TERMS,
@@ -22,7 +23,7 @@ from navprompt.alignment import (
     similarity_matrix,
 )
 from navprompt.cli import main
-from navprompt.data import gen_trajectory_dataset
+from navprompt.data import gen_trajectory_dataset, read_trajectory_jsonl, split_indices, write_trajectory_jsonl
 from navprompt.encoders import (
     EncoderConfig,
     apply_stage_freeze,
@@ -32,7 +33,6 @@ from navprompt.encoders import (
     param_shapes,
 )
 from navprompt.errors import (
-    AlignmentError,
     CheckpointError,
     ConfigurationError,
     DatasetError,
@@ -393,7 +393,7 @@ class TestStage1:
         monkeypatch.setattr(Optimizer, "step", sabotage)
         message = rf"^frozen parameter 'visual\.cls' changed during {stage} step 0$"
         with pytest.raises(FreezeViolationError, match=message):
-            run_stage1(cfg) if stage == "stage1" else run_stage2(cfg, s1.store)
+            run_stage1(cfg) if stage == "stage1" else run_stage2(cfg, s1.checkpoint_path)
 
 
 class TestStage2:
@@ -403,7 +403,7 @@ class TestStage2:
 
     def test_composition_identity_every_step(self, tmp_path):
         cfg, s1 = self._stage1(tmp_path)
-        result = run_stage2(cfg, s1.store)
+        result = run_stage2(cfg, s1.checkpoint_path)
         with open(result.csv_path) as fh:
             rows = list(csv.DictReader(fh))
         assert rows, "no steps logged"
@@ -414,7 +414,7 @@ class TestStage2:
 
     def test_sub_only_leaves_ove_cnt_blank(self, tmp_path):
         cfg, s1 = self._stage1(tmp_path, ablation="sub_only")
-        result = run_stage2(cfg, s1.store)
+        result = run_stage2(cfg, s1.checkpoint_path)
         with open(result.csv_path) as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
@@ -423,7 +423,7 @@ class TestStage2:
 
     def test_cnt_mode_logs_only_count(self, tmp_path):
         cfg, s1 = self._stage1(tmp_path, ablation="cnt")
-        result = run_stage2(cfg, s1.store)
+        result = run_stage2(cfg, s1.checkpoint_path)
         with open(result.csv_path) as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
@@ -432,7 +432,7 @@ class TestStage2:
 
     def test_lambda_zero_degenerates_to_individual_sum(self, tmp_path):
         cfg, s1 = self._stage1(tmp_path, lambda1=0.0, lambda2=0.0)
-        result = run_stage2(cfg, s1.store)
+        result = run_stage2(cfg, s1.checkpoint_path)
         with open(result.csv_path) as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
@@ -441,8 +441,8 @@ class TestStage2:
     def test_deterministic_checkpoints(self, tmp_path):
         cfg_a, s1a = self._stage1(tmp_path, out_dir=str(tmp_path / "a"))
         cfg_b, s1b = self._stage1(tmp_path, out_dir=str(tmp_path / "b"))
-        a = run_stage2(cfg_a, s1a.store)
-        b = run_stage2(cfg_b, s1b.store)
+        a = run_stage2(cfg_a, s1a.checkpoint_path)
+        b = run_stage2(cfg_b, s1b.checkpoint_path)
         assert open(a.checkpoint_path, "rb").read() == open(b.checkpoint_path, "rb").read()
         vocab = load_checkpoint(a.checkpoint_path)[1]["vocab"]
         assert vocab == load_checkpoint(b.checkpoint_path)[1]["vocab"]
@@ -457,45 +457,63 @@ class TestStage2:
         with pytest.raises((ConfigurationError, CheckpointError)):
             run_stage2(other, path)
 
-    def test_prompt_chunk_mismatch(self, tmp_path):
-        cfg, s1 = self._stage1(tmp_path)
-        dataset = gen_trajectory_dataset(count=3, subpaths_range=(2, 3), viewpoints_range=(3, 5), seed=0,
-                                         feature_dim=cfg.feature_dim)
-        dataset[1].sub_instructions.append("turn left")
-        with pytest.raises(AlignmentError):
-            run_stage2(cfg, s1.store, dataset=dataset)
+    def test_prompt_chunk_mismatch(self):
+        # a trajectory is checked once, when it is built: one sub-instruction
+        # more than its chunks is refused there
+        sample = gen_trajectory_dataset(count=3, subpaths_range=(2, 3), viewpoints_range=(3, 5), seed=0)[1]
+        with pytest.raises(ValidationError, match=rf"^{len(sample.chunks)} chunks for "):
+            dataclasses.replace(sample, sub_instructions=[*sample.sub_instructions, "turn left"])
 
-    def test_boundary_gap_rejected(self, tmp_path):
-        # sub-path chunks are checked once, when trajectories are prepared
-        cfg, s1 = self._stage1(tmp_path)
-        dataset = gen_trajectory_dataset(count=3, subpaths_range=(2, 2), viewpoints_range=(4, 4), seed=0,
-                                         feature_dim=cfg.feature_dim)
-        dataset[1].chunks = [(0, 1), (2, 4)]
+    def test_boundary_gap_rejected(self):
+        # sub-path chunks are checked once, when the trajectory is built
+        sample = gen_trajectory_dataset(count=3, subpaths_range=(2, 2), viewpoints_range=(4, 4), seed=0)[1]
         with pytest.raises(ValidationError, match="gap or overlap at index 1"):
-            run_stage2(cfg, s1.store, dataset=dataset)
-        dataset[1].chunks = [(0, 3), (3, 3)]
-        vocab = build_vocabulary(dataset, cfg.max_subpaths)
+            dataclasses.replace(sample, chunks=[(0, 1), (2, 4)])
         with pytest.raises(ValidationError, match=r"chunk \[3, 3\) is empty"):
-            prepare_trajectories(dataset, vocab, cfg.encoder())
+            dataclasses.replace(sample, chunks=[(0, 3), (3, 3)])
 
     @pytest.mark.parametrize("field,value,match", [
-        ("prompt_count", 2, r"tensor 'visual.prompt.0' has shape \(3, 16\), config implies \(2, 16\)"),
-        ("prompt_layers", 1, r"tensor set mismatch \(missing \[\], extra \['visual.prompt.1'\]\)"),
-    ])
-    def test_in_memory_stage1_store_is_checked(self, tmp_path, monkeypatch, field, value, match):
-        # the path form checks the checkpoint's encoder config; a store is
-        # checked against the layout the run's encoder config implies
+        ("prompt_count", 2, r"prompt_count 3 \(run: 2\)$"),
+        ("prompt_layers", 1, r"prompt_layers 2 \(run: 1\)$"),
+    ], ids=["prompt_count", "prompt_layers"])
+    def test_stage1_checkpoint_encoder_is_checked(self, tmp_path, monkeypatch, field, value, match):
+        # the stage-1 checkpoint's encoder config must be the run's; a
+        # mismatch is refused, by field, before any data is built
         cfg, s1 = self._stage1(tmp_path)
         monkeypatch.setattr(RunConfig, "trajectory_dataset", lambda self: pytest.fail("data was built"))
         out_dir = str(tmp_path / "stage2")
-        with pytest.raises(ConfigurationError, match="stage-1 store does not match the encoder config: " + match):
-            run_stage2(dataclasses.replace(cfg, out_dir=out_dir, **{field: value}), s1.store)
+        with pytest.raises(ConfigurationError, match="stage-1 checkpoint was built with a different encoder "
+                                                     "config: " + match):
+            run_stage2(dataclasses.replace(cfg, out_dir=out_dir, **{field: value}), s1.checkpoint_path)
+        assert not os.path.exists(out_dir)
+
+    def test_empty_dataset_is_refused(self, tmp_path):
+        cfg, s1 = self._stage1(tmp_path)
+        with pytest.raises(DatasetError, match="stage 2 training split is empty"):
+            run_stage2(cfg, s1.checkpoint_path, dataset=[])
+
+    def test_overlong_trajectory_is_refused_before_training(self, tmp_path, monkeypatch):
+        # a trajectory longer than max_viewpoints, at a validation index, is
+        # refused before the first training step, not in evaluation
+        cfg, s1 = self._stage1(tmp_path)
+        data = str(tmp_path / "traj.jsonl")
+        write_trajectory_jsonl(cfg.trajectory_dataset(), data)
+        dataset = read_trajectory_jsonl(data)
+        val = split_indices(len(dataset), cfg.seed, cfg.val_fraction)[1][0]
+        long_path = np.random.default_rng(0).normal(size=(cfg.max_viewpoints + 1, cfg.feature_dim))
+        dataset[val] = dataclasses.replace(dataset[val], viewpoints=long_path,
+                                           chunks=[(0, 1), (1, cfg.max_viewpoints + 1)],
+                                           sub_instructions=dataset[val].sub_instructions[:2])
+        monkeypatch.setattr(training, "stage2_losses", lambda *args: pytest.fail("a training step ran"))
+        out_dir = str(tmp_path / "stage2")
+        with pytest.raises(ConfigurationError, match=rf"^trajectory {val} has {cfg.max_viewpoints + 1} viewpoints"):
+            run_stage2(dataclasses.replace(cfg, out_dir=out_dir), s1.checkpoint_path, dataset=dataset)
         assert not os.path.exists(out_dir)
 
     @pytest.mark.parametrize("mode", ABLATION_MODES)
     def test_stage2_trains_what_its_loss_reads(self, tmp_path, mode):
         cfg, s1 = self._stage1(tmp_path, ablation=mode, stage2_epochs=1)
-        result = run_stage2(cfg, s1.store)
+        result = run_stage2(cfg, s1.checkpoint_path)
         unread = {"cross.cnt", "cross.pos_prompt"}
         assert unread <= result.store.frozen if mode == "sub_only" else not unread & result.store.frozen
 
@@ -515,13 +533,12 @@ class TestAblationTable:
         init_text_params(store, enc, len(vocab), rng)
         init_cross_params(store, enc, rng)
         apply_stage_freeze(store, "stage2")
-        cache = precompute_viewpoint_features(dataset, store, enc)
+        prepared = prepare_trajectories(dataset, vocab, enc, precompute_viewpoint_features(dataset, store, enc))
 
         def run(mode):
-            prepared = prepare_trajectories(dataset, vocab, enc)
-            report = stage2_losses(prepared, store, enc, dataclasses.replace(cfg, ablation=mode), cache)[1]
-            features = stage2_features(prepared, store, enc, mode, ABLATION_TERMS[mode], Tensor(np.concatenate(cache)))
-            metrics = evaluate_retrieval(store, enc, dataset, vocab, mode=mode, cached_features=cache)
+            report = stage2_losses(prepared, store, enc, dataclasses.replace(cfg, ablation=mode))[1]
+            features = stage2_features(prepared, store, enc, mode, ABLATION_TERMS[mode])
+            metrics = evaluate_retrieval(store, enc, prepared, mode=mode)
             return report, features, metrics
 
         return cfg, run
@@ -582,7 +599,8 @@ class TestEvaluation:
         init_visual_params(store, enc, rng)
         init_text_params(store, enc, len(vocab), rng)
         init_cross_params(store, enc, rng)
-        metrics = evaluate_retrieval(store, enc, dataset, vocab)
+        prepared = prepare_trajectories(dataset, vocab, enc, precompute_viewpoint_features(dataset, store, enc))
+        metrics = evaluate_retrieval(store, enc, prepared)
         assert 0.15 <= metrics["subpair_accuracy"] <= 0.35
 
     @staticmethod
@@ -661,7 +679,8 @@ class TestEvaluation:
         init_visual_params(store, enc, rng)
         init_text_params(store, enc, len(vocab), rng)
         init_cross_params(store, enc, rng)
-        assert evaluate_retrieval(store, enc, dataset, vocab)["count_accuracy"] == 1.0
+        prepared = prepare_trajectories(dataset, vocab, enc, precompute_viewpoint_features(dataset, store, enc))
+        assert evaluate_retrieval(store, enc, prepared)["count_accuracy"] == 1.0
 
 
 class TestConfigFile:

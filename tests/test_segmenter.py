@@ -5,14 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from navprompt.errors import AlignmentError, DatasetError, ParseError, ValidationError
+from navprompt.data import TrajectorySample, read_trajectory_jsonl
+from navprompt.errors import DatasetError, ParseError, ValidationError
 from navprompt.segmenter import (
     DELIMITERS,
-    AlignedPair,
     Instruction,
-    SubInstruction,
-    load_dataset,
-    pair_subpaths,
+    even_partition,
     split_instruction,
     tokenize_text,
 )
@@ -107,50 +105,49 @@ class TestSegmentationProperties:
         assert split_instruction(text) == split_instruction(text)
 
 
-def _subs(n):
-    return [SubInstruction(i + 1, f"step {i + 1}", ["step", str(i + 1)]) for i in range(n)]
+def _sample(m, length, chunks):
+    """A record of ``m`` sub-instructions paired with ``chunks`` of a ``length``-viewpoint path."""
+    return TrajectorySample(viewpoints=np.zeros((length, 1)), instruction=Instruction.from_text("step"),
+                            chunks=chunks, sub_instructions=[f"step {i + 1}" for i in range(m)])
 
 
 class TestPairSubpaths:
     def test_even_split(self):
-        pairs = pair_subpaths(_subs(2), 4)
-        assert [(p.start, p.end) for p in pairs] == [(0, 2), (2, 4)]
+        assert even_partition(4, 2) == [(0, 2), (2, 4)]
 
     def test_remainder_to_front(self):
-        pairs = pair_subpaths(_subs(3), 7)
-        assert [(p.start, p.end) for p in pairs] == [(0, 3), (3, 5), (5, 7)]
+        assert even_partition(7, 3) == [(0, 3), (3, 5), (5, 7)]
 
     def test_remainder_rule_by_enumeration(self):
         # Oracle: sizes must differ by at most one, be non-increasing, and
         # partition the path exactly.
         for m in range(1, 6):
             for length in range(m, 20):
-                pairs = pair_subpaths(_subs(m), length)
-                sizes = [p.end - p.start for p in pairs]
+                ranges = even_partition(length, m)
+                sizes = [end - start for start, end in ranges]
                 assert sum(sizes) == length
-                assert pairs[0].start == 0 and pairs[-1].end == length
-                assert all(pairs[i].end == pairs[i + 1].start for i in range(m - 1))
+                assert ranges[0][0] == 0 and ranges[-1][1] == length
+                assert all(ranges[i][1] == ranges[i + 1][0] for i in range(m - 1))
                 assert max(sizes) - min(sizes) <= 1
                 assert sizes == sorted(sizes, reverse=True)
 
     def test_explicit_chunks_pass_through(self):
-        pairs = pair_subpaths(_subs(2), 5, chunks=[[0, 1], [1, 5]])
-        assert [(p.start, p.end) for p in pairs] == [(0, 1), (1, 5)]
+        assert _sample(2, 5, chunks=[[0, 1], [1, 5]]).chunks == [(0, 1), (1, 5)]
         # chunks built in code may hold numpy integers
-        pairs = pair_subpaths(_subs(2), 5, chunks=[(np.int64(0), np.int64(1)), (np.int64(1), 5)])
-        assert [(type(p.start), p.end) for p in pairs] == [(int, 1), (int, 5)]
+        sample = _sample(2, 5, chunks=[(np.int64(0), np.int64(1)), (np.int64(1), 5)])
+        assert [(type(start), end) for start, end in sample.chunks] == [(int, 1), (int, 5)]
 
     def test_path_too_short(self):
-        with pytest.raises(AlignmentError):
-            pair_subpaths(_subs(3), 2)
+        with pytest.raises(ValidationError):
+            even_partition(2, 3)
 
     def test_malformed_chunks(self):
         with pytest.raises(ValidationError):
-            pair_subpaths(_subs(2), 4, chunks=[[0, 3], [2, 4]])
+            _sample(2, 4, chunks=[[0, 3], [2, 4]])
         with pytest.raises(ValidationError):
-            pair_subpaths(_subs(2), 4, chunks=[[0, 2], [2, 3]])
+            _sample(2, 4, chunks=[[0, 2], [2, 3]])
         with pytest.raises(ValidationError):
-            pair_subpaths(_subs(3), 4, chunks=[[0, 2], [2, 4]])
+            _sample(3, 4, chunks=[[0, 2], [2, 4]])
 
 
 class TestLoadDataset:
@@ -165,7 +162,7 @@ class TestLoadDataset:
             json.dumps({"instruction": "go up the stairs", "path": [[0.5]]}),
             json.dumps({"instruction": "stop at the door, wait there", "path": [[1.0], [2.0], [3.0]], "chunk_view": [[0, 1], [1, 3]]}),
         ]
-        records = load_dataset(self._write(tmp_path, lines))
+        records = read_trajectory_jsonl(self._write(tmp_path, lines))
         assert len(records) == 3
         assert records[2].chunks == [(0, 1), (1, 3)]
 
@@ -175,7 +172,7 @@ class TestLoadDataset:
             json.dumps({"instruction": "turn left now", "path": [[0.0]]}),
         ]
         with caplog.at_level("WARNING"):
-            records = load_dataset(self._write(tmp_path, lines))
+            records = read_trajectory_jsonl(self._write(tmp_path, lines))
         assert len(records) == 1
         assert any(":1:" in r.message for r in caplog.records)
 
@@ -184,13 +181,13 @@ class TestLoadDataset:
             json.dumps({"instruction": "walk out and turn left", "path": [[0.0], [1.0], [2.0]], "chunk_view": [[0, 2], [1, 3]]}),
             json.dumps({"instruction": "turn left now", "path": [[0.0]]}),
         ]
-        records = load_dataset(self._write(tmp_path, lines))
+        records = read_trajectory_jsonl(self._write(tmp_path, lines))
         assert len(records) == 1
 
     def test_zero_valid_records(self, tmp_path):
         with pytest.raises(DatasetError):
-            load_dataset(self._write(tmp_path, ["not json", json.dumps({"path": [[1.0]]})]))
+            read_trajectory_jsonl(self._write(tmp_path, ["not json", json.dumps({"path": [[1.0]]})]))
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):
-            load_dataset(str(tmp_path / "missing.jsonl"))
+            read_trajectory_jsonl(str(tmp_path / "missing.jsonl"))

@@ -23,7 +23,6 @@ from navprompt.alignment import (
     similarity_matrix,
 )
 from navprompt.encoders import apply_stage_freeze, init_cross_params, init_text_params, init_visual_params
-from navprompt.errors import AlignmentError
 from navprompt.optim import ParamStore, backward
 from navprompt.training import (
     build_vocabulary,
@@ -33,7 +32,6 @@ from navprompt.training import (
     stage2_features,
     stage2_losses,
 )
-from navprompt.tensor import Tensor
 
 MAX_SUBPATHS = 5
 DRAWS = 8
@@ -55,8 +53,8 @@ def model():
     init_text_params(store, enc, len(vocab), rng)
     init_cross_params(store, enc, rng)
     apply_stage_freeze(store, "stage2")
-    prepared = prepare_trajectories(dataset, vocab, enc)
     cache = precompute_viewpoint_features(dataset, store, enc)
+    prepared = prepare_trajectories(dataset, vocab, enc, cache)
     assert {p.m for p in prepared} == set(range(1, MAX_SUBPATHS + 1))
     return cfg, enc, store, prepared, cache
 
@@ -71,9 +69,8 @@ def _draw(prepared, seed):
 def _features(model, idx, term):
     cfg, enc, store, prepared, cache = model
     batch = [prepared[i] for i in idx]
-    viewpoints = Tensor(np.concatenate([cache[i] for i in idx]))
     mode = "sub_only" if term == "sub" else "full"  # the mode that trains the term
-    text, visual = stage2_features(batch, store, enc, mode, (term,), viewpoints)[term]
+    text, visual = stage2_features(batch, store, enc, mode, (term,))[term]
     return batch, text, visual
 
 
@@ -121,8 +118,7 @@ def test_permuting_the_batch_permutes_features_and_keeps_the_loss(model, mode, d
     shuffled = [idx[i] for i in order]
     run_cfg = dataclasses.replace(cfg, ablation=mode)
 
-    totals = [stage2_losses([prepared[i] for i in ids], store, enc, run_cfg, [cache[i] for i in ids])[0].item()
-              for ids in (idx, shuffled)]
+    totals = [stage2_losses([prepared[i] for i in ids], store, enc, run_cfg)[0].item() for ids in (idx, shuffled)]
     assert totals[1] == pytest.approx(totals[0], rel=1e-12, abs=0)
 
     term = ABLATION_TERMS[mode][-1]  # ind or sub
@@ -134,10 +130,13 @@ def test_permuting_the_batch_permutes_features_and_keeps_the_loss(model, mode, d
         np.testing.assert_allclose(visual_p.data[b, :m], visual.data[j, :m], rtol=0, atol=1e-12)
 
 
-def test_viewpoints_are_one_block_per_trajectory_or_encoded_live(model):
+def test_each_prepared_trajectory_carries_its_viewpoint_block(model):
+    # the features a step reads ride on the prepared records, so a batch
+    # cannot pair a trajectory with another one's viewpoints
     cfg, enc, store, prepared, cache = model
+    for p, block in zip(prepared, cache, strict=True):
+        assert p.viewpoints is block and block.shape == (len(p.sample.viewpoints), enc.d)
     idx = _draw(prepared, seed=5)
-    batch = [prepared[i] for i in idx]
-    stage2_losses(batch, store, enc, cfg, [cache[i] for i in idx])
-    with pytest.raises(AlignmentError):
-        stage2_losses(batch, store, enc, cfg, [cache[i] for i in idx[:-1]])
+    loss = stage2_losses([prepared[i] for i in idx], store, enc, cfg)[0].item()
+    shifted = [dataclasses.replace(prepared[i], viewpoints=prepared[i].viewpoints + 1.0) for i in idx]
+    assert stage2_losses(shifted, store, enc, cfg)[0].item() != loss

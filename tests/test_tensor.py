@@ -238,7 +238,7 @@ def _cube(t):
     "name,build,shape,kwargs",
     [
         ("add", lambda x: ((x + x * 0.5) * (x + 2.0)).sum(), (3, 4), {}),
-        ("sub", lambda x: ((x - 1.5) * (x - 1.5)).sum(), (3, 4), {}),
+        ("embedding", lambda x: _sq(take_rows(x, np.array([[0, 2], [3, 1], [2, 2]]))).sum(), (4, 3), {}),
         ("mul", lambda x: (x * x * x).sum(), (3, 4), {}),
         ("div", lambda x: (x / 3.0 + Tensor(np.full((2, 3), 7.0)) / (x + 5.0)).sum(), (2, 3), {}),
         ("neg", lambda x: (-x * x).sum(), (5,), {}),
