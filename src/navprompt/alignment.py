@@ -170,7 +170,6 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
         raise DivergenceError("kl_divergence needs nonnegative entries")
     n2 = p.shape[0] ** 2
     entries, d_p = _kl_entries(p.data, q.data)
-    out = Tensor._result(np.asarray(entries.sum() / n2), (p, q))
 
     def _bw(g):
         gs = float(g)
@@ -180,8 +179,7 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
             support = p.data > 0
             q._accumulate(gs / n2 * np.where(support, -p.data / np.where(support, q.data, 1.0), 0.0))
 
-    out._backward = _bw
-    return out
+    return Tensor._result(np.asarray(entries.sum() / n2), (p, q), _bw)
 
 
 def contrastive_loss(s_t: Tensor, s_v: Tensor, gt: Tensor) -> Tensor:
@@ -269,7 +267,6 @@ def masked_contrastive_loss(
     kl_cols, d_cols = _kl_entries(p_cols, gt)
     n2 = (sizes * sizes).astype(np.float64)
     per_block = (kl_rows.reshape(batch, -1).sum(axis=1) / n2 + kl_cols.reshape(batch, -1).sum(axis=1) / n2) * 0.5
-    out = Tensor._result(np.asarray(per_block.mean()), (s,))
     # d(mean over blocks of half the pair of m^2-averaged divergences)/d(entry)
     weight = (0.5 / (batch * n2))[:, None, None]
 
@@ -281,8 +278,7 @@ def masked_contrastive_loss(
             dz += p_cols * (g_cols - (g_cols * p_cols).sum(axis=1, keepdims=True))
             s._accumulate(dz / temperature)
 
-    out._backward = _bw
-    return out
+    return Tensor._result(np.asarray(per_block.mean()), (s,), _bw)
 
 
 def batched_alignment_loss(

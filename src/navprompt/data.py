@@ -4,8 +4,9 @@ A ``TrajectorySample`` is the one trajectory record from file to batch: its
 viewpoint features, its instruction, and the instruction's sub-instructions,
 each paired with a contiguous sub-path.  It checks that pairing once, when it
 is built, so every stage that reads it can trust it.  ``read_trajectory_jsonl``
-builds the records of a file, segmenting each instruction and pairing its
-sub-instructions from the record's ``chunk_view`` or by the even partition.
+builds the records of a file: it takes each record's own sub-instructions,
+or segments its instruction when it has none, and pairs them with sub-paths
+from the record's ``chunk_view`` or by the even partition.
 
 Every class (stage 1) and every action type (stage 2) gets a fixed random
 prototype feature pattern; samples add Gaussian noise around it, so both
@@ -224,11 +225,13 @@ def write_trajectory_jsonl(samples: list[TrajectorySample], path: str) -> None:
 
 
 def read_trajectory_jsonl(path: str) -> list[TrajectorySample]:
-    """Load {instruction, path, chunk_view?} records as trajectories.
+    """Load {instruction, path, chunk_view?, sub_instructions?} records as trajectories.
 
-    Each instruction is segmented afresh; a record without ``chunk_view``
-    pairs its sub-instructions with the even partition of its path.  A line
-    that makes no valid record is skipped as ``read_jsonl`` describes.
+    A record's own ``sub_instructions``, a non-empty list of non-blank
+    strings, are its sub-instructions; a record without them has its
+    instruction segmented.  A record without ``chunk_view`` pairs its
+    sub-instructions with the even partition of its path.  A line that makes
+    no valid record is skipped as ``read_jsonl`` describes.
     """
     return read_jsonl(path, _parse_trajectory, "records")
 
@@ -244,7 +247,11 @@ def _parse_trajectory(obj) -> TrajectorySample:
     if chunks is not None and not isinstance(chunks, list):
         raise ValidationError("'chunk_view' must be a list of [start, end) pairs")
     instruction = Instruction.from_text(text)
-    subs = [sub.text for sub in split_instruction(instruction)]
+    subs = obj.get("sub_instructions")
+    if subs is None:
+        subs = [sub.text for sub in split_instruction(instruction)]
+    elif not (isinstance(subs, list) and subs and all(isinstance(t, str) and t.strip() for t in subs)):
+        raise ValidationError("'sub_instructions' must be a non-empty list of non-blank strings")
     if chunks is None:
         chunks = even_partition(len(viewpoints), len(subs))
     return TrajectorySample(viewpoints=viewpoints, instruction=instruction, chunks=chunks, sub_instructions=subs)

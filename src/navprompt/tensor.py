@@ -1,9 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records a closure that propagates gradients to its inputs;
-``Tensor.backward`` replays the closures in reverse topological order.  The
-tape is rebuilt on every forward pass, so identical inputs always produce
-identical gradients.
+An operation whose output needs a gradient records a closure that propagates
+gradients to its inputs; ``Tensor.backward`` replays the closures in reverse
+topological order.  The tape is rebuilt on every forward pass, so identical
+inputs always produce identical gradients.
+
+One rule, in ``Tensor._result``, decides what joins the tape: an output
+records its parents and its closure only when some input requires a gradient
+and no ``no_grad()`` block is active.  Anything else is a constant that holds
+none of its inputs, so a forward-only pass, such as an evaluation run under
+``no_grad()``, frees each intermediate array as soon as the next op has read
+it.  The tape never changes a forward value: the outputs are the same bits
+with or without it.
 
 ``backward`` consumes the graph as it goes, as PyTorch does by default
 (``retain_graph=False``): once a node's closure has run, the node drops its
@@ -19,7 +27,9 @@ its own output ``Tensor``: ``out._backward`` would then close a reference
 cycle through ``out``, and the whole graph of a step, activations included,
 would wait for the cyclic garbage collector instead of being freed by
 reference counting when the loss is dropped.  Capture the output array
-instead (``y = np.sqrt(x)`` ... ``g * 0.5 / y``).
+instead (``y = np.sqrt(x)`` ... ``g * 0.5 / y``).  Each op defines its
+closure first and hands it to ``_result``, which makes the output, so no
+closure can see that output.
 
 Broadcasting is deliberately restricted: elementwise operations accept
 operands of identical shape or a 0-d scalar, nothing else.  The few places
@@ -30,6 +40,8 @@ explicitly, which keeps every backward rule auditable.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from typing import Sequence
 
@@ -39,6 +51,23 @@ from .errors import ContractError, InputError, ParameterError, ShapeError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+# False inside a no_grad() block
+_GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar("navprompt_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: every op output is a constant.
+
+    Forward values are the same bits as with the tape.  Blocks nest, and
+    leaving one, normally or by an exception, restores the state it found.
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
 
 
 def _as_array(value) -> np.ndarray:
@@ -65,10 +94,18 @@ class Tensor:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def _result(data: np.ndarray, parents: tuple["Tensor", ...]) -> "Tensor":
-        out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-        if out.requires_grad:
+    def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward=None) -> "Tensor":
+        """An op's output; it joins the tape only when a gradient can reach it.
+
+        The output records ``parents`` and the op's ``backward`` closure when
+        some parent requires a gradient and no ``no_grad()`` block is active;
+        otherwise it is a constant that holds neither.
+        """
+        out = Tensor(data)
+        if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
+            out.requires_grad = True
             out._parents = parents
+            out._backward = backward
         return out
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -164,7 +201,6 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         Tensor._check_elementwise(a, b, "add")
-        out = Tensor._result(a.data + b.data, (a, b))
 
         def _bw(g):
             if a.requires_grad:
@@ -172,13 +208,11 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(Tensor._reduce_to(g, b))
 
-        out._backward = _bw
-        return out
+        return Tensor._result(a.data + b.data, (a, b), _bw)
 
     def __mul__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         Tensor._check_elementwise(a, b, "mul")
-        out = Tensor._result(a.data * b.data, (a, b))
 
         def _bw(g):
             if a.requires_grad:
@@ -186,13 +220,11 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(Tensor._reduce_to(g * a.data, b))
 
-        out._backward = _bw
-        return out
+        return Tensor._result(a.data * b.data, (a, b), _bw)
 
     def __truediv__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         Tensor._check_elementwise(a, b, "div")
-        out = Tensor._result(a.data / b.data, (a, b))
 
         def _bw(g):
             if a.requires_grad:
@@ -200,18 +232,15 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(Tensor._reduce_to(-g * a.data / (b.data * b.data), b))
 
-        out._backward = _bw
-        return out
+        return Tensor._result(a.data / b.data, (a, b), _bw)
 
     def __neg__(self) -> "Tensor":
-        out = Tensor._result(-self.data, (self,))
 
         def _bw(g):
             if self.requires_grad:
                 self._accumulate(-g)
 
-        out._backward = _bw
-        return out
+        return Tensor._result(-self.data, (self,), _bw)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -225,52 +254,44 @@ class Tensor:
         data = self.data + const
         if data.shape != self.shape:
             raise ShapeError(f"add_const: constant of shape {np.shape(const)} would broadcast {self.shape} to {data.shape}")
-        out = Tensor._result(data, (self,))
 
         def _bw(g):
             if self.requires_grad:
                 self._accumulate(g)
 
-        out._backward = _bw
-        return out
+        return Tensor._result(data, (self,), _bw)
 
     # -- elementwise unary ops -----------------------------------------------
 
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
-        out = Tensor._result(y, (self,))
 
         def _bw(g):
             if self.requires_grad:
                 self._accumulate(g * 0.5 / y)
 
-        out._backward = _bw
-        return out
+        return Tensor._result(y, (self,), _bw)
 
     def clip_min(self, floor: float) -> "Tensor":
         """max(x, floor); gradient is zero where the floor is active."""
-        out = Tensor._result(np.maximum(self.data, floor), (self,))
 
         def _bw(g):
             if self.requires_grad:
                 self._accumulate(g * (self.data > floor))
 
-        out._backward = _bw
-        return out
+        return Tensor._result(np.maximum(self.data, floor), (self,), _bw)
 
     # -- shape ops -------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor._result(self.data.reshape(shape), (self,))
 
         def _bw(g):
             if self.requires_grad:
                 self._accumulate(g.reshape(self.shape))
 
-        out._backward = _bw
-        return out
+        return Tensor._result(self.data.reshape(shape), (self,), _bw)
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -278,14 +299,12 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         inv = tuple(int(i) for i in np.argsort(axes))
-        out = Tensor._result(self.data.transpose(axes), (self,))
 
         def _bw(g):
             if self.requires_grad:
                 self._accumulate(g.transpose(inv))
 
-        out._backward = _bw
-        return out
+        return Tensor._result(self.data.transpose(axes), (self,), _bw)
 
     def expand(self, shape: Sequence[int]) -> "Tensor":
         """Broadcast size-1 axes up to ``shape``; gradient sums them back."""
@@ -299,19 +318,16 @@ class Tensor:
             if src != 1:
                 raise ShapeError(f"expand: cannot expand axis {i} of {self.shape} to {shape}")
             axes.append(i)
-        out = Tensor._result(np.ascontiguousarray(np.broadcast_to(self.data, shape)), (self,))
 
         def _bw(g):
             if self.requires_grad:
                 self._accumulate(g.sum(axis=tuple(axes), keepdims=True) if axes else g)
 
-        out._backward = _bw
-        return out
+        return Tensor._result(np.ascontiguousarray(np.broadcast_to(self.data, shape)), (self,), _bw)
 
     def __getitem__(self, key) -> "Tensor":
         if isinstance(key, np.ndarray) or (isinstance(key, tuple) and any(isinstance(k, (np.ndarray, list)) for k in key)):
             raise ContractError("advanced indexing is not supported; use take_rows/gather_index")
-        out = Tensor._result(self.data[key], (self,))
 
         def _bw(g):
             if self.requires_grad:
@@ -319,13 +335,11 @@ class Tensor:
                     self.grad = np.zeros_like(self.data)
                 self.grad[key] += g
 
-        out._backward = _bw
-        return out
+        return Tensor._result(self.data[key], (self,), _bw)
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out = Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
         def _bw(g):
             if not self.requires_grad:
@@ -336,8 +350,7 @@ class Tensor:
                 gg = g if keepdims else np.expand_dims(g, axis)
                 self._accumulate(np.broadcast_to(gg, self.shape).copy())
 
-        out._backward = _bw
-        return out
+        return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), _bw)
 
     def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         count = self.size if axis is None else self.shape[axis]
@@ -380,13 +393,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     any stacked axes when b is shared.
     """
     shared_rhs = _check_matmul(a, b, "matmul")
-    out = Tensor._result(a.data @ b.data, (a, b))
 
     def _bw(g):
         _matmul_backward(a, b, g, shared_rhs)
 
-    out._backward = _bw
-    return out
+    return Tensor._result(a.data @ b.data, (a, b), _bw)
 
 
 def _check_bias(shape: tuple[int, ...], b: Tensor, op: str) -> None:
@@ -397,7 +408,6 @@ def _check_bias(shape: tuple[int, ...], b: Tensor, op: str) -> None:
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a 1-d bias along the last axis of ``x``."""
     _check_bias(x.shape, b, "add_bias")
-    out = Tensor._result(x.data + b.data, (x, b))
 
     def _bw(g):
         if x.requires_grad:
@@ -405,8 +415,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
 
-    out._backward = _bw
-    return out
+    return Tensor._result(x.data + b.data, (x, b), _bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -421,22 +430,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_bias(x.shape[:-1] + w.shape[-1:], b, "linear")
     y = x.data @ w.data
     y += b.data
-    out = Tensor._result(y, (x, w, b))
 
     def _bw(g):
         if b.requires_grad:
             b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
         _matmul_backward(x, w, g, shared_rhs)
 
-    out._backward = _bw
-    return out
+    return Tensor._result(y, (x, w, b), _bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ParameterError("concat: need at least one tensor")
-    out = Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     sizes = [t.shape[axis] for t in tensors]
 
     def _bw(g):
@@ -448,8 +454,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(g[tuple(index)])
             offset += size
 
-    out._backward = _bw
-    return out
+    return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)
 
 
 def softmax(t: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
@@ -462,29 +467,25 @@ def softmax(t: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._result(y, (t,))
 
     def _bw(g):
         if t.requires_grad:
             inner = (g * y).sum(axis=axis, keepdims=True)
             t._accumulate(y * (g - inner) / temperature)
 
-    out._backward = _bw
-    return out
+    return Tensor._result(y, (t,), _bw)
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     z = t.data - t.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     y = z - lse
-    out = Tensor._result(y, (t,))
 
     def _bw(g):
         if t.requires_grad:
             t._accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
-    out._backward = _bw
-    return out
+    return Tensor._result(y, (t,), _bw)
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -498,7 +499,6 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     var = t.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (t.data - mu) * inv
-    out = Tensor._result(xhat * gamma.data + beta.data, (t, gamma, beta))
 
     def _bw(g):
         if beta.requires_grad:
@@ -509,8 +509,7 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
             gh = g * gamma.data
             t._accumulate(inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)))
 
-    out._backward = _bw
-    return out
+    return Tensor._result(xhat * gamma.data + beta.data, (t, gamma, beta), _bw)
 
 
 def gelu(t: Tensor) -> Tensor:
@@ -522,7 +521,6 @@ def gelu(t: Tensor) -> Tensor:
     u *= x
     u *= _GELU_C
     th = np.tanh(u)
-    out = Tensor._result(x * (0.5 * (1.0 + th)), (t,))
 
     # the closure keeps only tanh(u): backward recomputes x*x and the half
     # gate with the forward's own operations, which gives the same bits
@@ -540,8 +538,7 @@ def gelu(t: Tensor) -> Tensor:
             du *= g
             t._accumulate(du)
 
-    out._backward = _bw
-    return out
+    return Tensor._result(x * (0.5 * (1.0 + th)), (t,), _bw)
 
 
 def take_rows(t: Tensor, indices) -> Tensor:
@@ -559,7 +556,6 @@ def take_rows(t: Tensor, indices) -> Tensor:
         raise ShapeError(f"take_rows: need a 2-d tensor, got {t.shape}")
     if indices.size and (indices.min() < 0 or indices.max() >= t.shape[0]):
         raise InputError(f"take_rows: index out of range [0, {t.shape[0]})")
-    out = Tensor._result(t.data[indices], (t,))
 
     def _bw(g):
         if t.requires_grad:
@@ -567,8 +563,7 @@ def take_rows(t: Tensor, indices) -> Tensor:
                 t.grad = np.zeros_like(t.data)
             np.add.at(t.grad, indices.reshape(-1), g.reshape(-1, t.shape[1]))
 
-    out._backward = _bw
-    return out
+    return Tensor._result(t.data[indices], (t,), _bw)
 
 
 def segment_mean(x: Tensor, bounds) -> Tensor:
@@ -594,14 +589,12 @@ def segment_mean(x: Tensor, bounds) -> Tensor:
     member = ((rows >= start[..., None]) & (rows < end[..., None])).astype(np.float64)
     count = end - start
     scale = np.where(count > 0, 1.0 / np.maximum(count, 1), 0.0)[..., None]
-    out = Tensor._result(np.matmul(member, x.data) * scale, (x,))
 
     def _bw(g):
         if x.requires_grad:
             x._accumulate(np.matmul(np.swapaxes(member, 1, 2), g * scale))
 
-    out._backward = _bw
-    return out
+    return Tensor._result(np.matmul(member, x.data) * scale, (x,), _bw)
 
 
 def gather_index(t: Tensor, idx) -> Tensor:
@@ -612,7 +605,6 @@ def gather_index(t: Tensor, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[1]):
         raise InputError(f"gather_index: index out of range [0, {t.shape[1]})")
     rows = np.arange(t.shape[0])
-    out = Tensor._result(t.data[rows, idx], (t,))
 
     def _bw(g):
         if t.requires_grad:
@@ -620,5 +612,4 @@ def gather_index(t: Tensor, idx) -> Tensor:
                 t.grad = np.zeros_like(t.data)
             np.add.at(t.grad, (rows, idx), g)
 
-    out._backward = _bw
-    return out
+    return Tensor._result(t.data[rows, idx], (t,), _bw)

@@ -79,13 +79,13 @@ from .errors import (
 )
 from .optim import FiniteDifferenceReport, OptimConfig, Optimizer, ParamStore, backward, finite_difference_check
 from .prompts import PAD_ID, Vocabulary, count_prompt, tokenize
-from .tensor import Tensor, gather_index, linear, log_softmax, take_rows
+from .tensor import Tensor, gather_index, linear, log_softmax, no_grad, take_rows
 
 CHECKPOINT_FORMAT_VERSION = 3
 # rows per batch of the forward-only passes: stage-1 accuracy, the viewpoint
 # precompute and retrieval evaluation
 ACCURACY_BATCH = 64
-PRECOMPUTE_CHUNK = 256
+PRECOMPUTE_CHUNK = 128
 EVAL_BATCH = 16
 # loss terms with one contrastive block per trajectory; the others have one per batch
 PER_PATH_TERMS = ("ind", "sub")
@@ -346,7 +346,8 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
 
 def _assert_frozen_unchanged(store: ParamStore, baseline: dict[str, np.ndarray], where: str) -> None:
     for name, ref in baseline.items():
-        if not np.array_equal(store[name].data, ref):
+        # compared as bit patterns: -0.0 == 0.0 and NaN != NaN would hide or invent a change
+        if not np.array_equal(store[name].data.view(np.uint64), ref.view(np.uint64)):
             raise FreezeViolationError(f"frozen parameter {name!r} changed during {where}")
 
 
@@ -408,12 +409,12 @@ def _stage1_accuracy(samples: list[IndoorSample], indices: Sequence[int], store:
     if not indices:
         return float("nan")
     hits = 0
-    for batch in _batches(indices, ACCURACY_BATCH):
-        feats = np.stack([samples[i].features for i in batch])
-        labels = np.array([samples[i].label for i in batch])
-        # keep only the logits array, so this batch's graph dies before the next is encoded
-        logits = classify_logits(visual_encode(feats, store, enc).cls.reshape(len(batch), enc.d), store).data
-        hits += int((logits.argmax(axis=1) == labels).sum())
+    with no_grad():
+        for batch in _batches(indices, ACCURACY_BATCH):
+            feats = np.stack([samples[i].features for i in batch])
+            labels = np.array([samples[i].label for i in batch])
+            logits = classify_logits(visual_encode(feats, store, enc).cls.reshape(len(batch), enc.d), store).data
+            hits += int((logits.argmax(axis=1) == labels).sum())
     return hits / len(indices)
 
 
@@ -554,10 +555,10 @@ def precompute_viewpoint_features(dataset: list[TrajectorySample], store: ParamS
                                      f"takes feature_dim {enc.feature_dim}")
     all_rows = np.concatenate([s.viewpoints for s in dataset], axis=0)
     outputs = []
-    for i in range(0, all_rows.shape[0], PRECOMPUTE_CHUNK):
-        block = all_rows[i:i + PRECOMPUTE_CHUNK][:, None, :]  # each viewpoint is one patch
-        # keep only the output array, so this chunk's graph dies before the next is encoded
-        outputs.append(visual_encode(block, store, enc).patch_block.data.reshape(block.shape[0], enc.d))
+    with no_grad():
+        for i in range(0, all_rows.shape[0], PRECOMPUTE_CHUNK):
+            block = all_rows[i:i + PRECOMPUTE_CHUNK][:, None, :]  # each viewpoint is one patch
+            outputs.append(visual_encode(block, store, enc).patch_block.data.reshape(block.shape[0], enc.d))
     flat = np.concatenate(outputs, axis=0)
     features = []
     offset = 0
@@ -777,23 +778,22 @@ def evaluate_retrieval(store: ParamStore, enc: EncoderConfig, prepared: list[_Pr
     per_path, whole = terms[:2]
     sizes = np.array([p.m for p in prepared])
 
-    count_candidates = None
-    if "cnt" in terms:
-        cnt_ids = {p.m: p.ids["cnt"][0] for p in prepared}  # each trajectory's count prompt
-        counts = sorted(cnt_ids)
-        projected = linear(pooled_text_features(np.stack([cnt_ids[k] for k in counts]), store, enc),
-                           store["proj.text.w"], store["proj.text.b"]).data
-        count_candidates = dict(zip(counts, projected))
-
     def kept(term: str, t: Tensor) -> np.ndarray:
         return np.pad(t.data, ((0, 0), (0, sizes.max() - t.shape[1]), (0, 0))) if term in PER_PATH_TERMS else t.data
 
+    count_candidates = None
     batches = []
-    for start in range(0, len(prepared), EVAL_BATCH):
-        batch = prepared[start:start + EVAL_BATCH]
-        # keep only the arrays, so this batch's graph dies before the next is encoded
-        batches.append({term: [kept(term, t) for t in pair]
-                        for term, pair in stage2_features(batch, store, enc, mode, terms).items()})
+    with no_grad():
+        if "cnt" in terms:
+            cnt_ids = {p.m: p.ids["cnt"][0] for p in prepared}  # each trajectory's count prompt
+            counts = sorted(cnt_ids)
+            projected = linear(pooled_text_features(np.stack([cnt_ids[k] for k in counts]), store, enc),
+                               store["proj.text.w"], store["proj.text.b"]).data
+            count_candidates = dict(zip(counts, projected))
+        for start in range(0, len(prepared), EVAL_BATCH):
+            batch = prepared[start:start + EVAL_BATCH]
+            batches.append({term: [kept(term, t) for t in pair]
+                            for term, pair in stage2_features(batch, store, enc, mode, terms).items()})
     feats = {term: [np.concatenate([b[term][i] for b in batches]) for i in (0, 1)] for term in terms}
     count = feats["cnt"][1] if "cnt" in feats else None
     return retrieval_metrics(*feats[per_path], sizes, *feats[whole], count, count_candidates)

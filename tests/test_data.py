@@ -179,6 +179,33 @@ class TestJsonlRoundTrip:
         assert loaded[0].chunks == [(0, 2), (2, 4)]
         assert loaded[0].sub_instructions == ["walk out of the bathroom", "turn left"]
 
+    def test_record_keeps_its_own_sub_instructions(self, tmp_path):
+        import json
+
+        # "then" is no delimiter: segmenting the instruction would give one sub-instruction for two chunks
+        record = {"instruction": "walk to the door then turn left", "path": [[0.0], [1.0]],
+                  "chunk_view": [[0, 1], [1, 2]], "sub_instructions": ["walk to the door", "then turn left"]}
+        path = tmp_path / "own.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        loaded = read_trajectory_jsonl(str(path))
+        assert loaded[0].sub_instructions == ["walk to the door", "then turn left"]
+        assert loaded[0].chunks == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("subs", [[], "walk", ["walk", ""], ["walk", "  "], ["walk", 3], {"a": "b"}],
+                             ids=["empty", "string", "empty_item", "blank_item", "number", "object"])
+    def test_malformed_sub_instructions_skip_the_line(self, tmp_path, caplog, subs):
+        import json
+
+        path = tmp_path / "bad.jsonl"
+        good = {"instruction": "walk out of the bathroom and turn left", "path": [[0.0], [1.0], [2.0]]}
+        path.write_text("\n".join(json.dumps(r) for r in [good, {**good, "sub_instructions": subs}]) + "\n")
+        with caplog.at_level("WARNING"):
+            loaded = read_trajectory_jsonl(str(path))
+        assert len(loaded) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:2: 'sub_instructions' must be a non-empty list of non-blank strings; line skipped"
+        ]
+
     def test_unpairable_line_skipped(self, tmp_path, caplog):
         import json
 

@@ -4,7 +4,8 @@ A backward closure that captured its own output tensor would put every graph
 through that op into a reference cycle; a training step's activations would
 then stay alive until a full collection.  ``backward`` consumes the graph,
 so an interior node's closure, inputs and gradient buffer go even while the
-loss is held, and the forward-only loops keep arrays, never a batch's graph.
+loss is held.  An output that no gradient can reach records nothing, and the
+forward-only passes record no tape at all, so their traced peaks stay small.
 These tests run with the collector disabled so a leak shows up as a live
 object, as collectable garbage or as a higher traced peak.
 """
@@ -33,11 +34,13 @@ from navprompt.tensor import (
     linear,
     log_softmax,
     matmul,
+    no_grad,
     segment_mean,
     softmax,
     take_rows,
 )
 from navprompt.training import (
+    RunConfig,
     build_vocabulary,
     gradcheck_config,
     precompute_viewpoint_features,
@@ -100,17 +103,54 @@ CASE_OPS = {"embedding": "take_rows"}
 # differentiable ops defined outside tensor.py
 LOSS_OPS = {"kl_divergence", "masked_contrastive_loss"}
 
-# Tensor methods that build no graph node
-NOT_OPS = {"__init__", "__repr__", "_accumulate", "item", "backward"}
+# Tensor methods and tensor.py functions that build no graph node
+NOT_OPS = {"__init__", "__repr__", "_accumulate", "item", "backward", "no_grad"}
 
 
 def test_every_differentiable_op_is_listed():
-    methods = {name for name, obj in vars(Tensor).items() if inspect.isfunction(obj)} - NOT_OPS
+    methods = {name for name, obj in vars(Tensor).items() if inspect.isfunction(obj)}
     functions = {
         name for name, obj in vars(tensor_mod).items()
         if inspect.isfunction(obj) and obj.__module__ == tensor_mod.__name__ and not name.startswith("_")
     }
-    assert methods | functions | LOSS_OPS == {CASE_OPS.get(name, name) for name in OPS}
+    assert (methods | functions) - NOT_OPS | LOSS_OPS == {CASE_OPS.get(name, name) for name in OPS}
+
+
+def _is_constant(t):
+    return not t.requires_grad and t._backward is None and t._parents == ()
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_no_grad_records_nothing_and_keeps_the_values(name):
+    x = Tensor(_pos((4, 3)), requires_grad=True)
+    taped = OPS[name](x)
+    with no_grad():
+        out = OPS[name](x)
+    assert _is_constant(out)
+    assert out.shape == taped.shape and out.data.dtype == taped.data.dtype
+    assert out.data.tobytes() == taped.data.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_op_on_constants_records_nothing(name):
+    assert _is_constant(OPS[name](Tensor(_pos((4, 3)))))
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    x = Tensor(_pos((4, 3)), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert _is_constant(x * 2.0)
+        assert _is_constant(x * 2.0)
+        with pytest.raises(RuntimeError, match="inside"):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert _is_constant(x * 2.0)
+    with pytest.raises(RuntimeError, match="outside"):
+        with no_grad():
+            raise RuntimeError("outside")
+    out = x * 2.0
+    assert out.requires_grad and out._backward is not None and out._parents
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -190,43 +230,42 @@ def test_training_step_leaves_no_cyclic_garbage(step, no_gc):
     assert gc.collect() == 0
 
 
-def _spy_on(monkeypatch, name, outputs):
-    """Wrap ``training.<name>``; each call first checks that earlier calls' graphs are dead."""
-    real = getattr(training, name)
-    refs = []
+def _record_tape(monkeypatch):
+    """Wrap ``Tensor._result``; the returned list gets, per op output, whether it joined the tape."""
+    real = Tensor._result
+    recorded = []
 
-    def spy(*args, **kwargs):
-        alive = sum(ref() is not None for ref in refs)
-        assert alive == 0, f"{alive} closures of an earlier {name} call are alive while the next batch is encoded"
-        result = real(*args, **kwargs)
-        refs.extend(weakref.ref(t._backward) for t in outputs(result))
-        return result
+    def spy(data, parents, backward=None):
+        out = real(data, parents, backward)
+        recorded.append(out._backward is not None or bool(out._parents))
+        return out
 
-    monkeypatch.setattr(training, name, spy)
-    return refs
+    monkeypatch.setattr(Tensor, "_result", staticmethod(spy))
+    return recorded
 
 
-def test_stage1_accuracy_drops_each_batch_graph(monkeypatch, no_gc):
+def test_stage1_accuracy_records_no_tape(monkeypatch):
     store, _ = _stage1_setup()
     cfg = gradcheck_config()
     dataset = cfg.indoor_dataset()
     monkeypatch.setattr(training, "ACCURACY_BATCH", 2)
-    refs = _spy_on(monkeypatch, "visual_encode", lambda state: (state.cls, state.patch_block))
+    recorded = _record_tape(monkeypatch)
     training._stage1_accuracy(dataset, list(range(len(dataset))), store, cfg.encoder())
-    assert len(refs) == 2 * 3 and all(ref() is None for ref in refs)
+    assert recorded and not any(recorded)
 
 
-def test_precompute_drops_each_chunk_graph(monkeypatch, no_gc):
-    store, _ = _stage2_setup("full")
+def test_precompute_records_no_tape(monkeypatch):
+    # the stage-1 freeze leaves the visual prompts trainable, so only no_grad keeps the tape off
+    store, _ = _stage1_setup()
     cfg = gradcheck_config()
     dataset = cfg.trajectory_dataset()
     monkeypatch.setattr(training, "PRECOMPUTE_CHUNK", 4)
-    refs = _spy_on(monkeypatch, "visual_encode", lambda state: (state.cls, state.patch_block))
+    recorded = _record_tape(monkeypatch)
     precompute_viewpoint_features(dataset, store, cfg.encoder())
-    assert len(refs) == 2 * 3 and all(ref() is None for ref in refs)
+    assert recorded and not any(recorded)
 
 
-def test_evaluate_retrieval_drops_each_batch_graph(monkeypatch, no_gc):
+def test_evaluate_retrieval_records_no_tape(monkeypatch):
     store, _ = _stage2_setup("full")
     cfg = gradcheck_config()
     enc = cfg.encoder()
@@ -234,9 +273,61 @@ def test_evaluate_retrieval_drops_each_batch_graph(monkeypatch, no_gc):
     prepared = prepare_trajectories(dataset, build_vocabulary(dataset, enc.max_subpaths), enc,
                                     precompute_viewpoint_features(dataset, store, enc))
     monkeypatch.setattr(training, "EVAL_BATCH", 1)
-    refs = _spy_on(monkeypatch, "stage2_features", lambda feats: [t for pair in feats.values() for t in pair])
+    recorded = _record_tape(monkeypatch)
     training.evaluate_retrieval(store, enc, prepared)
-    assert len(refs) == 2 * 2 * 3 and all(ref() is None for ref in refs)
+    assert recorded and not any(recorded)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated at the peak of ``fn()`` above what was live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+MB = 2**20
+
+
+@pytest.fixture(scope="module")
+def default_width():
+    """Default-width stores and inputs: a stage-1 store, whose visual prompts are trainable, and a
+    stage-2 store."""
+    cfg = RunConfig()
+    enc = cfg.encoder()
+    stage1 = training._stage1_store(enc, np.random.default_rng([cfg.seed, 11]))
+    trajectories = dataclasses.replace(cfg, trajectory_count=300).trajectory_dataset()
+    subset = trajectories[:64]
+    vocab = build_vocabulary(subset, enc.max_subpaths)
+    stage2 = training._stage1_store(enc, np.random.default_rng([cfg.seed, 11]))
+    training._add_stage2_params(stage2, enc, len(vocab), np.random.default_rng([cfg.seed, 21]), True)
+    prepared = prepare_trajectories(subset, vocab, enc, precompute_viewpoint_features(subset, stage2, enc))
+    return dict(enc=enc, stage1=stage1, stage2=stage2, images=cfg.indoor_dataset()[:128],
+                trajectories=trajectories, prepared=prepared)
+
+
+# Allocation peaks of the forward-only passes, in tracemalloc's exact count;
+# with a tape each one would hold a whole batch's activations
+def test_stage1_accuracy_peak(default_width):
+    w = default_width
+    peak = _traced_peak(lambda: training._stage1_accuracy(w["images"], list(range(128)), w["stage1"], w["enc"]))
+    assert peak < 8 * MB, f"{peak / MB:.1f} MB"
+
+
+def test_precompute_peak(default_width):
+    w = default_width
+    assert sum(len(s.viewpoints) for s in w["trajectories"]) >= 1800
+    peak = _traced_peak(lambda: precompute_viewpoint_features(w["trajectories"], w["stage1"], w["enc"]))
+    assert peak < 8 * MB, f"{peak / MB:.1f} MB"
+
+
+def test_evaluate_retrieval_peak(default_width):
+    w = default_width
+    peak = _traced_peak(lambda: training.evaluate_retrieval(w["stage2"], w["enc"], w["prepared"]))
+    assert peak < 16 * MB, f"{peak / MB:.1f} MB"
 
 
 def test_consecutive_stage2_steps_hold_one_graph(no_gc):

@@ -395,6 +395,22 @@ class TestStage1:
         with pytest.raises(FreezeViolationError, match=message):
             run_stage1(cfg) if stage == "stage1" else run_stage2(cfg, s1.checkpoint_path)
 
+    def test_freeze_check_is_bitwise(self, tmp_path, monkeypatch):
+        # -0.0 == 0.0 as numbers, but the frozen tensors must keep their bits
+        from navprompt.optim import Optimizer
+
+        real_step = Optimizer.step
+
+        def sabotage(self, store, grads):
+            real_step(self, store, grads)
+            bias = store["visual.layer0.ln1.b"].data
+            assert bias[0] == 0.0
+            bias[0] = -0.0
+
+        monkeypatch.setattr(Optimizer, "step", sabotage)
+        with pytest.raises(FreezeViolationError, match=r"^frozen parameter 'visual\.layer0\.ln1\.b' changed during stage1 step 0$"):
+            run_stage1(tiny_cfg(tmp_path, stage1_epochs=1))
+
 
 class TestStage2:
     def _stage1(self, tmp_path, **kw):

@@ -1,6 +1,7 @@
 """Tensor forward semantics and gradient correctness against finite differences."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -265,7 +266,8 @@ def _cube(t):
     ],
 )
 def test_gradient_matches_finite_differences(name, build, shape, kwargs):
-    _check_op(build, shape, seed=hash(name) % (2**32))
+    # crc32, not hash(): str hashes are salted per interpreter, so a failing draw could not be replayed
+    _check_op(build, shape, seed=zlib.crc32(name.encode()))
 
 
 def test_layer_norm_param_gradients():
