@@ -94,7 +94,7 @@ class Tensor:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward=None) -> "Tensor":
+    def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         """An op's output; it joins the tape only when a gradient can reach it.
 
         The output records ``parents`` and the op's ``backward`` closure when
@@ -108,10 +108,17 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` to ``grad``; the first gradient becomes ``grad`` itself.
+
+        ``owned=True`` promises that the calling closure just computed ``g``
+        and keeps no other reference to it, so it is handed over without a
+        copy.  Anything else, such as a view into another node's gradient
+        buffer or a ``g`` that also goes to a second parent, is copied.
+        """
         if self.grad is None:
-            # copy: g may be a view into another node's gradient buffer
-            self.grad = np.array(g, dtype=np.float64)
+            # asarray: an op on 0-d arrays returns a numpy scalar, not an array
+            self.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -216,9 +223,9 @@ class Tensor:
 
         def _bw(g):
             if a.requires_grad:
-                a._accumulate(Tensor._reduce_to(g * b.data, a))
+                a._accumulate(Tensor._reduce_to(g * b.data, a), owned=True)
             if b.requires_grad:
-                b._accumulate(Tensor._reduce_to(g * a.data, b))
+                b._accumulate(Tensor._reduce_to(g * a.data, b), owned=True)
 
         return Tensor._result(a.data * b.data, (a, b), _bw)
 
@@ -228,9 +235,9 @@ class Tensor:
 
         def _bw(g):
             if a.requires_grad:
-                a._accumulate(Tensor._reduce_to(g / b.data, a))
+                a._accumulate(Tensor._reduce_to(g / b.data, a), owned=True)
             if b.requires_grad:
-                b._accumulate(Tensor._reduce_to(-g * a.data / (b.data * b.data), b))
+                b._accumulate(Tensor._reduce_to(-g * a.data / (b.data * b.data), b), owned=True)
 
         return Tensor._result(a.data / b.data, (a, b), _bw)
 
@@ -238,7 +245,7 @@ class Tensor:
 
         def _bw(g):
             if self.requires_grad:
-                self._accumulate(-g)
+                self._accumulate(-g, owned=True)
 
         return Tensor._result(-self.data, (self,), _bw)
 
@@ -268,7 +275,7 @@ class Tensor:
 
         def _bw(g):
             if self.requires_grad:
-                self._accumulate(g * 0.5 / y)
+                self._accumulate(g * 0.5 / y, owned=True)
 
         return Tensor._result(y, (self,), _bw)
 
@@ -277,7 +284,7 @@ class Tensor:
 
         def _bw(g):
             if self.requires_grad:
-                self._accumulate(g * (self.data > floor))
+                self._accumulate(g * (self.data > floor), owned=True)
 
         return Tensor._result(np.maximum(self.data, floor), (self,), _bw)
 
@@ -321,7 +328,10 @@ class Tensor:
 
         def _bw(g):
             if self.requires_grad:
-                self._accumulate(g.sum(axis=tuple(axes), keepdims=True) if axes else g)
+                if axes:
+                    self._accumulate(g.sum(axis=tuple(axes), keepdims=True), owned=True)
+                else:
+                    self._accumulate(g)
 
         return Tensor._result(np.ascontiguousarray(np.broadcast_to(self.data, shape)), (self,), _bw)
 
@@ -345,10 +355,10 @@ class Tensor:
             if not self.requires_grad:
                 return
             if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
+                self._accumulate(np.broadcast_to(g, self.shape).copy(), owned=True)
             else:
                 gg = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(gg, self.shape).copy())
+                self._accumulate(np.broadcast_to(gg, self.shape).copy(), owned=True)
 
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), _bw)
 
@@ -374,14 +384,14 @@ def _check_matmul(a: Tensor, b: Tensor, op: str) -> bool:
 
 def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray, shared_rhs: bool) -> None:
     if a.requires_grad:
-        a._accumulate(g @ np.swapaxes(b.data, -1, -2))
+        a._accumulate(g @ np.swapaxes(b.data, -1, -2), owned=True)
     if b.requires_grad:
         if shared_rhs:
             k = a.shape[-1]
             n = g.shape[-1]
-            b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n), owned=True)
         else:
-            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g, owned=True)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -413,7 +423,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g)
         if b.requires_grad:
-            b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
+            b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0), owned=True)
 
     return Tensor._result(x.data + b.data, (x, b), _bw)
 
@@ -433,7 +443,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def _bw(g):
         if b.requires_grad:
-            b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
+            b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0), owned=True)
         _matmul_backward(x, w, g, shared_rhs)
 
     return Tensor._result(y, (x, w, b), _bw)
@@ -463,15 +473,19 @@ def softmax(t: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
         raise ParameterError(f"softmax: temperature must be positive, got {temperature}")
     if not -t.ndim <= axis < t.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {t.shape}")
-    z = t.data / temperature
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = t.data / temperature
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def _bw(g):
         if t.requires_grad:
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            t._accumulate(y * (g - inner) / temperature)
+            dx = g * y
+            inner = dx.sum(axis=axis, keepdims=True)
+            np.subtract(g, inner, out=dx)
+            dx *= y
+            dx /= temperature
+            t._accumulate(dx, owned=True)
 
     return Tensor._result(y, (t,), _bw)
 
@@ -483,7 +497,7 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
 
     def _bw(g):
         if t.requires_grad:
-            t._accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+            t._accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True), owned=True)
 
     return Tensor._result(y, (t,), _bw)
 
@@ -495,32 +509,50 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     d = t.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma {gamma.shape} / beta {beta.shape} do not match last axis of {t.shape}")
-    mu = t.data.mean(axis=-1, keepdims=True)
-    var = t.data.var(axis=-1, keepdims=True)
+    # np.var's own steps: the mean, then the mean square of x - mu
+    xhat = t.data - t.data.mean(axis=-1, keepdims=True)
+    y = np.square(xhat)
+    var = y.sum(axis=-1, keepdims=True)
+    var /= d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (t.data - mu) * inv
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
 
     def _bw(g):
         if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, d).sum(axis=0))
+            beta._accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
+        if not (gamma.requires_grad or t.requires_grad):
+            return
+        gx = g * xhat
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+            gamma._accumulate(gx.reshape(-1, d).sum(axis=0), owned=True)
         if t.requires_grad:
+            # inv * (gh - mean(gh) - xhat * mean(gh * xhat)) with gh = g * gamma
             gh = g * gamma.data
-            t._accumulate(inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)))
+            mean_gh = gh.mean(axis=-1, keepdims=True)
+            np.multiply(gh, xhat, out=gx)
+            np.multiply(xhat, gx.mean(axis=-1, keepdims=True), out=gx)
+            gh -= mean_gh
+            gh -= gx
+            gh *= inv
+            t._accumulate(gh, owned=True)
 
-    return Tensor._result(xhat * gamma.data + beta.data, (t, gamma, beta), _bw)
+    return Tensor._result(y, (t, gamma, beta), _bw)
 
 
 def gelu(t: Tensor) -> Tensor:
     """Smooth gated activation (tanh form); smoothness keeps difference checks clean."""
     x = t.data
-    x2 = x * x
-    u = x2 * _GELU_A
-    u += 1.0
-    u *= x
-    u *= _GELU_C
-    th = np.tanh(u)
+    th = x * x
+    th *= _GELU_A
+    th += 1.0
+    th *= x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    y = 1.0 + th
+    y *= 0.5
+    y *= x
 
     # the closure keeps only tanh(u): backward recomputes x*x and the half
     # gate with the forward's own operations, which gives the same bits
@@ -532,13 +564,18 @@ def gelu(t: Tensor) -> Tensor:
             du *= 3.0 * _GELU_A
             du += 1.0
             du *= _GELU_C
-            du *= 1.0 - th * th
-            du *= 0.5 * x
-            du += 0.5 * (1.0 + th)
+            s = th * th
+            np.subtract(1.0, s, out=s)
+            du *= s
+            np.multiply(0.5, x, out=s)
+            du *= s
+            np.add(1.0, th, out=s)
+            s *= 0.5
+            du += s
             du *= g
-            t._accumulate(du)
+            t._accumulate(du, owned=True)
 
-    return Tensor._result(x * (0.5 * (1.0 + th)), (t,), _bw)
+    return Tensor._result(y, (t,), _bw)
 
 
 def take_rows(t: Tensor, indices) -> Tensor:
@@ -592,7 +629,7 @@ def segment_mean(x: Tensor, bounds) -> Tensor:
 
     def _bw(g):
         if x.requires_grad:
-            x._accumulate(np.matmul(np.swapaxes(member, 1, 2), g * scale))
+            x._accumulate(np.matmul(np.swapaxes(member, 1, 2), g * scale), owned=True)
 
     return Tensor._result(np.matmul(member, x.data) * scale, (x,), _bw)
 

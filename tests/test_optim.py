@@ -139,9 +139,7 @@ class TestFiniteDifferenceCheck:
         # gradients; every absolute error here is below 1e-4, but an analytic
         # gradient that is dropped or doubled must still fail the check
         def small_sin(t):
-            out = Tensor._result(1e-5 * np.sin(t.data), (t,))
-            out._backward = lambda g: t._accumulate(factor * 1e-5 * np.cos(t.data) * g)
-            return out
+            return Tensor._result(1e-5 * np.sin(t.data), (t,), lambda g: t._accumulate(factor * 1e-5 * np.cos(t.data) * g))
 
         store = ParamStore()
         store.add("p", np.array([0.3, -1.2, 0.7]))

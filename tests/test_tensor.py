@@ -225,6 +225,7 @@ def _check_op(build, shape, seed, low=-2.0, high=2.0, tol=1e-5):
 
 
 W_FIXED = np.random.default_rng(99).uniform(-1, 1, (6, 4))
+X_FIXED = np.random.default_rng(98).uniform(-1, 1, (2, 3, 6))
 
 
 def _sq(t):
@@ -263,6 +264,14 @@ def _cube(t):
         ("add_bias", lambda x: _sq(add_bias(x, Tensor(np.arange(4.0)))).sum(), (3, 4), {}),
         ("layer_norm", lambda x: (layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))) * np.arange(12.0).reshape(3, 4)).sum(), (3, 4), {}),
         ("clip_min", lambda x: _cube((x * x).sum(axis=0).clip_min(1e-12).sqrt()).sum(), (3, 4), {}),
+        # a stacked operand against a shared 2-d weight: the stacked input, a
+        # non-contiguous row slice of it (as encoder_layer's last layer
+        # passes), and the shared weight and bias as the checked tensor
+        ("linear_stacked", lambda x: _sq(linear(x, Tensor(W_FIXED), Tensor(np.arange(4.0)))).sum(), (2, 3, 6), {}),
+        ("matmul_shared", lambda x: _sq(matmul(x, Tensor(W_FIXED))).sum(), (2, 3, 6), {}),
+        ("linear_row_slice", lambda x: _sq(linear(x[:, :2], Tensor(W_FIXED), Tensor(np.arange(4.0)))).sum(), (2, 3, 6), {}),
+        ("linear_shared_weight", lambda w: _sq(linear(Tensor(X_FIXED), w, Tensor(np.arange(4.0)))).sum(), (6, 4), {}),
+        ("linear_shared_bias", lambda b: _sq(linear(Tensor(X_FIXED), Tensor(W_FIXED), b)).sum(), (4,), {}),
     ],
 )
 def test_gradient_matches_finite_differences(name, build, shape, kwargs):
