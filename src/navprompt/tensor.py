@@ -31,6 +31,21 @@ instead (``y = np.sqrt(x)`` ... ``g * 0.5 / y``).  Each op defines its
 closure first and hands it to ``_result``, which makes the output, so no
 closure can see that output.
 
+Gradient buffers are never shared.  The first gradient a tensor receives
+becomes its ``.grad``, and later ones are added into it in place.  An op
+hands a gradient over without a copy (``_accumulate(g, owned=True)``) only
+when its closure has just computed that array and keeps no other reference
+to it: a product, a reduction or an elementwise result.  A view of the
+upstream gradient (a reshape, a transpose, a slice) and a gradient that goes
+to two parents (``__add__``) are copied.  Whether an array is owned is
+stated at the call site, never inferred from ``flags.owndata``.
+
+A stacked operand times a shared 2-d weight (``linear``, and ``matmul`` with
+a 2-d right operand) is one 2-d GEMM over all the stacked rows, in the
+forward and for the input gradient, as the weight gradient always was.
+numpy would otherwise issue one small BLAS call per leading index, which
+OpenBLAS does not thread.
+
 Broadcasting is deliberately restricted: elementwise operations accept
 operands of identical shape or a 0-d scalar, nothing else.  The few places
 that need axis broadcasting (bias rows, mask biases, tiling a parameter over
@@ -382,16 +397,25 @@ def _check_matmul(a: Tensor, b: Tensor, op: str) -> bool:
     return shared_rhs
 
 
+def _matmul_forward(a: np.ndarray, b: np.ndarray, shared_rhs: bool) -> np.ndarray:
+    """``a @ b``, with a shared 2-d ``b`` applied to all of ``a``'s stacked rows in one GEMM."""
+    if shared_rhs:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    return a @ b
+
+
 def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray, shared_rhs: bool) -> None:
+    if shared_rhs:
+        g2 = g.reshape(-1, g.shape[-1])
+        if a.requires_grad:
+            a._accumulate((g2 @ b.data.T).reshape(a.shape), owned=True)
+        if b.requires_grad:
+            b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g2, owned=True)
+        return
     if a.requires_grad:
         a._accumulate(g @ np.swapaxes(b.data, -1, -2), owned=True)
     if b.requires_grad:
-        if shared_rhs:
-            k = a.shape[-1]
-            n = g.shape[-1]
-            b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n), owned=True)
-        else:
-            b._accumulate(np.swapaxes(a.data, -1, -2) @ g, owned=True)
+        b._accumulate(np.swapaxes(a.data, -1, -2) @ g, owned=True)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -407,7 +431,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def _bw(g):
         _matmul_backward(a, b, g, shared_rhs)
 
-    return Tensor._result(a.data @ b.data, (a, b), _bw)
+    return Tensor._result(_matmul_forward(a.data, b.data, shared_rhs), (a, b), _bw)
 
 
 def _check_bias(shape: tuple[int, ...], b: Tensor, op: str) -> None:
@@ -438,7 +462,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     shared_rhs = _check_matmul(x, w, "linear")
     _check_bias(x.shape[:-1] + w.shape[-1:], b, "linear")
-    y = x.data @ w.data
+    y = _matmul_forward(x.data, w.data, shared_rhs)
     y += b.data
 
     def _bw(g):

@@ -27,33 +27,33 @@ import numpy as np
 import pytest
 
 PINNED_BUILD = "numpy 2.4.6; scipy-openblas 0.3.31.188.0; cpu X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
-PINNED_RUNS = {"stage1": {"checkpoint": "184da0c67d6913ec1649dce48cdd1571a83adfef2fdd891f6504d47f40c4a496",
+PINNED_RUNS = {"stage1": {"checkpoint": "07cc977ef9fc55ba8a32124a14cf1962780f7273262d48f7d0ba88890ec034cd",
             "csv": "92a5c15b51b1362089d492ef07e9cd20f8cf36b055ce100e371b1f576dcb51e0",
             "summary": "2720a3ced690dbfa5ec3a1730802f8850d93c1717b209d8bbdc98efe9a1b231f"},
- "stage2-cnt": {"checkpoint": "9a3a242e4ee2238db9bdb618ed3e243bacd781c008f2dfa19a9bb977c2ea5702",
-                "csv": "f38e94f5ed1d93301372f81c8fbd1646277d86d92bf136a6bad990340de6b4af",
+ "stage2-cnt": {"checkpoint": "25ffdec4b10547779c990fddf2f8b61e16d39bf5b53a56691ecdcbf2ca736e8f",
+                "csv": "3478c5a4cb6122b2bc18d9ea853290169f8ae52b77a4abcb70fe1ac79abd10e5",
                 "retrieval": {"count_accuracy": 0.3333333333333333,
                               "subpair_accuracy": 0.3333333333333333,
                               "trajectory_accuracy": 0.3333333333333333},
                 "summary": "9076ffeed56b009e4660b2c9bba53218df1e46b273e0288916ebbc821d7e0eb9"},
- "stage2-cnt_ind": {"checkpoint": "0e5cda0152fe596720fe5be41978a4260a4378035cf0a1fe6bf600f125271051",
-                    "csv": "9bf6a3fa051401793f30980601c9675446294789eec50dc9eb9d7a4f716f97b8",
+ "stage2-cnt_ind": {"checkpoint": "8232db047ce3d79c3baf1a9f19f2996ce2c56b96bee4b5372ca5f405dcb072fb",
+                    "csv": "5203dce22edc64dff1fe81e7e3e28fe9fc6cfe99a76e4e02f93ca51a72f95028",
                     "retrieval": {"count_accuracy": 0.3333333333333333,
                                   "subpair_accuracy": 0.3333333333333333,
                                   "trajectory_accuracy": 0.0},
-                    "summary": "c6a81f2efeb3703071e607481b7f38800ecec636104202eb98ff804b8c34647c"},
- "stage2-full": {"checkpoint": "ddb5ffb05b8414a9fc7640d2c7ad0a9a2f89fbecb2c62e8782442f58566b59a0",
-                 "csv": "3b31dd1003222bc118a87cd86c7d43beba49bb01ff9a63439ee4cbaf091f4069",
+                    "summary": "d12e2a9c25157eacb49ce85670689687c1d218e035abbca908fb82dd1052f0f4"},
+ "stage2-full": {"checkpoint": "576bac84956d0804f8459bd27f8c3e721d3d11f7739d7329dc84a910a1c417c8",
+                 "csv": "cb55328f04ddb345590046a0d59813ed264d3492fc388dabcf6bb745b55d7822",
                  "retrieval": {"count_accuracy": 0.3333333333333333,
                                "subpair_accuracy": 0.3333333333333333,
                                "trajectory_accuracy": 0.3333333333333333},
-                 "summary": "714c966a73931574aff990797312798db21c09a0dfb3336d898f1884c56d67ac"},
- "stage2-sub_only": {"checkpoint": "cbffe732e03b83bebb2d6a1f92ccea33a8e2a5546013980581997c59e05f84bf",
-                     "csv": "52d0a4662de4d16bd20f82d337dbe12a7d078d98489164d5430d79ea5116bca5",
+                 "summary": "36ceb8ed1ff86b1312fcf2cc4d0817ba56f74a4961e43cc9dff21dd06e603c63"},
+ "stage2-sub_only": {"checkpoint": "3ce079a1eeaf1a7c3f18e18e2bd34b792d2fac8a5b08760077f5dad00e892863",
+                     "csv": "d8e5b5cfb99218106cdadcb584e8ed0512253e7073fb130117312534ab8fbead",
                      "retrieval": {"count_accuracy": None,
                                    "subpair_accuracy": 0.4444444444444444,
                                    "trajectory_accuracy": 0.0},
-                     "summary": "9e7bfe75cbbda08660177c2700563390fa01b324c1df8b618aec817c6b1cc9a8"}}
+                     "summary": "31542d4f0c7461dee2f8604fc425c4d2c7780bc9e6ea4d931af13fab26194533"}}
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
