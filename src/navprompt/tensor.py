@@ -124,13 +124,7 @@ class Tensor:
         return out
 
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` to ``grad``; the first gradient becomes ``grad`` itself.
-
-        ``owned=True`` promises that the calling closure just computed ``g``
-        and keeps no other reference to it, so it is handed over without a
-        copy.  Anything else, such as a view into another node's gradient
-        buffer or a ``g`` that also goes to a second parent, is copied.
-        """
+        """Add ``g`` to ``grad``; ``owned=True`` hands a fresh ``g`` over uncopied (see the module docstring)."""
         if self.grad is None:
             # asarray: an op on 0-d arrays returns a numpy scalar, not an array
             self.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64)
@@ -546,16 +540,13 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     def _bw(g):
         if beta.requires_grad:
             beta._accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
-        if not (gamma.requires_grad or t.requires_grad):
-            return
-        gx = g * xhat
         if gamma.requires_grad:
-            gamma._accumulate(gx.reshape(-1, d).sum(axis=0), owned=True)
+            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
         if t.requires_grad:
             # inv * (gh - mean(gh) - xhat * mean(gh * xhat)) with gh = g * gamma
             gh = g * gamma.data
             mean_gh = gh.mean(axis=-1, keepdims=True)
-            np.multiply(gh, xhat, out=gx)
+            gx = gh * xhat
             np.multiply(xhat, gx.mean(axis=-1, keepdims=True), out=gx)
             gh -= mean_gh
             gh -= gx
