@@ -8,14 +8,13 @@ verified by central finite differences.
 """
 
 from .encoders import EncoderConfig
-from .optim import OptimConfig, Optimizer, ParamStore, backward, finite_difference_check
+from .optim import Optimizer, ParamStore, backward, finite_difference_check
 from .tensor import Tensor
 from .training import RunConfig, evaluate_retrieval, run_stage1, run_stage2
 
 __all__ = [
     "Tensor",
     "ParamStore",
-    "OptimConfig",
     "Optimizer",
     "backward",
     "finite_difference_check",

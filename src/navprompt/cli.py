@@ -17,7 +17,7 @@ import numpy as np
 from .alignment import ABLATION_MODES
 from .data import read_indoor_jsonl, read_trajectory_jsonl, write_indoor_jsonl, write_trajectory_jsonl
 from .encoders import EncoderConfig
-from .errors import ConfigurationError, NavPromptError, ParameterError
+from .errors import CheckpointError, ConfigurationError, NavPromptError, ParameterError
 from .prompts import Vocabulary
 from .training import (
     RunConfig,
@@ -119,11 +119,15 @@ def _cmd_eval(args) -> int:
     store, config = load_checkpoint(args.ckpt)
     if "vocab" not in config:
         raise ConfigurationError(f"{args.ckpt}: no vocab in its config; eval needs a stage-2 checkpoint")
+    mode = config.get("ablation")
+    if mode not in ABLATION_MODES:
+        raise CheckpointError(f"{args.ckpt}: config records no known ablation mode ({mode!r}); "
+                              "re-run stage 2 to get a checkpoint that does")
     enc = EncoderConfig(**config["encoder"])
     dataset = read_trajectory_jsonl(args.data)
     features = precompute_viewpoint_features(dataset, store, enc)
     prepared = prepare_trajectories(dataset, Vocabulary(config["vocab"]), enc, features)
-    metrics = evaluate_retrieval(store, enc, prepared, mode=args.mode)
+    metrics = evaluate_retrieval(store, enc, prepared, mode=mode)
     print(json.dumps(metrics, indent=2))
     return 0
 
@@ -176,10 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runconfig_flags(p)
     p.set_defaults(fn=_cmd_stage2)
 
-    p = sub.add_parser("eval", help="retrieval metrics for a stage-2 checkpoint")
+    p = sub.add_parser("eval", help="retrieval metrics for a stage-2 checkpoint, in the mode it trained")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=ABLATION_MODES, default="full")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of both stage losses")

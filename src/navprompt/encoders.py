@@ -408,16 +408,16 @@ def cross_modal_encode_batch(
     parts.append(Tensor(np.zeros((1, cfg.d))))
     table = concat(parts, axis=0)
 
-    vp_ends = offset + np.cumsum(t_lens)
-    pf_ends = vp_ends[-1] + np.cumsum(p_lens)
-    rows = [np.concatenate([np.zeros(offset, dtype=int), np.arange(ve - t, ve), np.arange(pe - m, pe)])
-            for t, ve, m, pe in zip(t_lens, vp_ends, p_lens, pf_ends)]
-    lengths = np.array([len(r) for r in rows])
-    s_max = int(lengths.max())
-    index = np.stack([np.pad(r, (0, s_max - len(r)), constant_values=table.shape[0] - 1) for r in rows])
-    x = take_rows(table, index)
+    vp_starts = offset + np.cumsum(t_lens) - t_lens
+    pf_starts = offset + t_lens.sum() + np.cumsum(p_lens) - p_lens
+    lengths = offset + t_lens + p_lens
+    live = np.arange(lengths.max()) < lengths[:, None]
+    pos = np.arange(lengths.max()) - offset  # ordinal past the count row
+    index = np.where(pos < t_lens[:, None], vp_starts[:, None] + pos, pf_starts[:, None] + pos - t_lens[:, None])
+    index[:, :offset] = 0  # the count row
+    x = take_rows(table, np.where(live, index, table.shape[0] - 1))
 
-    mask = np.where(np.arange(s_max) < lengths[:, None], 0.0, MASK_BIAS)[:, None, None, :]
+    mask = np.where(live, 0.0, MASK_BIAS)[:, None, None, :]
     read = offset + int(t_lens.max())
     last = cfg.cross_layers - 1
     for i in range(cfg.cross_layers):

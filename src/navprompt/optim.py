@@ -14,23 +14,20 @@ from .tensor import Tensor
 class ParamStore:
     """Named tensors partitioned into trainable and frozen sets.
 
-    Frozen entries are guaranteed bitwise unchanged by ``Optimizer.step``;
-    they also drop out of gradient computation entirely (``requires_grad``
-    is cleared), so backpropagation through a frozen backbone only pays for
-    the paths that can reach trainable parameters.
+    The freeze mask is each tensor's ``requires_grad``: a frozen entry drops
+    out of gradient computation entirely, so backpropagation through a frozen
+    backbone only pays for the paths that can reach trainable parameters, and
+    an ``Optimizer`` never binds it.
     """
 
     def __init__(self) -> None:
         self.entries: dict[str, Tensor] = {}
-        self.frozen: set[str] = set()
 
     def add(self, name: str, data, trainable: bool = True) -> Tensor:
         if name in self.entries:
             raise ContractError(f"parameter {name!r} already exists")
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable)
         self.entries[name] = t
-        if not trainable:
-            self.frozen.add(name)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -45,18 +42,21 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self.entries)
 
+    @property
+    def frozen(self) -> set[str]:
+        return {name for name, t in self.entries.items() if not t.requires_grad}
+
     def set_frozen(self, names: Iterable[str]) -> None:
         names = set(names)
         unknown = names - set(self.entries)
         if unknown:
             raise ContractError(f"cannot freeze unknown parameters: {sorted(unknown)}")
-        self.frozen = names
         for name, t in self.entries.items():
             t.requires_grad = name not in names
             t.grad = None
 
     def trainable_names(self) -> list[str]:
-        return [n for n in self.entries if n not in self.frozen]
+        return [name for name, t in self.entries.items() if t.requires_grad]
 
     def zero_grads(self) -> None:
         for t in self.entries.values():
@@ -64,11 +64,7 @@ class ParamStore:
 
     def gradients(self) -> dict[str, np.ndarray]:
         """Collect populated gradients for trainable entries."""
-        return {
-            name: t.grad
-            for name, t in self.entries.items()
-            if name not in self.frozen and t.grad is not None
-        }
+        return {name: t.grad for name, t in self.entries.items() if t.requires_grad and t.grad is not None}
 
 
 def backward(loss: Tensor, store: ParamStore) -> dict[str, np.ndarray]:
@@ -78,55 +74,44 @@ def backward(loss: Tensor, store: ParamStore) -> dict[str, np.ndarray]:
     return store.gradients()
 
 
-@dataclass
-class OptimConfig:
-    """Adam's learning rate, moment decay rates and denominator epsilon."""
-
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-    def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be positive")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ParameterError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ParameterError("adam_eps must be positive")
+DEFAULT_LEARNING_RATE = 1e-3
+# Adam's moment decay rates and denominator epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Optimizer:
-    """Adam update that never touches frozen entries.
+    """Adam over the tensors a store marks trainable when the optimizer is built.
 
-    First/second moments and step counts persist per parameter name across steps.
+    Frozen entries are never bound, so ``step`` cannot touch them.  Each bound
+    tensor's two moment arrays are allocated once, and one step count serves
+    them all: every step reads every bound tensor's ``.grad``.
     """
 
-    def __init__(self, cfg: OptimConfig):
-        cfg.validate()
-        self.cfg = cfg
-        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._steps: dict[str, int] = {}
+    def __init__(self, store: ParamStore, learning_rate: float):
+        if not learning_rate > 0:
+            raise ParameterError(f"learning_rate must be above 0, got {learning_rate}")
+        self.learning_rate = learning_rate
+        self.params = {name: store[name] for name in store.trainable_names()}
+        self.moments = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in self.params.items()}
+        self.t = 0
 
-    def step(self, store: ParamStore, grads: dict[str, np.ndarray]) -> None:
-        cfg = self.cfg
-        for name, g in grads.items():
-            if name not in store.entries:
-                raise ContractError(f"gradient for unknown parameter {name!r}")
-            if name in store.frozen:
-                continue
-            p = store.entries[name]
-            if g.shape != p.data.shape:
-                raise ContractError(f"gradient shape {g.shape} does not match parameter {name!r} {p.data.shape}")
-            m, v = self._moments.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
-            t = self._steps.get(name, 0) + 1
-            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * (g * g)
-            self._moments[name] = (m, v)
-            self._steps[name] = t
-            mhat = m / (1 - cfg.adam_beta1 ** t)
-            vhat = v / (1 - cfg.adam_beta2 ** t)
-            p.data -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+    def step(self) -> None:
+        for name, p in self.params.items():
+            if p.grad is None:
+                raise ContractError(f"trainable parameter {name!r} has no gradient")
+        self.t += 1
+        c1 = 1 - ADAM_BETA1 ** self.t
+        c2 = 1 - ADAM_BETA2 ** self.t
+        for name, p in self.params.items():
+            g = p.grad
+            m, v = self.moments[name]
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * (g * g)
+            p.data -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass

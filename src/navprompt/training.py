@@ -77,7 +77,8 @@ from .errors import (
     FreezeViolationError,
     ParameterError,
 )
-from .optim import FiniteDifferenceReport, OptimConfig, Optimizer, ParamStore, backward, finite_difference_check
+from .optim import (DEFAULT_LEARNING_RATE, FiniteDifferenceReport, Optimizer, ParamStore, backward,
+                    finite_difference_check)
 from .prompts import PAD_ID, Vocabulary, count_prompt, tokenize
 from .tensor import Tensor, gather_index, linear, log_softmax, no_grad, take_rows
 
@@ -103,13 +104,10 @@ class RunConfig(EncoderConfig):
     # stage schedules
     stage1_epochs: int = 20
     stage1_batch_size: int = 10
-    stage1_lr: float = OptimConfig.learning_rate
+    stage1_lr: float = DEFAULT_LEARNING_RATE
     stage2_epochs: int = 20
     stage2_batch_size: int = 20
-    stage2_lr: float = OptimConfig.learning_rate
-    adam_beta1: float = OptimConfig.adam_beta1
-    adam_beta2: float = OptimConfig.adam_beta2
-    adam_eps: float = OptimConfig.adam_eps
+    stage2_lr: float = DEFAULT_LEARNING_RATE
     # objective
     lambda1: float = DEFAULT_LAMBDA1
     lambda2: float = DEFAULT_LAMBDA2
@@ -149,26 +147,28 @@ class RunConfig(EncoderConfig):
             noise=self.viewpoint_noise, duplicate_prob=self.duplicate_prob,
         )
 
-    def optim(self, lr: float) -> OptimConfig:
-        return OptimConfig(learning_rate=lr, adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2,
-                           adam_eps=self.adam_eps)
-
     def validate(self) -> None:
         self.encoder()
-        self.optim(self.stage1_lr).validate()
-        self.optim(self.stage2_lr).validate()
+        for name in ("stage1_lr", "stage2_lr"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} must be above 0, got {getattr(self, name)}")
+        # a bound given by name is another field's value
         for name, least in (("stage1_batch_size", 1), ("stage2_batch_size", 1), ("stage1_epochs", 0),
-                            ("stage2_epochs", 0), ("indoor_noise", 0), ("viewpoint_noise", 0)):
-            if not getattr(self, name) >= least:
-                raise ParameterError(f"{name} must be at least {least}, got {getattr(self, name)}")
+                            ("stage2_epochs", 0), ("indoor_noise", 0), ("viewpoint_noise", 0),
+                            ("indoor_samples_per_class", 1), ("trajectory_count", 1), ("subpaths_min", 1),
+                            ("subpaths_max", "subpaths_min"), ("viewpoints_max", "viewpoints_min"),
+                            ("viewpoints_max", "subpaths_max"), ("max_subpaths", "subpaths_max"),
+                            ("max_viewpoints", "viewpoints_max")):
+            bound = getattr(self, least) if isinstance(least, str) else least
+            if not getattr(self, name) >= bound:
+                label = f"{least} ({bound})" if isinstance(least, str) else bound
+                raise ParameterError(f"{name} must be at least {label}, got {getattr(self, name)}")
         if not 0 <= self.duplicate_prob <= 1:
             raise ParameterError(f"duplicate_prob must lie in [0, 1], got {self.duplicate_prob}")
         if not (0 <= self.val_fraction < 1):
             raise ParameterError("val_fraction must lie in [0, 1)")
         if self.ablation not in ABLATION_MODES:
             raise ParameterError(f"unknown ablation {self.ablation!r}")
-        if self.subpaths_max > self.max_subpaths or self.viewpoints_max > self.max_viewpoints:
-            raise ParameterError("dataset ranges exceed encoder sequence capacity")
 
 
 def parse_config_file(path: str) -> dict:
@@ -360,7 +360,7 @@ def _batches(indices: Sequence[int], size: int):
         yield list(indices[i:i + size])
 
 
-def _train(store: ParamStore, stage: str, optim_cfg: OptimConfig, epochs: int, batch_size: int,
+def _train(store: ParamStore, stage: str, learning_rate: float, epochs: int, batch_size: int,
            train_idx: Sequence[int], shuffle_rng: np.random.Generator,
            batch_loss: Callable[[list[int]], tuple[Tensor, object]], end_epoch: Callable[[list], None]) -> None:
     """The training loop of both stages.
@@ -371,13 +371,14 @@ def _train(store: ParamStore, stage: str, optim_cfg: OptimConfig, epochs: int, b
     frozen tensor moved.  ``end_epoch`` receives the epoch's logged values.
     """
     baseline = {name: store[name].data.copy() for name in store.frozen}
-    optimizer = Optimizer(optim_cfg)
+    optimizer = Optimizer(store, learning_rate)
     step = 0
     for _ in range(epochs):
         values = []
         for batch in _batches([train_idx[i] for i in shuffle_rng.permutation(len(train_idx))], batch_size):
             loss, value = batch_loss(batch)
-            optimizer.step(store, backward(loss, store))
+            backward(loss, store)
+            optimizer.step()
             _assert_frozen_unchanged(store, baseline, f"{stage} step {step}")
             values.append(value)
             step += 1
@@ -445,7 +446,7 @@ def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None) -> Sta
         return _stage1_accuracy(dataset, train_idx, store, enc), _stage1_accuracy(dataset, val_idx, store, enc)
 
     history = []  # (mean loss, train accuracy, val accuracy) per epoch
-    _train(store, "stage1", cfg.optim(cfg.stage1_lr), cfg.stage1_epochs, cfg.stage1_batch_size, train_idx,
+    _train(store, "stage1", cfg.stage1_lr, cfg.stage1_epochs, cfg.stage1_batch_size, train_idx,
            np.random.default_rng([cfg.seed, 12]), batch_loss,
            lambda losses: history.append((float(np.mean(losses)), *accuracies())))
     rows = [[epoch, *map(repr, row)] for epoch, row in enumerate(history)]
@@ -469,12 +470,12 @@ def _write_stage_outputs(cfg: RunConfig, enc: EncoderConfig, stage: str, metrics
     """Write ``<stage>_checkpoint.json``, ``_log.csv`` and ``_summary.json`` into cfg.out_dir.
 
     A stage-2 checkpoint carries its vocabulary, the tokens in id order: row i
-    of ``text.tok_embed`` is token i's embedding.
+    of ``text.tok_embed`` is token i's embedding, and the ablation mode it trained.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     config = {"encoder": asdict(enc), "stage": stage, "seed": cfg.seed}
     if vocab is not None:
-        config["vocab"] = vocab.tokens
+        config.update(vocab=vocab.tokens, ablation=cfg.ablation)
     result = StageResult(metrics, store, *(os.path.join(cfg.out_dir, f"{stage}_{name}")
                                            for name in ("checkpoint.json", "log.csv", "summary.json")))
     save_checkpoint(store, config, result.checkpoint_path)
@@ -700,7 +701,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint: str, dataset: list[TrajectoryS
     prepared = prepare_trajectories(dataset, vocab, enc, features)
 
     epochs = []  # each epoch's per-step LossReports
-    _train(store, "stage2", cfg.optim(cfg.stage2_lr), cfg.stage2_epochs, cfg.stage2_batch_size, train_idx,
+    _train(store, "stage2", cfg.stage2_lr, cfg.stage2_epochs, cfg.stage2_batch_size, train_idx,
            np.random.default_rng([cfg.seed, 22]),
            lambda batch: stage2_losses([prepared[i] for i in batch], store, enc, cfg), epochs.append)
     # the l_ind_sum column holds the per-trajectory term, a mean over the batch: ind, or sub

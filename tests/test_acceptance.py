@@ -82,12 +82,13 @@ def test_criterion_2_freeze_contract():
     baseline = {name: store[name].data.tobytes() for name in store.frozen}
 
     rng = np.random.default_rng(5)
-    optimizer = Optimizer(cfg.optim(cfg.stage1_lr))
+    optimizer = Optimizer(store, cfg.stage1_lr)
     for _ in range(100):
         feats = rng.normal(size=(cfg.stage1_batch_size, enc.num_patches, enc.feature_dim))
         labels = rng.integers(0, enc.num_classes, size=cfg.stage1_batch_size)
         loss = stage1_loss(feats, labels, store, enc)
-        optimizer.step(store, backward(loss, store))
+        backward(loss, store)
+        optimizer.step()
 
     for name, blob in baseline.items():
         assert store[name].data.tobytes() == blob, f"backbone tensor {name} changed"

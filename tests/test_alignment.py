@@ -22,7 +22,7 @@ from navprompt.alignment import (
     total_loss,
 )
 from navprompt.errors import DivergenceError, NumericError, ParameterError, ShapeError
-from navprompt.optim import OptimConfig, Optimizer, ParamStore, backward
+from navprompt.optim import Optimizer, ParamStore, backward
 from navprompt.tensor import Tensor, softmax
 
 
@@ -239,12 +239,12 @@ class TestContrastiveLoss:
         gt = ground_truth_matrix(m, 0.05)
         store = ParamStore()
         store.add("z", np.zeros((m, m)))
-        opt = Optimizer(OptimConfig(learning_rate=0.05))
+        opt = Optimizer(store, 0.05)
         for _ in range(400):
             s_t = softmax(store["z"], axis=1)
             loss = kl_divergence(s_t, gt)
-            grads = backward(loss, store)
-            opt.step(store, grads)
+            backward(loss, store)
+            opt.step()
         final = softmax(store["z"], axis=1).data
         np.testing.assert_allclose(final, gt.data, atol=1e-3)
         assert kl_divergence(softmax(store["z"], axis=1), gt).item() < 1e-6

@@ -10,6 +10,7 @@ from navprompt.cli import main
 from navprompt.data import read_trajectory_jsonl
 from navprompt.encoders import EncoderConfig
 from navprompt.errors import CheckpointError
+from navprompt.prompts import Vocabulary
 from navprompt.training import (
     build_vocabulary,
     evaluate_retrieval,
@@ -162,7 +163,12 @@ def test_two_stage_pipeline_and_eval(tmp_path, capsys):
     ("--indoor-noise", "-1", "indoor_noise must be at least 0, got -1.0"),
     ("--viewpoint-noise", "-1", "viewpoint_noise must be at least 0, got -1.0"),
     ("--duplicate-prob", "2", "duplicate_prob must lie in [0, 1], got 2.0"),
-], ids=["indoor_noise", "viewpoint_noise", "duplicate_prob"])
+    ("--stage2-lr", "0", "stage2_lr must be above 0, got 0.0"),
+    ("--subpaths-min", "0", "subpaths_min must be at least 1, got 0"),
+    ("--trajectory-count", "0", "trajectory_count must be at least 1, got 0"),
+    ("--indoor-samples-per-class", "0", "indoor_samples_per_class must be at least 1, got 0"),
+], ids=["indoor_noise", "viewpoint_noise", "duplicate_prob", "stage2_lr", "subpaths_min", "trajectory_count",
+        "indoor_samples_per_class"])
 def test_generator_ranges_are_refused_by_name(tmp_path, monkeypatch, capsys, flag, value, message):
     # the run setting is refused before any data is built or the output directory is made
     import navprompt.training as training
@@ -215,13 +221,49 @@ def test_deeply_nested_checkpoint_is_one_line_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error[CheckpointError]: {bad}: truncated or invalid checkpoint")
 
 
-def test_eval_rejects_unknown_mode(tmp_path, capsys):
-    missing = str(tmp_path / "missing.json")
-    for mode in ("cnt_ove", "cnt_ind_ove"):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--ckpt", missing, "--data", missing, "--mode", mode])
-        assert exc.value.code == 2
-        assert f"invalid choice: '{mode}'" in capsys.readouterr().err
+def _sub_only_run(tmp_path, capsys):
+    """A 1-epoch sub_only stage-2 checkpoint and a 6-trajectory eval file."""
+    assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
+    s1 = json.loads(capsys.readouterr().out)["checkpoint"]
+    assert main(["stage2", "--stage1-ckpt", s1, *_cfg_flags(tmp_path, ablation="sub_only")]) == 0
+    ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
+    data = str(tmp_path / "eval.jsonl")
+    assert main(["gen-data", "--kind", "trajectories", "--seed", "3",
+                 *_cfg_flags(tmp_path, **{"trajectory-count": 6}), "--output", data]) == 0
+    capsys.readouterr()
+    return ckpt, data
+
+
+def test_eval_reads_the_mode_from_the_checkpoint(tmp_path, capsys):
+    # a sub_only run trains no count token, so its evaluation has no count metric
+    ckpt, data = _sub_only_run(tmp_path, capsys)
+    assert load_checkpoint(ckpt)[1]["ablation"] == "sub_only"
+    assert main(["eval", "--ckpt", ckpt, "--data", data]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert metrics["count_accuracy"] is None
+    store, config = load_checkpoint(ckpt)
+    enc = EncoderConfig(**config["encoder"])
+    dataset = read_trajectory_jsonl(data)
+    prepared = prepare_trajectories(dataset, Vocabulary(config["vocab"]), enc,
+                                    precompute_viewpoint_features(dataset, store, enc))
+    assert metrics == evaluate_retrieval(store, enc, prepared, mode="sub_only")
+    # the mode is the checkpoint's; there is no flag to override it
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ckpt", ckpt, "--data", data, "--mode", "full"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode full" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_checkpoint_without_a_known_mode(tmp_path, capsys):
+    # a stage-2 checkpoint written before the config recorded its mode is refused in one line
+    ckpt, data = _sub_only_run(tmp_path, capsys)
+    store, config = load_checkpoint(ckpt)
+    del config["ablation"]
+    save_checkpoint(store, config, ckpt)
+    assert main(["eval", "--ckpt", ckpt, "--data", data]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[CheckpointError]: {ckpt}: config records no known ablation mode (None); "
+        "re-run stage 2 to get a checkpoint that does"]
 
 
 def test_gradcheck_stage1(capsys):
@@ -323,6 +365,12 @@ _OUT_OF_RANGE = [
     ("stage2_batch_size = 0", "stage2_batch_size must be at least 1, got 0"),
     ("stage1_epochs = -1", "stage1_epochs must be at least 0, got -1"),
     ("stage2_epochs = -1", "stage2_epochs must be at least 0, got -1"),
+    ("stage1_lr = 0", "stage1_lr must be above 0, got 0.0"),
+    ("stage2_lr = -0.5", "stage2_lr must be above 0, got -0.5"),
+    ("subpaths_min = 5", "subpaths_max must be at least subpaths_min (5), got 4"),
+    ("viewpoints_max = 3", "viewpoints_max must be at least viewpoints_min (4), got 3"),
+    ("subpaths_max = 9", "viewpoints_max must be at least subpaths_max (9), got 8"),
+    ("max_viewpoints = 7", "max_viewpoints must be at least viewpoints_max (8), got 7"),
 ]
 
 

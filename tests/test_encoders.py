@@ -25,7 +25,7 @@ from navprompt.encoders import (
     visual_encode,
 )
 from navprompt.errors import AlignmentError, ConfigurationError, InputError, ParameterError, ShapeError
-from navprompt.optim import OptimConfig, Optimizer, ParamStore, backward
+from navprompt.optim import Optimizer, ParamStore, backward
 from navprompt.prompts import PAD_ID, Vocabulary, tokenize
 from navprompt.tensor import Tensor, gather_index, log_softmax, softmax
 
@@ -277,8 +277,10 @@ class TestVisualEncode:
         apply_stage_freeze(store, "stage1")
         name = "visual.layer0.attn.wq"
         baseline = store[name].data.tobytes()
-        opt = Optimizer(OptimConfig(learning_rate=0.1))
-        opt.step(store, {name: np.ones_like(store[name].data), "visual.prompt.0": np.ones_like(store["visual.prompt.0"].data)})
+        opt = Optimizer(store, 0.1)
+        for grad_name in [name, *store.trainable_names()]:
+            store[grad_name].grad = np.ones_like(store[grad_name].data)
+        opt.step()
         assert store[name].data.tobytes() == baseline
         assert not np.allclose(store["visual.prompt.0"].data, build_store(cfg, seed=6)["visual.prompt.0"].data)
 
@@ -488,6 +490,37 @@ class TestCrossModal:
                 np.testing.assert_allclose(out.subpaths.data[j, k], row[offset + s:offset + e].mean(axis=0), atol=1e-12)
             t_len = bounds[-1][1]
             np.testing.assert_allclose(out.overall.data[j], row[offset:offset + t_len].mean(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("prompted", [True, False], ids=["count+prompts", "viewpoints-only"])
+    def test_gather_index_matches_the_per_trajectory_loop(self, monkeypatch, prompted):
+        # the padded input's row index equals, value and dtype, the one a loop
+        # over trajectories builds: [count | its viewpoints | its prompts], then pad rows
+        import navprompt.encoders as encoders
+
+        cfg = tiny_config()
+        store = build_store(cfg, seed=17, vocab_size=8)
+        vps, pfs = self._ragged_batch(cfg)
+        seen = []
+        real_take_rows = encoders.take_rows
+
+        def record(table, index):
+            if np.ndim(index) == 2:
+                seen.append((table.shape[0], np.asarray(index)))
+            return real_take_rows(table, index)
+
+        monkeypatch.setattr(encoders, "take_rows", record)
+        cross_modal_encode_batch(stacked(vps), stacked(pfs) if prompted else None, self.BOUNDS, store, cfg)
+        [(table_rows, index)] = seen
+        offset = int(prompted)
+        t_lens = [b[-1][1] for b in self.BOUNDS]
+        p_lens = [len(b) if prompted else 0 for b in self.BOUNDS]
+        vp_ends = offset + np.cumsum(t_lens)
+        pf_ends = vp_ends[-1] + np.cumsum(p_lens)
+        rows = [np.concatenate([np.zeros(offset, dtype=int), np.arange(ve - t, ve), np.arange(pe - m, pe)])
+                for t, ve, m, pe in zip(t_lens, vp_ends, p_lens, pf_ends)]
+        width = max(len(r) for r in rows)
+        expected = np.stack([np.pad(r, (0, width - len(r)), constant_values=table_rows - 1) for r in rows])
+        assert index.dtype == expected.dtype and np.array_equal(index, expected)
 
     def test_last_layer_feeds_forward_read_rows_only(self, monkeypatch):
         cfg = tiny_config(cross_layers=2)

@@ -29,31 +29,31 @@ import pytest
 PINNED_BUILD = "numpy 2.4.6; scipy-openblas 0.3.31.188.0; cpu X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
 PINNED_RUNS = {"stage1": {"checkpoint": "07cc977ef9fc55ba8a32124a14cf1962780f7273262d48f7d0ba88890ec034cd",
             "csv": "92a5c15b51b1362089d492ef07e9cd20f8cf36b055ce100e371b1f576dcb51e0",
-            "summary": "2720a3ced690dbfa5ec3a1730802f8850d93c1717b209d8bbdc98efe9a1b231f"},
- "stage2-cnt": {"checkpoint": "25ffdec4b10547779c990fddf2f8b61e16d39bf5b53a56691ecdcbf2ca736e8f",
+            "summary": "8754e52da195e4ebc2641aebc34c6a62d13f388826ef63ce1368dfd4872e3fa5"},
+ "stage2-cnt": {"checkpoint": "761ecfcbf8cb16ea7f71afdf42fb9d211556ecbc5ad7983356696d70e0b52e16",
                 "csv": "3478c5a4cb6122b2bc18d9ea853290169f8ae52b77a4abcb70fe1ac79abd10e5",
                 "retrieval": {"count_accuracy": 0.3333333333333333,
                               "subpair_accuracy": 0.3333333333333333,
                               "trajectory_accuracy": 0.3333333333333333},
-                "summary": "9076ffeed56b009e4660b2c9bba53218df1e46b273e0288916ebbc821d7e0eb9"},
- "stage2-cnt_ind": {"checkpoint": "8232db047ce3d79c3baf1a9f19f2996ce2c56b96bee4b5372ca5f405dcb072fb",
+                "summary": "7b9de6c3f77b71badd3522c17968e2cb3adb1beec0886690a2ec271c57bc0101"},
+ "stage2-cnt_ind": {"checkpoint": "848a734faac2f0c48c972d2a82ed50975d07e52d339953fe0a7d1c3fc06a1d69",
                     "csv": "5203dce22edc64dff1fe81e7e3e28fe9fc6cfe99a76e4e02f93ca51a72f95028",
                     "retrieval": {"count_accuracy": 0.3333333333333333,
                                   "subpair_accuracy": 0.3333333333333333,
                                   "trajectory_accuracy": 0.0},
-                    "summary": "d12e2a9c25157eacb49ce85670689687c1d218e035abbca908fb82dd1052f0f4"},
- "stage2-full": {"checkpoint": "576bac84956d0804f8459bd27f8c3e721d3d11f7739d7329dc84a910a1c417c8",
+                    "summary": "6a9d07ffe7d2e8eb8a44975110f9fc26dea7f1a00ec7461ac0265eab88259809"},
+ "stage2-full": {"checkpoint": "077078223c4d46ad48135c68ce86d06e67d448bddf2af7e0f4fd2f674dc87ca5",
                  "csv": "cb55328f04ddb345590046a0d59813ed264d3492fc388dabcf6bb745b55d7822",
                  "retrieval": {"count_accuracy": 0.3333333333333333,
                                "subpair_accuracy": 0.3333333333333333,
                                "trajectory_accuracy": 0.3333333333333333},
-                 "summary": "36ceb8ed1ff86b1312fcf2cc4d0817ba56f74a4961e43cc9dff21dd06e603c63"},
- "stage2-sub_only": {"checkpoint": "3ce079a1eeaf1a7c3f18e18e2bd34b792d2fac8a5b08760077f5dad00e892863",
+                 "summary": "e038b03f3bcaaa16b9320ae3ce7e481ec02ccc395b9496ac78b193b88868f7c5"},
+ "stage2-sub_only": {"checkpoint": "591820bd463c05c608b80a99d18357bb6e130cae60b0c27a0422611e8fbf96b6",
                      "csv": "d8e5b5cfb99218106cdadcb584e8ed0512253e7073fb130117312534ab8fbead",
                      "retrieval": {"count_accuracy": None,
                                    "subpair_accuracy": 0.4444444444444444,
                                    "trajectory_accuracy": 0.0},
-                     "summary": "31542d4f0c7461dee2f8604fc425c4d2c7780bc9e6ea4d931af13fab26194533"}}
+                     "summary": "79b3dad11023233edf63dda427673abd5e429267a19126f8498ad7a489f0b136"}}
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -332,17 +332,18 @@ def test_evaluate_retrieval_peak(default_width):
 
 def test_consecutive_stage2_steps_hold_one_graph(no_gc):
     store, loss_fn = _stage2_setup("full")
-    optimizer = Optimizer(gradcheck_config().optim(1e-3))
+    optimizer = Optimizer(store, 1e-3)
 
     def step():
         loss = loss_fn()
-        optimizer.step(store, backward(loss, store))
+        backward(loss, store)
+        optimizer.step()
         return loss
 
     tracemalloc.start()
     try:
-        # traced from here on, so the gradients and Adam moments this step
-        # leaves behind are counted in the base and when they are replaced
+        # traced from here on, so the gradients this step leaves behind are
+        # counted in the base and when they are replaced
         step()
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()

@@ -5,8 +5,8 @@ import pytest
 
 from navprompt.errors import CheckError, ContractError, ParameterError
 from navprompt.optim import (
+    ADAM_EPS,
     FiniteDifferenceReport,
-    OptimConfig,
     Optimizer,
     ParamStore,
     backward,
@@ -21,6 +21,30 @@ def _store_with(name="p", value=1.0, trainable=True):
     return store
 
 
+def _reference_adam(learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-name Adam loop that ``Optimizer`` replaced, kept as its bitwise reference.
+
+    It took a dict of gradients each step, kept moments and a step count per
+    name, and built fresh moment arrays on every update.
+    """
+    moments, steps = {}, {}
+
+    def step(params, grads):
+        for name, g in grads.items():
+            p = params[name]
+            m, v = moments.get(name, (np.zeros_like(p), np.zeros_like(p)))
+            t = steps.get(name, 0) + 1
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * (g * g)
+            moments[name] = (m, v)
+            steps[name] = t
+            mhat = m / (1 - beta1 ** t)
+            vhat = v / (1 - beta2 ** t)
+            p -= learning_rate * mhat / (np.sqrt(vhat) + eps)
+
+    return step
+
+
 class TestOptimizerStep:
     def test_frozen_untouched_bitwise(self):
         store = ParamStore()
@@ -28,52 +52,76 @@ class TestOptimizerStep:
         store.add("q", np.array([np.pi]))
         store.set_frozen({"q"})
         before = store["q"].data.tobytes()
-        cfg = OptimConfig(learning_rate=0.5)
-        opt = Optimizer(cfg)
-        opt.step(store, {"p": np.array([1.0]), "q": np.array([100.0])})
+        opt = Optimizer(store, 0.5)
+        store["p"].grad = np.array([1.0])
+        store["q"].grad = np.array([100.0])
+        opt.step()
         assert store["q"].data.tobytes() == before
-        assert "q" not in opt._moments and "q" not in opt._steps
+        assert "q" not in opt.params and "q" not in opt.moments
         # the trainable entry took Adam's first step, lr / (1 + eps) for g = 1
-        np.testing.assert_allclose(store["p"].data, [1.0 - cfg.learning_rate / (1.0 + cfg.adam_eps)], atol=0)
+        np.testing.assert_allclose(store["p"].data, [1.0 - opt.learning_rate / (1.0 + ADAM_EPS)], atol=0)
 
     def test_adam_first_step_formula(self):
         # Oracle: with g=1 the bias-corrected ratio is exactly 1, so the step
         # is lr / (1 + eps) regardless of the betas.
-        cfg = OptimConfig(learning_rate=1e-3)
         store = _store_with(value=1.0)
-        Optimizer(cfg).step(store, {"p": np.array([1.0])})
-        expected = 1.0 - cfg.learning_rate * 1.0 / (1.0 + cfg.adam_eps)
+        store["p"].grad = np.array([1.0])
+        Optimizer(store, 1e-3).step()
+        expected = 1.0 - 1e-3 * 1.0 / (1.0 + ADAM_EPS)
         np.testing.assert_allclose(store["p"].data, [expected], atol=0)
         assert store["p"].data[0] < 1.0
 
     def test_adam_moments_persist(self):
-        cfg = OptimConfig(learning_rate=1e-3)
-        opt = Optimizer(cfg)
         store = _store_with(value=1.0)
-        opt.step(store, {"p": np.array([1.0])})
+        opt = Optimizer(store, 1e-3)
+        store["p"].grad = np.array([1.0])
+        opt.step()
         first = store["p"].data[0]
-        opt.step(store, {"p": np.array([1.0])})
+        opt.step()
         # Constant gradient: second bias-corrected step is the same size.
         np.testing.assert_allclose(store["p"].data[0], first - (1.0 - first), rtol=1e-9)
 
         # An optimizer without memory would differ: fresh moments restart the
         # bias correction, which only matters once betas differ from step one.
-        m1, v1 = opt._moments["p"]
+        m1, v1 = opt.moments["p"]
         assert m1.shape == (1,) and v1.shape == (1,)
-        assert opt._steps["p"] == 2
+        assert opt.t == 2
 
-    def test_unknown_gradient_name(self):
+    def test_missing_gradient_names_the_tensor(self):
+        # every bound tensor needs a gradient; none moves when one lacks it
         store = _store_with()
-        with pytest.raises(ContractError):
-            Optimizer(OptimConfig()).step(store, {"nope": np.array([1.0])})
+        store.add("q", np.array([2.0]))
+        opt = Optimizer(store, 1e-3)
+        store["p"].grad = np.array([1.0])
+        with pytest.raises(ContractError, match=r"^trainable parameter 'q' has no gradient$"):
+            opt.step()
+        assert store["p"].data.tolist() == [1.0] and opt.t == 0
 
     def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            OptimConfig(learning_rate=-1.0).validate()
-        with pytest.raises(ParameterError):
-            OptimConfig(adam_beta1=1.0).validate()
-        with pytest.raises(ParameterError):
-            OptimConfig(adam_eps=0.0).validate()
+        for learning_rate in (-1.0, 0.0):
+            with pytest.raises(ParameterError):
+                Optimizer(_store_with(), learning_rate)
+
+    def test_matches_the_per_name_loop_bitwise(self):
+        # five steps of random gradients, of scales from 1e-6 to 1e2, on three
+        # tensors beside a frozen one; every step equals the old loop's bits
+        rng = np.random.default_rng(20)
+        store = ParamStore()
+        for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2, 2, 3))):
+            store.add(name, rng.normal(size=shape))
+        store.add("frozen", rng.normal(size=(2,)), trainable=False)
+        reference = {name: store[name].data.copy() for name in store.trainable_names()}
+        opt, ref_step = Optimizer(store, 1e-2), _reference_adam(1e-2)
+        for _ in range(5):
+            grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 2) for name, p in reference.items()}
+            grads["b"][0] = 0.0
+            for name, g in grads.items():
+                store[name].grad = g.copy()
+            opt.step()
+            ref_step(reference, grads)
+            for name, p in reference.items():
+                assert store[name].data.tobytes() == p.tobytes(), name
+        assert opt.t == 5
 
 
 class TestParamStore:

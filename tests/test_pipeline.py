@@ -379,35 +379,33 @@ class TestStage1:
 
     @pytest.mark.parametrize("stage", ["stage1", "stage2"])
     def test_freeze_violation_trap(self, tmp_path, monkeypatch, stage):
-        # both stages freeze the visual backbone; an Adam step that moves it is caught at once
-        from navprompt.optim import Optimizer
-
+        # both stages freeze the visual backbone; a step that moves it is caught at once
         cfg = tiny_cfg(tmp_path, stage1_epochs=1, stage2_epochs=1)
         s1 = run_stage1(cfg) if stage == "stage2" else None
-        real_step = Optimizer.step
+        real_backward = training.backward
 
-        def sabotage(self, store, grads):
-            real_step(self, store, grads)
+        def sabotage(loss, store):
+            grads = real_backward(loss, store)
             store["visual.cls"].data[0, 0] += 1.0  # corrupt a frozen tensor
+            return grads
 
-        monkeypatch.setattr(Optimizer, "step", sabotage)
+        monkeypatch.setattr(training, "backward", sabotage)
         message = rf"^frozen parameter 'visual\.cls' changed during {stage} step 0$"
         with pytest.raises(FreezeViolationError, match=message):
             run_stage1(cfg) if stage == "stage1" else run_stage2(cfg, s1.checkpoint_path)
 
     def test_freeze_check_is_bitwise(self, tmp_path, monkeypatch):
         # -0.0 == 0.0 as numbers, but the frozen tensors must keep their bits
-        from navprompt.optim import Optimizer
+        real_backward = training.backward
 
-        real_step = Optimizer.step
-
-        def sabotage(self, store, grads):
-            real_step(self, store, grads)
+        def sabotage(loss, store):
+            grads = real_backward(loss, store)
             bias = store["visual.layer0.ln1.b"].data
             assert bias[0] == 0.0
             bias[0] = -0.0
+            return grads
 
-        monkeypatch.setattr(Optimizer, "step", sabotage)
+        monkeypatch.setattr(training, "backward", sabotage)
         with pytest.raises(FreezeViolationError, match=r"^frozen parameter 'visual\.layer0\.ln1\.b' changed during stage1 step 0$"):
             run_stage1(tiny_cfg(tmp_path, stage1_epochs=1))
 
@@ -585,16 +583,25 @@ class TestAblationTable:
         else:
             assert metrics == full_metrics
 
-    def test_unknown_mode_is_refused(self, tmp_path):
-        # cnt_ind_ove, once an alias of full, is unknown like any other name
-        missing = str(tmp_path / "missing.json")
+    def test_unknown_mode_is_refused(self, tmp_path, capsys):
+        # cnt_ind_ove, once an alias of full, is unknown like any other name,
+        # in a run setting and in a stage-2 checkpoint's signed config alike
+        cfg = gradcheck_config()
+        enc = cfg.encoder()
+        vocab = build_vocabulary(cfg.trajectory_dataset(), enc.max_subpaths)
+        store = training._stage1_store(enc, np.random.default_rng(0))
+        training._add_stage2_params(store, enc, len(vocab), np.random.default_rng(1), True)
+        ckpt = str(tmp_path / "stage2_checkpoint.json")
         for mode in ("everything", "cnt_ind_ove"):
             with pytest.raises(ParameterError):
                 RunConfig(ablation=mode).validate()
             assert main(["stage1", "--ablation", mode]) == 2
-            with pytest.raises(SystemExit) as exc:
-                main(["eval", "--ckpt", missing, "--data", missing, "--mode", mode])
-            assert exc.value.code == 2
+            save_checkpoint(store, {"encoder": dataclasses.asdict(enc), "stage": "stage2", "seed": 0,
+                                    "vocab": vocab.tokens, "ablation": mode}, ckpt)
+            capsys.readouterr()
+            assert main(["eval", "--ckpt", ckpt, "--data", ckpt]) == 2
+            assert capsys.readouterr().err.startswith(f"error[CheckpointError]: {ckpt}: config records no known "
+                                                      f"ablation mode ('{mode}')")
 
 
 class TestEvaluation:
