@@ -17,21 +17,23 @@ one place the ablation modes are defined (``ABLATION_TERMS``, weighted by
     cnt           cnt * lambda2
     sub_only      sub
 
-    ind  individual prompts against sub-paths, one block per trajectory
-    sub  raw sub-instructions against sub-paths, one block per trajectory
-    ove  overall prompts against whole paths, one matrix per batch
-    cnt  count prompts against the count token, one matrix per batch
+    ind  individual prompts against sub-paths, one group per trajectory
+    sub  raw sub-instructions against sub-paths, one group per trajectory
+    ove  overall prompts against whole paths, one group per batch
+    cnt  count prompts against the count token, one group per batch
 
-Every term is scored by one kernel, ``masked_contrastive_loss``, on a
-stack of ``similarity_matrix`` blocks.  The per-trajectory terms are scored
-together: a batch of B trajectories with M_1..M_B sub-paths gives one masked
-(B, M_max, M_max) similarity, where trajectory b owns the leading M_b x M_b
-block of its slice.  Row and column softmax, the ground truth (each block
-with its own ``effective_smoothing``) and the KL (each block averaged over
-its own M_b^2 entries) are computed for all blocks at once, entries outside
-a block take no softmax mass and get exactly zero gradient, and the term is
-the mean over the B trajectories.  The per-batch terms are the one-block
-case: ``pairwise_alignment_loss`` scores a (1, B, B) stack.
+Every term is one shape: (K, M_max, d) groups of text rows against visual
+rows, group k owning its leading M_k rows.  The per-trajectory terms give
+one group per trajectory (K = B, M_k its sub-path count); the per-batch
+terms give the one group of the batch (K = 1, M_1 = B).  One call,
+``pairwise_alignment_loss``, scores every term: one masked (K, M_max, M_max)
+``similarity_matrix`` stack, where group k owns the leading M_k x M_k block
+of its slice, is scored by one kernel, ``masked_contrastive_loss``.  Row
+and column softmax, the ground truth (each block with its own
+``effective_smoothing``) and the KL (each block averaged over its own M_k^2
+entries) are computed for all blocks at once, entries outside a block take
+no softmax mass and get exactly zero gradient, and the term is the mean
+over the K groups.
 
 ``normalize``, ``kl_divergence`` and ``contrastive_loss`` compose the same
 loss from separate graph ops, on the ``ground_truth_matrix`` target that the
@@ -194,16 +196,17 @@ def contrastive_loss(s_t: Tensor, s_v: Tensor, gt: Tensor) -> Tensor:
 def pairwise_alignment_loss(
     text_feats: Tensor,
     vision_feats: Tensor,
+    sizes,
     temperature: float = DEFAULT_TEMPERATURE,
     smoothing: float = DEFAULT_SMOOTHING,
 ) -> Tensor:
-    """Full contrastive loss for a batch of matched (text, vision) rows.
+    """Mean contrastive loss over K padded groups of matched rows.
 
-    The (B, B) similarity is scored as the one block of a (1, B, B) stack.
+    ``text_feats`` and ``vision_feats`` are (K, M_max, d); group k is their
+    leading sizes[k] rows, and the rows past it are padding that neither
+    changes the loss nor receives gradient.
     """
-    s = similarity_matrix(text_feats, vision_feats)
-    batch = s.shape[0]
-    return masked_contrastive_loss(s.reshape(1, batch, batch), [batch], temperature, smoothing)
+    return masked_contrastive_loss(similarity_matrix(text_feats, vision_feats), sizes, temperature, smoothing)
 
 
 def _masked_softmax(z: np.ndarray, mask: np.ndarray, axis: int) -> np.ndarray:
@@ -279,22 +282,6 @@ def masked_contrastive_loss(
             s._accumulate(dz / temperature)
 
     return Tensor._result(np.asarray(per_block.mean()), (s,), _bw)
-
-
-def batched_alignment_loss(
-    text_feats: Tensor,
-    vision_feats: Tensor,
-    sizes,
-    temperature: float = DEFAULT_TEMPERATURE,
-    smoothing: float = DEFAULT_SMOOTHING,
-) -> Tensor:
-    """Mean contrastive loss over B padded groups of matched rows.
-
-    ``text_feats`` and ``vision_feats`` are (B, M_max, d); group b is their
-    leading sizes[b] rows, and the rows past it are padding that neither
-    changes the loss nor receives gradient.
-    """
-    return masked_contrastive_loss(similarity_matrix(text_feats, vision_feats), sizes, temperature, smoothing)
 
 
 @dataclass

@@ -9,7 +9,11 @@ validated ``TrajectorySample`` gets its frozen viewpoint features
 (``precompute_viewpoint_features``), then its token ids
 (``prepare_trajectories``); the resulting ``_Prepared`` record is all that a
 training step (``stage2_losses``) or an eval batch (``evaluate_retrieval``)
-reads.  Both drivers are bitwise
+reads.  Both read one feature shape, ``stage2_features``' (text, visual,
+sizes) groups of (K, M_max, d) rows: one group per trajectory for the
+per-path terms, the one group of the batch for the others.  A step scores
+each term's groups with one ``pairwise_alignment_loss`` call; retrieval
+ranks them with one ranker, ``retrieval_hits``.  Both drivers are bitwise
 deterministic for a fixed RunConfig: all randomness flows from the seed, and
 logs never contain wall-clock values.  Both drivers train through one loop,
 ``_train``: shuffled mini-batches of Adam steps, each followed by a check
@@ -39,7 +43,6 @@ from .alignment import (
     DEFAULT_TEMPERATURE,
     PROMPTED_MODES,
     LossReport,
-    batched_alignment_loss,
     pairwise_alignment_loss,
     retrieval_terms,
     similarity_matrix,
@@ -80,7 +83,7 @@ from .errors import (
 from .optim import (DEFAULT_LEARNING_RATE, FiniteDifferenceReport, Optimizer, ParamStore, backward,
                     finite_difference_check)
 from .prompts import PAD_ID, Vocabulary, count_prompt, tokenize
-from .tensor import Tensor, gather_index, linear, log_softmax, no_grad, take_rows
+from .tensor import Tensor, concat, gather_index, linear, log_softmax, no_grad, take_rows
 
 CHECKPOINT_FORMAT_VERSION = 3
 # rows per batch of the forward-only passes: stage-1 accuracy, the viewpoint
@@ -88,7 +91,7 @@ CHECKPOINT_FORMAT_VERSION = 3
 ACCURACY_BATCH = 64
 PRECOMPUTE_CHUNK = 128
 EVAL_BATCH = 16
-# loss terms with one contrastive block per trajectory; the others have one per batch
+# loss terms with one contrastive group per trajectory; the others have one group per batch
 PER_PATH_TERMS = ("ind", "sub")
 
 
@@ -149,7 +152,7 @@ class RunConfig(EncoderConfig):
 
     def validate(self) -> None:
         self.encoder()
-        for name in ("stage1_lr", "stage2_lr"):
+        for name in ("stage1_lr", "stage2_lr", "temperature"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be above 0, got {getattr(self, name)}")
         # a bound given by name is another field's value
@@ -158,11 +161,16 @@ class RunConfig(EncoderConfig):
                             ("indoor_samples_per_class", 1), ("trajectory_count", 1), ("subpaths_min", 1),
                             ("subpaths_max", "subpaths_min"), ("viewpoints_max", "viewpoints_min"),
                             ("viewpoints_max", "subpaths_max"), ("max_subpaths", "subpaths_max"),
-                            ("max_viewpoints", "viewpoints_max")):
+                            ("max_viewpoints", "viewpoints_max"), ("lambda1", 0), ("lambda2", 0)):
             bound = getattr(self, least) if isinstance(least, str) else least
             if not getattr(self, name) >= bound:
                 label = f"{least} ({bound})" if isinstance(least, str) else bound
                 raise ParameterError(f"{name} must be at least {label}, got {getattr(self, name)}")
+        # effective_smoothing caps every M x M block at 1/(2M), so a value at or
+        # above the cap of the smallest block would be clamped everywhere
+        cap = 1 / (2 * self.subpaths_min)
+        if not 0 <= self.smoothing < cap:
+            raise ParameterError(f"smoothing must lie in [0, 1/(2*subpaths_min)) = [0, {cap:g}), got {self.smoothing}")
         if not 0 <= self.duplicate_prob <= 1:
             raise ParameterError(f"duplicate_prob must lie in [0, 1], got {self.duplicate_prob}")
         if not (0 <= self.val_fraction < 1):
@@ -419,6 +427,19 @@ def _stage1_accuracy(samples: list[IndoorSample], indices: Sequence[int], store:
     return hits / len(indices)
 
 
+def _check_indoor_samples(dataset: list[IndoorSample], enc: EncoderConfig) -> None:
+    """Refuse, by its index, a sample the visual stack or the head cannot take."""
+    for i, s in enumerate(dataset):
+        if s.features.shape[1] != enc.feature_dim:
+            raise ConfigurationError(f"sample {i} has features {s.features.shape[1]} wide; the encoder takes "
+                                     f"feature_dim {enc.feature_dim}")
+        if s.features.shape[0] != dataset[0].features.shape[0]:
+            raise DatasetError(f"sample {i} has {s.features.shape[0]} patches; sample 0 has "
+                               f"{dataset[0].features.shape[0]}")
+        if not 0 <= s.label < enc.num_classes:
+            raise ConfigurationError(f"sample {i} has label {s.label}; the head takes num_classes {enc.num_classes}")
+
+
 def _stage1_store(enc: EncoderConfig, rng: np.random.Generator) -> ParamStore:
     """A new store holding the visual stack and head, frozen for stage 1."""
     store = ParamStore()
@@ -432,6 +453,7 @@ def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None) -> Sta
     enc = cfg.encoder()
     if dataset is None:
         dataset = cfg.indoor_dataset()
+    _check_indoor_samples(dataset, enc)
     train_idx, val_idx = split_indices(len(dataset), cfg.seed, cfg.val_fraction)
     if not train_idx:
         raise DatasetError("stage 1 training split is empty")
@@ -602,15 +624,17 @@ def stage2_features(
     enc: EncoderConfig,
     mode: str,
     terms: Sequence[str],
-) -> dict[str, tuple[Tensor, Tensor]]:
-    """The projected (text, visual) features of each requested term under ``mode``.
+) -> dict[str, tuple[Tensor, Tensor, np.ndarray]]:
+    """The projected (text, visual, sizes) groups of each requested term under ``mode``.
 
-    ``ind`` and ``sub`` give (B, M_max, d) rows: each trajectory's
-    sub-instruction rows against its sub-path rows, padded past its M (see
-    ``_padded_rows``).  ``ove``, ``ins`` and ``cnt`` give (B, d) rows, one
-    per trajectory.  In a prompted mode the sequential prompts and the count
-    token enter the cross-modal encoder.  Every input, token ids and frozen
-    viewpoint features alike, comes from the prepared records.
+    Every term gives (K, M_max, d) text and visual rows, group k owning its
+    leading sizes[k] rows.  ``ind`` and ``sub`` have one group per
+    trajectory, its sub-instruction rows against its sub-path rows, padded
+    past its M (see ``_padded_rows``).  ``ove``, ``ins`` and ``cnt`` have
+    the one group of the batch, (1, B, d).  In a prompted mode the
+    sequential prompts and the count token enter the cross-modal encoder.
+    Every input, token ids and frozen viewpoint features alike, comes from
+    the prepared records.
     """
     prompted = mode in PROMPTED_MODES
     wanted = {*terms, "seq"} if prompted else set(terms)
@@ -635,17 +659,19 @@ def stage2_features(
     viewpoints = Tensor(np.concatenate([p.viewpoints for p in batch], axis=0))
     cross = cross_modal_encode_batch(viewpoints, text["seq"] if prompted else None,
                                      [p.sample.chunks for p in batch], store, enc)
-    visual = {"cnt": cross.count, "ove": cross.overall, "ins": cross.overall}
+    visual = {"ind": cross.subpaths, "sub": cross.subpaths, "cnt": cross.count, "ove": cross.overall,
+              "ins": cross.overall}
+    per_path, whole = np.array([p.m for p in batch]), np.array([len(batch)])
 
     w_t, b_t = store["proj.text.w"], store["proj.text.b"]
     w_v, b_v = store["proj.visual.w"], store["proj.visual.b"]
     features = {}
     for term in terms:
-        text_proj = linear(text[term], w_t, b_t)
+        text_proj, visual_proj = linear(text[term], w_t, b_t), linear(visual[term], w_v, b_v)
         if term in PER_PATH_TERMS:
-            features[term] = (_padded_rows(text_proj, batch), linear(cross.subpaths, w_v, b_v))
+            features[term] = (_padded_rows(text_proj, batch), visual_proj, per_path)
         else:
-            features[term] = (text_proj, linear(visual[term], w_v, b_v))
+            features[term] = (text_proj.reshape(1, len(batch), -1), visual_proj.reshape(1, len(batch), -1), whole)
     return features
 
 
@@ -657,19 +683,12 @@ def stage2_losses(
 ) -> tuple[Tensor, LossReport]:
     """The weighted alignment loss of one mini-batch under cfg.ablation.
 
-    Each term's loss is the mean of its contrastive losses: one per
-    trajectory for ind and sub, scored together by one masked batched loss,
-    and one over the batch for ove and cnt.
+    Each term's loss is the mean of its groups' contrastive losses: one per
+    trajectory for ind and sub, the one of the batch for ove and cnt.
     """
     features = stage2_features(batch, store, enc, cfg.ablation, ABLATION_TERMS[cfg.ablation])
-    sizes = np.array([p.m for p in batch])
-    losses: dict[str, Tensor] = {}
-    for term, (text, visual) in features.items():
-        if term in PER_PATH_TERMS:
-            losses[term] = batched_alignment_loss(text, visual, sizes, cfg.temperature, cfg.smoothing)
-        else:
-            losses[term] = pairwise_alignment_loss(text, visual, cfg.temperature, cfg.smoothing)
-    return total_loss(losses, cfg.lambda1, cfg.lambda2)
+    return total_loss({term: pairwise_alignment_loss(*groups, cfg.temperature, cfg.smoothing)
+                       for term, groups in features.items()}, cfg.lambda1, cfg.lambda2)
 
 
 def _add_stage2_params(store: ParamStore, enc: EncoderConfig, vocab_size: int, rng: np.random.Generator,
@@ -725,79 +744,53 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint: str, dataset: list[TrajectoryS
 # -- evaluation -------------------------------------------------------------------
 
 
-def retrieval_metrics(
-    text: np.ndarray,
-    visual: np.ndarray,
-    sizes,
-    whole_text: np.ndarray,
-    whole_visual: np.ndarray,
-    count: np.ndarray | None = None,
-    count_candidates: dict[int, np.ndarray] | None = None,
-) -> dict:
-    """Argmax retrieval metrics over feature arrays, all ranked by ``similarity_matrix``.
+def retrieval_hits(text: Tensor, visual: Tensor, sizes) -> int:
+    """How many text rows rank their own visual row first within their group.
 
-    ``text`` and ``visual`` are (N, M, d) sub-instruction and sub-path rows,
-    where trajectory n owns its leading sizes[n] rows; ``whole_text`` and
-    ``whole_visual`` are (N, d), and ``count``, when given, is the (N, d)
-    count-token feature.  subpair: within each trajectory, the argmax sub-path
-    of each sub-instruction row must be its own; trajectory: global argmax of
-    each whole-path text feature over every trajectory's visual one; count:
-    the argmax over the candidate count-prompt features, keyed by the count
-    each one states, must pick the trajectory's sub-path count.
+    ``text`` and ``visual`` are (K, M_max, d) groups, group k owning its
+    leading sizes[k] rows, ranked by ``similarity_matrix``; the columns past
+    a group's size are masked out, and its rows past it are not counted.
     """
-    sizes = np.asarray(sizes)
-    if sizes.size == 0:
-        raise DatasetError("evaluation dataset is empty")
     slot = np.arange(text.shape[1])
-    live = slot < sizes[:, None]
-    sub = similarity_matrix(Tensor(text), Tensor(visual)).data
-    picks = np.where(live[:, None, :], sub, -np.inf).argmax(axis=2)
-    whole = similarity_matrix(Tensor(whole_text), Tensor(whole_visual)).data
-    metrics = {
-        "subpair_accuracy": int((live & (picks == slot)).sum()) / int(sizes.sum()),
-        "trajectory_accuracy": float((whole.argmax(axis=1) == np.arange(sizes.size)).mean()),
-        "count_accuracy": None,
-    }
-    if count is not None and count_candidates:
-        counts = np.array(list(count_candidates))
-        cand = similarity_matrix(Tensor(count), Tensor(np.stack(list(count_candidates.values())))).data
-        metrics["count_accuracy"] = int((counts[cand.argmax(axis=1)] == sizes).sum()) / sizes.size
-    return metrics
+    live = slot < np.asarray(sizes)[:, None]
+    picks = np.where(live[:, None, :], similarity_matrix(text, visual).data, -np.inf).argmax(axis=2)
+    return int((live & (picks == slot)).sum())
 
 
 def evaluate_retrieval(store: ParamStore, enc: EncoderConfig, prepared: list[_Prepared], mode: str = "full") -> dict:
     """Argmax retrieval metrics over sub-pairs, whole trajectories, and counts.
 
-    Each eval batch's features are the ones training scores; the per-path
-    rows are padded to the longest trajectory and masked past each one's M.
-    The count candidates are the count prompts of the sub-path counts that
-    occur among the evaluated trajectories, the counts training shows.
+    Each eval batch's features are the ones training scores.  subpair: the
+    sub-path each sub-instruction row ranks first within its trajectory must
+    be its own (``retrieval_hits`` summed over the eval batches); trajectory:
+    the same over one group of every evaluated whole path; count: the count
+    prompt each count feature ranks first, among those of the sub-path counts
+    that occur among the evaluated trajectories (the counts training shows),
+    must state the trajectory's sub-path count.
     """
     if not prepared:
         raise DatasetError("evaluation dataset is empty")
     terms = retrieval_terms(mode)
     per_path, whole = terms[:2]
     sizes = np.array([p.m for p in prepared])
-
-    def kept(term: str, t: Tensor) -> np.ndarray:
-        return np.pad(t.data, ((0, 0), (0, sizes.max() - t.shape[1]), (0, 0))) if term in PER_PATH_TERMS else t.data
-
-    count_candidates = None
-    batches = []
     with no_grad():
-        if "cnt" in terms:
+        batches = [stage2_features(prepared[start:start + EVAL_BATCH], store, enc, mode, terms)
+                   for start in range(0, len(prepared), EVAL_BATCH)]
+        # the whole-path and count rows of every batch, as one group of the evaluated set
+        joined = {term: [concat([b[term][i] for b in batches], axis=1) for i in (0, 1)] for term in terms[1:]}
+        metrics = {
+            "subpair_accuracy": sum(retrieval_hits(*b[per_path]) for b in batches) / int(sizes.sum()),
+            "trajectory_accuracy": retrieval_hits(*joined[whole], [len(prepared)]) / len(prepared),
+            "count_accuracy": None,
+        }
+        if "cnt" in joined:
             cnt_ids = {p.m: p.ids["cnt"][0] for p in prepared}  # each trajectory's count prompt
-            counts = sorted(cnt_ids)
-            projected = linear(pooled_text_features(np.stack([cnt_ids[k] for k in counts]), store, enc),
-                               store["proj.text.w"], store["proj.text.b"]).data
-            count_candidates = dict(zip(counts, projected))
-        for start in range(0, len(prepared), EVAL_BATCH):
-            batch = prepared[start:start + EVAL_BATCH]
-            batches.append({term: [kept(term, t) for t in pair]
-                            for term, pair in stage2_features(batch, store, enc, mode, terms).items()})
-    feats = {term: [np.concatenate([b[term][i] for b in batches]) for i in (0, 1)] for term in terms}
-    count = feats["cnt"][1] if "cnt" in feats else None
-    return retrieval_metrics(*feats[per_path], sizes, *feats[whole], count, count_candidates)
+            keys = np.array(sorted(cnt_ids))
+            candidates = linear(pooled_text_features(np.stack([cnt_ids[k] for k in keys]), store, enc),
+                                store["proj.text.w"], store["proj.text.b"])
+            picks = similarity_matrix(joined["cnt"][1][0], candidates).data.argmax(axis=1)
+            metrics["count_accuracy"] = int((keys[picks] == sizes).sum()) / len(prepared)
+    return metrics
 
 
 # -- gradient fidelity -----------------------------------------------------------

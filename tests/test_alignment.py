@@ -9,7 +9,6 @@ from navprompt.alignment import (
     DEFAULT_LAMBDA1,
     DEFAULT_LAMBDA2,
     LossReport,
-    batched_alignment_loss,
     contrastive_loss,
     cosine_similarity,
     effective_smoothing,
@@ -332,8 +331,14 @@ def composed_loss(text, vision, temperature=0.1, smoothing=0.05):
     return contrastive_loss(normalize(s, "rows", temperature), normalize(s, "cols", temperature), gt)
 
 
+def one_group_loss(text, vision, temperature=0.1, smoothing=0.05):
+    """pairwise_alignment_loss of (M, d) rows, scored as the one group of a (1, M, d) stack."""
+    m = text.shape[0]
+    return pairwise_alignment_loss(text.reshape(1, m, -1), vision.reshape(1, m, -1), [m], temperature, smoothing)
+
+
 def loss_shares(text, vision, temperature=0.1, smoothing=0.05):
-    """Each row's share of pairwise_alignment_loss: its S_T row plus its S_V
+    """Each row's share of one_group_loss: its S_T row plus its S_V
     column, computed on demand from the same matrices, in plain numpy."""
     s = similarity_matrix(text, vision)
     m = s.shape[0]
@@ -358,7 +363,7 @@ class TestPairwiseAlignmentLoss:
         rng = np.random.default_rng(10)
         text = Tensor(rng.uniform(-1, 1, (4, 8)))
         vision = Tensor(rng.uniform(-1, 1, (4, 8)))
-        loss = pairwise_alignment_loss(text, vision)
+        loss = one_group_loss(text, vision)
         shares = loss_shares(text, vision)
         assert len(shares) == 4
         assert abs(loss.item() - sum(shares)) < 1e-12
@@ -368,7 +373,7 @@ class TestPairwiseAlignmentLoss:
         rng = np.random.default_rng(11)
         t0, v0 = rng.uniform(-1, 1, (3, 6)), rng.uniform(-1, 1, (3, 6))
         runs = []
-        for loss_fn in (pairwise_alignment_loss, composed_loss):
+        for loss_fn in (one_group_loss, composed_loss):
             text, vision = Tensor(t0.copy(), requires_grad=True), Tensor(v0.copy(), requires_grad=True)
             loss = loss_fn(text, vision)
             loss.backward()
@@ -450,9 +455,9 @@ class TestMaskedContrastiveLoss:
         for b, (t, v) in enumerate(groups):
             text[b, :len(t)], vision[b, :len(v)] = t, v
         t_in, v_in = Tensor(text, requires_grad=True), Tensor(vision, requires_grad=True)
-        loss = batched_alignment_loss(t_in, v_in, np.array([1, 4, 2]))
+        loss = pairwise_alignment_loss(t_in, v_in, np.array([1, 4, 2]))
         loss.backward()
-        expected = [pairwise_alignment_loss(Tensor(t), Tensor(v)).item() for t, v in groups]
+        expected = [one_group_loss(Tensor(t), Tensor(v)).item() for t, v in groups]
         assert math.isclose(loss.item(), sum(expected) / 3, rel_tol=1e-12)
         # padding rows, including zero rows, stay finite and get no gradient
         for b, (t, _) in enumerate(groups):

@@ -9,10 +9,12 @@ import pytest
 from navprompt.cli import main
 from navprompt.data import read_trajectory_jsonl
 from navprompt.encoders import EncoderConfig
-from navprompt.errors import CheckpointError
+from navprompt.errors import CheckpointError, ParameterError
 from navprompt.prompts import Vocabulary
 from navprompt.training import (
+    RunConfig,
     build_vocabulary,
+    coerce_field,
     evaluate_retrieval,
     load_checkpoint,
     precompute_viewpoint_features,
@@ -182,6 +184,59 @@ def test_generator_ranges_are_refused_by_name(tmp_path, monkeypatch, capsys, fla
                  ["stage2", "--stage1-ckpt", str(tmp_path / "none.json"), "--out-dir", str(out)]):
         assert main([*argv, flag, value]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error[ParameterError]: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    ({"lambda1": "-1"}, "lambda1 must be at least 0, got -1.0"),
+    ({"lambda2": "-0.5"}, "lambda2 must be at least 0, got -0.5"),
+    ({"temperature": "0"}, "temperature must be above 0, got 0.0"),
+    ({"temperature": "-0.1"}, "temperature must be above 0, got -0.1"),
+    ({"smoothing": "-0.1"}, "smoothing must lie in [0, 1/(2*subpaths_min)) = [0, 0.25), got -0.1"),
+    ({"smoothing": "2"}, "smoothing must lie in [0, 1/(2*subpaths_min)) = [0, 0.25), got 2.0"),
+    ({"smoothing": "0.25"}, "smoothing must lie in [0, 1/(2*subpaths_min)) = [0, 0.25), got 0.25"),
+    ({"smoothing": "0.2", "subpaths_min": "3"},
+     "smoothing must lie in [0, 1/(2*subpaths_min)) = [0, 0.166667), got 0.2"),
+], ids=["lambda1", "lambda2", "temperature_zero", "temperature_negative", "smoothing_negative", "smoothing_two",
+        "smoothing_at_cap", "smoothing_above_cap_of_three"])
+def test_objective_ranges_are_refused_by_name(tmp_path, monkeypatch, capsys, flags, message):
+    # the objective's fields are refused before any data is built or the output directory is made
+    import navprompt.training as training
+
+    values = {key: coerce_field(key, value) for key, value in flags.items()}
+    with pytest.raises(ParameterError) as exc:
+        RunConfig(**values).validate()
+    assert str(exc.value) == message
+    RunConfig().validate()  # the defaults, smoothing 0.05 among them, stay valid
+
+    monkeypatch.setattr(training.RunConfig, "trajectory_dataset", lambda self: pytest.fail("data was built"))
+    out = tmp_path / "out"
+    argv = ["stage2", "--stage1-ckpt", str(tmp_path / "none.json"), "--out-dir", str(out)]
+    for key, value in flags.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error[ParameterError]: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("records,message", [
+    ([([[0.0] * 6] * 2, 0), ([[0.0] * 4] * 2, 1)],
+     "ConfigurationError]: sample 1 has features 4 wide; the encoder takes feature_dim 6"),
+    ([([[0.0] * 6] * 2, 0), ([[0.0] * 6] * 2, 1), ([[0.0] * 6] * 3, 2)],
+     "DatasetError]: sample 2 has 3 patches; sample 0 has 2"),
+    ([([[0.0] * 6] * 2, 0), ([[0.0] * 6] * 2, 12)],
+     "ConfigurationError]: sample 1 has label 12; the head takes num_classes 3"),
+    ([([[0.0] * 6] * 2, -1), ([[0.0] * 6] * 2, 1)],
+     "ConfigurationError]: sample 0 has label -1; the head takes num_classes 3"),
+], ids=["feature_width", "patch_count", "label_too_large", "label_negative"])
+def test_stage1_samples_are_checked_by_index(tmp_path, capsys, records, message):
+    # a sample the visual stack or the head cannot take is named before the
+    # first step, in a one-line error, not a traceback or a silent miss
+    data = tmp_path / "indoor.jsonl"
+    data.write_text("".join(json.dumps({"features": f, "label": label}) + "\n" for f, label in records))
+    out = tmp_path / "out"
+    assert main(["stage1", "--data", str(data), *_cfg_flags(tmp_path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error[{message}"]
     assert not out.exists()
 
 

@@ -49,7 +49,7 @@ from navprompt.training import (
     load_checkpoint,
     parse_config_file,
     prepare_trajectories,
-    retrieval_metrics,
+    retrieval_hits,
     run_stage1,
     run_stage2,
     save_checkpoint,
@@ -566,16 +566,17 @@ class TestAblationTable:
         assert {term for term, v in values.items() if v is not None} == set(terms)
         weight = {None: 1.0, "lambda1": cfg.lambda1, "lambda2": cfg.lambda2}
         assert abs(report.total - sum(weight[TERM_WEIGHTS[t]] * values[t] for t in terms)) < 1e-12
-        # each term is the mean of its contrastive losses: per trajectory for ind and sub
+        # each term is the mean of its groups' contrastive losses: one group per
+        # trajectory for ind and sub, the one group of the batch otherwise
         assert list(features) == list(terms)
-        for term, (text, visual) in features.items():
+        for term, (text, visual, sizes) in features.items():
             if term in ("ind", "sub"):
-                assert text.shape[0] == visual.shape[0] == cfg.trajectory_count
-                m = cfg.subpaths_max
-                pairs = [(Tensor(t[:m]), Tensor(v[:m])) for t, v in zip(text.data, visual.data)]
+                assert list(sizes) == [cfg.subpaths_max] * cfg.trajectory_count
             else:
-                pairs = [(text, visual)]
-            losses = [_composed_loss(t, v, cfg).item() for t, v in pairs]
+                assert list(sizes) == [cfg.trajectory_count]
+            assert text.shape[:2] == visual.shape[:2] == (len(sizes), max(sizes))
+            losses = [_composed_loss(Tensor(t[:m]), Tensor(v[:m]), cfg).item()
+                      for t, v, m in zip(text.data, visual.data, sizes)]
             assert abs(values[term] - sum(losses) / len(losses)) < 1e-12
         full_metrics = run("full")[2]
         if mode == "sub_only":
@@ -636,7 +637,38 @@ class TestEvaluation:
                 out[n, len(block):] = fill[n]
         return out
 
-    def test_perfect_features_upper_bound(self):
+    @staticmethod
+    def _evaluate(monkeypatch, sizes, text, visual, whole_text, whole_visual, count=None, candidates=None):
+        """``evaluate_retrieval`` on given features, two trajectories to an eval batch.
+
+        ``text`` and ``visual`` are (N, M, d) per-path rows, ``whole_text`` and
+        ``whole_visual`` (N, d) whole-path rows, and ``count``, when given, the
+        (N, d) count features, ranked against ``candidates``, a {count: (d,)
+        count-prompt feature} dict, through an identity text projection.
+        """
+        sizes = np.asarray(sizes)
+        # a record's sample is its index into the given features
+        prepared = [training._Prepared(n, int(m), {"cnt": np.array([[m]])}, None) for n, m in enumerate(sizes)]
+
+        def features(batch, store, enc, mode, terms):
+            idx = [p.sample for p in batch]
+            one, m = np.array([len(idx)]), sizes[idx].max()  # per-path rows padded to the batch's longest
+            groups = {terms[0]: (Tensor(text[idx, :m]), Tensor(visual[idx, :m]), sizes[idx]),
+                      terms[1]: (Tensor(whole_text[idx][None]), Tensor(whole_visual[idx][None]), one)}
+            if "cnt" in terms:
+                groups["cnt"] = (Tensor(count[idx][None]), Tensor(count[idx][None]), one)
+            return groups
+
+        store = ParamStore()
+        store.add("proj.text.w", np.eye(text.shape[-1]))
+        store.add("proj.text.b", np.zeros(text.shape[-1]))
+        monkeypatch.setattr(training, "stage2_features", features)
+        monkeypatch.setattr(training, "pooled_text_features",
+                            lambda ids, store, enc: Tensor(np.stack([candidates[int(row[0])] for row in ids])))
+        monkeypatch.setattr(training, "EVAL_BATCH", 2)
+        return evaluate_retrieval(store, EncoderConfig(), prepared, mode="sub_only" if count is None else "full")
+
+    def test_perfect_features_upper_bound(self, monkeypatch):
         rng = np.random.default_rng(0)
         count_candidates = {k: rng.normal(size=8) for k in range(1, 7)}
         sizes = np.array([2, 3, 4])
@@ -644,12 +676,14 @@ class TestEvaluation:
         whole = np.stack([b.sum(axis=0) for b in bases])
         count = np.stack([count_candidates[m] for m in sizes])
         rows = self._padded(bases)
-        metrics = retrieval_metrics(rows, rows.copy(), sizes, whole, whole.copy(), count, count_candidates)
+        assert retrieval_hits(Tensor(rows), Tensor(rows.copy()), sizes) == sizes.sum()
+        assert retrieval_hits(Tensor(whole[None]), Tensor(whole[None]), [3]) == 3
+        metrics = self._evaluate(monkeypatch, sizes, rows, rows.copy(), whole, whole.copy(), count, count_candidates)
         assert metrics["subpair_accuracy"] == 1.0
         assert metrics["trajectory_accuracy"] == 1.0
         assert metrics["count_accuracy"] == 1.0
 
-    def test_metrics_invariant_under_shuffling(self):
+    def test_metrics_invariant_under_shuffling(self, monkeypatch):
         rng = np.random.default_rng(1)
         sizes = np.array([2, 3, 2, 4, 3, 2])
         texts = [rng.normal(size=(m, 8)) for m in sizes]
@@ -658,8 +692,8 @@ class TestEvaluation:
         def metrics(order, fill=None):
             t = [texts[i] for i in order]
             v = [visuals[i] for i in order]
-            return retrieval_metrics(self._padded(t), self._padded(v, fill), sizes[order],
-                                     np.stack([x.mean(axis=0) for x in t]), np.stack([x.mean(axis=0) for x in v]))
+            return self._evaluate(monkeypatch, sizes[order], self._padded(t), self._padded(v, fill),
+                                  np.stack([x.mean(axis=0) for x in t]), np.stack([x.mean(axis=0) for x in v]))
 
         base = metrics(np.arange(len(sizes)))
         assert base["count_accuracy"] is None
@@ -673,9 +707,9 @@ class TestEvaluation:
 
     def test_empty_dataset(self):
         with pytest.raises(DatasetError):
-            retrieval_metrics(np.zeros((0, 1, 8)), np.zeros((0, 1, 8)), [], np.zeros((0, 8)), np.zeros((0, 8)))
+            evaluate_retrieval(ParamStore(), EncoderConfig(), [])
 
-    def test_count_candidates_are_keyed_by_their_count(self):
+    def test_count_candidates_are_keyed_by_their_count(self, monkeypatch):
         # two candidates stating 3 and 7 sub-paths: the winner's key is the
         # retrieved count, whatever its position among the candidates
         rng = np.random.default_rng(2)
@@ -684,7 +718,8 @@ class TestEvaluation:
         rows = self._padded([rng.normal(size=(m, 8)) for m in sizes])
         whole = rows[:, 0]
         count = np.stack([seven, three, three])
-        assert retrieval_metrics(rows, rows, sizes, whole, whole, count, {3: three, 7: seven})["count_accuracy"] == 2 / 3
+        metrics = self._evaluate(monkeypatch, sizes, rows, rows, whole, whole, count, {3: three, 7: seven})
+        assert metrics["count_accuracy"] == 2 / 3
 
     def test_count_retrieval_scores_only_the_counts_that_occur(self):
         # every trajectory has 2 sub-paths, so the one candidate is the count

@@ -5,7 +5,9 @@ batched loss over padded features.  The reference here is the loop it
 replaced, scored independently of the masked kernel: per trajectory, its
 own rows' similarity matrix, row and column softmax and KL divergences as a
 graph of separate ops (``contrastive_loss``), averaged over the batch.  Each draw picks trajectories with random sub-path
-counts (1 to ``max_subpaths``) and a random batch of them.
+counts (1 to ``max_subpaths``) and a random batch of them.  Every term is
+scored by one ``pairwise_alignment_loss`` call, and retrieval gives the same
+metrics whatever the eval batch size.
 """
 
 import dataclasses
@@ -13,19 +15,22 @@ import dataclasses
 import numpy as np
 import pytest
 
+import navprompt.training as training
 from navprompt.alignment import (
+    ABLATION_MODES,
     ABLATION_TERMS,
-    batched_alignment_loss,
     contrastive_loss,
     effective_smoothing,
     ground_truth_matrix,
     normalize,
+    pairwise_alignment_loss,
     similarity_matrix,
 )
 from navprompt.encoders import apply_stage_freeze, init_cross_params, init_text_params, init_visual_params
-from navprompt.optim import ParamStore, backward
+from navprompt.optim import Optimizer, ParamStore, backward
 from navprompt.training import (
     build_vocabulary,
+    evaluate_retrieval,
     gradcheck_config,
     precompute_viewpoint_features,
     prepare_trajectories,
@@ -70,8 +75,7 @@ def _features(model, idx, term):
     cfg, enc, store, prepared, cache = model
     batch = [prepared[i] for i in idx]
     mode = "sub_only" if term == "sub" else "full"  # the mode that trains the term
-    text, visual = stage2_features(batch, store, enc, mode, (term,))[term]
-    return batch, text, visual
+    return (batch, *stage2_features(batch, store, enc, mode, (term,))[term])
 
 
 def _composed_loss(text, visual, cfg):
@@ -84,10 +88,9 @@ def _composed_loss(text, visual, cfg):
 
 def _loss_and_grads(model, idx, term, batched):
     cfg, _, store, _, _ = model
-    batch, text, visual = _features(model, idx, term)
+    batch, text, visual, sizes = _features(model, idx, term)
     if batched:
-        sizes = np.array([p.m for p in batch])
-        loss = batched_alignment_loss(text, visual, sizes, cfg.temperature, cfg.smoothing)
+        loss = pairwise_alignment_loss(text, visual, sizes, cfg.temperature, cfg.smoothing)
     else:
         loss = None
         for b, p in enumerate(batch):
@@ -122,8 +125,8 @@ def test_permuting_the_batch_permutes_features_and_keeps_the_loss(model, mode, d
     assert totals[1] == pytest.approx(totals[0], rel=1e-12, abs=0)
 
     term = ABLATION_TERMS[mode][-1]  # ind or sub
-    batch, text, visual = _features(model, idx, term)
-    _, text_p, visual_p = _features(model, shuffled, term)
+    batch, text, visual, _ = _features(model, idx, term)
+    _, text_p, visual_p, _ = _features(model, shuffled, term)
     for b, j in enumerate(order):
         m = batch[j].m
         np.testing.assert_allclose(text_p.data[b, :m], text.data[j, :m], rtol=0, atol=1e-12)
@@ -140,3 +143,49 @@ def test_each_prepared_trajectory_carries_its_viewpoint_block(model):
     loss = stage2_losses([prepared[i] for i in idx], store, enc, cfg)[0].item()
     shifted = [dataclasses.replace(prepared[i], viewpoints=prepared[i].viewpoints + 1.0) for i in idx]
     assert stage2_losses(shifted, store, enc, cfg)[0].item() != loss
+
+
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_each_term_is_one_scoring_call(model, monkeypatch, mode):
+    # the bench probe times the loss through this one name, so every term must pass through it
+    cfg, enc, store, prepared, cache = model
+    batch = [prepared[i] for i in _draw(prepared, seed=9)]
+    calls = []
+
+    def counted(text, visual, sizes, *args):
+        calls.append(list(sizes))
+        return pairwise_alignment_loss(text, visual, sizes, *args)
+
+    monkeypatch.setattr(training, "pairwise_alignment_loss", counted)
+    report = stage2_losses(batch, store, enc, dataclasses.replace(cfg, ablation=mode))[1]
+    per_term = {"ind": [p.m for p in batch], "sub": [p.m for p in batch], "ove": [len(batch)], "cnt": [len(batch)]}
+    assert calls == [per_term[term] for term in ABLATION_TERMS[mode]]
+    assert all(getattr(report, f"l_{term}") is not None for term in ABLATION_TERMS[mode])
+
+
+@pytest.fixture(scope="module")
+def trained(model):
+    """A copy of the model's store after 30 Adam steps of ``full``, whose retrieval ranks vary by row."""
+    cfg, enc, store, prepared, cache = model
+    copy = ParamStore()
+    for name in store.names():
+        copy.add(name, store[name].data.copy())
+    copy.set_frozen(store.frozen)
+    optimizer = Optimizer(copy, 1e-2)
+    for step in range(30):
+        backward(stage2_losses(prepared[8 * (step % 3):8 * (step % 3 + 1)], copy, enc, cfg)[0], copy)
+        optimizer.step()
+    return copy
+
+
+@pytest.mark.parametrize("mode", ["full", "sub_only"])
+def test_eval_batch_size_changes_no_metric(model, trained, monkeypatch, mode):
+    # sub-pair hits are summed per eval batch and whole paths ranked over all of them,
+    # so one trajectory a batch, the default and one batch of all give one dict
+    _, enc, _, prepared, _ = model
+    metrics = []
+    for size in (1, training.EVAL_BATCH, len(prepared)):
+        monkeypatch.setattr(training, "EVAL_BATCH", size)
+        metrics.append(evaluate_retrieval(trained, enc, prepared, mode=mode))
+    assert metrics[0] == metrics[1] == metrics[2]
+    assert (metrics[0]["count_accuracy"] is None) == (mode == "sub_only")
