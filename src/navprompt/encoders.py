@@ -43,6 +43,8 @@ from .prompts import PAD_ID
 from .tensor import (
     Tensor,
     add_bias,
+    attention_context,
+    attention_scores,
     concat,
     gelu,
     layer_norm,
@@ -79,7 +81,8 @@ class EncoderConfig:
             value = getattr(self, f.name)
             if type(value) is not type(f.default):
                 raise ConfigurationError(f"{f.name} expects {type(f.default).__name__}, got {value!r}")
-        for name in ("d", "heads", "ff_mult", "visual_layers", "num_classes", "max_text_len", "feature_dim"):
+        for name in ("d", "heads", "ff_mult", "visual_layers", "text_layers", "cross_layers", "num_patches",
+                     "num_classes", "max_text_len", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
         if self.d % self.heads != 0:
@@ -218,27 +221,22 @@ def param_shapes(cfg: EncoderConfig, vocab_size: int | None = None) -> dict[str,
 
 def _attention(xq: Tensor, xkv: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
                mask_bias: np.ndarray | None, shared: Tensor | None = None) -> Tensor:
-    """Rows ``xq`` (B, Sq, d) attend over keys and values from ``xkv`` (B, S, d)."""
-    b, s, d = xq.shape
-    h = cfg.heads
-    dk = d // h
+    """Rows ``xq`` (B, Sq, d) attend over keys and values from ``xkv`` (B, S, d).
+
+    Between the projections and ``wo`` the tape holds three nodes: the
+    scores, their softmax and the context.  ``shared`` rows are projected
+    once and spliced in after key and value 0 inside the score and context
+    ops.
+    """
     q = linear(xq, store[f"{prefix}.wq"], store[f"{prefix}.bq"])
     k = matmul(xkv, store[f"{prefix}.wk"])
     v = linear(xkv, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
+    k_shared = v_shared = None
     if shared is not None:
-        # keys/values follow [first live row | shared rows | other live rows]
-        k = _splice_rows(k, matmul(shared, store[f"{prefix}.wk"]))
-        v = _splice_rows(v, linear(shared, store[f"{prefix}.wv"], store[f"{prefix}.bv"]))
-    s_kv = k.shape[1]
-    q = q.reshape(b, s, h, dk).transpose(0, 2, 1, 3)
-    k = k.reshape(b, s_kv, h, dk).transpose(0, 2, 1, 3)
-    v = v.reshape(b, s_kv, h, dk).transpose(0, 2, 1, 3)
-    scores = matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dk))
-    if mask_bias is not None:
-        scores = scores.add_const(mask_bias)
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, v).transpose(0, 2, 1, 3).reshape(b, s, d)
-    return linear(ctx, store[f"{prefix}.wo"], store[f"{prefix}.bo"])
+        k_shared = matmul(shared, store[f"{prefix}.wk"])
+        v_shared = linear(shared, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
+    attn = softmax(attention_scores(q, k, cfg.heads, mask_bias, k_shared), axis=-1)
+    return linear(attention_context(attn, v, v_shared), store[f"{prefix}.wo"], store[f"{prefix}.bo"])
 
 
 def encoder_layer(x: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,

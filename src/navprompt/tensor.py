@@ -46,6 +46,15 @@ forward and for the input gradient, as the weight gradient always was.
 numpy would otherwise issue one small BLAS call per leading index, which
 OpenBLAS does not thread.
 
+Attention is three nodes between the projections and the output projection:
+``attention_scores`` (head split, scaled product, mask, with any shared key
+rows spliced in), ``softmax`` and ``attention_context`` (weighted values,
+heads merged, shared value rows spliced in).  Each op runs the numpy
+operations of the single-step nodes it replaces, on operands of the same
+strides, and lays its input gradients out as their copies did, so outputs
+and gradients keep their bits.  Softmax stays a node of its own: it is the
+one step that is not a product or a view, and callers time and pin it apart.
+
 Broadcasting is deliberately restricted: elementwise operations accept
 operands of identical shape or a 0-d scalar, nothing else.  The few places
 that need axis broadcasting (bias rows, mask biases, tiling a parameter over
@@ -57,6 +66,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 from typing import Sequence
 
@@ -264,8 +274,8 @@ class Tensor:
     def add_const(self, const: np.ndarray) -> "Tensor":
         """Add a non-differentiable array, broadcast by numpy rules.
 
-        Used for attention mask biases; the gradient passes through unchanged
-        because the constant carries no parameters.
+        The gradient passes through unchanged because the constant carries no
+        parameters.  ``attention_scores`` adds its mask bias the same way.
         """
         data = self.data + const
         if data.shape != self.shape:
@@ -506,6 +516,168 @@ def softmax(t: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
             t._accumulate(dx, owned=True)
 
     return Tensor._result(y, (t,), _bw)
+
+
+@functools.lru_cache(maxsize=4096)
+def _copy_strides(shape: tuple[int, ...], strides: tuple[int, ...], itemsize: int) -> tuple[int, ...]:
+    """The strides of ``np.array(x)``, numpy's copy of ``x`` in "K" order.
+
+    The copy is C-ordered when ``x`` is C-contiguous, F-ordered when it is
+    F-contiguous (as numpy's flags define them, ignoring axes of length 1),
+    and otherwise keeps ``x``'s axes in the order of their strides.
+    """
+    def contiguous(axes) -> bool:
+        step = itemsize
+        for i in axes:
+            if shape[i] != 1:
+                if strides[i] != step:
+                    return False
+                step *= shape[i]
+        return True
+
+    ndim = len(shape)
+    if contiguous(range(ndim - 1, -1, -1)):
+        order = list(range(ndim))
+    elif contiguous(range(ndim)):
+        order = list(range(ndim - 1, -1, -1))
+    else:
+        order = sorted(range(ndim), key=lambda i: (-abs(strides[i]), i))
+    out = [0] * ndim
+    step = itemsize
+    for i in reversed(order):
+        out[i] = step
+        step *= shape[i]
+    return tuple(out)
+
+
+def _copied(x: np.ndarray) -> np.ndarray:
+    """``x`` laid out as ``np.array(x)`` copies it; ``x`` itself when that copy would have its strides."""
+    return x if _copy_strides(x.shape, x.strides, x.itemsize) == x.strides else np.array(x)
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """A (B, h, S, d/h) view of (B, S, d) rows."""
+    b, s, d = x.shape
+    return x.reshape(b, s, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _heads_to_rows(g: np.ndarray) -> np.ndarray:
+    """A (B, h, S, dk) gradient as (B, S, d) rows, laid out as a transpose and a reshape node pass it on."""
+    b, h, s, dk = g.shape
+    return _copied(_copied(g.transpose(0, 2, 1, 3)).reshape(b, s, h * dk))
+
+
+def _check_shared(op: str, live: Tensor, shared: Tensor | None) -> None:
+    if shared is not None and (shared.ndim != 2 or shared.shape[1] != live.shape[2]):
+        raise ShapeError(f"{op}: shared rows {shared.shape} do not match the width of {live.shape}")
+
+
+def _splice(live: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """[row 0 | shared rows | rows 1:] of every sequence."""
+    return np.concatenate([live[:, :1], np.broadcast_to(shared, (live.shape[0],) + shared.shape), live[:, 1:]], axis=1)
+
+
+def _unsplice(g: np.ndarray, live: Tensor, shared: Tensor | None) -> None:
+    """Hand a (B, S, d) gradient of spliced rows to the live rows and the shared rows.
+
+    The live gradient is zeros plus two slice-adds, and the shared one a sum
+    over the batch of a copied slice, each laid out as the getitem, concat,
+    expand and reshape nodes of ``[x[:, :1] | tiled rows | x[:, 1:]]`` leave
+    it, so both hold the same bits, signed zeros too.
+    """
+    if shared is None:
+        if live.requires_grad:
+            live._accumulate(g, owned=True)
+        return
+    rows = shared.shape[0]
+    if live.requires_grad:
+        gl = np.zeros_like(live.data)
+        gl[:, :1] += g[:, :1]
+        gl[:, 1:] += g[:, 1 + rows:]
+        live._accumulate(gl, owned=True)
+    if shared.requires_grad:
+        part = _copied(g[:, 1:1 + rows])
+        if g.shape[0] > 1:  # a batch of one tiles by no broadcast, so nothing is summed
+            part = part.sum(axis=0, keepdims=True)
+        shared._accumulate(_copied(part.reshape(shared.shape)), owned=True)
+
+
+def attention_scores(q: Tensor, k: Tensor, heads: int, mask_bias: np.ndarray | None = None,
+                     shared: Tensor | None = None) -> Tensor:
+    """Scaled, masked dot-product logits of ``heads`` heads, (B, h, s, S), as one node.
+
+    Queries ``q`` (B, s, d) meet keys ``k`` (B, S, d); optional ``shared``
+    (H, d) key rows, the same for every sequence, are spliced in after key 0.
+    ``mask_bias`` is added to the scaled logits and must not broadcast them;
+    it covers live keys only, so it does not come with ``shared``.  Forward
+    and backward run the numpy operations of the nodes this op replaces
+    (head-split views, ``matmul``, ``* (1 / sqrt(d / h))``, ``add_const``
+    and the splice), on operands of the same strides, so every output and
+    gradient is bitwise equal to theirs.
+    """
+    if q.ndim != 3 or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+        raise ShapeError(f"attention_scores: need (B, s, d) queries and (B, S, d) keys, got {q.shape} and {k.shape}")
+    b, s, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention_scores: width {d} of {q.shape} does not split into {heads} heads")
+    _check_shared("attention_scores", k, shared)
+    keys = k.data if shared is None else _splice(k.data, shared.data)
+    shape = (b, heads, s, keys.shape[1])
+    if mask_bias is not None:
+        if shared is not None:
+            raise ShapeError(f"attention_scores: mask_bias {np.shape(mask_bias)} covers live keys only, "
+                             f"not {shared.shape[0]} shared rows")
+        try:
+            broadcast = np.broadcast_shapes(shape, np.shape(mask_bias))
+        except ValueError:
+            broadcast = None
+        if broadcast != shape:
+            raise ShapeError(f"attention_scores: mask_bias {np.shape(mask_bias)} would broadcast scores {shape}")
+    scale = 1.0 / np.sqrt(d // heads)
+    y = _split_heads(q.data, heads) @ _split_heads(keys, heads).swapaxes(-1, -2)
+    y *= scale
+    if mask_bias is not None:
+        y += mask_bias
+
+    def _bw(g):
+        gs = g * scale
+        if q.requires_grad:
+            q._accumulate(_heads_to_rows(gs @ _split_heads(keys, heads)), owned=True)
+        if k.requires_grad or (shared is not None and shared.requires_grad):
+            gk = _split_heads(q.data, heads).swapaxes(-1, -2) @ gs
+            _unsplice(_heads_to_rows(_copied(gk.swapaxes(-1, -2))), k, shared)
+
+    return Tensor._result(y, (q, k) if shared is None else (q, k, shared), _bw)
+
+
+def attention_context(attn: Tensor, v: Tensor, shared: Tensor | None = None) -> Tensor:
+    """Attention weights (B, h, s, S) applied to values ``v`` (B, S, d), heads merged: (B, s, d).
+
+    Optional ``shared`` (H, d) value rows are spliced in after value 0, as in
+    ``attention_scores``.  Forward and backward are bitwise equal to
+    ``matmul(attn, heads(v)).transpose(0, 2, 1, 3).reshape(B, s, d)``.
+    """
+    if attn.ndim != 4 or v.ndim != 3 or attn.shape[0] != v.shape[0]:
+        raise ShapeError(f"attention_context: need (B, h, s, S) weights and (B, S, d) values, "
+                         f"got {attn.shape} and {v.shape}")
+    b, heads, s, _ = attn.shape
+    d = v.shape[2]
+    if d % heads:
+        raise ShapeError(f"attention_context: width {d} of {v.shape} does not split into {heads} heads")
+    _check_shared("attention_context", v, shared)
+    values = v.data if shared is None else _splice(v.data, shared.data)
+    if attn.shape[3] != values.shape[1]:
+        raise ShapeError(f"attention_context: weights {attn.shape} do not cover {values.shape[1]} value rows")
+
+    def _bw(g):
+        g4 = _copied(_copied(g.reshape(b, s, heads, d // heads)).transpose(0, 2, 1, 3))
+        if attn.requires_grad:
+            attn._accumulate(g4 @ _split_heads(values, heads).swapaxes(-1, -2), owned=True)
+        if v.requires_grad or (shared is not None and shared.requires_grad):
+            _unsplice(_heads_to_rows(attn.data.swapaxes(-1, -2) @ g4), v, shared)
+
+    out = (attn.data @ _split_heads(values, heads)).transpose(0, 2, 1, 3).reshape(b, s, d)
+    return Tensor._result(out, (attn, v) if shared is None else (attn, v, shared), _bw)
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:

@@ -167,10 +167,12 @@ class RunConfig(EncoderConfig):
                 label = f"{least} ({bound})" if isinstance(least, str) else bound
                 raise ParameterError(f"{name} must be at least {label}, got {getattr(self, name)}")
         # effective_smoothing caps every M x M block at 1/(2M), so a value at or
-        # above the cap of the smallest block would be clamped everywhere
+        # above the cap of the smallest block would be clamped everywhere; at 0
+        # the target has zeros where every softmax row has mass, and the KL
+        # divergence is undefined
         cap = 1 / (2 * self.subpaths_min)
-        if not 0 <= self.smoothing < cap:
-            raise ParameterError(f"smoothing must lie in [0, 1/(2*subpaths_min)) = [0, {cap:g}), got {self.smoothing}")
+        if not 0 < self.smoothing < cap:
+            raise ParameterError(f"smoothing must lie in (0, 1/(2*subpaths_min)) = (0, {cap:g}), got {self.smoothing}")
         if not 0 <= self.duplicate_prob <= 1:
             raise ParameterError(f"duplicate_prob must lie in [0, 1], got {self.duplicate_prob}")
         if not (0 <= self.val_fraction < 1):

@@ -187,18 +187,41 @@ def test_generator_ranges_are_refused_by_name(tmp_path, monkeypatch, capsys, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--text-layers", "-1"), ("--text-layers", "0"), ("--cross-layers", "-1"), ("--cross-layers", "0"),
+    ("--num-patches", "-1"), ("--num-patches", "0"),
+], ids=["text_layers_negative", "text_layers_zero", "cross_layers_negative", "cross_layers_zero",
+        "num_patches_negative", "num_patches_zero"])
+def test_layer_and_patch_counts_are_refused_by_name(tmp_path, monkeypatch, capsys, flag, value):
+    # without a text layer every text pools to the same [cls] row, and a
+    # negative patch count ended in a numpy traceback: both are refused,
+    # naming the field, before any data is built
+    import navprompt.training as training
+
+    for build in ("indoor_dataset", "trajectory_dataset"):
+        monkeypatch.setattr(training.RunConfig, build, lambda self: pytest.fail("data was built"))
+    field = flag[2:].replace("-", "_")
+    out = tmp_path / "out"
+    for argv in (["stage1", "--out-dir", str(out)],
+                 ["stage2", "--stage1-ckpt", str(tmp_path / "none.json"), "--out-dir", str(out)]):
+        assert main([*argv, flag, value]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error[ConfigurationError]: {field} must be positive"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     ({"lambda1": "-1"}, "lambda1 must be at least 0, got -1.0"),
     ({"lambda2": "-0.5"}, "lambda2 must be at least 0, got -0.5"),
     ({"temperature": "0"}, "temperature must be above 0, got 0.0"),
     ({"temperature": "-0.1"}, "temperature must be above 0, got -0.1"),
-    ({"smoothing": "-0.1"}, "smoothing must lie in [0, 1/(2*subpaths_min)) = [0, 0.25), got -0.1"),
-    ({"smoothing": "2"}, "smoothing must lie in [0, 1/(2*subpaths_min)) = [0, 0.25), got 2.0"),
-    ({"smoothing": "0.25"}, "smoothing must lie in [0, 1/(2*subpaths_min)) = [0, 0.25), got 0.25"),
+    ({"smoothing": "-0.1"}, "smoothing must lie in (0, 1/(2*subpaths_min)) = (0, 0.25), got -0.1"),
+    ({"smoothing": "0"}, "smoothing must lie in (0, 1/(2*subpaths_min)) = (0, 0.25), got 0.0"),
+    ({"smoothing": "2"}, "smoothing must lie in (0, 1/(2*subpaths_min)) = (0, 0.25), got 2.0"),
+    ({"smoothing": "0.25"}, "smoothing must lie in (0, 1/(2*subpaths_min)) = (0, 0.25), got 0.25"),
     ({"smoothing": "0.2", "subpaths_min": "3"},
-     "smoothing must lie in [0, 1/(2*subpaths_min)) = [0, 0.166667), got 0.2"),
-], ids=["lambda1", "lambda2", "temperature_zero", "temperature_negative", "smoothing_negative", "smoothing_two",
-        "smoothing_at_cap", "smoothing_above_cap_of_three"])
+     "smoothing must lie in (0, 1/(2*subpaths_min)) = (0, 0.166667), got 0.2"),
+], ids=["lambda1", "lambda2", "temperature_zero", "temperature_negative", "smoothing_negative", "smoothing_zero",
+        "smoothing_two", "smoothing_at_cap", "smoothing_above_cap_of_three"])
 def test_objective_ranges_are_refused_by_name(tmp_path, monkeypatch, capsys, flags, message):
     # the objective's fields are refused before any data is built or the output directory is made
     import navprompt.training as training

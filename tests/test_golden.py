@@ -7,8 +7,9 @@ the sha256 of each CSV log and summary, each checkpoint's ``sha256`` field
 (config, frozen set and tensors) and each stage-2 retrieval dict with the
 pins below.
 
-The pins hold for one numpy/BLAS build and CPU dispatch set, at one BLAS
-thread; on another build the test skips.  A change that alters results
+The pins hold for one numpy/BLAS build, OpenBLAS kernel set and CPU
+dispatch set, at one BLAS thread; on another build or kernel (for example
+under ``OPENBLAS_CORETYPE=Haswell``) the test skips.  A change that alters results
 updates ``PINNED_RUNS`` from the values a failing run prints.
 
     cd EMPTY_DIR && python3 /path/to/tests/test_golden.py   # the subprocess: runs there, prints digests
@@ -16,6 +17,8 @@ updates ``PINNED_RUNS`` from the values a failing run prints.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -26,7 +29,7 @@ import sys
 import numpy as np
 import pytest
 
-PINNED_BUILD = "numpy 2.4.6; scipy-openblas 0.3.31.188.0; cpu X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
+PINNED_BUILD = "numpy 2.4.6; scipy-openblas 0.3.31.188.0 core SkylakeX; cpu X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
 PINNED_RUNS = {"stage1": {"checkpoint": "07cc977ef9fc55ba8a32124a14cf1962780f7273262d48f7d0ba88890ec034cd",
             "csv": "92a5c15b51b1362089d492ef07e9cd20f8cf36b055ce100e371b1f576dcb51e0",
             "summary": "8754e52da195e4ebc2641aebc34c6a62d13f388826ef63ce1368dfd4872e3fa5"},
@@ -58,15 +61,33 @@ PINNED_RUNS = {"stage1": {"checkpoint": "07cc977ef9fc55ba8a32124a14cf1962780f727
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def openblas_core() -> str:
+    """The kernel set OpenBLAS chose at load time, as numpy's bundled library reports it.
+
+    ``show_config()`` names only the build-time target; the core in use
+    follows the CPU and ``OPENBLAS_CORETYPE``, and its kernels round
+    differently.  "unknown" when the library or its symbol is absent.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def numeric_build() -> str:
-    """The numpy version, its BLAS build and the CPU features numpy dispatches to."""
+    """The numpy version, its BLAS build and kernel, and the CPU features numpy dispatches to."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     try:
         from numpy._core import _multiarray_umath as umath
         cpu = ",".join(k for k in umath.__cpu_dispatch__ if umath.__cpu_features__.get(k)) or "baseline"
     except (ImportError, AttributeError):
         cpu = "unknown"
-    return f"numpy {np.__version__}; {blas.get('name')} {blas.get('version')}; cpu {cpu}"
+    return f"numpy {np.__version__}; {blas.get('name')} {blas.get('version')} core {openblas_core()}; cpu {cpu}"
 
 
 def golden_runs() -> dict:

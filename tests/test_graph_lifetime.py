@@ -27,6 +27,8 @@ from navprompt.optim import Optimizer, ParamStore, backward
 from navprompt.tensor import (
     Tensor,
     add_bias,
+    attention_context,
+    attention_scores,
     concat,
     gather_index,
     gelu,
@@ -97,9 +99,16 @@ OPS = {
     "kl_divergence": lambda x: kl_divergence(softmax(x[:3], axis=1), Tensor(np.full((3, 3), 1.0 / 3.0))),
     "segment_mean": lambda x: segment_mean(x.reshape(1, 4, 3), np.array([[[0, 2], [1, 4], [0, 0]]])),
     "masked_contrastive_loss": lambda x: masked_contrastive_loss(x[:3].reshape(1, 3, 3), np.array([2])),
+    "attention_scores": lambda x: attention_scores(x.reshape(1, 4, 3), Tensor(_pos((1, 4, 3))), 3),
+    "attention_context": lambda x: attention_context(x.reshape(1, 1, 4, 3), Tensor(_pos((1, 3, 2)))),
+    # the (4, 3) input as the shared rows spliced into the keys and values
+    "attention_scores_shared": lambda x: attention_scores(Tensor(_pos((2, 2, 3))), Tensor(_pos((2, 3, 3))), 1,
+                                                          shared=x),
+    "attention_context_shared": lambda x: attention_context(Tensor(_pos((2, 1, 2, 7))), Tensor(_pos((2, 3, 3))), x),
 }
-# case -> the op it runs: the 2-d token-id lookup text_encode makes
-CASE_OPS = {"embedding": "take_rows"}
+# case -> the op it runs: the 2-d token-id lookup text_encode makes, and the spliced shared rows
+CASE_OPS = {"embedding": "take_rows", "attention_scores_shared": "attention_scores",
+            "attention_context_shared": "attention_context"}
 # differentiable ops defined outside tensor.py
 LOSS_OPS = {"kl_divergence", "masked_contrastive_loss"}
 

@@ -1,10 +1,13 @@
-"""GELU, layer norm and softmax are pinned bitwise to their reference formulas.
+"""GELU, layer norm, softmax and attention are pinned bitwise to their references.
 
 The kernels in ``tensor.py`` compute in place, into as few buffers as they
 can, but with the same per-element operations in the same order as the
-plain-numpy formulas below.  Each case compares the forward output and the
-input gradient for one upstream gradient, bit for bit, so a change of
-operation order fails here instead of drifting the golden runs.
+plain-numpy formulas below.  The two attention ops are pinned against the
+composition of single-step tape ops they replace (head-split reshapes and
+transposes, ``matmul``, the scale, ``add_const`` and the spliced shared
+rows).  Each case compares the forward output and the input gradients for
+one upstream gradient, bit for bit, so a change of operation order fails
+here instead of drifting the golden runs.
 """
 
 import math
@@ -13,7 +16,8 @@ import zlib
 import numpy as np
 import pytest
 
-from navprompt.tensor import Tensor, gelu, layer_norm, softmax
+from navprompt.encoders import MASK_BIAS, _splice_rows
+from navprompt.tensor import Tensor, attention_context, attention_scores, gelu, layer_norm, matmul, softmax
 
 _A = 0.044715
 _C = math.sqrt(2.0 / math.pi)
@@ -84,7 +88,14 @@ def _draw(name, shape):
 def _assert_bitwise(got, want):
     assert len(got) == len(want)
     for i, (a, b) in enumerate(zip(got, want)):
-        assert a.shape == b.shape and np.array_equal(a, b), f"output {i} differs"
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f"output {i} differs"
+
+
+def _assert_identical(got, want):
+    """Bitwise equal, and laid out alike: a consumer's BLAS call depends on its operands' strides."""
+    _assert_bitwise(got, want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.strides == b.strides, f"output {i} has strides {a.strides}, not {b.strides}"
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
@@ -108,3 +119,96 @@ def test_softmax_matches_reference(shape, temperature):
     for axis in (-1, 0):
         got = _run(lambda t: softmax(t, axis=axis, temperature=temperature), [x], g)
         _assert_bitwise(got, ref_softmax(x, g, axis, temperature))
+
+
+def ref_attention_scores(q, k, heads, mask_bias=None, shared=None):
+    b, s, d = q.shape
+    dk = d // heads
+    if shared is not None:
+        k = _splice_rows(k, shared)
+    q4 = q.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
+    k4 = k.reshape(b, k.shape[1], heads, dk).transpose(0, 2, 1, 3)
+    scores = matmul(q4, k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dk))
+    return scores if mask_bias is None else scores.add_const(mask_bias)
+
+
+def ref_attention_context(attn, v, shared=None):
+    b, h, s, _ = attn.shape
+    d = v.shape[2]
+    if shared is not None:
+        v = _splice_rows(v, shared)
+    v4 = v.reshape(b, v.shape[1], h, d // h).transpose(0, 2, 1, 3)
+    return matmul(attn, v4).transpose(0, 2, 1, 3).reshape(b, s, d)
+
+
+# name -> (B, query rows s, live key rows S, shared rows H, width d, heads, masked)
+ATTENTION = {
+    "plain": (3, 5, 5, 0, 8, 4, False),
+    "one_head": (2, 5, 5, 0, 8, 1, False),
+    "masked": (3, 6, 6, 0, 8, 4, True),
+    "shared": (3, 5, 5, 3, 8, 4, False),
+    "rows_below_keys": (3, 2, 6, 0, 8, 4, True),
+    "one_sequence": (1, 4, 4, 2, 8, 4, False),
+    "visual_width": (10, 5, 5, 10, 64, 4, False),
+    "text_last_layer": (6, 2, 11, 0, 64, 4, True),
+    "single_rows": (1, 1, 1, 1, 4, 2, False),
+    "one_wide_heads": (2, 3, 4, 2, 2, 2, False),
+}
+
+
+def _attention_inputs(name):
+    b, s, s_live, rows, d, heads, masked = ATTENTION[name]
+    rng = np.random.default_rng(zlib.crc32(f"attention-{name}".encode()))
+    mask = None
+    if masked:
+        pad = rng.uniform(size=(b, s_live)) < 0.3
+        pad[:, 0] = False
+        mask = np.where(pad, MASK_BIAS, 0.0)[:, None, None, :]
+    keys = s_live + rows
+    arrays = dict(q=rng.normal(size=(b, s, d)), k=rng.normal(size=(b, s_live, d)), v=rng.normal(size=(b, s_live, d)),
+                  attn=rng.uniform(size=(b, heads, s, keys)), g_scores=rng.normal(size=(b, heads, s, keys)),
+                  g_context=rng.normal(size=(b, s, d)))
+    if rows:
+        arrays.update(k_shared=rng.normal(size=(rows, d)), v_shared=rng.normal(size=(rows, d)))
+    return heads, mask, arrays
+
+
+@pytest.mark.parametrize("name", ATTENTION)
+def test_attention_scores_match_composition(name):
+    heads, mask, a = _attention_inputs(name)
+    operands = [a["q"], a["k"]] + ([a["k_shared"]] if "k_shared" in a else [])
+
+    def fused(q, k, shared=None):
+        return attention_scores(q, k, heads, mask, shared)
+
+    def composed(q, k, shared=None):
+        return ref_attention_scores(q, k, heads, mask, shared)
+
+    # output, then the gradients of q, k and the shared rows
+    _assert_identical(_run(fused, operands, a["g_scores"]), _run(composed, operands, a["g_scores"]))
+
+
+@pytest.mark.parametrize("name", ATTENTION)
+def test_attention_context_matches_composition(name):
+    _, _, a = _attention_inputs(name)
+    operands = [a["attn"], a["v"]] + ([a["v_shared"]] if "v_shared" in a else [])
+    # output, then the gradients of attn, v and the shared rows
+    _assert_identical(_run(attention_context, operands, a["g_context"]),
+                      _run(ref_attention_context, operands, a["g_context"]))
+
+
+@pytest.mark.parametrize("name", ATTENTION)
+def test_attention_chain_matches_composition(name):
+    # scores, softmax and context as the encoder chains them: the softmax
+    # between them reads the scores' layout and hands on its own
+    heads, mask, a = _attention_inputs(name)
+    shared = "k_shared" in a
+    operands = [a["q"], a["k"], a["v"]] + ([a["k_shared"], a["v_shared"]] if shared else [])
+
+    def fused(q, k, v, k_shared=None, v_shared=None):
+        return attention_context(softmax(attention_scores(q, k, heads, mask, k_shared)), v, v_shared)
+
+    def composed(q, k, v, k_shared=None, v_shared=None):
+        return ref_attention_context(softmax(ref_attention_scores(q, k, heads, mask, k_shared)), v, v_shared)
+
+    _assert_identical(_run(fused, operands, a["g_context"]), _run(composed, operands, a["g_context"]))

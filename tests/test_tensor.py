@@ -1,6 +1,7 @@
 """Tensor forward semantics and gradient correctness against finite differences."""
 
 import math
+import re
 import zlib
 
 import numpy as np
@@ -10,6 +11,8 @@ from navprompt.errors import ContractError, InputError, ParameterError, ShapeErr
 from navprompt.tensor import (
     Tensor,
     add_bias,
+    attention_context,
+    attention_scores,
     concat,
     gather_index,
     gelu,
@@ -226,6 +229,12 @@ def _check_op(build, shape, seed, low=-2.0, high=2.0, tol=1e-5):
 
 W_FIXED = np.random.default_rng(99).uniform(-1, 1, (6, 4))
 X_FIXED = np.random.default_rng(98).uniform(-1, 1, (2, 3, 6))
+# attention operands: B = 2 sequences, 3 query rows, 4 live key rows, 2 shared rows, width 4 in 2 heads
+_ATT = np.random.default_rng(97)
+ATT_Q, ATT_K, ATT_V = (_ATT.uniform(-1, 1, shape) for shape in ((2, 3, 4), (2, 4, 4), (2, 4, 4)))
+ATT_SHARED = _ATT.uniform(-1, 1, (2, 4))
+ATT_WEIGHTS = _ATT.uniform(0, 1, (2, 2, 3, 6))
+ATT_MASK = np.where(np.array([[0, 0, 1, 0], [0, 1, 0, 0]]) == 1, -1e9, 0.0)[:, None, None, :]
 
 
 def _sq(t):
@@ -272,11 +281,62 @@ def _cube(t):
         ("linear_row_slice", lambda x: _sq(linear(x[:, :2], Tensor(W_FIXED), Tensor(np.arange(4.0)))).sum(), (2, 3, 6), {}),
         ("linear_shared_weight", lambda w: _sq(linear(Tensor(X_FIXED), w, Tensor(np.arange(4.0)))).sum(), (6, 4), {}),
         ("linear_shared_bias", lambda b: _sq(linear(Tensor(X_FIXED), Tensor(W_FIXED), b)).sum(), (4,), {}),
+        # the two attention ops, each input checked in turn, with and without
+        # spliced shared rows and a mask, and self-attention through both
+        ("attention_scores_q", lambda x: _sq(attention_scores(x, Tensor(ATT_K), 2)).sum(), (2, 3, 4), {}),
+        ("attention_scores_k", lambda x: _sq(attention_scores(Tensor(ATT_Q), x, 2)).sum(), (2, 4, 4), {}),
+        ("attention_scores_masked",
+         lambda x: (softmax(attention_scores(x, Tensor(ATT_K), 2, ATT_MASK)) * ATT_WEIGHTS[..., :4]).sum(), (2, 3, 4), {}),
+        ("attention_scores_shared_k",
+         lambda x: _sq(attention_scores(Tensor(ATT_Q), x, 2, shared=Tensor(ATT_SHARED))).sum(), (2, 4, 4), {}),
+        ("attention_scores_shared", lambda x: _sq(attention_scores(Tensor(ATT_Q), Tensor(ATT_K), 2, shared=x)).sum(),
+         (2, 4), {}),
+        ("attention_context_weights", lambda x: _sq(attention_context(x, Tensor(ATT_V), Tensor(ATT_SHARED))).sum(),
+         (2, 2, 3, 6), {}),
+        ("attention_context_v", lambda x: _sq(attention_context(Tensor(ATT_WEIGHTS[..., :4]), x)).sum(), (2, 4, 4), {}),
+        ("attention_context_shared_v",
+         lambda x: _sq(attention_context(Tensor(ATT_WEIGHTS), x, Tensor(ATT_SHARED))).sum(), (2, 4, 4), {}),
+        ("attention_context_shared", lambda x: _sq(attention_context(Tensor(ATT_WEIGHTS), Tensor(ATT_V), x)).sum(),
+         (2, 4), {}),
+        ("attention_self", lambda x: _sq(attention_context(softmax(attention_scores(x, x, 2, ATT_MASK)), x)).sum(),
+         (2, 4, 4), {}),
     ],
 )
 def test_gradient_matches_finite_differences(name, build, shape, kwargs):
     # crc32, not hash(): str hashes are salted per interpreter, so a failing draw could not be replayed
     _check_op(build, shape, seed=zlib.crc32(name.encode()))
+
+
+class TestAttentionRefusals:
+    """Each malformed attention operand is a ShapeError that names the shapes."""
+
+    def test_width_must_split_into_heads(self):
+        with pytest.raises(ShapeError, match=r"width 4 of \(2, 3, 4\) does not split into 3 heads"):
+            attention_scores(Tensor(ATT_Q), Tensor(ATT_K), 3)
+        with pytest.raises(ShapeError, match=r"width 4 of \(2, 4, 4\) does not split into 3 heads"):
+            attention_context(Tensor(np.ones((2, 3, 3, 4))), Tensor(ATT_V))
+
+    def test_queries_and_keys_must_agree(self):
+        for k in (np.ones((3, 4, 4)), np.ones((2, 4, 6)), np.ones((4, 4))):
+            with pytest.raises(ShapeError, match=r"got \(2, 3, 4\) and " + re.escape(str(k.shape))):
+                attention_scores(Tensor(ATT_Q), Tensor(k), 2)
+        with pytest.raises(ShapeError, match=r"got \(2, 2, 3, 4\) and \(3, 4, 4\)"):
+            attention_context(Tensor(ATT_WEIGHTS[..., :4]), Tensor(np.ones((3, 4, 4))))
+        with pytest.raises(ShapeError, match=r"weights \(2, 2, 3, 6\) do not cover 4 value rows"):
+            attention_context(Tensor(ATT_WEIGHTS), Tensor(ATT_V))
+
+    def test_shared_rows_must_have_the_width(self):
+        with pytest.raises(ShapeError, match=r"shared rows \(2, 6\) do not match the width of \(2, 4, 4\)"):
+            attention_scores(Tensor(ATT_Q), Tensor(ATT_K), 2, shared=Tensor(np.ones((2, 6))))
+        with pytest.raises(ShapeError, match=r"shared rows \(2, 6\) do not match the width of \(2, 4, 4\)"):
+            attention_context(Tensor(ATT_WEIGHTS), Tensor(ATT_V), Tensor(np.ones((2, 6))))
+
+    def test_mask_must_not_come_with_shared_rows_or_broadcast(self):
+        with pytest.raises(ShapeError, match=r"mask_bias \(2, 1, 1, 4\) covers live keys only, not 2 shared rows"):
+            attention_scores(Tensor(ATT_Q), Tensor(ATT_K), 2, ATT_MASK, Tensor(ATT_SHARED))
+        for mask in (np.zeros((2, 2, 3, 4, 1)), np.zeros((3, 1, 1, 4)), np.zeros(5)):
+            with pytest.raises(ShapeError, match=re.escape(f"mask_bias {mask.shape} would broadcast scores (2, 2, 3, 4)")):
+                attention_scores(Tensor(ATT_Q), Tensor(ATT_K), 2, mask)
 
 
 def test_layer_norm_param_gradients():
