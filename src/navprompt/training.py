@@ -354,10 +354,44 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
     return store, config
 
 
-def _assert_frozen_unchanged(store: ParamStore, baseline: dict[str, np.ndarray], where: str) -> None:
-    for name, ref in baseline.items():
-        # compared as bit patterns: -0.0 == 0.0 and NaN != NaN would hide or invent a change
-        if not np.array_equal(store[name].data.view(np.uint64), ref.view(np.uint64)):
+@dataclass
+class _FrozenBaseline:
+    """The frozen tensors as views of one buffer, and the buffer's bits when training began."""
+
+    buffer: np.ndarray            # float64: every frozen tensor's values, in store order
+    views: dict[str, np.ndarray]  # name -> the C-contiguous view of ``buffer`` that the tensor's .data is
+    bits: np.ndarray              # a uint64 copy of ``buffer``
+
+
+def _pack_frozen(store: ParamStore) -> _FrozenBaseline:
+    """Copy the frozen tensors' values into one buffer and rebind each ``.data`` to its view of it.
+
+    No value changes, and the replaced arrays are released, so the frozen
+    values are held once in the store and once in the baseline's bits.
+    """
+    frozen = [(name, t) for name, t in store.entries.items() if not t.requires_grad]
+    buffer = np.empty(sum(t.size for _, t in frozen))
+    views = {}
+    offset = 0
+    for name, t in frozen:
+        view = buffer[offset:offset + t.size].reshape(t.shape)
+        view[...] = t.data
+        t.data = views[name] = view
+        offset += t.size
+    return _FrozenBaseline(buffer, views, buffer.view(np.uint64).copy())
+
+
+def _assert_frozen_unchanged(store: ParamStore, baseline: _FrozenBaseline, where: str) -> None:
+    # compared as bit patterns: -0.0 == 0.0 and NaN != NaN would hide or invent a change; while
+    # every frozen .data is still its view, one comparison of the buffer covers them all
+    if (all(store[name].data is view for name, view in baseline.views.items())
+            and np.array_equal(baseline.buffer.view(np.uint64), baseline.bits)):
+        return
+    offset = 0
+    for name, view in baseline.views.items():
+        ref = baseline.bits[offset:offset + view.size].reshape(view.shape)
+        offset += view.size
+        if not np.array_equal(store[name].data.view(np.uint64), ref):
             raise FreezeViolationError(f"frozen parameter {name!r} changed during {where}")
 
 
@@ -378,9 +412,11 @@ def _train(store: ParamStore, stage: str, learning_rate: float, epochs: int, bat
     Each epoch visits ``train_idx`` in a fresh permutation, in mini-batches.
     ``batch_loss(indices)`` returns a batch's loss and a value to log; each
     step backpropagates the loss, takes one Adam step and checks that no
-    frozen tensor moved.  ``end_epoch`` receives the epoch's logged values.
+    frozen tensor moved; the frozen tensors are packed into one buffer first,
+    so the check is one comparison.  ``end_epoch`` receives the epoch's
+    logged values.
     """
-    baseline = {name: store[name].data.copy() for name in store.frozen}
+    baseline = _pack_frozen(store)
     optimizer = Optimizer(store, learning_rate)
     step = 0
     for _ in range(epochs):

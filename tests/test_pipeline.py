@@ -409,6 +409,66 @@ class TestStage1:
         with pytest.raises(FreezeViolationError, match=r"^frozen parameter 'visual\.layer0\.ln1\.b' changed during stage1 step 0$"):
             run_stage1(tiny_cfg(tmp_path, stage1_epochs=1))
 
+    def test_freeze_check_names_a_flipped_bit_mid_buffer(self, tmp_path, monkeypatch):
+        # the frozen tensors share one buffer; a low bit flipped in the tensor
+        # that holds its middle value fails the check, which names that tensor
+        real_backward = training.backward
+        flipped = []
+
+        def sabotage(loss, store):
+            grads = real_backward(loss, store)
+            frozen = [name for name in store.names() if name in store.frozen]
+            ends = np.cumsum([store[name].size for name in frozen])
+            name = frozen[int(np.searchsorted(ends, ends[-1] // 2, side="right"))]
+            bits = store[name].data.view(np.uint64).reshape(-1)
+            bits[bits.size // 2] ^= 1
+            flipped.append((name, frozen))
+            return grads
+
+        monkeypatch.setattr(training, "backward", sabotage)
+        with pytest.raises(FreezeViolationError) as exc:
+            run_stage1(tiny_cfg(tmp_path, stage1_epochs=1))
+        name, frozen = flipped[0]
+        assert name not in (frozen[0], frozen[-1])
+        assert str(exc.value) == f"frozen parameter {name!r} changed during stage1 step 0"
+
+    @pytest.mark.parametrize("equal_bits", [True, False])
+    def test_freeze_check_follows_a_rebound_array(self, tmp_path, monkeypatch, equal_bits):
+        # a frozen .data rebound to another array is compared by its bits: an
+        # equal copy passes, one flipped bit is named
+        real_backward = training.backward
+
+        def sabotage(loss, store):
+            grads = real_backward(loss, store)
+            t = store["visual.layer1.attn.wq"]
+            data = t.data.copy()
+            if not equal_bits:
+                data.view(np.uint64)[0, 0] ^= 1
+            t.data = data
+            return grads
+
+        monkeypatch.setattr(training, "backward", sabotage)
+        cfg = tiny_cfg(tmp_path, stage1_epochs=1)
+        if equal_bits:
+            run_stage1(cfg)
+        else:
+            with pytest.raises(FreezeViolationError,
+                               match=r"^frozen parameter 'visual\.layer1\.attn\.wq' changed during stage1 step 0$"):
+                run_stage1(cfg)
+
+    def test_frozen_tensors_keep_their_layout(self, tmp_path):
+        # packed into one buffer, each frozen tensor keeps its values, shape, dtype and C-order strides
+        cfg = tiny_cfg(tmp_path, stage1_epochs=1)
+        fresh = training._stage1_store(cfg.encoder(), np.random.default_rng([cfg.seed, 11]))
+        store = run_stage1(cfg).store
+        assert store.frozen == fresh.frozen
+        bases = [store[name].data.base for name in store.frozen]
+        assert bases[0] is not None and all(base is bases[0] for base in bases)
+        for name in store.frozen:
+            data, ref = store[name].data, fresh[name].data
+            assert (data.shape, data.dtype, data.strides) == (ref.shape, np.float64, ref.strides), name
+            assert data.flags.c_contiguous and data.tobytes() == ref.tobytes(), name
+
 
 class TestStage2:
     def _stage1(self, tmp_path, **kw):
