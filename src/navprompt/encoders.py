@@ -21,13 +21,14 @@ Three stacks share one parameter store:
 All layers are pre-norm multi-head self-attention plus a feed-forward block
 with residual connections.  The key projection has no bias: a key bias adds
 ``q . bk`` to every score of a query row, a shift that softmax cancels, so it
-could neither change an output nor receive a gradient.  The last layer of the
-text and cross-modal stacks queries and feeds forward only the leading rows
-that are read after it, while every row stays a key and value: the text
-encoder pools CLS, so its last layer computes CLS and one more row (two rows
-keep the BLAS rounding of a full layer), and the cross-modal encoder pools
-only the count token and the viewpoint rows, so its prompt and pad rows are
-never queried or fed forward there.
+could neither change an output nor receive a gradient.  The last layer of
+each stack can query and feed forward only the leading rows that are read
+after it, while every row stays a key and value: the text encoder pools CLS,
+so its last layer computes CLS and one more row (two rows keep the BLAS
+rounding of a full layer); the cross-modal encoder pools only the count token
+and the viewpoint rows, so its prompt and pad rows are never queried or fed
+forward there; and a visual caller that reads only CLS (stage-1 training and
+its accuracy passes) has the last visual layer compute CLS alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError, InputError, ParameterError, ShapeError
+from .errors import AlignmentError, ConfigurationError, ContractError, InputError, ParameterError, ShapeError
 from .optim import ParamStore
 from .prompts import PAD_ID
 from .tensor import (
@@ -93,12 +94,22 @@ class EncoderConfig:
             raise ConfigurationError("prompt_count must be nonnegative")
 
 
-@dataclass
 class LayerState:
-    """The CLS and patch blocks after the last visual layer (batched)."""
+    """The CLS and patch blocks after the last visual layer (batched).
 
-    cls: Tensor          # (B, 1, d)
-    patch_block: Tensor  # (B, E, d)
+    A CLS-only encoding never computes the last layer's patch rows, so its
+    state has none: reading ``patch_block`` raises ``ContractError``.
+    """
+
+    def __init__(self, cls: Tensor, patch_block: Tensor | None):
+        self.cls = cls                   # (B, 1, d)
+        self._patch_block = patch_block  # (B, E, d), or None when CLS-only
+
+    @property
+    def patch_block(self) -> Tensor:
+        if self._patch_block is None:
+            raise ContractError("a CLS-only visual state has no patch rows")
+        return self._patch_block
 
 
 @dataclass
@@ -281,6 +292,8 @@ def visual_encode(
     patches: Tensor | np.ndarray,
     store: ParamStore,
     cfg: EncoderConfig,
+    *,
+    cls_only: bool = False,
 ) -> LayerState:
     """Encode patch features (B, E, feature_dim) through the prompted backbone.
 
@@ -289,6 +302,12 @@ def visual_encode(
     layer reads this layer's prompt outputs, so the prompts are shared
     key/value rows.  The last banked layer below an unprompted one splices
     its prompts into the live sequence, and they are carried upward.
+
+    A caller that reads only CLS passes ``cls_only``: the last layer then
+    queries, projects and feeds forward the CLS row alone, every live and
+    shared row still a key and value, and the state has no patch rows.  The
+    CLS output is the full layer's up to BLAS rounding, since the products
+    run over fewer rows.
     """
     if not isinstance(patches, Tensor):
         patches = Tensor(patches)
@@ -300,17 +319,18 @@ def visual_encode(
     emb = linear(patches, store["visual.patch_embed.w"], store["visual.patch_embed.b"])
     x = concat([_tile_param(store["visual.cls"], b), emb], axis=1)
     carried = 0  # prompt rows held in the live sequence after CLS
+    last = cfg.visual_layers - 1
     for i in range(cfg.visual_layers):
         shared = None
         if i < banked:
             prompt = store[f"visual.prompt.{i}"]
-            if i == cfg.visual_layers - 1 or i + 1 < banked:
+            if i == last or i + 1 < banked:
                 shared = prompt
             else:
                 x = _splice_rows(x, prompt)
                 carried = cfg.prompt_count
-        x = encoder_layer(x, store, f"visual.layer{i}", cfg, shared=shared)
-    return LayerState(cls=x[:, :1], patch_block=x[:, 1 + carried:])
+        x = encoder_layer(x, store, f"visual.layer{i}", cfg, shared=shared, rows=1 if cls_only and i == last else None)
+    return LayerState(x[:, :1], None if cls_only else x[:, 1 + carried:])
 
 
 def classify_logits(cls: Tensor, store: ParamStore) -> Tensor:

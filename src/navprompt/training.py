@@ -445,8 +445,7 @@ class StageResult:
 
 def stage1_loss(features: np.ndarray, labels: np.ndarray, store: ParamStore, enc: EncoderConfig) -> Tensor:
     """Mean cross-entropy of the head on prompted CLS features."""
-    state = visual_encode(features, store, enc)
-    cls = state.cls.reshape(features.shape[0], enc.d)
+    cls = visual_encode(features, store, enc, cls_only=True).cls.reshape(features.shape[0], enc.d)
     logp = log_softmax(classify_logits(cls, store), axis=-1)
     return -gather_index(logp, labels).mean()
 
@@ -460,7 +459,8 @@ def _stage1_accuracy(samples: list[IndoorSample], indices: Sequence[int], store:
         for batch in _batches(indices, ACCURACY_BATCH):
             feats = np.stack([samples[i].features for i in batch])
             labels = np.array([samples[i].label for i in batch])
-            logits = classify_logits(visual_encode(feats, store, enc).cls.reshape(len(batch), enc.d), store).data
+            cls = visual_encode(feats, store, enc, cls_only=True).cls.reshape(len(batch), enc.d)
+            logits = classify_logits(cls, store).data
             hits += int((logits.argmax(axis=1) == labels).sum())
     return hits / len(indices)
 

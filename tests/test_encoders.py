@@ -24,7 +24,7 @@ from navprompt.encoders import (
     trainable_parameters,
     visual_encode,
 )
-from navprompt.errors import AlignmentError, ConfigurationError, InputError, ParameterError, ShapeError
+from navprompt.errors import AlignmentError, ConfigurationError, ContractError, InputError, ParameterError, ShapeError
 from navprompt.optim import Optimizer, ParamStore, backward
 from navprompt.prompts import PAD_ID, Vocabulary, tokenize
 from navprompt.tensor import Tensor, gather_index, log_softmax, softmax
@@ -252,6 +252,63 @@ class TestVisualEncode:
             assert np.abs(got - numeric).max() / scale < 1e-4, name
             # every prompt tensor is read, so every one has a live gradient
             assert np.abs(numeric).max() > 1e-3, name
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("layout", sorted(PROMPT_LAYOUTS))
+    def test_cls_only_matches_full_sequence_reference(self, layout, batch):
+        cfg = layout_config(layout)
+        store = build_store(cfg, seed=34)
+        patches = np.random.default_rng(35).normal(size=(batch, cfg.num_patches, cfg.feature_dim))
+        state = visual_encode(patches, store, cfg, cls_only=True)
+        assert state.cls.shape == (batch, 1, cfg.d)
+        np.testing.assert_allclose(state.cls.data, ref_prompted_visual(patches, cfg, store)[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", sorted(PROMPT_LAYOUTS))
+    def test_cls_only_prompt_gradients_match_central_differences(self, layout):
+        cfg = layout_config(layout)
+        store = build_store(cfg, seed=36)
+        apply_stage_freeze(store, "stage1")
+        rng = np.random.default_rng(37)
+        patches = rng.normal(size=(3, cfg.num_patches, cfg.feature_dim))
+        w_cls = Tensor(rng.normal(size=(3, 1, cfg.d)))
+
+        def loss_fn(s):
+            return (visual_encode(patches, s, cfg, cls_only=True).cls * w_cls).sum()
+
+        analytic = backward(loss_fn(store), store)
+        names = [n for n in store.names() if n.startswith("visual.prompt.")]
+        eps = 1e-5
+        for name in names:
+            flat = store[name].data.reshape(-1)
+            numeric = np.zeros_like(flat)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + eps
+                hi = loss_fn(store).item()
+                flat[i] = keep - eps
+                lo = loss_fn(store).item()
+                flat[i] = keep
+                numeric[i] = (hi - lo) / (2.0 * eps)
+            got = analytic[name].reshape(-1)
+            assert np.abs(got - numeric).max() / max(np.abs(numeric).max(), 1e-3) < 1e-4, name
+            # CLS attends to every layer's prompt rows, so each one has a live gradient
+            assert np.abs(numeric).max() > 1e-3, name
+
+    @pytest.mark.parametrize("layout", sorted(PROMPT_LAYOUTS))
+    def test_cls_only_state_has_no_patch_rows(self, layout):
+        cfg = layout_config(layout)
+        state = visual_encode(np.zeros((2, cfg.num_patches, cfg.feature_dim)), build_store(cfg), cfg, cls_only=True)
+        with pytest.raises(ContractError, match="CLS-only visual state has no patch rows"):
+            state.patch_block
+
+    def test_cls_only_last_layer_feeds_forward_cls_only(self, monkeypatch):
+        cfg = tiny_config(prompt_count=10, num_patches=4, feature_dim=4, visual_layers=3, prompt_layers=1)
+        store = build_store(cfg)
+        shapes = record_gelu_rows(monkeypatch)
+        visual_encode(np.zeros((2, 4, 4)), store, cfg, cls_only=True)
+        # the lower layers carry [CLS | prompts | patches]; the last queries CLS alone
+        f = cfg.d * cfg.ff_mult
+        assert shapes == [(2, 1 + 10 + 4, f)] * 2 + [(2, 1, f)]
 
     def test_replace_mode_feeds_forward_live_rows_only(self, monkeypatch):
         cfg = tiny_config(prompt_count=10, num_patches=4, feature_dim=4, visual_layers=3, prompt_layers=3)

@@ -41,7 +41,7 @@ import numpy as np
 import pytest
 
 PINNED_BUILD = "numpy 2.4.6; scipy-openblas 0.3.31.188.0 core SkylakeX; cpu X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
-PINNED_RUNS = {'stage1': {'checkpoint': '07cc977ef9fc55ba8a32124a14cf1962780f7273262d48f7d0ba88890ec034cd',
+PINNED_RUNS = {'stage1': {'checkpoint': '96a515c2a7a667eeeefac0c3616ecc37516decd159556abae15e27ef7543e02f',
             'csv': '92a5c15b51b1362089d492ef07e9cd20f8cf36b055ce100e371b1f576dcb51e0',
             'log': [['epoch', 'train_loss', 'train_acc', 'val_acc'],
                     [0, 2.3036742190518273, 0.10638297872340426, 0.0],
@@ -54,8 +54,8 @@ PINNED_RUNS = {'stage1': {'checkpoint': '07cc977ef9fc55ba8a32124a14cf1962780f727
                         'val_accuracy': 0.0,
                         'val_size': 6},
             'summary': '8754e52da195e4ebc2641aebc34c6a62d13f388826ef63ce1368dfd4872e3fa5'},
- 'stage2-cnt': {'checkpoint': '761ecfcbf8cb16ea7f71afdf42fb9d211556ecbc5ad7983356696d70e0b52e16',
-                'csv': '3478c5a4cb6122b2bc18d9ea853290169f8ae52b77a4abcb70fe1ac79abd10e5',
+ 'stage2-cnt': {'checkpoint': '4c7f2a90dae137ae5546ead48ab8bde4844c22f829e2408fff0209faf9a9e773',
+                'csv': '3102f4897329247ed051bc251c8867f9436cec67c3b396277dabdc0ccb66a56b',
                 'log': [['step', 'l_ind_sum', 'l_ove', 'l_cnt', 'total'],
                         [0, None, None, 0.032041171183003946, 0.003204117118300395],
                         [1, None, None, 0.028286862888469516, 0.002828686288846952],
@@ -72,9 +72,9 @@ PINNED_RUNS = {'stage1': {'checkpoint': '07cc977ef9fc55ba8a32124a14cf1962780f727
                             'trainable_parameters': 216832,
                             'val_size': 3,
                             'vocab_size': 58},
-                'summary': '7b9de6c3f77b71badd3522c17968e2cb3adb1beec0886690a2ec271c57bc0101'},
- 'stage2-cnt_ind': {'checkpoint': '848a734faac2f0c48c972d2a82ed50975d07e52d339953fe0a7d1c3fc06a1d69',
-                    'csv': '5203dce22edc64dff1fe81e7e3e28fe9fc6cfe99a76e4e02f93ca51a72f95028',
+                'summary': '37ff90810ef978d6a981b4afbd54266c3bef024e3ffdb2a30fed83f6ab9a3f01'},
+ 'stage2-cnt_ind': {'checkpoint': 'b6062e1a8f8b68121ec968979f2dd826340c2faeba7aa62b4b1e8151b07ef9be',
+                    'csv': '51cf9e99fa6b2773c8e97c1aa19e2ff50aa2aed09fbefdfde8c9c88c26500f32',
                     'log': [['step', 'l_ind_sum', 'l_ove', 'l_cnt', 'total'],
                             [0, 0.3768995761265131, None, 0.03204117118300394, 0.38010369324481347],
                             [1, 0.3911317425884044, None, 0.029067971535006294, 0.394038539741905],
@@ -92,8 +92,8 @@ PINNED_RUNS = {'stage1': {'checkpoint': '07cc977ef9fc55ba8a32124a14cf1962780f727
                                 'val_size': 3,
                                 'vocab_size': 58},
                     'summary': '6a9d07ffe7d2e8eb8a44975110f9fc26dea7f1a00ec7461ac0265eab88259809'},
- 'stage2-full': {'checkpoint': '077078223c4d46ad48135c68ce86d06e67d448bddf2af7e0f4fd2f674dc87ca5',
-                 'csv': 'cb55328f04ddb345590046a0d59813ed264d3492fc388dabcf6bb745b55d7822',
+ 'stage2-full': {'checkpoint': '4e6d001548eeaa4a8193a25d152fe13073870d67fbf52817d3dfc4527011a648',
+                 'csv': 'd889ae01bef27ec92227574b6df9eb93bd3886f8bc39c93eb66c00e167374b9e',
                  'log': [['step', 'l_ind_sum', 'l_ove', 'l_cnt', 'total'],
                          [0, 0.3768995761265131, 0.04085273682255364, 0.03204117118300394, 0.4005300616560903],
                          [1, 0.3923101523394511, 0.05344684490092735, 0.029470490760806708, 0.42198062386599544],
@@ -110,9 +110,9 @@ PINNED_RUNS = {'stage1': {'checkpoint': '07cc977ef9fc55ba8a32124a14cf1962780f727
                              'trainable_parameters': 216832,
                              'val_size': 3,
                              'vocab_size': 58},
-                 'summary': 'e038b03f3bcaaa16b9320ae3ce7e481ec02ccc395b9496ac78b193b88868f7c5'},
- 'stage2-sub_only': {'checkpoint': '591820bd463c05c608b80a99d18357bb6e130cae60b0c27a0422611e8fbf96b6',
-                     'csv': 'd8e5b5cfb99218106cdadcb584e8ed0512253e7073fb130117312534ab8fbead',
+                 'summary': 'e43fa533e69c4f9011a4883ea9223e69a21b54a01a2056e0e9512e876690ea0c'},
+ 'stage2-sub_only': {'checkpoint': '7692c5214e2dc41abb54d2a8e0fb2dfb661b62bf50a9c5a6ddf6f27d33b31735',
+                     'csv': '3f0c26228ac69e5f3b0c16bdecbe7bea98c7768f315850057de4108a8dd8af98',
                      'log': [['step', 'l_ind_sum', 'l_ove', 'l_cnt', 'total'],
                              [0, 0.37194310675772213, None, None, 0.37194310675772213],
                              [1, 0.3845067558714509, None, None, 0.3845067558714509],
@@ -129,7 +129,7 @@ PINNED_RUNS = {'stage1': {'checkpoint': '07cc977ef9fc55ba8a32124a14cf1962780f727
                                  'trainable_parameters': 216000,
                                  'val_size': 3,
                                  'vocab_size': 58},
-                     'summary': '79b3dad11023233edf63dda427673abd5e429267a19126f8498ad7a489f0b136'}}
+                     'summary': 'c817563c04e3f8c5fd150302288e1bdbfc7ee5c225f541ffe83eea6a991131c0'}}
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
