@@ -271,22 +271,6 @@ class Tensor:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def add_const(self, const: np.ndarray) -> "Tensor":
-        """Add a non-differentiable array, broadcast by numpy rules.
-
-        The gradient passes through unchanged because the constant carries no
-        parameters.  ``attention_scores`` adds its mask bias the same way.
-        """
-        data = self.data + const
-        if data.shape != self.shape:
-            raise ShapeError(f"add_const: constant of shape {np.shape(const)} would broadcast {self.shape} to {data.shape}")
-
-        def _bw(g):
-            if self.requires_grad:
-                self._accumulate(g)
-
-        return Tensor._result(data, (self,), _bw)
-
     # -- elementwise unary ops -----------------------------------------------
 
     def sqrt(self) -> "Tensor":
@@ -611,9 +595,9 @@ def attention_scores(q: Tensor, k: Tensor, heads: int, mask_bias: np.ndarray | N
     ``mask_bias`` is added to the scaled logits and must not broadcast them;
     it covers live keys only, so it does not come with ``shared``.  Forward
     and backward run the numpy operations of the nodes this op replaces
-    (head-split views, ``matmul``, ``* (1 / sqrt(d / h))``, ``add_const``
-    and the splice), on operands of the same strides, so every output and
-    gradient is bitwise equal to theirs.
+    (head-split views, ``matmul``, ``* (1 / sqrt(d / h))``, the mask added
+    as a constant operand of ``+`` and the splice), on operands of the same
+    strides, so every output and gradient is bitwise equal to theirs.
     """
     if q.ndim != 3 or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
         raise ShapeError(f"attention_scores: need (B, s, d) queries and (B, S, d) keys, got {q.shape} and {k.shape}")

@@ -76,7 +76,6 @@ OPS = {
     "__neg__": lambda x: -x,
     "__radd__": lambda x: 1.0 + x,
     "__rmul__": lambda x: 2.0 * x,
-    "add_const": lambda x: x.add_const(np.ones(x.shape)),
     "sqrt": lambda x: x.sqrt(),
     "clip_min": lambda x: x.clip_min(1.0),
     "reshape": lambda x: x.reshape(-1),

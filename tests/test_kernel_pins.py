@@ -4,10 +4,10 @@ The kernels in ``tensor.py`` compute in place, into as few buffers as they
 can, but with the same per-element operations in the same order as the
 plain-numpy formulas below.  The two attention ops are pinned against the
 composition of single-step tape ops they replace (head-split reshapes and
-transposes, ``matmul``, the scale, ``add_const`` and the spliced shared
-rows).  Each case compares the forward output and the input gradients for
-one upstream gradient, bit for bit, so a change of operation order fails
-here instead of drifting the golden runs.
+transposes, ``matmul``, the scale, the mask added as a constant operand of
+``+`` and the spliced shared rows).  Each case compares the forward output
+and the input gradients for one upstream gradient, bit for bit, so a change
+of operation order fails here instead of drifting the golden runs.
 """
 
 import math
@@ -129,7 +129,7 @@ def ref_attention_scores(q, k, heads, mask_bias=None, shared=None):
     q4 = q.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
     k4 = k.reshape(b, k.shape[1], heads, dk).transpose(0, 2, 1, 3)
     scores = matmul(q4, k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dk))
-    return scores if mask_bias is None else scores.add_const(mask_bias)
+    return scores if mask_bias is None else scores + Tensor(np.broadcast_to(mask_bias, scores.shape).copy())
 
 
 def ref_attention_context(attn, v, shared=None):

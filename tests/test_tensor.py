@@ -253,7 +253,7 @@ def _cube(t):
         ("mul", lambda x: (x * x * x).sum(), (3, 4), {}),
         ("div", lambda x: (x / 3.0 + Tensor(np.full((2, 3), 7.0)) / (x + 5.0)).sum(), (2, 3), {}),
         ("neg", lambda x: (-x * x).sum(), (5,), {}),
-        ("add_const", lambda x: (x.add_const(np.arange(4.0)) * x).sum(), (4,), {}),
+        ("add_constant", lambda x: ((x + Tensor(np.arange(4.0))) * x).sum(), (4,), {}),
         ("take_rows", lambda x: (take_rows(x, np.array([0, 2, 2])) * take_rows(x, np.array([1, 1, 0]))).sum(), (3, 3), {}),
         ("gather_index", lambda x: (gather_index(x, np.array([2, 0, 2])) * gather_index(x, np.array([2, 1, 0]))).sum(), (3, 3), {}),
         ("sqrt", lambda x: (x + 3.0).sqrt().sum(), (3, 3), {}),
