@@ -170,6 +170,29 @@ def record_gelu_rows(monkeypatch):
     return shapes
 
 
+def assert_prompt_gradients(loss_fn, store, cfg, eps=1e-5):
+    """Each prompt tensor's gradient of ``loss_fn(store)`` against central differences."""
+    analytic = backward(loss_fn(store), store)
+    names = [n for n in store.names() if n.startswith("visual.prompt.")]
+    assert len(names) == (cfg.prompt_layers if cfg.prompt_count else 0)
+    for name in names:
+        flat = store[name].data.reshape(-1)
+        numeric = np.zeros_like(flat)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            hi = loss_fn(store).item()
+            flat[i] = keep - eps
+            lo = loss_fn(store).item()
+            flat[i] = keep
+            numeric[i] = (hi - lo) / (2.0 * eps)
+        got = analytic.get(name, np.zeros_like(store[name].data)).reshape(-1)
+        scale = max(np.abs(numeric).max(), 1e-3)
+        assert np.abs(got - numeric).max() / scale < 1e-4, name
+        # every prompt tensor is read, so every one has a live gradient
+        assert np.abs(numeric).max() > 1e-3, name
+
+
 # (visual_layers, prompt_layers, prompt_count); shallow prompting is prompt_layers = 1
 PROMPT_LAYOUTS = {
     "replace-all": (3, 3, 3),
@@ -232,26 +255,7 @@ class TestVisualEncode:
             final = visual_encode(patches, s, cfg)
             return (final.cls * Tensor(w_cls)).sum() + (final.patch_block * Tensor(w_patch)).sum()
 
-        analytic = backward(loss_fn(store), store)
-        names = [n for n in store.names() if n.startswith("visual.prompt.")]
-        assert len(names) == (cfg.prompt_layers if cfg.prompt_count else 0)
-        eps = 1e-5
-        for name in names:
-            flat = store[name].data.reshape(-1)
-            numeric = np.zeros_like(flat)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + eps
-                hi = loss_fn(store).item()
-                flat[i] = keep - eps
-                lo = loss_fn(store).item()
-                flat[i] = keep
-                numeric[i] = (hi - lo) / (2.0 * eps)
-            got = analytic.get(name, np.zeros_like(store[name].data)).reshape(-1)
-            scale = max(np.abs(numeric).max(), 1e-3)
-            assert np.abs(got - numeric).max() / scale < 1e-4, name
-            # every prompt tensor is read, so every one has a live gradient
-            assert np.abs(numeric).max() > 1e-3, name
+        assert_prompt_gradients(loss_fn, store, cfg)
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("layout", sorted(PROMPT_LAYOUTS))
@@ -275,24 +279,7 @@ class TestVisualEncode:
         def loss_fn(s):
             return (visual_encode(patches, s, cfg, cls_only=True).cls * w_cls).sum()
 
-        analytic = backward(loss_fn(store), store)
-        names = [n for n in store.names() if n.startswith("visual.prompt.")]
-        eps = 1e-5
-        for name in names:
-            flat = store[name].data.reshape(-1)
-            numeric = np.zeros_like(flat)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + eps
-                hi = loss_fn(store).item()
-                flat[i] = keep - eps
-                lo = loss_fn(store).item()
-                flat[i] = keep
-                numeric[i] = (hi - lo) / (2.0 * eps)
-            got = analytic[name].reshape(-1)
-            assert np.abs(got - numeric).max() / max(np.abs(numeric).max(), 1e-3) < 1e-4, name
-            # CLS attends to every layer's prompt rows, so each one has a live gradient
-            assert np.abs(numeric).max() > 1e-3, name
+        assert_prompt_gradients(loss_fn, store, cfg)
 
     @pytest.mark.parametrize("layout", sorted(PROMPT_LAYOUTS))
     def test_cls_only_state_has_no_patch_rows(self, layout):

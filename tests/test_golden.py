@@ -194,11 +194,11 @@ def golden_runs() -> dict:
         with open(path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
 
+    configs = golden_configs()
+    stage1 = run_stage1(configs.pop("stage1"))
+    results = {"stage1": stage1, **{name: run_stage2(cfg, stage1.checkpoint_path) for name, cfg in configs.items()}}
     runs = {}
-    stage1_checkpoint = None
-    for name, cfg in golden_configs().items():
-        result = run_stage1(cfg) if name == "stage1" else run_stage2(cfg, stage1_checkpoint)
-        stage1_checkpoint = stage1_checkpoint or result.checkpoint_path
+    for name, result in results.items():
         with open(result.checkpoint_path, encoding="utf-8") as fh:
             checkpoint = json.load(fh)["sha256"]
         with open(result.csv_path, encoding="utf-8", newline="") as fh:
