@@ -172,14 +172,17 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
         raise DivergenceError("kl_divergence needs nonnegative entries")
     n2 = p.shape[0] ** 2
     entries, d_p = _kl_entries(p.data, q.data)
+    # the gradient in p is d_p; the one in q reads both matrices
+    n_p, n_q = p._node, q._node
+    pd, qd = (p.data, q.data) if n_q is not None else (None, None)
 
     def _bw(g):
         gs = float(g)
-        if p.requires_grad:
-            p._accumulate(gs / n2 * d_p)
-        if q.requires_grad:
-            support = p.data > 0
-            q._accumulate(gs / n2 * np.where(support, -p.data / np.where(support, q.data, 1.0), 0.0))
+        if n_p is not None:
+            n_p._accumulate(gs / n2 * d_p)
+        if n_q is not None:
+            support = pd > 0
+            n_q._accumulate(gs / n2 * np.where(support, -pd / np.where(support, qd, 1.0), 0.0))
 
     return Tensor._result(np.asarray(entries.sum() / n2), (p, q), _bw)
 
@@ -272,14 +275,14 @@ def masked_contrastive_loss(
     per_block = (kl_rows.reshape(batch, -1).sum(axis=1) / n2 + kl_cols.reshape(batch, -1).sum(axis=1) / n2) * 0.5
     # d(mean over blocks of half the pair of m^2-averaged divergences)/d(entry)
     weight = (0.5 / (batch * n2))[:, None, None]
+    n = s._node
 
     def _bw(g):
-        if s.requires_grad:
-            gs = float(g) * weight
-            g_rows, g_cols = gs * d_rows, gs * d_cols
-            dz = p_rows * (g_rows - (g_rows * p_rows).sum(axis=2, keepdims=True))
-            dz += p_cols * (g_cols - (g_cols * p_cols).sum(axis=1, keepdims=True))
-            s._accumulate(dz / temperature)
+        gs = float(g) * weight
+        g_rows, g_cols = gs * d_rows, gs * d_cols
+        dz = p_rows * (g_rows - (g_rows * p_rows).sum(axis=2, keepdims=True))
+        dz += p_cols * (g_cols - (g_cols * p_cols).sum(axis=1, keepdims=True))
+        n._accumulate(dz / temperature)
 
     return Tensor._result(np.asarray(per_block.mean()), (s,), _bw)
 

@@ -85,7 +85,7 @@ def _cmd_segment(args) -> int:
                 "chunk_view": ranges,
                 "sub_instructions": s.sub_instructions,
                 "aligned_ranges": ranges,
-            }))
+            }, allow_nan=False))
             fh.write("\n")
     print(f"segmented {len(samples)} records into {args.output}")
     return 0
@@ -93,7 +93,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_prompts(args) -> int:
     for s in read_trajectory_jsonl(args.input):
-        print(json.dumps(dataclasses.asdict(s.prompt_set())))
+        print(json.dumps(dataclasses.asdict(s.prompt_set()), allow_nan=False))
     return 0
 
 
@@ -101,7 +101,7 @@ def _cmd_stage1(args) -> int:
     cfg = _build_runconfig(args)
     dataset = read_indoor_jsonl(args.data) if args.data else None
     result = run_stage1(cfg, dataset=dataset)
-    print(json.dumps({"metrics": result.metrics, "checkpoint": result.checkpoint_path}, indent=2))
+    print(json.dumps({"metrics": result.metrics, "checkpoint": result.checkpoint_path}, indent=2, allow_nan=False))
     return 0
 
 
@@ -111,7 +111,7 @@ def _cmd_stage2(args) -> int:
     result = run_stage2(cfg, args.stage1_ckpt, dataset=dataset)
     printable = dict(result.metrics)
     printable.pop("epoch_total_loss", None)
-    print(json.dumps({"metrics": printable, "checkpoint": result.checkpoint_path}, indent=2))
+    print(json.dumps({"metrics": printable, "checkpoint": result.checkpoint_path}, indent=2, allow_nan=False))
     return 0
 
 
@@ -128,7 +128,7 @@ def _cmd_eval(args) -> int:
     features = precompute_viewpoint_features(dataset, store, enc)
     prepared = prepare_trajectories(dataset, Vocabulary(config["vocab"]), enc, features)
     metrics = evaluate_retrieval(store, enc, prepared, mode=mode)
-    print(json.dumps(metrics, indent=2))
+    print(json.dumps(metrics, indent=2, allow_nan=False))
     return 0
 
 

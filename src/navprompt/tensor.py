@@ -5,34 +5,53 @@ gradients to its inputs; ``Tensor.backward`` replays the closures in reverse
 topological order.  The tape is rebuilt on every forward pass, so identical
 inputs always produce identical gradients.
 
-One rule, in ``Tensor._result``, decides what joins the tape: an output
-records its parents and its closure only when some input requires a gradient
-and no ``no_grad()`` block is active.  Anything else is a constant that holds
+The tape is made of graph nodes, kept apart from the tensors.  A ``Tensor``
+holds its array and, when it requires a gradient, its ``_Node``; the node
+holds the gradient buffer, the parent nodes and the backward closure.  A
+leaf (a parameter or an input, a tensor that no op produced) that requires a
+gradient gets its node when it is made, and keeps it.
+
+One rule, ``_recorded``, which ``Tensor._result`` applies, decides what joins
+the tape: an output records its parents' nodes and its closure only when
+some input requires a gradient and no ``no_grad()`` block is active.  Anything else is a constant that holds
 none of its inputs, so a forward-only pass, such as an evaluation run under
 ``no_grad()``, frees each intermediate array as soon as the next op has read
 it.  The tape never changes a forward value: the outputs are the same bits
 with or without it.
 
+An op's closure captures its parents' nodes and only the arrays its gradient
+formula reads, taken when the op runs; never a ``Tensor``.  A parent that
+requires no gradient has no node, and a closure runs only when its output
+joined the tape, so an op with one input never checks for its node.  The tape
+therefore holds no activation that no formula reads, and such an array is
+freed during the forward, as soon as the caller drops its last name:
+
+* ``__add__``, ``add_bias``, ``concat``, ``take_rows``, ``segment_mean``,
+  ``expand``, the views and ``__getitem__`` keep no input array;
+* ``softmax``, ``log_softmax``, ``sqrt`` and ``layer_norm`` keep arrays they
+  made (their output, or ``xhat`` and ``1 / std``), not their input;
+* a product (``*``, ``/``, ``matmul``, ``linear`` and the two attention ops)
+  keeps one operand only when the other operand needs a gradient;
+* ``gelu`` keeps its derivative, computed in the forward with the numpy
+  operations its backward would run, and only when its output joins the
+  tape; ``clip_min`` keeps its 0/1 mask the same way.
+
+A closure that needs only a few rows of an activation must copy them, not
+keep a view: a numpy view keeps its whole base array alive.  The closure
+never sees its own output either, since ``_result`` makes the output after
+the closure exists, so no node is part of a reference cycle and a dropped
+graph is freed by reference counting alone.
+
 ``backward`` consumes the graph as it goes, as PyTorch does by default
 (``retain_graph=False``): once a node's closure has run, the node drops its
-closure, its parents and, unless it is a leaf, its ``.grad``.  Each interior
-node, with its activations and gradient buffer, is freed as soon as the
-nodes that consume it have run, even while the caller still holds the loss.
-Only leaves (parameters and inputs, the tensors that no op produced) keep
-``.grad``.  A second ``backward`` through a consumed node raises
-``ContractError``; rebuild the graph instead.
+closure, its parents and, unless it is a leaf's, its gradient.  Each
+interior node, with the arrays its closure kept and its gradient buffer, is
+freed as soon as the nodes that consume it have run, even while the caller
+still holds the loss.  Only leaves keep ``.grad``.  A second ``backward``
+through a consumed node raises ``ContractError``; rebuild the graph instead.
 
-A backward closure may capture its inputs and any arrays it needs, but never
-its own output ``Tensor``: ``out._backward`` would then close a reference
-cycle through ``out``, and the whole graph of a step, activations included,
-would wait for the cyclic garbage collector instead of being freed by
-reference counting when the loss is dropped.  Capture the output array
-instead (``y = np.sqrt(x)`` ... ``g * 0.5 / y``).  Each op defines its
-closure first and hands it to ``_result``, which makes the output, so no
-closure can see that output.
-
-Gradient buffers are never shared.  The first gradient a tensor receives
-becomes its ``.grad``, and later ones are added into it in place.  An op
+Gradient buffers are never shared.  The first gradient a node receives
+becomes its ``grad``, and later ones are added into it in place.  An op
 hands a gradient over without a copy (``_accumulate(g, owned=True)``) only
 when its closure has just computed that array and keeps no other reference
 to it: a product, a reduction or an elementwise result.  A view of the
@@ -103,35 +122,19 @@ def _as_array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-class Tensor:
-    """A float64 array plus the bookkeeping needed for backpropagation."""
+class _Node:
+    """A tape entry: the gradient buffer, the parent nodes and the backward closure.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    A leaf's node has no parents and no closure.  ``_parents`` is None once
+    ``backward`` has consumed the node (see the module docstring).
+    """
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad)
+    __slots__ = ("grad", "_parents", "_backward")
+
+    def __init__(self, parents: tuple["_Node", ...] = (), backward=None):
         self.grad: np.ndarray | None = None
-        # None once backward() has consumed this node (see the module docstring)
-        self._parents: tuple[Tensor, ...] | None = ()
-        self._backward = None
-
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        """An op's output; it joins the tape only when a gradient can reach it.
-
-        The output records ``parents`` and the op's ``backward`` closure when
-        some parent requires a gradient and no ``no_grad()`` block is active;
-        otherwise it is a constant that holds neither.
-        """
-        out = Tensor(data)
-        if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
-        return out
+        self._parents: tuple[_Node, ...] | None = parents
+        self._backward = backward
 
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         """Add ``g`` to ``grad``; ``owned=True`` hands a fresh ``g`` over uncopied (see the module docstring)."""
@@ -140,6 +143,96 @@ class Tensor:
             self.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
+
+
+def _recorded(parents: Sequence["Tensor"]) -> tuple[_Node, ...]:
+    """The recording rule: the nodes an op's output records, those of its inputs that require a gradient.
+
+    Inside ``no_grad()`` there are none, and an output with none is a constant.
+    """
+    if not _GRAD_ENABLED.get():
+        return ()
+    return tuple([p._node for p in parents if p._node is not None])
+
+
+def _zeros(shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
+    """``np.zeros_like(x)`` of a float64 ``x`` known only by its shape and strides.
+
+    The zeros are laid out as numpy lays out a copy of ``x``, so a gradient
+    scattered into them has the strides it had when it was ``zeros_like``
+    of the input array.
+    """
+    out = _copy_strides(shape, strides, 8)
+    zeros = np.zeros(shape)
+    if zeros.strides == out:
+        return zeros
+    return np.lib.stride_tricks.as_strided(np.zeros(math.prod(shape)), shape, out)
+
+
+def _reduce_to(g: np.ndarray, scalar: bool) -> np.ndarray:
+    # Reverse the scalar broadcast: a 0-d operand collects the full sum.
+    if scalar and g.ndim != 0:
+        return np.asarray(g.sum())
+    return g
+
+
+class Tensor:
+    """A float64 array and, when it requires a gradient, its graph node.
+
+    A tensor that requires none holds a ``grad`` set on it (a parameter
+    frozen after it had one) itself, where no op reads it.
+    """
+
+    __slots__ = ("data", "_node", "_grad")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
+        self._node: _Node | None = _Node() if requires_grad else None
+        self._grad: np.ndarray | None = None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        if value and self._node is None:
+            self._node = _Node()
+            self._node.grad, self._grad = self._grad, None
+        elif not value and self._node is not None:
+            self._grad, self._node = self._node.grad, None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._node is None:
+            self._grad = value
+        else:
+            self._node.grad = value
+
+    @property
+    def _parents(self) -> tuple[_Node, ...] | None:
+        """The parent nodes on the tape: () for a leaf or a constant, None once consumed."""
+        return () if self._node is None else self._node._parents
+
+    # -- construction helpers ------------------------------------------------
+
+    @staticmethod
+    def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+        """An op's output; it joins the tape only when a gradient can reach it.
+
+        The output gets a node holding ``_recorded(parents)`` and the op's
+        ``backward`` closure when there are any such nodes; otherwise it is a
+        constant that holds neither.
+        """
+        out = Tensor(data)
+        nodes = _recorded(parents)
+        if nodes:
+            out._node = _Node(nodes, backward)
+        return out
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -171,12 +264,13 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             return
 
-        order: list[Tensor] = []
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -189,10 +283,10 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
+                if id(parent) not in seen:
                     stack.append((parent, False))
 
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         # popping drops the list's reference, so a consumed node is freed as
         # soon as nothing outside the graph holds it
         while order:
@@ -217,54 +311,54 @@ class Tensor:
         if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
             raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ (only scalar broadcast is supported)")
 
-    @staticmethod
-    def _reduce_to(g: np.ndarray, t: "Tensor") -> np.ndarray:
-        # Reverse the scalar broadcast: a 0-d operand collects the full sum.
-        if t.ndim == 0 and g.ndim != 0:
-            return np.asarray(g.sum())
-        return g
-
     def __add__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         Tensor._check_elementwise(a, b, "add")
+        na, nb, a0, b0 = a._node, b._node, a.data.ndim == 0, b.data.ndim == 0
 
         def _bw(g):
-            if a.requires_grad:
-                a._accumulate(Tensor._reduce_to(g, a))
-            if b.requires_grad:
-                b._accumulate(Tensor._reduce_to(g, b))
+            if na is not None:
+                na._accumulate(_reduce_to(g, a0))
+            if nb is not None:
+                nb._accumulate(_reduce_to(g, b0))
 
         return Tensor._result(a.data + b.data, (a, b), _bw)
 
     def __mul__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         Tensor._check_elementwise(a, b, "mul")
+        na, nb, a0, b0 = a._node, b._node, a.data.ndim == 0, b.data.ndim == 0
+        # each operand's gradient reads the other operand
+        ad = a.data if nb is not None else None
+        bd = b.data if na is not None else None
 
         def _bw(g):
-            if a.requires_grad:
-                a._accumulate(Tensor._reduce_to(g * b.data, a), owned=True)
-            if b.requires_grad:
-                b._accumulate(Tensor._reduce_to(g * a.data, b), owned=True)
+            if na is not None:
+                na._accumulate(_reduce_to(g * bd, a0), owned=True)
+            if nb is not None:
+                nb._accumulate(_reduce_to(g * ad, b0), owned=True)
 
         return Tensor._result(a.data * b.data, (a, b), _bw)
 
     def __truediv__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         Tensor._check_elementwise(a, b, "div")
+        na, nb, a0, b0 = a._node, b._node, a.data.ndim == 0, b.data.ndim == 0
+        ad, bd = a.data if nb is not None else None, b.data
 
         def _bw(g):
-            if a.requires_grad:
-                a._accumulate(Tensor._reduce_to(g / b.data, a), owned=True)
-            if b.requires_grad:
-                b._accumulate(Tensor._reduce_to(-g * a.data / (b.data * b.data), b), owned=True)
+            if na is not None:
+                na._accumulate(_reduce_to(g / bd, a0), owned=True)
+            if nb is not None:
+                nb._accumulate(_reduce_to(-g * ad / (bd * bd), b0), owned=True)
 
         return Tensor._result(a.data / b.data, (a, b), _bw)
 
     def __neg__(self) -> "Tensor":
+        n = self._node
 
         def _bw(g):
-            if self.requires_grad:
-                self._accumulate(-g, owned=True)
+            n._accumulate(-g, owned=True)
 
         return Tensor._result(-self.data, (self,), _bw)
 
@@ -275,19 +369,20 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         y = np.sqrt(self.data)
+        n = self._node
 
         def _bw(g):
-            if self.requires_grad:
-                self._accumulate(g * 0.5 / y, owned=True)
+            n._accumulate(g * 0.5 / y, owned=True)
 
         return Tensor._result(y, (self,), _bw)
 
     def clip_min(self, floor: float) -> "Tensor":
         """max(x, floor); gradient is zero where the floor is active."""
+        n = self._node
+        above = self.data > floor if _recorded((self,)) else None
 
         def _bw(g):
-            if self.requires_grad:
-                self._accumulate(g * (self.data > floor), owned=True)
+            n._accumulate(g * above, owned=True)
 
         return Tensor._result(np.maximum(self.data, floor), (self,), _bw)
 
@@ -296,10 +391,10 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
+        n, src = self._node, self.shape
 
         def _bw(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(self.shape))
+            n._accumulate(g.reshape(src))
 
         return Tensor._result(self.data.reshape(shape), (self,), _bw)
 
@@ -309,10 +404,10 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         inv = tuple(int(i) for i in np.argsort(axes))
+        n = self._node
 
         def _bw(g):
-            if self.requires_grad:
-                self._accumulate(g.transpose(inv))
+            n._accumulate(g.transpose(inv))
 
         return Tensor._result(self.data.transpose(axes), (self,), _bw)
 
@@ -328,40 +423,39 @@ class Tensor:
             if src != 1:
                 raise ShapeError(f"expand: cannot expand axis {i} of {self.shape} to {shape}")
             axes.append(i)
+        n = self._node
 
         def _bw(g):
-            if self.requires_grad:
-                if axes:
-                    self._accumulate(g.sum(axis=tuple(axes), keepdims=True), owned=True)
-                else:
-                    self._accumulate(g)
+            if axes:
+                n._accumulate(g.sum(axis=tuple(axes), keepdims=True), owned=True)
+            else:
+                n._accumulate(g)
 
         return Tensor._result(np.ascontiguousarray(np.broadcast_to(self.data, shape)), (self,), _bw)
 
     def __getitem__(self, key) -> "Tensor":
         if isinstance(key, np.ndarray) or (isinstance(key, tuple) and any(isinstance(k, (np.ndarray, list)) for k in key)):
             raise ContractError("advanced indexing is not supported; use take_rows/gather_index")
+        n, shape, strides = self._node, self.shape, self.data.strides
 
         def _bw(g):
-            if self.requires_grad:
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                self.grad[key] += g
+            if n.grad is None:
+                n.grad = _zeros(shape, strides)
+            n.grad[key] += g
 
         return Tensor._result(self.data[key], (self,), _bw)
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
+        n, shape = self._node, self.shape
 
         def _bw(g):
-            if not self.requires_grad:
-                return
             if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy(), owned=True)
+                n._accumulate(np.broadcast_to(g, shape).copy(), owned=True)
             else:
                 gg = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(gg, self.shape).copy(), owned=True)
+                n._accumulate(np.broadcast_to(gg, shape).copy(), owned=True)
 
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), _bw)
 
@@ -392,18 +486,29 @@ def _matmul_forward(a: np.ndarray, b: np.ndarray, shared_rhs: bool) -> np.ndarra
     return a @ b
 
 
-def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray, shared_rhs: bool) -> None:
-    if shared_rhs:
-        g2 = g.reshape(-1, g.shape[-1])
-        if a.requires_grad:
-            a._accumulate((g2 @ b.data.T).reshape(a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g2, owned=True)
-        return
-    if a.requires_grad:
-        a._accumulate(g @ np.swapaxes(b.data, -1, -2), owned=True)
-    if b.requires_grad:
-        b._accumulate(np.swapaxes(a.data, -1, -2) @ g, owned=True)
+def _matmul_backward(a: Tensor, b: Tensor, shared_rhs: bool):
+    """The gradient closure of ``a @ b``: da = g @ b^T reads only ``b``, db = a^T @ g only ``a``.
+
+    Each operand is kept only when the other one needs a gradient.
+    """
+    na, nb, a_shape = a._node, b._node, a.shape
+    ad = a.data if nb is not None else None
+    bd = b.data if na is not None else None
+
+    def grads(g):
+        if shared_rhs:
+            g2 = g.reshape(-1, g.shape[-1])
+            if na is not None:
+                na._accumulate((g2 @ bd.T).reshape(a_shape), owned=True)
+            if nb is not None:
+                nb._accumulate(ad.reshape(-1, a_shape[-1]).T @ g2, owned=True)
+            return
+        if na is not None:
+            na._accumulate(g @ np.swapaxes(bd, -1, -2), owned=True)
+        if nb is not None:
+            nb._accumulate(np.swapaxes(ad, -1, -2) @ g, owned=True)
+
+    return grads
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -415,11 +520,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     any stacked axes when b is shared.
     """
     shared_rhs = _check_matmul(a, b, "matmul")
-
-    def _bw(g):
-        _matmul_backward(a, b, g, shared_rhs)
-
-    return Tensor._result(_matmul_forward(a.data, b.data, shared_rhs), (a, b), _bw)
+    return Tensor._result(_matmul_forward(a.data, b.data, shared_rhs), (a, b), _matmul_backward(a, b, shared_rhs))
 
 
 def _check_bias(shape: tuple[int, ...], b: Tensor, op: str) -> None:
@@ -430,12 +531,13 @@ def _check_bias(shape: tuple[int, ...], b: Tensor, op: str) -> None:
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a 1-d bias along the last axis of ``x``."""
     _check_bias(x.shape, b, "add_bias")
+    nx, nb, width = x._node, b._node, b.shape[0]
 
     def _bw(g):
-        if x.requires_grad:
-            x._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0), owned=True)
+        if nx is not None:
+            nx._accumulate(g)
+        if nb is not None:
+            nb._accumulate(g.reshape(-1, width).sum(axis=0), owned=True)
 
     return Tensor._result(x.data + b.data, (x, b), _bw)
 
@@ -452,11 +554,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_bias(x.shape[:-1] + w.shape[-1:], b, "linear")
     y = _matmul_forward(x.data, w.data, shared_rhs)
     y += b.data
+    nb, width, product = b._node, b.shape[0], _matmul_backward(x, w, shared_rhs)
 
     def _bw(g):
-        if b.requires_grad:
-            b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0), owned=True)
-        _matmul_backward(x, w, g, shared_rhs)
+        if nb is not None:
+            nb._accumulate(g.reshape(-1, width).sum(axis=0), owned=True)
+        product(g)
 
     return Tensor._result(y, (x, w, b), _bw)
 
@@ -465,15 +568,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ParameterError("concat: need at least one tensor")
-    sizes = [t.shape[axis] for t in tensors]
+    parts = [(t._node, t.shape[axis]) for t in tensors]
 
     def _bw(g):
         offset = 0
         index: list = [slice(None)] * g.ndim
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
+        for n, size in parts:
+            if n is not None:
                 index[axis] = slice(offset, offset + size)
-                t._accumulate(g[tuple(index)])
+                n._accumulate(g[tuple(index)])
             offset += size
 
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)
@@ -489,15 +592,15 @@ def softmax(t: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     y -= y.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
+    n = t._node
 
     def _bw(g):
-        if t.requires_grad:
-            dx = g * y
-            inner = dx.sum(axis=axis, keepdims=True)
-            np.subtract(g, inner, out=dx)
-            dx *= y
-            dx /= temperature
-            t._accumulate(dx, owned=True)
+        dx = g * y
+        inner = dx.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=dx)
+        dx *= y
+        dx /= temperature
+        n._accumulate(dx, owned=True)
 
     return Tensor._result(y, (t,), _bw)
 
@@ -561,29 +664,37 @@ def _splice(live: np.ndarray, shared: np.ndarray) -> np.ndarray:
     return np.concatenate([live[:, :1], np.broadcast_to(shared, (live.shape[0],) + shared.shape), live[:, 1:]], axis=1)
 
 
-def _unsplice(g: np.ndarray, live: Tensor, shared: Tensor | None) -> None:
-    """Hand a (B, S, d) gradient of spliced rows to the live rows and the shared rows.
+def _unsplicer(live: Tensor, shared: Tensor | None):
+    """The closure that hands a (B, S, d) gradient of spliced rows to ``live`` and ``shared``; None when neither takes one.
 
     The live gradient is zeros plus two slice-adds, and the shared one a sum
     over the batch of a copied slice, each laid out as the getitem, concat,
     expand and reshape nodes of ``[x[:, :1] | tiled rows | x[:, 1:]]`` leave
     it, so both hold the same bits, signed zeros too.
     """
-    if shared is None:
-        if live.requires_grad:
-            live._accumulate(g, owned=True)
-        return
-    rows = shared.shape[0]
-    if live.requires_grad:
-        gl = np.zeros_like(live.data)
-        gl[:, :1] += g[:, :1]
-        gl[:, 1:] += g[:, 1 + rows:]
-        live._accumulate(gl, owned=True)
-    if shared.requires_grad:
-        part = _copied(g[:, 1:1 + rows])
-        if g.shape[0] > 1:  # a batch of one tiles by no broadcast, so nothing is summed
-            part = part.sum(axis=0, keepdims=True)
-        shared._accumulate(_copied(part.reshape(shared.shape)), owned=True)
+    nl, ns = live._node, None if shared is None else shared._node
+    if nl is None and ns is None:
+        return None
+    live_shape, live_strides = live.shape, live.data.strides
+    shared_shape = None if shared is None else shared.shape
+
+    def unsplice(g):
+        if shared_shape is None:
+            nl._accumulate(g, owned=True)
+            return
+        rows = shared_shape[0]
+        if nl is not None:
+            gl = _zeros(live_shape, live_strides)
+            gl[:, :1] += g[:, :1]
+            gl[:, 1:] += g[:, 1 + rows:]
+            nl._accumulate(gl, owned=True)
+        if ns is not None:
+            part = _copied(g[:, 1:1 + rows])
+            if g.shape[0] > 1:  # a batch of one tiles by no broadcast, so nothing is summed
+                part = part.sum(axis=0, keepdims=True)
+            ns._accumulate(_copied(part.reshape(shared_shape)), owned=True)
+
+    return unsplice
 
 
 def attention_scores(q: Tensor, k: Tensor, heads: int, mask_bias: np.ndarray | None = None,
@@ -622,14 +733,18 @@ def attention_scores(q: Tensor, k: Tensor, heads: int, mask_bias: np.ndarray | N
     y *= scale
     if mask_bias is not None:
         y += mask_bias
+    # the query gradient reads the keys, the key gradient the queries
+    nq, unsplice = q._node, _unsplicer(k, shared)
+    keys = keys if nq is not None else None
+    queries = q.data if unsplice is not None else None
 
     def _bw(g):
         gs = g * scale
-        if q.requires_grad:
-            q._accumulate(_heads_to_rows(gs @ _split_heads(keys, heads)), owned=True)
-        if k.requires_grad or (shared is not None and shared.requires_grad):
-            gk = _split_heads(q.data, heads).swapaxes(-1, -2) @ gs
-            _unsplice(_heads_to_rows(_copied(gk.swapaxes(-1, -2))), k, shared)
+        if nq is not None:
+            nq._accumulate(_heads_to_rows(gs @ _split_heads(keys, heads)), owned=True)
+        if unsplice is not None:
+            gk = _split_heads(queries, heads).swapaxes(-1, -2) @ gs
+            unsplice(_heads_to_rows(_copied(gk.swapaxes(-1, -2))))
 
     return Tensor._result(y, (q, k) if shared is None else (q, k, shared), _bw)
 
@@ -652,15 +767,19 @@ def attention_context(attn: Tensor, v: Tensor, shared: Tensor | None = None) -> 
     values = v.data if shared is None else _splice(v.data, shared.data)
     if attn.shape[3] != values.shape[1]:
         raise ShapeError(f"attention_context: weights {attn.shape} do not cover {values.shape[1]} value rows")
+    out = (attn.data @ _split_heads(values, heads)).transpose(0, 2, 1, 3).reshape(b, s, d)
+    # the weight gradient reads the values, the value gradient the weights
+    na, unsplice = attn._node, _unsplicer(v, shared)
+    values = values if na is not None else None
+    weights = attn.data if unsplice is not None else None
 
     def _bw(g):
         g4 = _copied(_copied(g.reshape(b, s, heads, d // heads)).transpose(0, 2, 1, 3))
-        if attn.requires_grad:
-            attn._accumulate(g4 @ _split_heads(values, heads).swapaxes(-1, -2), owned=True)
-        if v.requires_grad or (shared is not None and shared.requires_grad):
-            _unsplice(_heads_to_rows(attn.data.swapaxes(-1, -2) @ g4), v, shared)
+        if na is not None:
+            na._accumulate(g4 @ _split_heads(values, heads).swapaxes(-1, -2), owned=True)
+        if unsplice is not None:
+            unsplice(_heads_to_rows(weights.swapaxes(-1, -2) @ g4))
 
-    out = (attn.data @ _split_heads(values, heads)).transpose(0, 2, 1, 3).reshape(b, s, d)
     return Tensor._result(out, (attn, v) if shared is None else (attn, v, shared), _bw)
 
 
@@ -668,10 +787,10 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     z = t.data - t.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     y = z - lse
+    n = t._node
 
     def _bw(g):
-        if t.requires_grad:
-            t._accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True), owned=True)
+        n._accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True), owned=True)
 
     return Tensor._result(y, (t,), _bw)
 
@@ -692,28 +811,53 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     xhat *= inv
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data
+    nt, ng, nb = t._node, gamma._node, beta._node
+    scale = gamma.data if nt is not None else None
 
     def _bw(g):
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
-        if t.requires_grad:
+        if nb is not None:
+            nb._accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
+        if ng is not None:
+            ng._accumulate((g * xhat).reshape(-1, d).sum(axis=0), owned=True)
+        if nt is not None:
             # inv * (gh - mean(gh) - xhat * mean(gh * xhat)) with gh = g * gamma
-            gh = g * gamma.data
+            gh = g * scale
             mean_gh = gh.mean(axis=-1, keepdims=True)
             gx = gh * xhat
             np.multiply(xhat, gx.mean(axis=-1, keepdims=True), out=gx)
             gh -= mean_gh
             gh -= gx
             gh *= inv
-            t._accumulate(gh, owned=True)
+            nt._accumulate(gh, owned=True)
 
     return Tensor._result(y, (t, gamma, beta), _bw)
 
 
+def _gelu_derivative(x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """d gelu / dx at ``x``, from ``th = tanh(u)``: the numpy operations of the backward formula, in its order."""
+    du = x * x
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    s = th * th
+    np.subtract(1.0, s, out=s)
+    du *= s
+    np.multiply(0.5, x, out=s)
+    du *= s
+    np.add(1.0, th, out=s)
+    s *= 0.5
+    du += s
+    return du
+
+
 def gelu(t: Tensor) -> Tensor:
-    """Smooth gated activation (tanh form); smoothness keeps difference checks clean."""
+    """Smooth gated activation (tanh form); smoothness keeps difference checks clean.
+
+    The closure keeps only the derivative, computed here when the output
+    joins the tape: backward multiplies it by the upstream gradient, the
+    last operation of the formula, so the gradient has the bits of one
+    computed in backward, while the input and ``tanh(u)`` are freed.
+    """
     x = t.data
     th = x * x
     th *= _GELU_A
@@ -724,27 +868,13 @@ def gelu(t: Tensor) -> Tensor:
     y = 1.0 + th
     y *= 0.5
     y *= x
+    n = t._node
+    du = _gelu_derivative(x, th) if _recorded((t,)) else None
 
-    # the closure keeps only tanh(u): backward recomputes x*x and the half
-    # gate with the forward's own operations, which gives the same bits
-    # without holding two more arrays of the input's size per call
     def _bw(g):
-        if t.requires_grad:
-            x = t.data
-            du = x * x
-            du *= 3.0 * _GELU_A
-            du += 1.0
-            du *= _GELU_C
-            s = th * th
-            np.subtract(1.0, s, out=s)
-            du *= s
-            np.multiply(0.5, x, out=s)
-            du *= s
-            np.add(1.0, th, out=s)
-            s *= 0.5
-            du += s
-            du *= g
-            t._accumulate(du, owned=True)
+        # the graph runs this closure once, so the derivative becomes the gradient
+        np.multiply(du, g, out=du)
+        n._accumulate(du, owned=True)
 
     return Tensor._result(y, (t,), _bw)
 
@@ -764,12 +894,12 @@ def take_rows(t: Tensor, indices) -> Tensor:
         raise ShapeError(f"take_rows: need a 2-d tensor, got {t.shape}")
     if indices.size and (indices.min() < 0 or indices.max() >= t.shape[0]):
         raise InputError(f"take_rows: index out of range [0, {t.shape[0]})")
+    n, shape, strides = t._node, t.shape, t.data.strides
 
     def _bw(g):
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            np.add.at(t.grad, indices.reshape(-1), g.reshape(-1, t.shape[1]))
+        if n.grad is None:
+            n.grad = _zeros(shape, strides)
+        np.add.at(n.grad, indices.reshape(-1), g.reshape(-1, shape[1]))
 
     return Tensor._result(t.data[indices], (t,), _bw)
 
@@ -797,10 +927,10 @@ def segment_mean(x: Tensor, bounds) -> Tensor:
     member = ((rows >= start[..., None]) & (rows < end[..., None])).astype(np.float64)
     count = end - start
     scale = np.where(count > 0, 1.0 / np.maximum(count, 1), 0.0)[..., None]
+    n = x._node
 
     def _bw(g):
-        if x.requires_grad:
-            x._accumulate(np.matmul(np.swapaxes(member, 1, 2), g * scale), owned=True)
+        n._accumulate(np.matmul(np.swapaxes(member, 1, 2), g * scale), owned=True)
 
     return Tensor._result(np.matmul(member, x.data) * scale, (x,), _bw)
 
@@ -813,11 +943,11 @@ def gather_index(t: Tensor, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[1]):
         raise InputError(f"gather_index: index out of range [0, {t.shape[1]})")
     rows = np.arange(t.shape[0])
+    n, shape, strides = t._node, t.shape, t.data.strides
 
     def _bw(g):
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            np.add.at(t.grad, (rows, idx), g)
+        if n.grad is None:
+            n.grad = _zeros(shape, strides)
+        np.add.at(n.grad, (rows, idx), g)
 
     return Tensor._result(t.data[rows, idx], (t,), _bw)

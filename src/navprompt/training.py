@@ -451,9 +451,10 @@ def stage1_loss(features: np.ndarray, labels: np.ndarray, store: ParamStore, enc
 
 
 def _stage1_accuracy(samples: list[IndoorSample], indices: Sequence[int], store: ParamStore,
-                     enc: EncoderConfig) -> float:
+                     enc: EncoderConfig) -> float | None:
+    """The share of ``indices`` the head classifies right; None for an empty split."""
     if not indices:
-        return float("nan")
+        return None
     hits = 0
     with no_grad():
         for batch in _batches(indices, ACCURACY_BATCH):
@@ -502,14 +503,14 @@ def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None) -> Sta
                            np.array([dataset[i].label for i in batch]), store, enc)
         return loss, loss.item()
 
-    def accuracies() -> tuple[float, float]:
+    def accuracies() -> tuple[float | None, float | None]:
         return _stage1_accuracy(dataset, train_idx, store, enc), _stage1_accuracy(dataset, val_idx, store, enc)
 
     history = []  # (mean loss, train accuracy, val accuracy) per epoch
     _train(store, "stage1", cfg.stage1_lr, cfg.stage1_epochs, cfg.stage1_batch_size, train_idx,
            np.random.default_rng([cfg.seed, 12]), batch_loss,
            lambda losses: history.append((float(np.mean(losses)), *accuracies())))
-    rows = [[epoch, *map(repr, row)] for epoch, row in enumerate(history)]
+    rows = [[epoch, *map(_float_cell, row)] for epoch, row in enumerate(history)]
     # after any epoch, the last one has already measured the final store
     train_acc, val_acc = history[-1][1:] if history else accuracies()
     metrics = {
@@ -544,7 +545,8 @@ def _write_stage_outputs(cfg: RunConfig, enc: EncoderConfig, stage: str, metrics
         writer.writerow(header)
         writer.writerows(rows)
     with open(result.summary_path, "w", encoding="utf-8") as fh:
-        json.dump({"metrics": metrics, "config": asdict(cfg)}, fh, sort_keys=True, indent=2)
+        # a metric with no value is null, never a non-finite float that strict JSON parsers refuse
+        json.dump({"metrics": metrics, "config": asdict(cfg)}, fh, sort_keys=True, indent=2, allow_nan=False)
     return result
 
 
@@ -557,7 +559,7 @@ class _Prepared:
 
     sample: TrajectorySample
     m: int
-    ids: dict[str, np.ndarray]  # text name -> (rows, max_text_len) token ids
+    ids: dict[str, np.ndarray]  # text name -> (rows, max_text_len) int32 token ids
     viewpoints: np.ndarray  # (T, d) frozen viewpoint features, see precompute_viewpoint_features
 
 
@@ -593,7 +595,8 @@ def prepare_trajectories(dataset: list[TrajectorySample], vocab: Vocabulary, enc
             raise ConfigurationError(f"trajectory {i} has {length} viewpoints and {m} sub-paths; the encoder "
                                      f"takes at most max_viewpoints {enc.max_viewpoints} and max_subpaths "
                                      f"{enc.max_subpaths}")
-        ids = {name: np.array([tokenize(t, vocab, enc.max_text_len) for t in texts])
+        # int32 holds any vocabulary id at half the bytes; every reader uses the values alone
+        ids = {name: np.array([tokenize(t, vocab, enc.max_text_len) for t in texts], dtype=np.int32)
                for name, texts in _texts_for(sample).items()}
         prepared.append(_Prepared(sample, m, ids, features))
     return prepared

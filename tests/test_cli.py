@@ -1,5 +1,6 @@
 """CLI subcommands exercised in-process through main()."""
 
+import csv
 import json
 import re
 
@@ -102,6 +103,32 @@ def test_segment_and_prompts_output_is_pinned(tmp_path, capsys):
         '"overall_prompt": "first, perform the action walk out of the bathroom, '
         'second, perform the action turn left", "m": 2}\n'
     )
+
+
+def _strict_json(text):
+    """Parse JSON as a strict parser does: NaN and the infinities are refused."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_stage1_without_a_validation_split_writes_strict_json(tmp_path, capsys, epochs):
+    # an empty split has no accuracy: null in the summary and the printed
+    # metrics, an empty cell in the log, never NaN
+    assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": epochs, "val-fraction": 0})]) == 0
+    printed = _strict_json(capsys.readouterr().out)
+    with open(tmp_path / "run" / "stage1_summary.json", encoding="utf-8") as fh:
+        summary = _strict_json(fh.read())
+    for metrics in (printed["metrics"], summary["metrics"]):
+        assert metrics["val_accuracy"] is None and metrics["val_size"] == 0
+        assert 0.0 <= metrics["train_accuracy"] <= 1.0
+    with open(tmp_path / "run" / "stage1_log.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + epochs
+    for row in rows[1:]:
+        assert row[3] == "" and float(row[2]) == summary["metrics"]["train_accuracy"]
 
 
 def test_viewpoint_width_is_checked_by_trajectory(tmp_path, capsys):

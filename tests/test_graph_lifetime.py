@@ -2,12 +2,15 @@
 
 A backward closure that captured its own output tensor would put every graph
 through that op into a reference cycle; a training step's activations would
-then stay alive until a full collection.  ``backward`` consumes the graph,
-so an interior node's closure, inputs and gradient buffer go even while the
-loss is held.  An output that no gradient can reach records nothing, and the
-forward-only passes record no tape at all, so their traced peaks stay small.
-These tests run with the collector disabled so a leak shows up as a live
-object, as collectable garbage or as a higher traced peak.
+then stay alive until a full collection.  A closure holds its parents' nodes
+and only the arrays its formula reads, never a ``Tensor``, so an activation
+that no formula reads is freed during the forward.  ``backward`` consumes
+the graph, so an interior node's closure, kept arrays and gradient buffer go
+even while the loss is held.  An output that no gradient can reach records
+nothing, and the forward-only passes record no tape at all, so their traced
+peaks stay small.  These tests run with the collector disabled so a leak
+shows up as a live object, as collectable garbage or as a higher traced
+peak.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ import weakref
 import numpy as np
 import pytest
 
+import navprompt.encoders as encoders
 import navprompt.tensor as tensor_mod
 import navprompt.training as training
 from navprompt.alignment import kl_divergence, masked_contrastive_loss
@@ -87,6 +91,8 @@ OPS = {
     "matmul": lambda x: matmul(x, Tensor(_pos((3, 2)))),
     "add_bias": lambda x: add_bias(x, Tensor(_pos(3))),
     "linear": lambda x: linear(x, Tensor(_pos((3, 2))), Tensor(_pos(2))),
+    # the (4, 3) input as the weight
+    "linear_weight": lambda x: linear(Tensor(_pos((2, 4))), x, Tensor(_pos(3))),
     "concat": lambda x: concat([x, Tensor(_pos((1, 3)))], axis=0),
     "softmax": lambda x: softmax(x, axis=1, temperature=0.5),
     "log_softmax": lambda x: log_softmax(x, axis=1),
@@ -105,14 +111,14 @@ OPS = {
                                                           shared=x),
     "attention_context_shared": lambda x: attention_context(Tensor(_pos((2, 1, 2, 7))), Tensor(_pos((2, 3, 3))), x),
 }
-# case -> the op it runs: the 2-d token-id lookup text_encode makes, and the spliced shared rows
-CASE_OPS = {"embedding": "take_rows", "attention_scores_shared": "attention_scores",
+# case -> the op it runs: the 2-d token-id lookup text_encode makes, a weight, and the spliced shared rows
+CASE_OPS = {"embedding": "take_rows", "linear_weight": "linear", "attention_scores_shared": "attention_scores",
             "attention_context_shared": "attention_context"}
 # differentiable ops defined outside tensor.py
 LOSS_OPS = {"kl_divergence", "masked_contrastive_loss"}
 
 # Tensor methods and tensor.py functions that build no graph node
-NOT_OPS = {"__init__", "__repr__", "_accumulate", "item", "backward", "no_grad"}
+NOT_OPS = {"__init__", "__repr__", "item", "backward", "no_grad"}
 
 
 def test_every_differentiable_op_is_listed():
@@ -125,7 +131,7 @@ def test_every_differentiable_op_is_listed():
 
 
 def _is_constant(t):
-    return not t.requires_grad and t._backward is None and t._parents == ()
+    return not t.requires_grad and t._node is None and t._parents == ()
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -158,17 +164,17 @@ def test_no_grad_nests_and_restores_after_an_exception():
         with no_grad():
             raise RuntimeError("outside")
     out = x * 2.0
-    assert out.requires_grad and out._backward is not None and out._parents
+    assert out.requires_grad and out._node._backward is not None and out._node._parents
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_dropped_output_is_freed_without_gc(name, no_gc):
     x = Tensor(_pos((4, 3)), requires_grad=True)
     out = OPS[name](x)
-    assert out.requires_grad and out._backward is not None
-    # Tensor has no __weakref__ slot; its backward closure is owned by the
-    # output alone, so the closure dies exactly when the output does
-    ref = weakref.ref(out._backward)
+    assert out.requires_grad and out._node._backward is not None
+    # Tensor and its node have no __weakref__ slot; the node is owned by the
+    # output alone, so its closure dies exactly when the output does
+    ref = weakref.ref(out._node._backward)
     del out
     assert ref() is None, f"{name}: the output tensor outlived its last reference"
 
@@ -178,25 +184,74 @@ def test_backward_releases_the_op_node(name, no_gc):
     x = Tensor(_pos((4, 3)), requires_grad=True)
     out = OPS[name](x)
     loss = out.sum()
-    refs = [weakref.ref(out._backward), weakref.ref(loss._backward)]
+    refs = [weakref.ref(out._node._backward), weakref.ref(loss._node._backward)]
     loss.backward()
-    # out and loss are still held, but their closures, parents and
+    # out and loss are still held, but their nodes' closures, parents and
     # gradient buffers are gone; the leaf keeps its gradient
     assert all(ref() is None for ref in refs), f"{name}: a closure outlived backward()"
-    for node in (out, loss):
-        assert node._parents is None and node.grad is None
+    for t in (out, loss):
+        assert t._node._parents is None and t._node.grad is None and t.grad is None
     assert x.grad is not None and x.grad.shape == x.shape
 
 
-# op -> number of arrays its backward closure keeps beyond its inputs' own
-CLOSURE_ARRAYS = {"gelu": 1, "linear": 0}
+# case -> the shapes of the arrays its closure keeps when only the (4, 3)
+# input needs a gradient: what the input's gradient formula reads, never the
+# input itself or a view of it
+KEPT_ARRAYS = {
+    "__add__": [], "__radd__": [], "__neg__": [], "add_bias": [], "concat": [],
+    "reshape": [], "transpose": [], "expand": [], "__getitem__": [], "sum": [],
+    "__mul__": [()], "__rmul__": [()], "__truediv__": [()],  # the constant operand
+    "mean": [()],  # 1 / count
+    "sqrt": [(4, 3)], "softmax": [(4, 3)], "log_softmax": [(4, 3)],  # the output
+    "clip_min": [(4, 3)],  # the mask of entries above the floor
+    "gelu": [(4, 3)],  # the derivative
+    "layer_norm": [(4, 3), (4, 1), (3,)],  # xhat, 1 / std and gamma
+    "matmul": [(3, 2)], "linear": [(3, 2)],  # the weight
+    "linear_weight": [(2, 4)],  # the input rows
+    "embedding": [(2, 2)], "take_rows": [(3,)],  # the indices
+    "gather_index": [(4,), (4,)],  # the rows and the picks
+    "segment_mean": [(1, 3, 4), (1, 3, 1)],  # the membership and 1 / count
+    "kl_divergence": [(3, 3)],  # the derivative in P
+    # both softmaxes and their KL derivatives, and the block weights
+    "masked_contrastive_loss": [(1, 3, 3)] * 4 + [(1, 1, 1)],
+    "attention_scores": [(1, 4, 3)],  # the keys
+    "attention_context": [(1, 3, 2)],  # the values
+    "attention_scores_shared": [(2, 2, 3)],  # the queries
+    "attention_context_shared": [(2, 1, 2, 7)],  # the weights
+}
 
 
-@pytest.mark.parametrize("name", sorted(CLOSURE_ARRAYS))
+def _captured(closure):
+    """The arrays and tensors a backward closure holds, through nested closures, tuples and lists."""
+    arrays, tensors, seen, todo = [], [], set(), [closure]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            tensors.append(obj)
+        elif isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif inspect.isfunction(obj):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return arrays, tensors
+
+
+def test_every_case_lists_its_kept_arrays():
+    assert set(KEPT_ARRAYS) == set(OPS)
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
 def test_closure_keeps_only_what_backward_cannot_recompute(name):
-    out = OPS[name](Tensor(_pos((4, 3)), requires_grad=True))
-    arrays = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
-    assert len(arrays) == CLOSURE_ARRAYS[name]
+    x = Tensor(_pos((4, 3)), requires_grad=True)
+    out = OPS[name](x)
+    arrays, tensors = _captured(out._node._backward)
+    assert not tensors, f"{name}: the closure holds a Tensor"
+    assert sorted(a.shape for a in arrays) == sorted(KEPT_ARRAYS[name])
+    assert not any(np.shares_memory(a, x.data) for a in arrays), f"{name}: the closure keeps the input array"
 
 
 def _stage2_setup(mode):
@@ -245,7 +300,7 @@ def _record_tape(monkeypatch):
 
     def spy(data, parents, backward=None):
         out = real(data, parents, backward)
-        recorded.append(out._backward is not None or bool(out._parents))
+        recorded.append(out._node is not None)
         return out
 
     monkeypatch.setattr(Tensor, "_result", staticmethod(spy))
@@ -364,3 +419,97 @@ def test_consecutive_stage2_steps_hold_one_graph(no_gc):
     finally:
         tracemalloc.stop()
     assert two <= 1.05 * one + 16384, f"one step peaks {one} B above the start, two steps {two} B"
+
+
+def test_stage2_graph_holds_no_tensor():
+    store, loss_fn = _stage2_setup("full")
+    loss = loss_fn()
+    seen, todo = set(), [loss._node]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            assert not _captured(node._backward)[1], "a closure of the stage-2 graph holds a Tensor"
+        todo.extend(node._parents)
+    assert len(seen) > 100
+
+
+def _watch_unread_activations(monkeypatch, store, keep: bool) -> dict[str, list]:
+    """Wrap the encoder ops around activations that no gradient formula reads.
+
+    The returned dict maps each kind of activation to weakrefs of its arrays;
+    with ``keep`` a list also holds them, as a tape that held every
+    activation would.
+    """
+    refs = {"pre-softmax scores": [], "residual stream": [], "GELU input": [], "embedding gather": [],
+            "cross-modal gather table": []}
+    held = []
+    params = {id(t) for t in store.entries.values()}
+
+    def watch(kind, array):
+        refs[kind].append(weakref.ref(array))
+        if keep:
+            held.append(array)
+
+    def wrap(name, pick):
+        real = getattr(encoders, name)
+
+        def op(*args, **kwargs):
+            out = real(*args, **kwargs)
+            pick(args, out)
+            return out
+
+        monkeypatch.setattr(encoders, name, op)
+
+    def rows(args, out):
+        if args[0] is store["text.tok_embed"]:
+            watch("embedding gather", out.data)
+        elif id(args[0]) not in params:
+            watch("cross-modal gather table", args[0].data)
+
+    wrap("softmax", lambda args, out: watch("pre-softmax scores", args[0].data))
+    # every layer norm reads the residual stream: a residual sum, the token
+    # and position sum, or the cross-modal gather
+    wrap("layer_norm", lambda args, out: watch("residual stream", args[0].data))
+    wrap("gelu", lambda args, out: watch("GELU input", args[0].data))
+    wrap("take_rows", rows)
+    return refs
+
+
+def test_stage2_forward_frees_what_no_formula_reads(monkeypatch, no_gc):
+    grads = {}
+    for keep in (True, False):
+        store, loss_fn = _stage2_setup("full")
+        refs = _watch_unread_activations(monkeypatch, store, keep)
+        loss = loss_fn()
+        for kind, arrays in refs.items():
+            assert arrays, f"the forward made no {kind}"
+            alive = sum(ref() is not None for ref in arrays)
+            # held by the watcher alone, or freed while the loss is still held
+            assert alive == (len(arrays) if keep else 0), f"{alive} of {len(arrays)} {kind} arrays are alive"
+        grads[keep] = {name: g.tobytes() for name, g in backward(loss, store).items()}
+        monkeypatch.undo()
+    assert grads[False] == grads[True]
+
+
+# Bytes alive after one default-width stage-2 forward of 20 trajectories,
+# the loss held: the tape.  A tape that held every op's output held 33.1 MiB;
+# keeping only what the gradient formulas read, it holds 20.9 MiB.
+STAGE2_TAPE_BOUND = 27 * MB
+
+
+def test_stage2_tape_keeps_only_what_backward_reads(default_width, no_gc):
+    w = default_width
+    cfg = RunConfig()
+    batch = w["prepared"][:cfg.stage2_batch_size]
+    stage2_losses(batch, w["stage2"], w["enc"], cfg)  # warm caches and lazy imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = stage2_losses(batch, w["stage2"], w["enc"], cfg)[0]  # noqa: F841
+        alive = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert alive < STAGE2_TAPE_BOUND, f"{alive / MB:.1f} MB alive after the forward"

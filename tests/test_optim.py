@@ -187,7 +187,8 @@ class TestFiniteDifferenceCheck:
         # gradients; every absolute error here is below 1e-4, but an analytic
         # gradient that is dropped or doubled must still fail the check
         def small_sin(t):
-            return Tensor._result(1e-5 * np.sin(t.data), (t,), lambda g: t._accumulate(factor * 1e-5 * np.cos(t.data) * g))
+            node, x = t._node, t.data
+            return Tensor._result(1e-5 * np.sin(x), (t,), lambda g: node._accumulate(factor * 1e-5 * np.cos(x) * g))
 
         store = ParamStore()
         store.add("p", np.array([0.3, -1.2, 0.7]))

@@ -145,6 +145,16 @@ def test_each_prepared_trajectory_carries_its_viewpoint_block(model):
     assert stage2_losses(shifted, store, enc, cfg)[0].item() != loss
 
 
+def test_prepared_token_ids_are_int32(model):
+    # every step holds every trajectory's id rows; int32 halves them and
+    # gives the int64 rows' losses, since readers use the values alone
+    cfg, enc, store, prepared, _ = model
+    assert all(ids.dtype == np.int32 for p in prepared for ids in p.ids.values())
+    batch = prepared[:4]
+    wide = [dataclasses.replace(p, ids={k: v.astype(np.int64) for k, v in p.ids.items()}) for p in batch]
+    assert stage2_losses(wide, store, enc, cfg)[0].item() == stage2_losses(batch, store, enc, cfg)[0].item()
+
+
 @pytest.mark.parametrize("mode", ABLATION_MODES)
 def test_each_term_is_one_scoring_call(model, monkeypatch, mode):
     # the bench probe times the loss through this one name, so every term must pass through it

@@ -163,8 +163,9 @@ class TestBackward:
         loss = y.sum()
         loss.backward()
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
-        for node in (y, loss):
-            assert node._backward is None and node._parents is None and node.grad is None
+        for t in (y, loss):
+            assert t._node._backward is None and t._node._parents is None and t._node.grad is None
+            assert t.grad is None
         np.testing.assert_array_equal(loss.data, 5.0)
 
     def test_second_backward_raises(self):
