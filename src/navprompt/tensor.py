@@ -833,20 +833,23 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return Tensor._result(y, (t, gamma, beta), _bw)
 
 
-def _gelu_derivative(x: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """d gelu / dx at ``x``, from ``th = tanh(u)``: the numpy operations of the backward formula, in its order."""
-    du = x * x
+def _gelu_derivative(x: np.ndarray, x2: np.ndarray, th: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """d gelu / dx at ``x``: the numpy operations of the backward formula, in its order.
+
+    It reuses the forward's ``x2 = x * x`` (its buffer becomes the
+    derivative), ``th = tanh(u)`` (overwritten as scratch) and
+    ``half = 0.5 * (1 + th)``, the formula's last term.
+    """
+    du = x2
     du *= 3.0 * _GELU_A
     du += 1.0
     du *= _GELU_C
-    s = th * th
-    np.subtract(1.0, s, out=s)
-    du *= s
-    np.multiply(0.5, x, out=s)
-    du *= s
-    np.add(1.0, th, out=s)
-    s *= 0.5
-    du += s
+    np.multiply(th, th, out=th)
+    np.subtract(1.0, th, out=th)
+    du *= th
+    np.multiply(0.5, x, out=th)
+    du *= th
+    du += half
     return du
 
 
@@ -859,17 +862,20 @@ def gelu(t: Tensor) -> Tensor:
     computed in backward, while the input and ``tanh(u)`` are freed.
     """
     x = t.data
-    th = x * x
-    th *= _GELU_A
+    recorded = _recorded((t,))
+    # x * x and 0.5 * (1 + tanh u) serve the output and the derivative; they
+    # keep their own buffers only when the derivative is computed
+    x2 = x * x
+    th = np.multiply(x2, _GELU_A, out=None if recorded else x2)
     th += 1.0
     th *= x
     th *= _GELU_C
     np.tanh(th, out=th)
-    y = 1.0 + th
-    y *= 0.5
-    y *= x
+    half = 1.0 + th
+    half *= 0.5
+    y = np.multiply(half, x, out=None if recorded else half)
     n = t._node
-    du = _gelu_derivative(x, th) if _recorded((t,)) else None
+    du = _gelu_derivative(x, x2, th, half) if recorded else None
 
     def _bw(g):
         # the graph runs this closure once, so the derivative becomes the gradient
