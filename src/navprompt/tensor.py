@@ -56,8 +56,14 @@ hands a gradient over without a copy (``_accumulate(g, owned=True)``) only
 when its closure has just computed that array and keeps no other reference
 to it: a product, a reduction or an elementwise result.  A view of the
 upstream gradient (a reshape, a transpose, a slice) and a gradient that goes
-to two parents (``__add__``) are copied.  Whether an array is owned is
-stated at the call site, never inferred from ``flags.owndata``.
+to two parents (``__add__``) are copied.  Whether an array is owned is stated at the call site, never
+inferred from ``flags.owndata``.
+
+Every gradient buffer is C-contiguous: ``_accumulate`` keeps an owned
+gradient only when it is, and makes every copy in C order, and a scatter
+starts from ``np.zeros(shape)``.  A gradient's layout, and with it the BLAS
+kernel a later product runs on it, follows from its shape alone, never from
+the views between it and the loss.
 
 A stacked operand times a shared 2-d weight (``linear``, and ``matmul`` with
 a 2-d right operand) is one 2-d GEMM over all the stacked rows, in the
@@ -70,9 +76,9 @@ Attention is three nodes between the projections and the output projection:
 rows spliced in), ``softmax`` and ``attention_context`` (weighted values,
 heads merged, shared value rows spliced in).  Each op runs the numpy
 operations of the single-step nodes it replaces, on operands of the same
-strides, and lays its input gradients out as their copies did, so outputs
-and gradients keep their bits.  Softmax stays a node of its own: it is the
-one step that is not a product or a view, and callers time and pin it apart.
+layout, so outputs and gradients keep their bits.  Softmax stays a node of
+its own: it is the one step that is not a product or a view, and callers
+time and pin it apart.
 
 Broadcasting is deliberately restricted: elementwise operations accept
 operands of identical shape or a 0-d scalar, nothing else.  The few places
@@ -85,7 +91,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import math
 from typing import Sequence
 
@@ -137,10 +142,11 @@ class _Node:
         self._backward = backward
 
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` to ``grad``; ``owned=True`` hands a fresh ``g`` over uncopied (see the module docstring)."""
+        """Add ``g`` to ``grad``; ``owned=True`` hands a fresh C-contiguous ``g`` over uncopied (see the module docstring)."""
         if self.grad is None:
             # asarray: an op on 0-d arrays returns a numpy scalar, not an array
-            self.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64)
+            g = np.asarray(g)
+            self.grad = g if owned and g.flags.c_contiguous else np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
 
@@ -153,20 +159,6 @@ def _recorded(parents: Sequence["Tensor"]) -> tuple[_Node, ...]:
     if not _GRAD_ENABLED.get():
         return ()
     return tuple([p._node for p in parents if p._node is not None])
-
-
-def _zeros(shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
-    """``np.zeros_like(x)`` of a float64 ``x`` known only by its shape and strides.
-
-    The zeros are laid out as numpy lays out a copy of ``x``, so a gradient
-    scattered into them has the strides it had when it was ``zeros_like``
-    of the input array.
-    """
-    out = _copy_strides(shape, strides, 8)
-    zeros = np.zeros(shape)
-    if zeros.strides == out:
-        return zeros
-    return np.lib.stride_tricks.as_strided(np.zeros(math.prod(shape)), shape, out)
 
 
 def _reduce_to(g: np.ndarray, scalar: bool) -> np.ndarray:
@@ -436,11 +428,11 @@ class Tensor:
     def __getitem__(self, key) -> "Tensor":
         if isinstance(key, np.ndarray) or (isinstance(key, tuple) and any(isinstance(k, (np.ndarray, list)) for k in key)):
             raise ContractError("advanced indexing is not supported; use take_rows/gather_index")
-        n, shape, strides = self._node, self.shape, self.data.strides
+        n, shape = self._node, self.shape
 
         def _bw(g):
             if n.grad is None:
-                n.grad = _zeros(shape, strides)
+                n.grad = np.zeros(shape)
             n.grad[key] += g
 
         return Tensor._result(self.data[key], (self,), _bw)
@@ -605,43 +597,6 @@ def softmax(t: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     return Tensor._result(y, (t,), _bw)
 
 
-@functools.lru_cache(maxsize=4096)
-def _copy_strides(shape: tuple[int, ...], strides: tuple[int, ...], itemsize: int) -> tuple[int, ...]:
-    """The strides of ``np.array(x)``, numpy's copy of ``x`` in "K" order.
-
-    The copy is C-ordered when ``x`` is C-contiguous, F-ordered when it is
-    F-contiguous (as numpy's flags define them, ignoring axes of length 1),
-    and otherwise keeps ``x``'s axes in the order of their strides.
-    """
-    def contiguous(axes) -> bool:
-        step = itemsize
-        for i in axes:
-            if shape[i] != 1:
-                if strides[i] != step:
-                    return False
-                step *= shape[i]
-        return True
-
-    ndim = len(shape)
-    if contiguous(range(ndim - 1, -1, -1)):
-        order = list(range(ndim))
-    elif contiguous(range(ndim)):
-        order = list(range(ndim - 1, -1, -1))
-    else:
-        order = sorted(range(ndim), key=lambda i: (-abs(strides[i]), i))
-    out = [0] * ndim
-    step = itemsize
-    for i in reversed(order):
-        out[i] = step
-        step *= shape[i]
-    return tuple(out)
-
-
-def _copied(x: np.ndarray) -> np.ndarray:
-    """``x`` laid out as ``np.array(x)`` copies it; ``x`` itself when that copy would have its strides."""
-    return x if _copy_strides(x.shape, x.strides, x.itemsize) == x.strides else np.array(x)
-
-
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """A (B, h, S, d/h) view of (B, S, d) rows."""
     b, s, d = x.shape
@@ -649,9 +604,9 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
 
 
 def _heads_to_rows(g: np.ndarray) -> np.ndarray:
-    """A (B, h, S, dk) gradient as (B, S, d) rows, laid out as a transpose and a reshape node pass it on."""
+    """A (B, h, S, dk) gradient as C-contiguous (B, S, d) rows."""
     b, h, s, dk = g.shape
-    return _copied(_copied(g.transpose(0, 2, 1, 3)).reshape(b, s, h * dk))
+    return np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(b, s, h * dk)
 
 
 def _check_shared(op: str, live: Tensor, shared: Tensor | None) -> None:
@@ -667,15 +622,15 @@ def _splice(live: np.ndarray, shared: np.ndarray) -> np.ndarray:
 def _unsplicer(live: Tensor, shared: Tensor | None):
     """The closure that hands a (B, S, d) gradient of spliced rows to ``live`` and ``shared``; None when neither takes one.
 
-    The live gradient is zeros plus two slice-adds, and the shared one a sum
-    over the batch of a copied slice, each laid out as the getitem, concat,
-    expand and reshape nodes of ``[x[:, :1] | tiled rows | x[:, 1:]]`` leave
-    it, so both hold the same bits, signed zeros too.
+    The live gradient is zeros plus two slice-adds, and the shared one the
+    slice's sum over the batch, as the getitem, concat, expand and reshape
+    nodes of ``[x[:, :1] | tiled rows | x[:, 1:]]`` compute them, so both
+    hold the same bits, signed zeros too.  ``g`` must be the closure's own.
     """
     nl, ns = live._node, None if shared is None else shared._node
     if nl is None and ns is None:
         return None
-    live_shape, live_strides = live.shape, live.data.strides
+    live_shape = live.shape
     shared_shape = None if shared is None else shared.shape
 
     def unsplice(g):
@@ -684,15 +639,15 @@ def _unsplicer(live: Tensor, shared: Tensor | None):
             return
         rows = shared_shape[0]
         if nl is not None:
-            gl = _zeros(live_shape, live_strides)
+            gl = np.zeros(live_shape)
             gl[:, :1] += g[:, :1]
             gl[:, 1:] += g[:, 1 + rows:]
             nl._accumulate(gl, owned=True)
         if ns is not None:
-            part = _copied(g[:, 1:1 + rows])
+            part = g[:, 1:1 + rows]
             if g.shape[0] > 1:  # a batch of one tiles by no broadcast, so nothing is summed
-                part = part.sum(axis=0, keepdims=True)
-            ns._accumulate(_copied(part.reshape(shared_shape)), owned=True)
+                part = part.sum(axis=0)
+            ns._accumulate(part.reshape(shared_shape), owned=True)
 
     return unsplice
 
@@ -707,8 +662,8 @@ def attention_scores(q: Tensor, k: Tensor, heads: int, mask_bias: np.ndarray | N
     it covers live keys only, so it does not come with ``shared``.  Forward
     and backward run the numpy operations of the nodes this op replaces
     (head-split views, ``matmul``, ``* (1 / sqrt(d / h))``, the mask added
-    as a constant operand of ``+`` and the splice), on operands of the same
-    strides, so every output and gradient is bitwise equal to theirs.
+    as a constant operand of ``+`` and the splice), so every output and
+    gradient is bitwise equal to theirs.
     """
     if q.ndim != 3 or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
         raise ShapeError(f"attention_scores: need (B, s, d) queries and (B, S, d) keys, got {q.shape} and {k.shape}")
@@ -744,7 +699,7 @@ def attention_scores(q: Tensor, k: Tensor, heads: int, mask_bias: np.ndarray | N
             nq._accumulate(_heads_to_rows(gs @ _split_heads(keys, heads)), owned=True)
         if unsplice is not None:
             gk = _split_heads(queries, heads).swapaxes(-1, -2) @ gs
-            unsplice(_heads_to_rows(_copied(gk.swapaxes(-1, -2))))
+            unsplice(_heads_to_rows(gk.swapaxes(-1, -2)))
 
     return Tensor._result(y, (q, k) if shared is None else (q, k, shared), _bw)
 
@@ -774,7 +729,7 @@ def attention_context(attn: Tensor, v: Tensor, shared: Tensor | None = None) -> 
     weights = attn.data if unsplice is not None else None
 
     def _bw(g):
-        g4 = _copied(_copied(g.reshape(b, s, heads, d // heads)).transpose(0, 2, 1, 3))
+        g4 = np.ascontiguousarray(g.reshape(b, s, heads, d // heads).transpose(0, 2, 1, 3))
         if na is not None:
             na._accumulate(g4 @ _split_heads(values, heads).swapaxes(-1, -2), owned=True)
         if unsplice is not None:
@@ -900,11 +855,11 @@ def take_rows(t: Tensor, indices) -> Tensor:
         raise ShapeError(f"take_rows: need a 2-d tensor, got {t.shape}")
     if indices.size and (indices.min() < 0 or indices.max() >= t.shape[0]):
         raise InputError(f"take_rows: index out of range [0, {t.shape[0]})")
-    n, shape, strides = t._node, t.shape, t.data.strides
+    n, shape = t._node, t.shape
 
     def _bw(g):
         if n.grad is None:
-            n.grad = _zeros(shape, strides)
+            n.grad = np.zeros(shape)
         np.add.at(n.grad, indices.reshape(-1), g.reshape(-1, shape[1]))
 
     return Tensor._result(t.data[indices], (t,), _bw)
@@ -949,11 +904,11 @@ def gather_index(t: Tensor, idx) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[1]):
         raise InputError(f"gather_index: index out of range [0, {t.shape[1]})")
     rows = np.arange(t.shape[0])
-    n, shape, strides = t._node, t.shape, t.data.strides
+    n, shape = t._node, t.shape
 
     def _bw(g):
         if n.grad is None:
-            n.grad = _zeros(shape, strides)
+            n.grad = np.zeros(shape)
         np.add.at(n.grad, (rows, idx), g)
 
     return Tensor._result(t.data[rows, idx], (t,), _bw)

@@ -41,7 +41,7 @@ import numpy as np
 import pytest
 
 PINNED_BUILD = "numpy 2.4.6; scipy-openblas 0.3.31.188.0 core SkylakeX; cpu X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
-PINNED_RUNS = {'stage1': {'checkpoint': '96a515c2a7a667eeeefac0c3616ecc37516decd159556abae15e27ef7543e02f',
+PINNED_RUNS = {'stage1': {'checkpoint': '034fc025344d0ff862274cabfb8115fd1b2909877ab180c6b00264b494e528c6',
             'csv': '92a5c15b51b1362089d492ef07e9cd20f8cf36b055ce100e371b1f576dcb51e0',
             'log': [['epoch', 'train_loss', 'train_acc', 'val_acc'],
                     [0, 2.3036742190518273, 0.10638297872340426, 0.0],
@@ -54,8 +54,8 @@ PINNED_RUNS = {'stage1': {'checkpoint': '96a515c2a7a667eeeefac0c3616ecc37516decd
                         'val_accuracy': 0.0,
                         'val_size': 6},
             'summary': '8754e52da195e4ebc2641aebc34c6a62d13f388826ef63ce1368dfd4872e3fa5'},
- 'stage2-cnt': {'checkpoint': '4c7f2a90dae137ae5546ead48ab8bde4844c22f829e2408fff0209faf9a9e773',
-                'csv': '3102f4897329247ed051bc251c8867f9436cec67c3b396277dabdc0ccb66a56b',
+ 'stage2-cnt': {'checkpoint': 'e177dab593f9d8505d0e2915e73b05cef8220a0ad64587e9018869a0a2a47ad1',
+                'csv': 'ed3ba220e1fa1c972152581f767fc9c3c2ba90e5bf22e215da87d056e31a1d4b',
                 'log': [['step', 'l_ind_sum', 'l_ove', 'l_cnt', 'total'],
                         [0, None, None, 0.032041171183003946, 0.003204117118300395],
                         [1, None, None, 0.028286862888469516, 0.002828686288846952],
@@ -72,9 +72,9 @@ PINNED_RUNS = {'stage1': {'checkpoint': '96a515c2a7a667eeeefac0c3616ecc37516decd
                             'trainable_parameters': 216832,
                             'val_size': 3,
                             'vocab_size': 58},
-                'summary': '37ff90810ef978d6a981b4afbd54266c3bef024e3ffdb2a30fed83f6ab9a3f01'},
- 'stage2-cnt_ind': {'checkpoint': 'b6062e1a8f8b68121ec968979f2dd826340c2faeba7aa62b4b1e8151b07ef9be',
-                    'csv': '51cf9e99fa6b2773c8e97c1aa19e2ff50aa2aed09fbefdfde8c9c88c26500f32',
+                'summary': 'c0c5d2323891a688370f785edc7a60150ef910ab042ac18fdcac19401e680e70'},
+ 'stage2-cnt_ind': {'checkpoint': '9c783de8a42cfd7eb6b0380862189d55f3b83534924f941821edc9fb1a6a24f3',
+                    'csv': '8ac67cb41df68783697638848d883228a956f376f1bdae38a0b2125461c78dcc',
                     'log': [['step', 'l_ind_sum', 'l_ove', 'l_cnt', 'total'],
                             [0, 0.3768995761265131, None, 0.03204117118300394, 0.38010369324481347],
                             [1, 0.3911317425884044, None, 0.029067971535006294, 0.394038539741905],
@@ -91,9 +91,9 @@ PINNED_RUNS = {'stage1': {'checkpoint': '96a515c2a7a667eeeefac0c3616ecc37516decd
                                 'trainable_parameters': 216832,
                                 'val_size': 3,
                                 'vocab_size': 58},
-                    'summary': '6a9d07ffe7d2e8eb8a44975110f9fc26dea7f1a00ec7461ac0265eab88259809'},
- 'stage2-full': {'checkpoint': '4e6d001548eeaa4a8193a25d152fe13073870d67fbf52817d3dfc4527011a648',
-                 'csv': 'd889ae01bef27ec92227574b6df9eb93bd3886f8bc39c93eb66c00e167374b9e',
+                    'summary': '8c737354807afa79f9a082f702ca0e12bcc4a5ba2fe59be624b7fe2e344df079'},
+ 'stage2-full': {'checkpoint': 'ed6c5f228efe4d525c98ed9645ca49cf8ce65828f005df70a374a2bba42b5dfc',
+                 'csv': '6cf30c4dac5ee985370a62d553113e9717ba420c16454fb54dc69902b9b1357a',
                  'log': [['step', 'l_ind_sum', 'l_ove', 'l_cnt', 'total'],
                          [0, 0.3768995761265131, 0.04085273682255364, 0.03204117118300394, 0.4005300616560903],
                          [1, 0.3923101523394511, 0.05344684490092735, 0.029470490760806708, 0.42198062386599544],
@@ -110,9 +110,9 @@ PINNED_RUNS = {'stage1': {'checkpoint': '96a515c2a7a667eeeefac0c3616ecc37516decd
                              'trainable_parameters': 216832,
                              'val_size': 3,
                              'vocab_size': 58},
-                 'summary': 'e43fa533e69c4f9011a4883ea9223e69a21b54a01a2056e0e9512e876690ea0c'},
- 'stage2-sub_only': {'checkpoint': '7692c5214e2dc41abb54d2a8e0fb2dfb661b62bf50a9c5a6ddf6f27d33b31735',
-                     'csv': '3f0c26228ac69e5f3b0c16bdecbe7bea98c7768f315850057de4108a8dd8af98',
+                 'summary': 'e52727125e2c0ac55e534502f9da75948478697f7b6b8db5922cd8d424bbf31a'},
+ 'stage2-sub_only': {'checkpoint': '9399b24d6c169d92487edb0250cb033a00f9bd72c28c626986743bf6dea4a086',
+                     'csv': '224b9cac06921414de8ee54d77728e5c60e7c3a140fd84c87b381a00b1d02cb4',
                      'log': [['step', 'l_ind_sum', 'l_ove', 'l_cnt', 'total'],
                              [0, 0.37194310675772213, None, None, 0.37194310675772213],
                              [1, 0.3845067558714509, None, None, 0.3845067558714509],

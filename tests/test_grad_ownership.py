@@ -1,11 +1,14 @@
-"""Every gradient buffer belongs to exactly one tensor.
+"""Every gradient buffer belongs to exactly one tensor and is C-contiguous.
 
 ``Tensor._accumulate(g, owned=True)`` makes a freshly computed ``g`` the
 tensor's gradient without copying it.  If an op marked an array owned that
 something else still referenced, two gradients, or a gradient and a
 parameter, would share memory and the next ``+=`` or optimizer step would
 write through both.  These tests run one training step's backward at the
-default widths and look for any such sharing.
+default widths and look for any such sharing, and for any gradient, on a
+leaf or handed to a closure, that is not C-contiguous: a gradient's layout
+decides which BLAS kernel its products run on, so it must follow from its
+shape alone.
 """
 
 import itertools
@@ -40,18 +43,19 @@ def stage2_inputs():
     return len(vocab), prepared
 
 
-@pytest.mark.parametrize("mode", ABLATION_TERMS)
-def test_stage2_step_gradients_own_their_buffers(stage2_inputs, mode):
+def _stage2_step(stage2_inputs, mode):
+    """The store after one default-width stage-2 backward in ``mode``."""
     vocab_size, prepared = stage2_inputs
     cfg = RunConfig(ablation=mode)
     enc = cfg.encoder()
     store = training._stage1_store(enc, np.random.default_rng([cfg.seed, 11]))
     training._add_stage2_params(store, enc, vocab_size, np.random.default_rng([cfg.seed, 21]), mode in PROMPTED_MODES)
     backward(training.stage2_losses(prepared, store, enc, cfg)[0], store)
-    _assert_no_shared_buffers(store)
+    return store
 
 
-def test_stage1_step_gradients_own_their_buffers():
+def _stage1_step():
+    """The store after one default-width stage-1 backward."""
     cfg = RunConfig()
     enc = cfg.encoder()
     samples = cfg.indoor_dataset()[:cfg.stage1_batch_size]
@@ -59,7 +63,52 @@ def test_stage1_step_gradients_own_their_buffers():
     feats = np.stack([s.features for s in samples])
     labels = np.array([s.label for s in samples])
     backward(training.stage1_loss(feats, labels, store, enc), store)
-    _assert_no_shared_buffers(store)
+    return store
+
+
+@pytest.mark.parametrize("mode", ABLATION_TERMS)
+def test_stage2_step_gradients_own_their_buffers(stage2_inputs, mode):
+    _assert_no_shared_buffers(_stage2_step(stage2_inputs, mode))
+
+
+def test_stage1_step_gradients_own_their_buffers():
+    _assert_no_shared_buffers(_stage1_step())
+
+
+@pytest.fixture
+def closure_gradients(monkeypatch):
+    """The layout of every gradient a recorded closure receives, its node's ``grad`` when it runs."""
+    layouts = []
+    result = Tensor._result
+
+    def checked_result(data, parents, backward):
+        def checked(g):
+            layouts.append((g.shape, g.strides, g.flags.c_contiguous))
+            backward(g)
+
+        return result(data, parents, checked)
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(checked_result))
+    return layouts
+
+
+def _assert_c_contiguous(store, layouts):
+    assert layouts, "no closure ran"
+    bad = [(shape, strides) for shape, strides, c in layouts if not c]
+    assert not bad, f"{len(bad)} of {len(layouts)} closures got a gradient that is not C-contiguous: {bad[:5]}"
+    grads = {name: t.grad for name, t in store.entries.items() if t.grad is not None}
+    assert grads
+    bad = {name: g.strides for name, g in grads.items() if not g.flags.c_contiguous}
+    assert not bad, f"leaf gradients that are not C-contiguous: {bad}"
+
+
+@pytest.mark.parametrize("mode", ABLATION_TERMS)
+def test_stage2_step_gradients_are_c_contiguous(stage2_inputs, closure_gradients, mode):
+    _assert_c_contiguous(_stage2_step(stage2_inputs, mode), closure_gradients)
+
+
+def test_stage1_step_gradients_are_c_contiguous(closure_gradients):
+    _assert_c_contiguous(_stage1_step(), closure_gradients)
 
 
 def test_fanned_out_gradient_is_copied_for_each_parent():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from navprompt.encoders import MASK_BIAS, _splice_rows
-from navprompt.tensor import Tensor, _zeros, attention_context, attention_scores, gelu, layer_norm, matmul, softmax
+from navprompt.tensor import Tensor, attention_context, attention_scores, gelu, layer_norm, matmul, softmax
 
 _A = 0.044715
 _C = math.sqrt(2.0 / math.pi)
@@ -92,10 +92,10 @@ def _assert_bitwise(got, want):
 
 
 def _assert_identical(got, want):
-    """Bitwise equal, and laid out alike: a consumer's BLAS call depends on its operands' strides."""
+    """Bitwise equal, and C-contiguous: a consumer's BLAS call depends on its operands' layout."""
     _assert_bitwise(got, want)
-    for i, (a, b) in enumerate(zip(got, want)):
-        assert a.strides == b.strides, f"output {i} has strides {a.strides}, not {b.strides}"
+    for i, a in enumerate(got):
+        assert a.flags.c_contiguous, f"output {i} has strides {a.strides}, not C-contiguous"
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
@@ -113,26 +113,6 @@ def test_gelu_backward_from_the_forward_derivative_keeps_signed_zeros():
     got = _run(gelu, [x], g)
     _assert_bitwise(got, ref_gelu(x, g))
     assert np.any((got[0] == 0.0) & np.signbit(got[0])) and np.any((got[1] == 0.0) & np.signbit(got[1]))
-
-
-LAYOUTS = {
-    "c": lambda a: a,
-    "f": lambda a: np.asfortranarray(a),
-    "transposed": lambda a: a.transpose(1, 0, 2),
-    "strided": lambda a: a[:, ::2],
-    "one-row slice": lambda a: a[:, :1],
-    "permuted slice": lambda a: a.transpose(2, 0, 1)[1:, :, :3],
-}
-
-
-@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
-def test_zeros_from_a_layout_match_zeros_like(layout):
-    # scatter gradients (getitem, take_rows, the spliced rows) start from
-    # zeros made from the input's shape and strides alone
-    x = layout(np.arange(60.0).reshape(3, 4, 5))
-    want = np.zeros_like(x)
-    got = _zeros(x.shape, x.strides)
-    assert got.shape == want.shape and got.strides == want.strides and not got.any()
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
