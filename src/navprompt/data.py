@@ -95,6 +95,8 @@ def gen_indoor_dataset(
     num_patches: int = EncoderConfig.num_patches,
     feature_dim: int = EncoderConfig.feature_dim,
 ) -> list[IndoorSample]:
+    if seed < 0:
+        raise ParameterError(f"seed must be at least 0, got {seed}")
     if num_classes < 2:
         raise ParameterError(f"need at least 2 classes, got {num_classes}")
     if samples_per_class < 1:
@@ -132,6 +134,8 @@ def gen_trajectory_dataset(
         raise ParameterError(f"bad sub-path range {subpaths_range}")
     if t_hi < t_lo or t_hi < m_hi:
         raise ParameterError(f"viewpoint range {viewpoints_range} cannot cover up to {m_hi} sub-paths")
+    if seed < 0:
+        raise ParameterError(f"seed must be at least 0, got {seed}")
     if count < 1:
         raise ParameterError("count must be positive")
     if not noise >= 0:

@@ -156,7 +156,7 @@ class RunConfig(EncoderConfig):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be above 0, got {getattr(self, name)}")
         # a bound given by name is another field's value
-        for name, least in (("stage1_batch_size", 1), ("stage2_batch_size", 1), ("stage1_epochs", 0),
+        for name, least in (("seed", 0), ("stage1_batch_size", 1), ("stage2_batch_size", 1), ("stage1_epochs", 0),
                             ("stage2_epochs", 0), ("indoor_noise", 0), ("viewpoint_noise", 0),
                             ("indoor_samples_per_class", 1), ("trajectory_count", 1), ("subpaths_min", 1),
                             ("subpaths_max", "subpaths_min"), ("viewpoints_max", "viewpoints_min"),
@@ -185,6 +185,7 @@ def parse_config_file(path: str) -> dict:
     """Read `key = value` lines; keys must be RunConfig field names."""
     known = {f.name: f.type for f in fields(RunConfig)}
     out: dict = {}
+    set_on: dict[str, int] = {}
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -201,6 +202,9 @@ def parse_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ParameterError(f"{path}:{lineno}: config key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             out[key] = coerce_field(key, value)
         except ParameterError as exc:

@@ -247,8 +247,9 @@ def test_layer_and_patch_counts_are_refused_by_name(tmp_path, monkeypatch, capsy
     ({"smoothing": "0.25"}, "smoothing must lie in (0, 1/(2*subpaths_min)) = (0, 0.25), got 0.25"),
     ({"smoothing": "0.2", "subpaths_min": "3"},
      "smoothing must lie in (0, 1/(2*subpaths_min)) = (0, 0.166667), got 0.2"),
+    ({"seed": "-1"}, "seed must be at least 0, got -1"),
 ], ids=["lambda1", "lambda2", "temperature_zero", "temperature_negative", "smoothing_negative", "smoothing_zero",
-        "smoothing_two", "smoothing_at_cap", "smoothing_above_cap_of_three"])
+        "smoothing_two", "smoothing_at_cap", "smoothing_above_cap_of_three", "seed_negative"])
 def test_objective_ranges_are_refused_by_name(tmp_path, monkeypatch, capsys, flags, message):
     # the objective's fields are refused before any data is built or the output directory is made
     import navprompt.training as training
@@ -266,6 +267,24 @@ def test_objective_ranges_are_refused_by_name(tmp_path, monkeypatch, capsys, fla
         argv += ["--" + key.replace("_", "-"), value]
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"error[ParameterError]: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data-indoor", "gen-data-trajectories", "stage1", "stage2", "config-file"])
+def test_negative_seed_is_refused_by_every_command(tmp_path, capsys, command):
+    # numpy's seed sequence takes no negative entropy; the seed is refused
+    # by name before it reaches one
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    argv = {"gen-data-indoor": ["gen-data", "--kind", "indoor", "--seed", "-1", "--output", str(out / "x.jsonl")],
+            "gen-data-trajectories": ["gen-data", "--kind", "trajectories", "--seed", "-1",
+                                      "--output", str(out / "x.jsonl")],
+            "stage1": ["stage1", "--seed", "-1", "--out-dir", str(out)],
+            "stage2": ["stage2", "--seed", "-1", "--stage1-ckpt", str(tmp_path / "none.json"), "--out-dir", str(out)],
+            "config-file": ["stage1", "--config", str(cfg), "--out-dir", str(out)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error[ParameterError]: seed must be at least 0, got -1"]
     assert not out.exists()
 
 

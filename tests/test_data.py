@@ -80,6 +80,8 @@ class TestIndoorGenerator:
             gen_indoor_dataset(num_classes=1, samples_per_class=5, seed=0)
         with pytest.raises(ParameterError, match=r"noise must be nonnegative, got -1\.0"):
             gen_indoor_dataset(num_classes=2, samples_per_class=5, noise=-1.0, seed=0)
+        with pytest.raises(ParameterError, match=r"^seed must be at least 0, got -1$"):
+            gen_indoor_dataset(num_classes=2, samples_per_class=5, seed=-1)
 
 
 class TestTrajectoryGenerator:
@@ -116,6 +118,8 @@ class TestTrajectoryGenerator:
         ):
             with pytest.raises(ParameterError, match=message):
                 gen_trajectory_dataset(count=5, seed=0, **kwargs)
+        with pytest.raises(ParameterError, match=r"^seed must be at least 0, got -1$"):
+            gen_trajectory_dataset(count=5, seed=-1)
 
     def test_action_bank_is_segmentation_safe(self):
         for action in ACTION_BANK:

@@ -834,6 +834,19 @@ class TestConfigFile:
             parse_config_file(str(path))
         assert str(exc.value).startswith(f"{path}{where}")
 
+    @pytest.mark.parametrize("text,where", [
+        ("seed = 1\nstage1_lr = 0.5\n\nseed = 2\n", ":4: config key 'seed' already set on line 1"),
+    ])
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys, text, where):
+        # the later line used to win silently
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(ParameterError) as exc:
+            parse_config_file(str(path))
+        assert str(exc.value) == f"{path}{where}"
+        assert main(["stage1", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error[ParameterError]: {path}{where}"]
+
     def test_line_endings(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"seed = 3\r\nstage1_lr = 0.5\rablation = sub_only\n")
