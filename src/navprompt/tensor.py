@@ -56,8 +56,8 @@ hands a gradient over without a copy (``_accumulate(g, owned=True)``) only
 when its closure has just computed that array and keeps no other reference
 to it: a product, a reduction or an elementwise result.  A view of the
 upstream gradient (a reshape, a transpose, a slice) and a gradient that goes
-to two parents (``__add__``) are copied.  Whether an array is owned is stated at the call site, never
-inferred from ``flags.owndata``.
+to two parents (``__add__``) are copied.  Whether an array is owned is
+stated at the call site, never inferred from ``flags.owndata``.
 
 Every gradient buffer is C-contiguous: ``_accumulate`` keeps an owned
 gradient only when it is, and makes every copy in C order, and a scatter
@@ -142,7 +142,10 @@ class _Node:
         self._backward = backward
 
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` to ``grad``; ``owned=True`` hands a fresh C-contiguous ``g`` over uncopied (see the module docstring)."""
+        """Add ``g`` to ``grad``, which is C-contiguous.
+
+        ``owned=True`` hands a fresh C-contiguous ``g`` over uncopied (see the module docstring).
+        """
         if self.grad is None:
             # asarray: an op on 0-d arrays returns a numpy scalar, not an array
             g = np.asarray(g)
@@ -625,7 +628,8 @@ def _unsplicer(live: Tensor, shared: Tensor | None):
     The live gradient is zeros plus two slice-adds, and the shared one the
     slice's sum over the batch, as the getitem, concat, expand and reshape
     nodes of ``[x[:, :1] | tiled rows | x[:, 1:]]`` compute them, so both
-    hold the same bits, signed zeros too.  ``g`` must be the closure's own.
+    hold the same bits, signed zeros too.  ``g`` must be a fresh array the
+    caller owns: it, or with a batch of one its shared slice, is handed over.
     """
     nl, ns = live._node, None if shared is None else shared._node
     if nl is None and ns is None:
