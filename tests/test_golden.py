@@ -2,8 +2,11 @@
 
 One subprocess, started with ``OPENBLAS_NUM_THREADS=1`` so the setting holds
 before numpy loads, trains stage 1 and then stage 2 in each ``ABLATION_TERMS``
-mode for 2 epochs at the default widths on small datasets.  Two tiers check
-its outputs against ``PINNED_RUNS``:
+mode for 2 epochs at the default widths on small datasets.  A second stage-1
+run, ``stage1-carried``, banks prompts in the first 2 of the 4 visual layers,
+so layer 1 splices its prompts into the live sequence and they are carried
+up through the unprompted layers.  Two tiers check its outputs against
+``PINNED_RUNS``:
 
 * the digest tier compares the sha256 of each CSV log and summary and each
   checkpoint's ``sha256`` field (config, frozen set and tensors).  The
@@ -54,6 +57,19 @@ PINNED_RUNS = {'stage1': {'checkpoint': '034fc025344d0ff862274cabfb8115fd1b29098
                         'val_accuracy': 0.0,
                         'val_size': 6},
             'summary': '8754e52da195e4ebc2641aebc34c6a62d13f388826ef63ce1368dfd4872e3fa5'},
+ 'stage1-carried': {'checkpoint': 'f0eaab59b18a26ac7978cb25edaf62020fee5f6a96b6784f4c9eb561d46c5e32',
+                    'csv': 'ff299c8c0170aab6c553472cbe31c193c0d4c308a0d3a817d17e0cb5336d7a85',
+                    'log': [['epoch', 'train_loss', 'train_acc', 'val_acc'],
+                            [0, 2.3033799324770334, 0.20212765957446807, 0.16666666666666666],
+                            [1, 2.301401340175001, 0.2127659574468085, 0.0]],
+                    'metrics': {'epochs': 2,
+                                'prompt_parameters': 1280,
+                                'train_accuracy': 0.2127659574468085,
+                                'train_size': 94,
+                                'trainable_parameters': 6090,
+                                'val_accuracy': 0.0,
+                                'val_size': 6},
+                    'summary': '5bdb4f4b674982bc2c98ddd6350e2d7a77b01d32652642dc950b9a0b30ba79ef'},
  'stage2-cnt': {'checkpoint': 'e177dab593f9d8505d0e2915e73b05cef8220a0ad64587e9018869a0a2a47ad1',
                 'csv': 'ed3ba220e1fa1c972152581f767fc9c3c2ba90e5bf22e215da87d056e31a1d4b',
                 'log': [['step', 'l_ind_sum', 'l_ove', 'l_cnt', 'total'],
@@ -173,7 +189,8 @@ def golden_configs() -> dict:
     from navprompt.alignment import ABLATION_TERMS
     from navprompt.training import RunConfig
 
-    configs = {"stage1": RunConfig(out_dir="stage1", **GOLDEN_BASE)}
+    configs = {"stage1": RunConfig(out_dir="stage1", **GOLDEN_BASE),
+               "stage1-carried": RunConfig(out_dir="stage1-carried", prompt_layers=2, **GOLDEN_BASE)}
     for mode in ABLATION_TERMS:
         configs[f"stage2-{mode}"] = RunConfig(out_dir=mode, ablation=mode, **GOLDEN_BASE)
     return configs
@@ -195,8 +212,9 @@ def golden_runs() -> dict:
             return hashlib.sha256(fh.read()).hexdigest()
 
     configs = golden_configs()
-    stage1 = run_stage1(configs.pop("stage1"))
-    results = {"stage1": stage1, **{name: run_stage2(cfg, stage1.checkpoint_path) for name, cfg in configs.items()}}
+    results = {name: run_stage1(configs.pop(name)) for name in ("stage1", "stage1-carried")}
+    stage1 = results["stage1"].checkpoint_path
+    results.update({name: run_stage2(cfg, stage1) for name, cfg in configs.items()})
     runs = {}
     for name, result in results.items():
         with open(result.checkpoint_path, encoding="utf-8") as fh:
