@@ -53,6 +53,7 @@ from .tensor import (
     matmul,
     segment_mean,
     softmax,
+    splice_rows,
     take_rows,
 )
 
@@ -236,18 +237,17 @@ def _attention(xq: Tensor, xkv: Tensor, store: ParamStore, prefix: str, cfg: Enc
 
     Between the projections and ``wo`` the tape holds three nodes: the
     scores, their softmax and the context.  ``shared`` rows are projected
-    once and spliced in after key and value 0 inside the score and context
-    ops.
+    once, and ``splice_rows`` inserts the projected key and value rows after
+    key and value 0 of every sequence.
     """
     q = linear(xq, store[f"{prefix}.wq"], store[f"{prefix}.bq"])
     k = matmul(xkv, store[f"{prefix}.wk"])
     v = linear(xkv, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
-    k_shared = v_shared = None
     if shared is not None:
-        k_shared = matmul(shared, store[f"{prefix}.wk"])
-        v_shared = linear(shared, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
-    attn = softmax(attention_scores(q, k, cfg.heads, mask_bias, k_shared), axis=-1)
-    return linear(attention_context(attn, v, v_shared), store[f"{prefix}.wo"], store[f"{prefix}.bo"])
+        k = splice_rows(k, matmul(shared, store[f"{prefix}.wk"]))
+        v = splice_rows(v, linear(shared, store[f"{prefix}.wv"], store[f"{prefix}.bv"]))
+    attn = softmax(attention_scores(q, k, cfg.heads, mask_bias), axis=-1)
+    return linear(attention_context(attn, v), store[f"{prefix}.wo"], store[f"{prefix}.bo"])
 
 
 def encoder_layer(x: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
@@ -258,9 +258,9 @@ def encoder_layer(x: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
     Every live row is a key and value, but only the leading ``rows`` rows
     (all of them by default) are queried, projected and fed forward, so the
     output is (B, rows, d).  ``shared`` (H, d) rows, the same for every
-    sequence, join the keys and values right after position 0 but produce no
-    output.  ``mask_bias`` covers the live key positions only, so it is not
-    combined with ``shared``.
+    sequence, join the keys and values right after position 0 through
+    ``splice_rows``, a node that keeps no array, but produce no output.
+    ``mask_bias`` covers the live keys only, so attention refuses it with ``shared``.
     """
     g1, b1 = store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"]
     h = layer_norm(x, g1, b1)
@@ -278,11 +278,6 @@ def encoder_layer(x: Tensor, store: ParamStore, prefix: str, cfg: EncoderConfig,
 def _tile_param(t: Tensor, batch: int) -> Tensor:
     rows, d = t.shape
     return t.reshape(1, rows, d).expand((batch, rows, d))
-
-
-def _splice_rows(x: Tensor, rows: Tensor) -> Tensor:
-    """Insert 2-d ``rows``, tiled over the batch, after position 0 of ``x``."""
-    return concat([x[:, :1], _tile_param(rows, x.shape[0]), x[:, 1:]], axis=1)
 
 
 # -- visual encoder ---------------------------------------------------------------
@@ -327,7 +322,7 @@ def visual_encode(
             if i == last or i + 1 < banked:
                 shared = prompt
             else:
-                x = _splice_rows(x, prompt)
+                x = splice_rows(x, prompt)
                 carried = cfg.prompt_count
         x = encoder_layer(x, store, f"visual.layer{i}", cfg, shared=shared, rows=1 if cls_only and i == last else None)
     return LayerState(x[:, :1], None if cls_only else x[:, 1 + carried:])

@@ -26,8 +26,9 @@ joined the tape, so an op with one input never checks for its node.  The tape
 therefore holds no activation that no formula reads, and such an array is
 freed during the forward, as soon as the caller drops its last name:
 
-* ``__add__``, ``add_bias``, ``concat``, ``take_rows``, ``segment_mean``,
-  ``expand``, the views and ``__getitem__`` keep no input array;
+* ``__add__``, ``add_bias``, ``concat``, ``splice_rows``, ``take_rows``,
+  ``segment_mean``, ``expand``, the views and ``__getitem__`` keep no input
+  array;
 * ``softmax``, ``log_softmax``, ``sqrt`` and ``layer_norm`` keep arrays they
   made (their output, or ``xhat`` and ``1 / std``), not their input;
 * a product (``*``, ``/``, ``matmul``, ``linear`` and the two attention ops)
@@ -72,13 +73,14 @@ numpy would otherwise issue one small BLAS call per leading index, which
 OpenBLAS does not thread.
 
 Attention is three nodes between the projections and the output projection:
-``attention_scores`` (head split, scaled product, mask, with any shared key
-rows spliced in), ``softmax`` and ``attention_context`` (weighted values,
-heads merged, shared value rows spliced in).  Each op runs the numpy
-operations of the single-step nodes it replaces, on operands of the same
-layout, so outputs and gradients keep their bits.  Softmax stays a node of
-its own: it is the one step that is not a product or a view, and callers
-time and pin it apart.
+``attention_scores`` (head split, scaled product, mask), ``softmax`` and
+``attention_context`` (weighted values, heads merged).  Each op runs the
+numpy operations of the single-step nodes it replaces, on operands of the
+same layout, so outputs and gradients keep their bits.  Softmax stays a node
+of its own: it is the one step that is not a product or a view, and callers
+time and pin it apart.  Rows shared by every sequence, such as prompts, join
+the keys and values through ``splice_rows``, one node that keeps no array,
+before they reach the attention ops.
 
 Broadcasting is deliberately restricted: elementwise operations accept
 operands of identical shape or a 0-d scalar, nothing else.  The few places
@@ -612,75 +614,53 @@ def _heads_to_rows(g: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(b, s, h * dk)
 
 
-def _check_shared(op: str, live: Tensor, shared: Tensor | None) -> None:
-    if shared is not None and (shared.ndim != 2 or shared.shape[1] != live.shape[2]):
-        raise ShapeError(f"{op}: shared rows {shared.shape} do not match the width of {live.shape}")
+def splice_rows(live: Tensor, rows: Tensor) -> Tensor:
+    """(B, S, d) ``live`` with the (H, d) ``rows`` inserted after row 0 of every sequence: (B, S + H, d).
 
-
-def _splice(live: np.ndarray, shared: np.ndarray) -> np.ndarray:
-    """[row 0 | shared rows | rows 1:] of every sequence."""
-    return np.concatenate([live[:, :1], np.broadcast_to(shared, (live.shape[0],) + shared.shape), live[:, 1:]], axis=1)
-
-
-def _unsplicer(live: Tensor, shared: Tensor | None):
-    """The closure that hands a (B, S, d) gradient of spliced rows to ``live`` and ``shared``; None when neither takes one.
-
-    The live gradient is zeros plus two slice-adds, and the shared one the
-    slice's sum over the batch, as the getitem, concat, expand and reshape
-    nodes of ``[x[:, :1] | tiled rows | x[:, 1:]]`` compute them, so both
-    hold the same bits, signed zeros too.  ``g`` must be a fresh array the
-    caller owns: it, or with a batch of one its shared slice, is handed over.
+    Backward gives ``live`` zeros plus two slice-adds and ``rows`` the
+    slice's batch sum (none for a batch of one), as the getitem, concat,
+    expand and reshape nodes of ``[x[:, :1] | tiled rows | x[:, 1:]]`` do,
+    so both gradients keep their bits, signed zeros too.  It keeps no array.
     """
-    nl, ns = live._node, None if shared is None else shared._node
-    if nl is None and ns is None:
-        return None
-    live_shape = live.shape
-    shared_shape = None if shared is None else shared.shape
+    if live.ndim != 3 or rows.ndim != 2 or rows.shape[1] != live.shape[2]:
+        raise ShapeError(f"splice_rows: need (B, S, d) live rows and (H, d) rows of that width, "
+                         f"got {live.shape} and {rows.shape}")
+    nl, nr, live_shape, h = live._node, rows._node, live.shape, rows.shape[0]
 
-    def unsplice(g):
-        if shared_shape is None:
-            nl._accumulate(g, owned=True)
-            return
-        rows = shared_shape[0]
+    def _bw(g):
         if nl is not None:
             gl = np.zeros(live_shape)
             gl[:, :1] += g[:, :1]
-            gl[:, 1:] += g[:, 1 + rows:]
+            gl[:, 1:] += g[:, 1 + h:]
             nl._accumulate(gl, owned=True)
-        if ns is not None:
-            part = g[:, 1:1 + rows]
-            if g.shape[0] > 1:  # a batch of one tiles by no broadcast, so nothing is summed
-                part = part.sum(axis=0)
-            ns._accumulate(part.reshape(shared_shape), owned=True)
+        if nr is not None:
+            if g.shape[0] > 1:
+                nr._accumulate(g[:, 1:1 + h].sum(axis=0), owned=True)
+            else:  # a batch of one tiles by no broadcast, so nothing is summed
+                nr._accumulate(g[0, 1:1 + h])
 
-    return unsplice
+    spliced = np.concatenate([live.data[:, :1], np.broadcast_to(rows.data, (live_shape[0],) + rows.shape),
+                              live.data[:, 1:]], axis=1)
+    return Tensor._result(spliced, (live, rows), _bw)
 
 
-def attention_scores(q: Tensor, k: Tensor, heads: int, mask_bias: np.ndarray | None = None,
-                     shared: Tensor | None = None) -> Tensor:
+def attention_scores(q: Tensor, k: Tensor, heads: int, mask_bias: np.ndarray | None = None) -> Tensor:
     """Scaled, masked dot-product logits of ``heads`` heads, (B, h, s, S), as one node.
 
-    Queries ``q`` (B, s, d) meet keys ``k`` (B, S, d); optional ``shared``
-    (H, d) key rows, the same for every sequence, are spliced in after key 0.
-    ``mask_bias`` is added to the scaled logits and must not broadcast them;
-    it covers live keys only, so it does not come with ``shared``.  Forward
-    and backward run the numpy operations of the nodes this op replaces
-    (head-split views, ``matmul``, ``* (1 / sqrt(d / h))``, the mask added
-    as a constant operand of ``+`` and the splice), so every output and
-    gradient is bitwise equal to theirs.
+    Queries ``q`` (B, s, d) meet keys ``k`` (B, S, d).  ``mask_bias`` is
+    added to the scaled logits and must not broadcast them.  Forward and
+    backward run the numpy operations of the nodes this op replaces
+    (head-split views, ``matmul``, ``* (1 / sqrt(d / h))`` and the mask
+    added as a constant operand of ``+``), so every output and gradient is
+    bitwise equal to theirs.
     """
     if q.ndim != 3 or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
         raise ShapeError(f"attention_scores: need (B, s, d) queries and (B, S, d) keys, got {q.shape} and {k.shape}")
     b, s, d = q.shape
     if heads < 1 or d % heads:
         raise ShapeError(f"attention_scores: width {d} of {q.shape} does not split into {heads} heads")
-    _check_shared("attention_scores", k, shared)
-    keys = k.data if shared is None else _splice(k.data, shared.data)
-    shape = (b, heads, s, keys.shape[1])
+    shape = (b, heads, s, k.shape[1])
     if mask_bias is not None:
-        if shared is not None:
-            raise ShapeError(f"attention_scores: mask_bias {np.shape(mask_bias)} covers live keys only, "
-                             f"not {shared.shape[0]} shared rows")
         try:
             broadcast = np.broadcast_shapes(shape, np.shape(mask_bias))
         except ValueError:
@@ -688,31 +668,30 @@ def attention_scores(q: Tensor, k: Tensor, heads: int, mask_bias: np.ndarray | N
         if broadcast != shape:
             raise ShapeError(f"attention_scores: mask_bias {np.shape(mask_bias)} would broadcast scores {shape}")
     scale = 1.0 / np.sqrt(d // heads)
-    y = _split_heads(q.data, heads) @ _split_heads(keys, heads).swapaxes(-1, -2)
+    y = _split_heads(q.data, heads) @ _split_heads(k.data, heads).swapaxes(-1, -2)
     y *= scale
     if mask_bias is not None:
         y += mask_bias
     # the query gradient reads the keys, the key gradient the queries
-    nq, unsplice = q._node, _unsplicer(k, shared)
-    keys = keys if nq is not None else None
-    queries = q.data if unsplice is not None else None
+    nq, nk = q._node, k._node
+    keys = k.data if nq is not None else None
+    queries = q.data if nk is not None else None
 
     def _bw(g):
         gs = g * scale
         if nq is not None:
             nq._accumulate(_heads_to_rows(gs @ _split_heads(keys, heads)), owned=True)
-        if unsplice is not None:
+        if nk is not None:
             gk = _split_heads(queries, heads).swapaxes(-1, -2) @ gs
-            unsplice(_heads_to_rows(gk.swapaxes(-1, -2)))
+            nk._accumulate(_heads_to_rows(gk.swapaxes(-1, -2)), owned=True)
 
-    return Tensor._result(y, (q, k) if shared is None else (q, k, shared), _bw)
+    return Tensor._result(y, (q, k), _bw)
 
 
-def attention_context(attn: Tensor, v: Tensor, shared: Tensor | None = None) -> Tensor:
+def attention_context(attn: Tensor, v: Tensor) -> Tensor:
     """Attention weights (B, h, s, S) applied to values ``v`` (B, S, d), heads merged: (B, s, d).
 
-    Optional ``shared`` (H, d) value rows are spliced in after value 0, as in
-    ``attention_scores``.  Forward and backward are bitwise equal to
+    Forward and backward are bitwise equal to
     ``matmul(attn, heads(v)).transpose(0, 2, 1, 3).reshape(B, s, d)``.
     """
     if attn.ndim != 4 or v.ndim != 3 or attn.shape[0] != v.shape[0]:
@@ -722,24 +701,22 @@ def attention_context(attn: Tensor, v: Tensor, shared: Tensor | None = None) -> 
     d = v.shape[2]
     if d % heads:
         raise ShapeError(f"attention_context: width {d} of {v.shape} does not split into {heads} heads")
-    _check_shared("attention_context", v, shared)
-    values = v.data if shared is None else _splice(v.data, shared.data)
-    if attn.shape[3] != values.shape[1]:
-        raise ShapeError(f"attention_context: weights {attn.shape} do not cover {values.shape[1]} value rows")
-    out = (attn.data @ _split_heads(values, heads)).transpose(0, 2, 1, 3).reshape(b, s, d)
+    if attn.shape[3] != v.shape[1]:
+        raise ShapeError(f"attention_context: weights {attn.shape} do not cover {v.shape[1]} value rows")
+    out = (attn.data @ _split_heads(v.data, heads)).transpose(0, 2, 1, 3).reshape(b, s, d)
     # the weight gradient reads the values, the value gradient the weights
-    na, unsplice = attn._node, _unsplicer(v, shared)
-    values = values if na is not None else None
-    weights = attn.data if unsplice is not None else None
+    na, nv = attn._node, v._node
+    values = v.data if na is not None else None
+    weights = attn.data if nv is not None else None
 
     def _bw(g):
         g4 = np.ascontiguousarray(g.reshape(b, s, heads, d // heads).transpose(0, 2, 1, 3))
         if na is not None:
             na._accumulate(g4 @ _split_heads(values, heads).swapaxes(-1, -2), owned=True)
-        if unsplice is not None:
-            unsplice(_heads_to_rows(weights.swapaxes(-1, -2) @ g4))
+        if nv is not None:
+            nv._accumulate(_heads_to_rows(weights.swapaxes(-1, -2) @ g4), owned=True)
 
-    return Tensor._result(out, (attn, v) if shared is None else (attn, v, shared), _bw)
+    return Tensor._result(out, (attn, v), _bw)
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:

@@ -43,6 +43,7 @@ from navprompt.tensor import (
     no_grad,
     segment_mean,
     softmax,
+    splice_rows,
     take_rows,
 )
 from navprompt.training import (
@@ -70,6 +71,10 @@ def no_gc():
 
 def _pos(shape):
     return np.random.default_rng(3).uniform(0.5, 2.0, shape)
+
+
+def _spliced(rows):
+    return splice_rows(Tensor(_pos((2, 3, 3))), rows)
 
 
 # name -> builder of the op's output from one requires_grad input
@@ -106,14 +111,17 @@ OPS = {
     "masked_contrastive_loss": lambda x: masked_contrastive_loss(x[:3].reshape(1, 3, 3), np.array([2])),
     "attention_scores": lambda x: attention_scores(x.reshape(1, 4, 3), Tensor(_pos((1, 4, 3))), 3),
     "attention_context": lambda x: attention_context(x.reshape(1, 1, 4, 3), Tensor(_pos((1, 3, 2)))),
+    # the (4, 3) input as the rows spliced into every sequence, and as the live rows of one sequence
+    "splice_rows": _spliced,
+    "splice_rows_live": lambda x: splice_rows(x.reshape(1, 4, 3), Tensor(_pos((2, 3)))),
     # the (4, 3) input as the shared rows spliced into the keys and values
-    "attention_scores_shared": lambda x: attention_scores(Tensor(_pos((2, 2, 3))), Tensor(_pos((2, 3, 3))), 1,
-                                                          shared=x),
-    "attention_context_shared": lambda x: attention_context(Tensor(_pos((2, 1, 2, 7))), Tensor(_pos((2, 3, 3))), x),
+    "attention_scores_shared": lambda x: attention_scores(Tensor(_pos((2, 2, 3))), _spliced(x), 1),
+    "attention_context_shared": lambda x: attention_context(Tensor(_pos((2, 1, 2, 7))), _spliced(x)),
 }
-# case -> the op it runs: the 2-d token-id lookup text_encode makes, a weight, and the spliced shared rows
-CASE_OPS = {"embedding": "take_rows", "linear_weight": "linear", "attention_scores_shared": "attention_scores",
-            "attention_context_shared": "attention_context"}
+# case -> the op it runs: the 2-d token-id lookup text_encode makes, a weight, the live rows of a splice, and
+# attention over spliced shared rows
+CASE_OPS = {"embedding": "take_rows", "linear_weight": "linear", "splice_rows_live": "splice_rows",
+            "attention_scores_shared": "attention_scores", "attention_context_shared": "attention_context"}
 # differentiable ops defined outside tensor.py
 LOSS_OPS = {"kl_divergence", "masked_contrastive_loss"}
 
@@ -199,7 +207,7 @@ def test_backward_releases_the_op_node(name, no_gc):
 # input itself or a view of it
 KEPT_ARRAYS = {
     "__add__": [], "__radd__": [], "__neg__": [], "add_bias": [], "concat": [],
-    "reshape": [], "transpose": [], "expand": [], "__getitem__": [], "sum": [],
+    "splice_rows": [], "splice_rows_live": [], "reshape": [], "transpose": [], "expand": [], "__getitem__": [], "sum": [],
     "__mul__": [()], "__rmul__": [()], "__truediv__": [()],  # the constant operand
     "mean": [()],  # 1 / count
     "sqrt": [(4, 3)], "softmax": [(4, 3)], "log_softmax": [(4, 3)],  # the output

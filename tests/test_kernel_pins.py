@@ -4,8 +4,9 @@ The kernels in ``tensor.py`` compute in place, into as few buffers as they
 can, but with the same per-element operations in the same order as the
 plain-numpy formulas below.  The two attention ops are pinned against the
 composition of single-step tape ops they replace (head-split reshapes and
-transposes, ``matmul``, the scale, the mask added as a constant operand of
-``+`` and the spliced shared rows).  Each case compares the forward output
+transposes, ``matmul``, the scale and the mask added as a constant operand
+of ``+``), and ``splice_rows`` against the getitem, concat, expand and
+reshape nodes that insert shared rows.  Each case compares the forward output
 and the input gradients for one upstream gradient, bit for bit, so a change
 of operation order fails here instead of drifting the golden runs.
 """
@@ -16,8 +17,18 @@ import zlib
 import numpy as np
 import pytest
 
-from navprompt.encoders import MASK_BIAS, _splice_rows
-from navprompt.tensor import Tensor, attention_context, attention_scores, gelu, layer_norm, matmul, softmax
+from navprompt.encoders import MASK_BIAS
+from navprompt.tensor import (
+    Tensor,
+    attention_context,
+    attention_scores,
+    concat,
+    gelu,
+    layer_norm,
+    matmul,
+    softmax,
+    splice_rows,
+)
 
 _A = 0.044715
 _C = math.sqrt(2.0 / math.pi)
@@ -132,11 +143,17 @@ def test_softmax_matches_reference(shape, temperature):
         _assert_bitwise(got, ref_softmax(x, g, axis, temperature))
 
 
+def ref_splice_rows(x, rows):
+    """``[x[:, :1] | rows tiled over the batch | x[:, 1:]]``, composed of single-step tape ops."""
+    b, (h, d) = x.shape[0], rows.shape
+    return concat([x[:, :1], rows.reshape(1, h, d).expand((b, h, d)), x[:, 1:]], axis=1)
+
+
 def ref_attention_scores(q, k, heads, mask_bias=None, shared=None):
     b, s, d = q.shape
     dk = d // heads
     if shared is not None:
-        k = _splice_rows(k, shared)
+        k = ref_splice_rows(k, shared)
     q4 = q.reshape(b, s, heads, dk).transpose(0, 2, 1, 3)
     k4 = k.reshape(b, k.shape[1], heads, dk).transpose(0, 2, 1, 3)
     scores = matmul(q4, k4.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dk))
@@ -147,7 +164,7 @@ def ref_attention_context(attn, v, shared=None):
     b, h, s, _ = attn.shape
     d = v.shape[2]
     if shared is not None:
-        v = _splice_rows(v, shared)
+        v = ref_splice_rows(v, shared)
     v4 = v.reshape(b, v.shape[1], h, d // h).transpose(0, 2, 1, 3)
     return matmul(attn, v4).transpose(0, 2, 1, 3).reshape(b, s, d)
 
@@ -190,7 +207,7 @@ def test_attention_scores_match_composition(name):
     operands = [a["q"], a["k"]] + ([a["k_shared"]] if "k_shared" in a else [])
 
     def fused(q, k, shared=None):
-        return attention_scores(q, k, heads, mask, shared)
+        return attention_scores(q, k if shared is None else splice_rows(k, shared), heads, mask)
 
     def composed(q, k, shared=None):
         return ref_attention_scores(q, k, heads, mask, shared)
@@ -203,9 +220,12 @@ def test_attention_scores_match_composition(name):
 def test_attention_context_matches_composition(name):
     _, _, a = _attention_inputs(name)
     operands = [a["attn"], a["v"]] + ([a["v_shared"]] if "v_shared" in a else [])
+
+    def fused(attn, v, shared=None):
+        return attention_context(attn, v if shared is None else splice_rows(v, shared))
+
     # output, then the gradients of attn, v and the shared rows
-    _assert_identical(_run(attention_context, operands, a["g_context"]),
-                      _run(ref_attention_context, operands, a["g_context"]))
+    _assert_identical(_run(fused, operands, a["g_context"]), _run(ref_attention_context, operands, a["g_context"]))
 
 
 @pytest.mark.parametrize("name", ATTENTION)
@@ -217,7 +237,9 @@ def test_attention_chain_matches_composition(name):
     operands = [a["q"], a["k"], a["v"]] + ([a["k_shared"], a["v_shared"]] if shared else [])
 
     def fused(q, k, v, k_shared=None, v_shared=None):
-        return attention_context(softmax(attention_scores(q, k, heads, mask, k_shared)), v, v_shared)
+        if shared:
+            k, v = splice_rows(k, k_shared), splice_rows(v, v_shared)
+        return attention_context(softmax(attention_scores(q, k, heads, mask)), v)
 
     def composed(q, k, v, k_shared=None, v_shared=None):
         return ref_attention_context(softmax(ref_attention_scores(q, k, heads, mask, k_shared)), v, v_shared)

@@ -22,6 +22,7 @@ from navprompt.tensor import (
     matmul,
     segment_mean,
     softmax,
+    splice_rows,
     take_rows,
 )
 
@@ -236,6 +237,7 @@ ATT_Q, ATT_K, ATT_V = (_ATT.uniform(-1, 1, shape) for shape in ((2, 3, 4), (2, 4
 ATT_SHARED = _ATT.uniform(-1, 1, (2, 4))
 ATT_WEIGHTS = _ATT.uniform(0, 1, (2, 2, 3, 6))
 ATT_MASK = np.where(np.array([[0, 0, 1, 0], [0, 1, 0, 0]]) == 1, -1e9, 0.0)[:, None, None, :]
+SPLICE_WEIGHTS = np.arange(1.0, 49.0).reshape(2, 6, 4) / 48.0  # one weight per spliced output entry
 
 
 def _sq(t):
@@ -289,18 +291,26 @@ def _cube(t):
         ("attention_scores_masked",
          lambda x: (softmax(attention_scores(x, Tensor(ATT_K), 2, ATT_MASK)) * ATT_WEIGHTS[..., :4]).sum(), (2, 3, 4), {}),
         ("attention_scores_shared_k",
-         lambda x: _sq(attention_scores(Tensor(ATT_Q), x, 2, shared=Tensor(ATT_SHARED))).sum(), (2, 4, 4), {}),
-        ("attention_scores_shared", lambda x: _sq(attention_scores(Tensor(ATT_Q), Tensor(ATT_K), 2, shared=x)).sum(),
-         (2, 4), {}),
-        ("attention_context_weights", lambda x: _sq(attention_context(x, Tensor(ATT_V), Tensor(ATT_SHARED))).sum(),
-         (2, 2, 3, 6), {}),
+         lambda x: _sq(attention_scores(Tensor(ATT_Q), splice_rows(x, Tensor(ATT_SHARED)), 2)).sum(), (2, 4, 4), {}),
+        ("attention_scores_shared",
+         lambda x: _sq(attention_scores(Tensor(ATT_Q), splice_rows(Tensor(ATT_K), x), 2)).sum(), (2, 4), {}),
+        ("attention_context_weights",
+         lambda x: _sq(attention_context(x, splice_rows(Tensor(ATT_V), Tensor(ATT_SHARED)))).sum(), (2, 2, 3, 6), {}),
         ("attention_context_v", lambda x: _sq(attention_context(Tensor(ATT_WEIGHTS[..., :4]), x)).sum(), (2, 4, 4), {}),
         ("attention_context_shared_v",
-         lambda x: _sq(attention_context(Tensor(ATT_WEIGHTS), x, Tensor(ATT_SHARED))).sum(), (2, 4, 4), {}),
-        ("attention_context_shared", lambda x: _sq(attention_context(Tensor(ATT_WEIGHTS), Tensor(ATT_V), x)).sum(),
-         (2, 4), {}),
+         lambda x: _sq(attention_context(Tensor(ATT_WEIGHTS), splice_rows(x, Tensor(ATT_SHARED)))).sum(), (2, 4, 4), {}),
+        ("attention_context_shared",
+         lambda x: _sq(attention_context(Tensor(ATT_WEIGHTS), splice_rows(Tensor(ATT_V), x))).sum(), (2, 4), {}),
         ("attention_self", lambda x: _sq(attention_context(softmax(attention_scores(x, x, 2, ATT_MASK)), x)).sum(),
          (2, 4, 4), {}),
+        # splice_rows alone, each input checked at B = 2 and at B = 1 (no
+        # batch sum), every output row weighted apart
+        ("splice_rows_live", lambda x: (_sq(splice_rows(x, Tensor(ATT_SHARED))) * SPLICE_WEIGHTS).sum(), (2, 4, 4), {}),
+        ("splice_rows_rows", lambda x: (_sq(splice_rows(Tensor(ATT_K), x)) * SPLICE_WEIGHTS).sum(), (2, 4), {}),
+        ("splice_rows_live_one_sequence",
+         lambda x: (_sq(splice_rows(x, Tensor(ATT_SHARED))) * SPLICE_WEIGHTS[:1]).sum(), (1, 4, 4), {}),
+        ("splice_rows_rows_one_sequence",
+         lambda x: (_sq(splice_rows(Tensor(ATT_K[:1]), x)) * SPLICE_WEIGHTS[:1]).sum(), (2, 4), {}),
     ],
 )
 def test_gradient_matches_finite_differences(name, build, shape, kwargs):
@@ -327,14 +337,16 @@ class TestAttentionRefusals:
             attention_context(Tensor(ATT_WEIGHTS), Tensor(ATT_V))
 
     def test_shared_rows_must_have_the_width(self):
-        with pytest.raises(ShapeError, match=r"shared rows \(2, 6\) do not match the width of \(2, 4, 4\)"):
-            attention_scores(Tensor(ATT_Q), Tensor(ATT_K), 2, shared=Tensor(np.ones((2, 6))))
-        with pytest.raises(ShapeError, match=r"shared rows \(2, 6\) do not match the width of \(2, 4, 4\)"):
-            attention_context(Tensor(ATT_WEIGHTS), Tensor(ATT_V), Tensor(np.ones((2, 6))))
+        # splice_rows takes (B, S, d) live rows and (H, d) rows of the same width
+        for live, rows in ((ATT_K, np.ones((2, 6))), (ATT_K, np.ones((1, 2, 4))), (ATT_K[0], ATT_SHARED)):
+            with pytest.raises(ShapeError, match=r"splice_rows: need \(B, S, d\) live rows and \(H, d\) rows of that "
+                               + re.escape(f"width, got {live.shape} and {rows.shape}")):
+                splice_rows(Tensor(live), Tensor(rows))
 
     def test_mask_must_not_come_with_shared_rows_or_broadcast(self):
-        with pytest.raises(ShapeError, match=r"mask_bias \(2, 1, 1, 4\) covers live keys only, not 2 shared rows"):
-            attention_scores(Tensor(ATT_Q), Tensor(ATT_K), 2, ATT_MASK, Tensor(ATT_SHARED))
+        # a mask over the 4 live keys does not cover the 6 keys with 2 shared rows spliced in
+        with pytest.raises(ShapeError, match=re.escape("mask_bias (2, 1, 1, 4) would broadcast scores (2, 2, 3, 6)")):
+            attention_scores(Tensor(ATT_Q), splice_rows(Tensor(ATT_K), Tensor(ATT_SHARED)), 2, ATT_MASK)
         for mask in (np.zeros((2, 2, 3, 4, 1)), np.zeros((3, 1, 1, 4)), np.zeros(5)):
             with pytest.raises(ShapeError, match=re.escape(f"mask_bias {mask.shape} would broadcast scores (2, 2, 3, 4)")):
                 attention_scores(Tensor(ATT_Q), Tensor(ATT_K), 2, mask)
