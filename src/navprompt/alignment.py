@@ -119,7 +119,7 @@ def similarity_matrix(rx: Tensor, ry: Tensor) -> Tensor:
 
 
 def normalize(s: Tensor, mode: str, temperature: float = DEFAULT_TEMPERATURE) -> Tensor:
-    """Softmax of the similarity matrix along rows (mode="rows") or columns.
+    """Softmax of the similarity matrix over ``temperature`` along rows (mode="rows") or columns.
 
     Training's kernel computes its own masked softmax; this op is part of the
     reference composition the kernel tests compare against.
@@ -127,9 +127,9 @@ def normalize(s: Tensor, mode: str, temperature: float = DEFAULT_TEMPERATURE) ->
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     if mode == "rows":
-        return softmax(s, axis=1, temperature=temperature)
+        return softmax(s / temperature, axis=1)
     if mode == "cols":
-        return softmax(s, axis=0, temperature=temperature)
+        return softmax(s / temperature, axis=0)
     raise ParameterError(f"normalize mode must be 'rows' or 'cols', got {mode!r}")
 
 

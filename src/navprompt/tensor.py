@@ -579,14 +579,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)
 
 
-def softmax(t: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
+def softmax(t: Tensor, axis: int = -1) -> Tensor:
     """Exponential normalization along ``axis``, stabilized by max subtraction."""
-    if temperature <= 0:
-        raise ParameterError(f"softmax: temperature must be positive, got {temperature}")
     if not -t.ndim <= axis < t.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {t.shape}")
-    y = t.data / temperature
-    y -= y.max(axis=axis, keepdims=True)
+    y = t.data - t.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     n = t._node
@@ -596,7 +593,6 @@ def softmax(t: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
         inner = dx.sum(axis=axis, keepdims=True)
         np.subtract(g, inner, out=dx)
         dx *= y
-        dx /= temperature
         n._accumulate(dx, owned=True)
 
     return Tensor._result(y, (t,), _bw)

@@ -99,7 +99,7 @@ OPS = {
     # the (4, 3) input as the weight
     "linear_weight": lambda x: linear(Tensor(_pos((2, 4))), x, Tensor(_pos(3))),
     "concat": lambda x: concat([x, Tensor(_pos((1, 3)))], axis=0),
-    "softmax": lambda x: softmax(x, axis=1, temperature=0.5),
+    "softmax": lambda x: softmax(x, axis=1),
     "log_softmax": lambda x: log_softmax(x, axis=1),
     "layer_norm": lambda x: layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3))),
     "gelu": gelu,

@@ -137,9 +137,10 @@ def test_layer_norm_matches_reference(shape):
 @pytest.mark.parametrize("temperature", [1.0, 0.07, 2.5])
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
 def test_softmax_matches_reference(shape, temperature):
+    # attention's softmax at 1.0, and normalize's softmax(s / temperature) at the others
     _, x, g = _draw(f"softmax-{shape}-{temperature}", shape)
     for axis in (-1, 0):
-        got = _run(lambda t: softmax(t, axis=axis, temperature=temperature), [x], g)
+        got = _run(lambda t: softmax(t if temperature == 1.0 else t / temperature, axis=axis), [x], g)
         _assert_bitwise(got, ref_softmax(x, g, axis, temperature))
 
 

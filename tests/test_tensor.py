@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from navprompt.errors import ContractError, InputError, ParameterError, ShapeError
+from navprompt.errors import ContractError, InputError, ShapeError
 from navprompt.tensor import (
     Tensor,
     add_bias,
@@ -76,12 +76,12 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = softmax(Tensor([0.0, 0.0]), axis=0, temperature=1.0)
+        out = softmax(Tensor([0.0, 0.0]), axis=0)
         assert np.array_equal(out.data, [0.5, 0.5])
 
     def test_exponential_sum_oracle(self):
         x = np.array([math.log(1.0), math.log(3.0)])
-        out = softmax(Tensor(x), axis=0, temperature=1.0)
+        out = softmax(Tensor(x), axis=0)
         expected = np.exp(x) / np.exp(x).sum()
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-15)
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
@@ -95,13 +95,9 @@ class TestSoftmax:
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = rng.uniform(-5, 5, (4, 6))
-            out = softmax(Tensor(x), axis=1, temperature=rng.uniform(0.05, 2.0))
+            out = softmax(Tensor(x / rng.uniform(0.05, 2.0)), axis=1)
             np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(out.data > 0)
-
-    def test_nonpositive_temperature(self):
-        with pytest.raises(ParameterError):
-            softmax(Tensor([1.0, 2.0]), axis=0, temperature=0.0)
 
 
 class TestLayerNorm:
@@ -269,7 +265,7 @@ def _cube(t):
         ("concat", lambda x: _sq(concat([x, x * 2.0], axis=0)).sum(), (2, 3), {}),
         ("mean", lambda x: (x.mean(axis=1) * x.mean(axis=1)).sum(), (3, 4), {}),
         ("sum_axis", lambda x: _sq(x.sum(axis=0)).sum(), (3, 4), {}),
-        ("softmax", lambda x: (softmax(x, axis=1, temperature=0.7) * np.arange(12.0).reshape(3, 4)).sum(), (3, 4), {}),
+        ("softmax", lambda x: (softmax(x / 0.7, axis=1) * np.arange(12.0).reshape(3, 4)).sum(), (3, 4), {}),
         ("log_softmax", lambda x: (log_softmax(x, axis=1) * np.arange(12.0).reshape(3, 4)).sum(), (3, 4), {}),
         ("matmul", lambda x: _sq(matmul(x, Tensor(W_FIXED))).sum(), (5, 6), {}),
         ("matmul_stacked", lambda x: _sq(matmul(x, x.transpose(0, 2, 1))).sum(), (2, 3, 4), {}),
@@ -503,7 +499,7 @@ def test_elementwise_shape_error():
 def test_forward_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(13)
     x = Tensor(rng.uniform(-2, 2, (4, 6)), requires_grad=True)
-    y = softmax(layer_norm(gelu(x), Tensor(np.ones(6)), Tensor(np.zeros(6))), axis=1, temperature=0.1)
+    y = softmax(layer_norm(gelu(x), Tensor(np.ones(6)), Tensor(np.zeros(6))) / 0.1, axis=1)
     assert np.all(np.isfinite(y.data))
 
 
