@@ -44,7 +44,8 @@ def _add_runconfig_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(_flag(field.name), dest=field.name, default=None)
 
 
-def _build_runconfig(args: argparse.Namespace) -> RunConfig:
+def _build_runconfig(args: argparse.Namespace, required: tuple[str, ...] = ()) -> RunConfig:
+    """The RunConfig of the ``--config`` file overridden by flags; each ``required`` field must be set in one."""
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
@@ -55,15 +56,16 @@ def _build_runconfig(args: argparse.Namespace) -> RunConfig:
                 values[field.name] = coerce_field(field.name, given)
             except ParameterError as exc:
                 raise ParameterError(f"{_flag(field.name)}: {exc}") from None
+    for name in required:
+        if name not in values:
+            raise ParameterError(f"{args.command} requires {_flag(name)} or '{name} = ...' in its --config file")
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
 
 def _cmd_gen_data(args) -> int:
-    if args.seed is None:
-        raise ParameterError("gen-data requires --seed")
-    cfg = _build_runconfig(args)
+    cfg = _build_runconfig(args, required=("seed",))
     if args.kind == "indoor":
         samples = cfg.indoor_dataset()
         write_indoor_jsonl(samples, args.output)

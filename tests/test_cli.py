@@ -49,6 +49,23 @@ def test_gen_data_requires_seed(tmp_path, capsys):
     assert "ParameterError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["indoor", "trajectories"])
+def test_gen_data_reads_the_seed_from_the_config_file(tmp_path, capsys, kind):
+    sizes = ["--indoor-samples-per-class", "2", "--trajectory-count", "4"]
+    flag, from_file = tmp_path / "flag.jsonl", tmp_path / "file.jsonl"
+    assert main(["gen-data", "--kind", kind, "--seed", "3", *sizes, "--output", str(flag)]) == 0
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed = 3\n")
+    assert main(["gen-data", "--kind", kind, "--config", str(cfg_file), *sizes, "--output", str(from_file)]) == 0
+    assert from_file.read_bytes() == flag.read_bytes()
+    # with the seed in neither, one error line names both sources
+    cfg_file.write_text("stage1_epochs = 1\n")
+    capsys.readouterr()
+    assert main(["gen-data", "--kind", kind, "--config", str(cfg_file), "--output", str(from_file)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error[ParameterError]: gen-data requires --seed or 'seed = ...' in its --config file"]
+
+
 def test_gen_segment_prompts_round_trip(tmp_path, capsys):
     data = str(tmp_path / "traj.jsonl")
     rc = main(["gen-data", "--kind", "trajectories", "--seed", "3",
