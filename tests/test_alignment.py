@@ -24,6 +24,8 @@ from navprompt.errors import DivergenceError, NumericError, ParameterError, Shap
 from navprompt.optim import Optimizer, ParamStore, backward
 from navprompt.tensor import Tensor, softmax
 
+from block_loss import composed_loss
+
 
 class TestCosineSimilarity:
     def test_identical_vectors(self):
@@ -323,14 +325,6 @@ class TestTotalLoss:
             total_loss({})
 
 
-def composed_loss(text, vision, temperature=0.1, smoothing=0.05):
-    """The contrastive loss as a graph of separate ops: the kernel's reference."""
-    s = similarity_matrix(text, vision)
-    m = s.shape[0]
-    gt = ground_truth_matrix(m, effective_smoothing(m, smoothing))
-    return contrastive_loss(normalize(s, "rows", temperature), normalize(s, "cols", temperature), gt)
-
-
 def one_group_loss(text, vision, temperature=0.1, smoothing=0.05):
     """pairwise_alignment_loss of (M, d) rows, scored as the one group of a (1, M, d) stack."""
     m = text.shape[0]
@@ -373,7 +367,7 @@ class TestPairwiseAlignmentLoss:
         rng = np.random.default_rng(11)
         t0, v0 = rng.uniform(-1, 1, (3, 6)), rng.uniform(-1, 1, (3, 6))
         runs = []
-        for loss_fn in (one_group_loss, composed_loss):
+        for loss_fn in (one_group_loss, lambda t, v: composed_loss(t, v, 0.1, 0.05)):
             text, vision = Tensor(t0.copy(), requires_grad=True), Tensor(v0.copy(), requires_grad=True)
             loss = loss_fn(text, vision)
             loss.backward()

@@ -12,16 +12,7 @@ import numpy as np
 import pytest
 
 import navprompt.training as training
-from navprompt.alignment import (
-    ABLATION_MODES,
-    ABLATION_TERMS,
-    TERM_WEIGHTS,
-    contrastive_loss,
-    effective_smoothing,
-    ground_truth_matrix,
-    normalize,
-    similarity_matrix,
-)
+from navprompt.alignment import ABLATION_MODES, ABLATION_TERMS, TERM_WEIGHTS
 from navprompt.cli import main
 from navprompt.data import gen_trajectory_dataset, read_trajectory_jsonl, split_indices, write_trajectory_jsonl
 from navprompt.encoders import (
@@ -59,13 +50,7 @@ from navprompt.training import (
 )
 from navprompt.tensor import Tensor
 
-
-def _composed_loss(text, visual, cfg):
-    """The contrastive loss as a graph of separate ops, independent of the training kernel."""
-    s = similarity_matrix(text, visual)
-    m = s.shape[0]
-    gt = ground_truth_matrix(m, effective_smoothing(m, cfg.smoothing))
-    return contrastive_loss(normalize(s, "rows", cfg.temperature), normalize(s, "cols", cfg.temperature), gt)
+from block_loss import composed_loss
 
 
 def tiny_cfg(tmp_path, **overrides):
@@ -635,7 +620,7 @@ class TestAblationTable:
             else:
                 assert list(sizes) == [cfg.trajectory_count]
             assert text.shape[:2] == visual.shape[:2] == (len(sizes), max(sizes))
-            losses = [_composed_loss(Tensor(t[:m]), Tensor(v[:m]), cfg).item()
+            losses = [composed_loss(Tensor(t[:m]), Tensor(v[:m]), cfg.temperature, cfg.smoothing).item()
                       for t, v, m in zip(text.data, visual.data, sizes)]
             assert abs(values[term] - sum(losses) / len(losses)) < 1e-12
         full_metrics = run("full")[2]

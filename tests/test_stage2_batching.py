@@ -16,16 +16,7 @@ import numpy as np
 import pytest
 
 import navprompt.training as training
-from navprompt.alignment import (
-    ABLATION_MODES,
-    ABLATION_TERMS,
-    contrastive_loss,
-    effective_smoothing,
-    ground_truth_matrix,
-    normalize,
-    pairwise_alignment_loss,
-    similarity_matrix,
-)
+from navprompt.alignment import ABLATION_MODES, ABLATION_TERMS, pairwise_alignment_loss
 from navprompt.encoders import apply_stage_freeze, init_cross_params, init_text_params, init_visual_params
 from navprompt.optim import Optimizer, ParamStore, backward
 from navprompt.training import (
@@ -37,6 +28,8 @@ from navprompt.training import (
     stage2_features,
     stage2_losses,
 )
+
+from block_loss import composed_loss
 
 MAX_SUBPATHS = 5
 DRAWS = 8
@@ -78,14 +71,6 @@ def _features(model, idx, term):
     return (batch, *stage2_features(batch, store, enc, mode, (term,))[term])
 
 
-def _composed_loss(text, visual, cfg):
-    """One trajectory's contrastive loss as a graph of separate ops."""
-    s = similarity_matrix(text, visual)
-    m = s.shape[0]
-    gt = ground_truth_matrix(m, effective_smoothing(m, cfg.smoothing))
-    return contrastive_loss(normalize(s, "rows", cfg.temperature), normalize(s, "cols", cfg.temperature), gt)
-
-
 def _loss_and_grads(model, idx, term, batched):
     cfg, _, store, _, _ = model
     batch, text, visual, sizes = _features(model, idx, term)
@@ -94,7 +79,7 @@ def _loss_and_grads(model, idx, term, batched):
     else:
         loss = None
         for b, p in enumerate(batch):
-            part = _composed_loss(text[b, :p.m], visual[b, :p.m], cfg) * (1.0 / len(batch))
+            part = composed_loss(text[b, :p.m], visual[b, :p.m], cfg.temperature, cfg.smoothing) * (1.0 / len(batch))
             loss = part if loss is None else loss + part
     return loss.item(), backward(loss, store)
 
