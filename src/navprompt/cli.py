@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .alignment import ABLATION_MODES
-from .data import read_indoor_jsonl, read_trajectory_jsonl, write_indoor_jsonl, write_trajectory_jsonl
+from .data import read_indoor_jsonl, read_trajectory_jsonl, trajectory_record, write_indoor_jsonl, write_trajectory_jsonl
 from .encoders import EncoderConfig
 from .errors import CheckpointError, ConfigurationError, NavPromptError, ParameterError
 from .prompts import Vocabulary
@@ -80,14 +80,9 @@ def _cmd_segment(args) -> int:
     samples = read_trajectory_jsonl(args.input)
     with open(args.output, "w", encoding="utf-8") as fh:
         for s in samples:
-            ranges = [list(c) for c in s.chunks]
-            fh.write(json.dumps({
-                "instruction": s.instruction.text,
-                "path": s.viewpoints.tolist(),
-                "chunk_view": ranges,
-                "sub_instructions": s.sub_instructions,
-                "aligned_ranges": ranges,
-            }, allow_nan=False))
+            record = trajectory_record(s)
+            record["aligned_ranges"] = record["chunk_view"]
+            fh.write(json.dumps(record, allow_nan=False))
             fh.write("\n")
     print(f"segmented {len(samples)} records into {args.output}")
     return 0

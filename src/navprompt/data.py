@@ -212,19 +212,16 @@ def _parse_indoor(obj) -> IndoorSample:
     return IndoorSample(features=numeric_matrix(obj.get("features"), "features"), label=label)
 
 
+def trajectory_record(s: TrajectorySample) -> dict:
+    """The JSONL record of ``s`` that ``read_trajectory_jsonl`` reads back."""
+    return {"instruction": s.instruction.text, "path": s.viewpoints.tolist(),
+            "chunk_view": [list(c) for c in s.chunks], "sub_instructions": s.sub_instructions}
+
+
 def write_trajectory_jsonl(samples: list[TrajectorySample], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            fh.write(
-                json.dumps(
-                    {
-                        "instruction": s.instruction.text,
-                        "path": s.viewpoints.tolist(),
-                        "chunk_view": [list(c) for c in s.chunks],
-                        "sub_instructions": s.sub_instructions,
-                    }
-                )
-            )
+            fh.write(json.dumps(trajectory_record(s)))
             fh.write("\n")
 
 

@@ -84,9 +84,11 @@ class EncoderConfig:
             if type(value) is not type(f.default):
                 raise ConfigurationError(f"{f.name} expects {type(f.default).__name__}, got {value!r}")
         for name in ("d", "heads", "ff_mult", "visual_layers", "text_layers", "cross_layers", "num_patches",
-                     "num_classes", "max_text_len", "feature_dim"):
+                     "num_classes", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        if self.max_text_len < 3:  # [cls], one word and [sep]
+            raise ConfigurationError(f"max_text_len must be at least 3, got {self.max_text_len}")
         if self.d % self.heads != 0:
             raise ConfigurationError(f"width {self.d} not divisible by {self.heads} heads")
         if not (0 <= self.prompt_layers <= self.visual_layers):

@@ -23,12 +23,13 @@ OVERALL_SEPARATOR = ", "
 
 
 def ordinal(i: int) -> str:
-    """Ordinal word for small i, digit form ("11th") beyond the table."""
+    """Ordinal word for small i, digit form ("11th", "21st", "112th") beyond the table."""
     if i < 1:
         raise ParameterError(f"ordinal index must be >= 1, got {i}")
     if i <= len(ORDINAL_WORDS):
         return ORDINAL_WORDS[i - 1]
-    return f"{i}th"
+    suffix = "th" if i % 100 in (11, 12, 13) else {1: "st", 2: "nd", 3: "rd"}.get(i % 10, "th")
+    return f"{i}{suffix}"
 
 
 def count_prompt(m: int) -> str:

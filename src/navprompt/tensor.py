@@ -82,6 +82,10 @@ time and pin it apart.  Rows shared by every sequence, such as prompts, join
 the keys and values through ``splice_rows``, one node that keeps no array,
 before they reach the attention ops.
 
+Array indexing is one op, ``take_rows``, whose backward scatter-adds into
+the picked rows.  A pick of one entry per row is a pick of width-1 rows:
+``take_rows(t.reshape(-1, 1), np.arange(N) * C + cols)``.
+
 Broadcasting is deliberately restricted: elementwise operations accept
 operands of identical shape or a 0-d scalar, nothing else.  The few places
 that need axis broadcasting (bias rows, mask biases, tiling a parameter over
@@ -119,14 +123,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED.reset(token)
-
-
-def _as_array(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        if value.dtype == np.float64:
-            return value
-        return value.astype(np.float64)
-    return np.asarray(value, dtype=np.float64)
 
 
 class _Node:
@@ -183,7 +179,7 @@ class Tensor:
     __slots__ = ("data", "_node", "_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self._node: _Node | None = _Node() if requires_grad else None
         self._grad: np.ndarray | None = None
 
@@ -398,8 +394,6 @@ class Tensor:
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
         inv = tuple(int(i) for i in np.argsort(axes))
         n = self._node
 
@@ -432,7 +426,7 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         if isinstance(key, np.ndarray) or (isinstance(key, tuple) and any(isinstance(k, (np.ndarray, list)) for k in key)):
-            raise ContractError("advanced indexing is not supported; use take_rows/gather_index")
+            raise ContractError("advanced indexing is not supported; use take_rows")
         n, shape = self._node, self.shape
 
         def _bw(g):
@@ -448,11 +442,8 @@ class Tensor:
         n, shape = self._node, self.shape
 
         def _bw(g):
-            if axis is None:
-                n._accumulate(np.broadcast_to(g, shape).copy(), owned=True)
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                n._accumulate(np.broadcast_to(gg, shape).copy(), owned=True)
+            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+            n._accumulate(np.broadcast_to(gg, shape).copy(), owned=True)
 
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), _bw)
 
@@ -872,20 +863,3 @@ def segment_mean(x: Tensor, bounds) -> Tensor:
 
     return Tensor._result(np.matmul(member, x.data) * scale, (x,), _bw)
 
-
-def gather_index(t: Tensor, idx) -> Tensor:
-    """Pick t[i, idx[i]] from a 2-d tensor; backward scatters into the picks."""
-    idx = np.asarray(idx)
-    if t.ndim != 2 or idx.ndim != 1 or idx.shape[0] != t.shape[0]:
-        raise ShapeError(f"gather_index: need (N, C) tensor and (N,) ids, got {t.shape} and {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= t.shape[1]):
-        raise InputError(f"gather_index: index out of range [0, {t.shape[1]})")
-    rows = np.arange(t.shape[0])
-    n, shape = t._node, t.shape
-
-    def _bw(g):
-        if n.grad is None:
-            n.grad = np.zeros(shape)
-        np.add.at(n.grad, (rows, idx), g)
-
-    return Tensor._result(t.data[rows, idx], (t,), _bw)

@@ -83,7 +83,7 @@ from .errors import (
 from .optim import (DEFAULT_LEARNING_RATE, FiniteDifferenceReport, Optimizer, ParamStore, backward,
                     finite_difference_check)
 from .prompts import PAD_ID, Vocabulary, count_prompt, tokenize
-from .tensor import Tensor, concat, gather_index, linear, log_softmax, no_grad, take_rows
+from .tensor import Tensor, concat, linear, log_softmax, no_grad, take_rows
 
 CHECKPOINT_FORMAT_VERSION = 3
 # rows per batch of the forward-only passes: stage-1 accuracy, the viewpoint
@@ -161,7 +161,8 @@ class RunConfig(EncoderConfig):
                             ("indoor_samples_per_class", 1), ("trajectory_count", 1), ("subpaths_min", 1),
                             ("subpaths_max", "subpaths_min"), ("viewpoints_max", "viewpoints_min"),
                             ("viewpoints_max", "subpaths_max"), ("max_subpaths", "subpaths_max"),
-                            ("max_viewpoints", "viewpoints_max"), ("lambda1", 0), ("lambda2", 0)):
+                            ("max_viewpoints", "viewpoints_max"), ("lambda1", 0), ("lambda2", 0),
+                            ("num_classes", 2)):
             bound = getattr(self, least) if isinstance(least, str) else least
             if not getattr(self, name) >= bound:
                 label = f"{least} ({bound})" if isinstance(least, str) else bound
@@ -451,7 +452,8 @@ def stage1_loss(features: np.ndarray, labels: np.ndarray, store: ParamStore, enc
     """Mean cross-entropy of the head on prompted CLS features."""
     cls = visual_encode(features, store, enc, cls_only=True).cls.reshape(features.shape[0], enc.d)
     logp = log_softmax(classify_logits(cls, store), axis=-1)
-    return -gather_index(logp, labels).mean()
+    # each row's log-probability of its label, picked from the flattened (B * C, 1) rows
+    return -take_rows(logp.reshape(-1, 1), np.arange(features.shape[0]) * enc.num_classes + labels).mean()
 
 
 def _stage1_accuracy(samples: list[IndoorSample], indices: Sequence[int], store: ParamStore,

@@ -213,8 +213,9 @@ def test_two_stage_pipeline_and_eval(tmp_path, capsys):
     ("--subpaths-min", "0", "subpaths_min must be at least 1, got 0"),
     ("--trajectory-count", "0", "trajectory_count must be at least 1, got 0"),
     ("--indoor-samples-per-class", "0", "indoor_samples_per_class must be at least 1, got 0"),
+    ("--num-classes", "1", "num_classes must be at least 2, got 1"),
 ], ids=["indoor_noise", "viewpoint_noise", "duplicate_prob", "stage2_lr", "subpaths_min", "trajectory_count",
-        "indoor_samples_per_class"])
+        "indoor_samples_per_class", "num_classes"])
 def test_generator_ranges_are_refused_by_name(tmp_path, monkeypatch, capsys, flag, value, message):
     # the run setting is refused before any data is built or the output directory is made
     import navprompt.training as training
@@ -250,6 +251,24 @@ def test_layer_and_patch_counts_are_refused_by_name(tmp_path, monkeypatch, capsy
                  ["stage2", "--stage1-ckpt", str(tmp_path / "none.json"), "--out-dir", str(out)]):
         assert main([*argv, flag, value]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error[ConfigurationError]: {field} must be positive"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["2", "0"])
+def test_text_length_below_three_is_refused_by_name(tmp_path, monkeypatch, capsys, value):
+    # a text needs [cls], one word and [sep]: stage 1 used to save a checkpoint
+    # at a shorter length that stage 2 then failed on, naming tokenize's argument
+    import navprompt.training as training
+
+    for build in ("indoor_dataset", "trajectory_dataset"):
+        monkeypatch.setattr(training.RunConfig, build, lambda self: pytest.fail("data was built"))
+    out = tmp_path / "out"
+    for argv in (["gen-data", "--kind", "indoor", "--seed", "0", "--output", str(out / "x.jsonl")],
+                 ["stage1", "--out-dir", str(out)],
+                 ["stage2", "--stage1-ckpt", str(tmp_path / "none.json"), "--out-dir", str(out)]):
+        assert main([*argv, "--max-text-len", value]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[ConfigurationError]: max_text_len must be at least 3, got {value}"]
     assert not out.exists()
 
 

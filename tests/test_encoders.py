@@ -27,7 +27,7 @@ from navprompt.encoders import (
 from navprompt.errors import AlignmentError, ConfigurationError, ContractError, InputError, ParameterError, ShapeError
 from navprompt.optim import Optimizer, ParamStore, backward
 from navprompt.prompts import PAD_ID, Vocabulary, tokenize
-from navprompt.tensor import Tensor, gather_index, log_softmax, softmax
+from navprompt.tensor import Tensor, softmax
 
 
 def tiny_config(**overrides) -> EncoderConfig:
@@ -642,6 +642,7 @@ class TestGradientFidelity:
 
     def test_stage1_loss_grads_match_finite_differences(self):
         from navprompt.optim import finite_difference_check
+        from navprompt.training import stage1_loss
 
         cfg = tiny_config(prompt_count=2, prompt_layers=1, visual_layers=2, num_classes=2)
         store = build_store(cfg, seed=20)
@@ -650,13 +651,7 @@ class TestGradientFidelity:
         patches = rng.normal(size=(3, cfg.num_patches, cfg.feature_dim))
         labels = np.array([0, 1, 0])
 
-        def loss_fn(s):
-            state = visual_encode(patches, s, cfg)
-            logits = classify_logits(state.cls.reshape(patches.shape[0], cfg.d), s)
-            logp = log_softmax(logits, axis=-1)
-            return -gather_index(logp, labels).mean()
-
-        report = finite_difference_check(loss_fn, store, eps=1e-5)
+        report = finite_difference_check(lambda s: stage1_loss(patches, labels, s, cfg), store, eps=1e-5)
         assert report.max_rel_error < 1e-4, report.per_param
 
     def test_stage2_multilayer_grads_match_central_differences(self):

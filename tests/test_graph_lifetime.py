@@ -34,7 +34,6 @@ from navprompt.tensor import (
     attention_context,
     attention_scores,
     concat,
-    gather_index,
     gelu,
     layer_norm,
     linear,
@@ -105,7 +104,8 @@ OPS = {
     "gelu": gelu,
     "embedding": lambda x: take_rows(x, np.array([[0, 2], [3, 1]])),
     "take_rows": lambda x: take_rows(x, np.array([0, 0, 3])),
-    "gather_index": lambda x: gather_index(x, np.array([0, 2, 1, 1])),
+    # one entry per row, as the stage-1 cross-entropy picks its labels
+    "take_rows_pick": lambda x: take_rows(x.reshape(-1, 1), np.arange(4) * 3 + np.array([0, 2, 1, 1])),
     "kl_divergence": lambda x: kl_divergence(softmax(x[:3], axis=1), Tensor(np.full((3, 3), 1.0 / 3.0))),
     "segment_mean": lambda x: segment_mean(x.reshape(1, 4, 3), np.array([[[0, 2], [1, 4], [0, 0]]])),
     "masked_contrastive_loss": lambda x: masked_contrastive_loss(x[:3].reshape(1, 3, 3), np.array([2])),
@@ -118,10 +118,11 @@ OPS = {
     "attention_scores_shared": lambda x: attention_scores(Tensor(_pos((2, 2, 3))), _spliced(x), 1),
     "attention_context_shared": lambda x: attention_context(Tensor(_pos((2, 1, 2, 7))), _spliced(x)),
 }
-# case -> the op it runs: the 2-d token-id lookup text_encode makes, a weight, the live rows of a splice, and
-# attention over spliced shared rows
-CASE_OPS = {"embedding": "take_rows", "linear_weight": "linear", "splice_rows_live": "splice_rows",
-            "attention_scores_shared": "attention_scores", "attention_context_shared": "attention_context"}
+# case -> the op it runs: the 2-d token-id lookup text_encode makes, the stage-1 label pick, a weight, the live
+# rows of a splice, and attention over spliced shared rows
+CASE_OPS = {"embedding": "take_rows", "take_rows_pick": "take_rows", "linear_weight": "linear",
+            "splice_rows_live": "splice_rows", "attention_scores_shared": "attention_scores",
+            "attention_context_shared": "attention_context"}
 # differentiable ops defined outside tensor.py
 LOSS_OPS = {"kl_divergence", "masked_contrastive_loss"}
 
@@ -217,7 +218,7 @@ KEPT_ARRAYS = {
     "matmul": [(3, 2)], "linear": [(3, 2)],  # the weight
     "linear_weight": [(2, 4)],  # the input rows
     "embedding": [(2, 2)], "take_rows": [(3,)],  # the indices
-    "gather_index": [(4,), (4,)],  # the rows and the picks
+    "take_rows_pick": [(4,)],  # the indices
     "segment_mean": [(1, 3, 4), (1, 3, 1)],  # the membership and 1 / count
     "kl_divergence": [(3, 3)],  # the derivative in P
     # both softmaxes and their KL derivatives, and the block weights

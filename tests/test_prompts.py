@@ -36,7 +36,10 @@ class TestOrdinal:
 
     def test_digit_fallback(self):
         assert ordinal(11) == "11th"
-        assert ordinal(42) == "42th"
+        assert ordinal(42) == "42nd"
+        # st/nd/rd by the last digit, th for 11-13 in any hundred
+        assert [ordinal(i) for i in (21, 22, 23, 24, 111, 112, 113, 121)] == [
+            "21st", "22nd", "23rd", "24th", "111th", "112th", "113th", "121st"]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
@@ -54,6 +57,7 @@ class TestTemplates:
         assert sequential_prompt(1) == "this is the first action"
         assert sequential_prompt(3) == "this is the third action"
         assert sequential_prompt(11) == "this is the 11th action"
+        assert sequential_prompt(21) == "this is the 21st action"
 
     def test_individual_template(self):
         assert individual_prompt(1, "walk out of the bathroom") == "first, perform the action walk out of the bathroom"

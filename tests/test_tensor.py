@@ -14,7 +14,6 @@ from navprompt.tensor import (
     attention_context,
     attention_scores,
     concat,
-    gather_index,
     gelu,
     layer_norm,
     linear,
@@ -254,7 +253,10 @@ def _cube(t):
         ("neg", lambda x: (-x * x).sum(), (5,), {}),
         ("add_constant", lambda x: ((x + Tensor(np.arange(4.0))) * x).sum(), (4,), {}),
         ("take_rows", lambda x: (take_rows(x, np.array([0, 2, 2])) * take_rows(x, np.array([1, 1, 0]))).sum(), (3, 3), {}),
-        ("gather_index", lambda x: (gather_index(x, np.array([2, 0, 2])) * gather_index(x, np.array([2, 1, 0]))).sum(), (3, 3), {}),
+        # one entry per row, as width-1 rows of the flattened (3 * 3, 1) input
+        ("take_rows_pick",
+         lambda x: (take_rows(x.reshape(-1, 1), np.array([2, 3, 8])) * take_rows(x.reshape(-1, 1), np.array([2, 4, 6]))).sum(),
+         (3, 3), {}),
         ("sqrt", lambda x: (x + 3.0).sqrt().sum(), (3, 3), {}),
         ("linear", lambda x: _sq(linear(x, Tensor(W_FIXED), Tensor(np.arange(4.0)))).sum(), (3, 6), {}),
         ("gelu", lambda x: (gelu(x) * x).sum(), (3, 3), {}),
@@ -380,6 +382,16 @@ def test_take_rows_lookup_and_grad():
         expected[i] += 1.0
     np.testing.assert_array_equal(table.grad, expected)
 
+    # one entry per row, t[i, cols[i]], picked from the flattened width-1 rows
+    t = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    out = take_rows(t.reshape(-1, 1), np.arange(2) * 3 + np.array([2, 0]))
+    np.testing.assert_array_equal(out.data, [[2.0], [3.0]])
+    (out * out).sum().backward()
+    expected = np.zeros((2, 3))
+    expected[0, 2] = 2 * 2.0
+    expected[1, 0] = 2 * 3.0
+    np.testing.assert_array_equal(t.grad, expected)
+
 
 def test_take_rows_rejects_bad_indices():
     with pytest.raises(InputError):
@@ -390,17 +402,6 @@ def test_take_rows_rejects_bad_indices():
         take_rows(Tensor(np.zeros((4, 3))), np.array([0.0, 1.0]))
     with pytest.raises(ShapeError):
         take_rows(Tensor(np.zeros((2, 4, 3))), np.array([0]))
-
-
-def test_gather_index():
-    t = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    out = gather_index(t, np.array([2, 0]))
-    np.testing.assert_array_equal(out.data, [2.0, 3.0])
-    (out * out).sum().backward()
-    expected = np.zeros((2, 3))
-    expected[0, 2] = 2 * 2.0
-    expected[1, 0] = 2 * 3.0
-    np.testing.assert_array_equal(t.grad, expected)
 
 
 def test_linear_matches_manual():
