@@ -382,6 +382,8 @@ def test_take_rows_lookup_and_grad():
         expected[i] += 1.0
     np.testing.assert_array_equal(table.grad, expected)
 
+
+def test_gather_index():
     # one entry per row, t[i, cols[i]], picked from the flattened width-1 rows
     t = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     out = take_rows(t.reshape(-1, 1), np.arange(2) * 3 + np.array([2, 0]))
