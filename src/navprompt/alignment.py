@@ -44,7 +44,6 @@ reference for the kernel, and ``kl_divergence`` shares its entries with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -287,26 +286,16 @@ def masked_contrastive_loss(
     return Tensor._result(np.asarray(per_block.mean()), (s,), _bw)
 
 
-@dataclass
-class LossReport:
-    """Per-step loss terms (None when the mode leaves one out) and the optimized total."""
-
-    l_ind: float | None = None
-    l_ove: float | None = None
-    l_cnt: float | None = None
-    l_sub: float | None = None
-    total: float = 0.0
-
-
 def total_loss(
     terms: dict[str, Tensor],
     lambda1: float = DEFAULT_LAMBDA1,
     lambda2: float = DEFAULT_LAMBDA2,
-) -> tuple[Tensor, LossReport]:
-    """The weighted sum of the active loss terms, added in the given order.
+) -> tuple[Tensor, dict[str, float]]:
+    """The weighted sum of the active loss terms, added in the given order, and each one's value.
 
     Each term is weighted as ``TERM_WEIGHTS`` says: ove by lambda1, cnt by
-    lambda2, ind and sub by 1.
+    lambda2, ind and sub by 1.  The values are keyed by term name, the
+    unweighted ones, plus ``"total"``; a term the mode leaves out has no key.
     """
     if not terms:
         raise ParameterError("total_loss needs at least one loss term")
@@ -318,14 +307,14 @@ def total_loss(
             raise NumericError(f"loss component {name} is not finite: {v}")
         return v
 
-    report = LossReport()
+    values = {}
     total: Tensor | None = None
     for term, loss in terms.items():
         if term not in TERM_WEIGHTS:
             raise ParameterError(f"unknown loss term {term!r}")
-        setattr(report, f"l_{term}", _value(loss, f"l_{term}"))
+        values[term] = _value(loss, f"l_{term}")
         weight = TERM_WEIGHTS[term]
         weighted = loss if weight is None else loss * coefficients[weight]
         total = weighted if total is None else total + weighted
-    report.total = _value(total, "total")
-    return total, report
+    values["total"] = _value(total, "total")
+    return total, values

@@ -14,11 +14,8 @@ import sys
 
 import numpy as np
 
-from .alignment import ABLATION_MODES
 from .data import read_indoor_jsonl, read_trajectory_jsonl, trajectory_record, write_indoor_jsonl, write_trajectory_jsonl
-from .encoders import EncoderConfig
-from .errors import CheckpointError, ConfigurationError, NavPromptError, ParameterError
-from .prompts import Vocabulary
+from .errors import NavPromptError, ParameterError
 from .training import (
     RunConfig,
     coerce_field,
@@ -113,18 +110,11 @@ def _cmd_stage2(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    store, config = load_checkpoint(args.ckpt)
-    if "vocab" not in config:
-        raise ConfigurationError(f"{args.ckpt}: no vocab in its config; eval needs a stage-2 checkpoint")
-    mode = config.get("ablation")
-    if mode not in ABLATION_MODES:
-        raise CheckpointError(f"{args.ckpt}: config records no known ablation mode ({mode!r}); "
-                              "re-run stage 2 to get a checkpoint that does")
-    enc = EncoderConfig(**config["encoder"])
+    store, enc, vocab, config = load_checkpoint(args.ckpt, "stage2")
     dataset = read_trajectory_jsonl(args.data)
     features = precompute_viewpoint_features(dataset, store, enc)
-    prepared = prepare_trajectories(dataset, Vocabulary(config["vocab"]), enc, features)
-    metrics = evaluate_retrieval(store, enc, prepared, mode=mode)
+    prepared = prepare_trajectories(dataset, vocab, enc, features)
+    metrics = evaluate_retrieval(store, enc, prepared, mode=config["ablation"])
     print(json.dumps(metrics, indent=2, allow_nan=False))
     return 0
 
@@ -172,13 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stage2", help="contrastive prompt alignment")
     p.add_argument("--config")
-    p.add_argument("--stage1-ckpt", required=True)
+    p.add_argument("--stage1-ckpt", required=True, help="the stage1_checkpoint.json that stage 1 wrote")
     p.add_argument("--data", help="trajectory JSONL (generated when omitted)")
     _add_runconfig_flags(p)
     p.set_defaults(fn=_cmd_stage2)
 
     p = sub.add_parser("eval", help="retrieval metrics for a stage-2 checkpoint, in the mode it trained")
-    p.add_argument("--ckpt", required=True)
+    p.add_argument("--ckpt", required=True, help="the stage2_checkpoint.json that stage 2 wrote")
     p.add_argument("--data", required=True)
     p.set_defaults(fn=_cmd_eval)
 

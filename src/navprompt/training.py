@@ -42,7 +42,6 @@ from .alignment import (
     DEFAULT_SMOOTHING,
     DEFAULT_TEMPERATURE,
     PROMPTED_MODES,
-    LossReport,
     pairwise_alignment_loss,
     retrieval_terms,
     similarity_matrix,
@@ -285,11 +284,13 @@ def layout_mismatch(store: ParamStore, expected: dict[str, tuple[int, ...]]) -> 
     return None
 
 
-def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
-    """Load and verify a checkpoint; nothing is returned on failure.
+def load_checkpoint(path: str, stage: str) -> tuple[ParamStore, EncoderConfig, Vocabulary | None, dict]:
+    """Load and verify a ``stage`` checkpoint; nothing is returned on failure.
 
-    The digest is compared before the config is read, so the config checks
-    that follow it see only what a writer signed.
+    Returns the store, the encoder config and the vocabulary (None for
+    stage 1) that the checks built, and the config.  The digest is compared
+    before the config is read, so the config checks that follow it see only
+    what a writer signed.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -342,21 +343,28 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
             "(corrupted or edited)"
         )
 
+    found = config.get("stage")
+    if found != stage:
+        raise CheckpointError(f"{path}: config records stage {found!r}, where a {stage!r} checkpoint is needed")
+    if stage == "stage2" and config.get("ablation") not in ABLATION_MODES:
+        raise CheckpointError(f"{path}: config records no known ablation mode ({config.get('ablation')!r}); "
+                              "re-run stage 2 to get a checkpoint that does")
     if not isinstance(config.get("encoder"), dict):
         raise CheckpointError(f"{path}: config has no 'encoder' object")
     try:
-        vocab_size = len(Vocabulary(config["vocab"])) if "vocab" in config else None
+        vocab = Vocabulary(config.get("vocab")) if stage == "stage2" else None
     except ParameterError as exc:
         raise CheckpointError(f"{path}: invalid vocab ({exc})") from exc
     try:
-        expected = param_shapes(EncoderConfig(**config["encoder"]), vocab_size)
+        enc = EncoderConfig(**config["encoder"])
+        expected = param_shapes(enc, None if vocab is None else len(vocab))
     except (TypeError, ConfigurationError) as exc:
         raise CheckpointError(f"{path}: invalid encoder config ({exc})") from exc
     mismatch = layout_mismatch(store, expected)
     if mismatch:
         raise CheckpointError(f"{path}: {mismatch}")
     store.set_frozen(set(frozen) & set(store.names()))
-    return store, config
+    return store, enc, vocab, config
 
 
 @dataclass
@@ -588,23 +596,13 @@ def build_vocabulary(dataset: list[TrajectorySample], max_subpaths: int) -> Voca
 
 def prepare_trajectories(dataset: list[TrajectorySample], vocab: Vocabulary, enc: EncoderConfig,
                          viewpoints: Sequence[np.ndarray]) -> list[_Prepared]:
-    """Each trajectory's token ids, with its features from ``precompute_viewpoint_features(dataset, ...)``.
-
-    A trajectory with more viewpoints or sub-paths than the cross-modal
-    encoder's position tables hold is refused here, by its index, before any
-    step runs.
-    """
+    """Each trajectory's token ids, with its features from ``precompute_viewpoint_features(dataset, ...)``."""
     prepared = []
-    for i, (sample, features) in enumerate(zip(dataset, viewpoints, strict=True)):
-        length, m = len(sample.viewpoints), len(sample.chunks)
-        if length > enc.max_viewpoints or m > enc.max_subpaths:
-            raise ConfigurationError(f"trajectory {i} has {length} viewpoints and {m} sub-paths; the encoder "
-                                     f"takes at most max_viewpoints {enc.max_viewpoints} and max_subpaths "
-                                     f"{enc.max_subpaths}")
+    for sample, features in zip(dataset, viewpoints, strict=True):
         # int32 holds any vocabulary id at half the bytes; every reader uses the values alone
         ids = {name: np.array([tokenize(t, vocab, enc.max_text_len) for t in texts], dtype=np.int32)
                for name, texts in _texts_for(sample).items()}
-        prepared.append(_Prepared(sample, m, ids, features))
+        prepared.append(_Prepared(sample, len(sample.chunks), ids, features))
     return prepared
 
 
@@ -616,13 +614,19 @@ def precompute_viewpoint_features(dataset: list[TrajectorySample], store: ParamS
     patch position's final-layer output, whose residual stream keeps the
     viewpoint's own content (the CLS position is reserved for the stage-1
     classification contract and is nearly input-independent at small init).
-    A trajectory whose viewpoints are not ``feature_dim`` wide is refused by
-    its index.
+    A trajectory whose viewpoints are not ``feature_dim`` wide, or with more
+    viewpoints or sub-paths than the cross-modal encoder's position tables
+    hold, is refused by its index before any viewpoint is encoded.
     """
     for i, s in enumerate(dataset):
+        length, m = s.viewpoints.shape[0], len(s.chunks)
         if s.viewpoints.shape[1] != enc.feature_dim:
             raise ConfigurationError(f"trajectory {i} has viewpoints {s.viewpoints.shape[1]} wide; the encoder "
                                      f"takes feature_dim {enc.feature_dim}")
+        if length > enc.max_viewpoints or m > enc.max_subpaths:
+            raise ConfigurationError(f"trajectory {i} has {length} viewpoints and {m} sub-paths; the encoder "
+                                     f"takes at most max_viewpoints {enc.max_viewpoints} and max_subpaths "
+                                     f"{enc.max_subpaths}")
     all_rows = np.concatenate([s.viewpoints for s in dataset], axis=0)
     outputs = []
     with no_grad():
@@ -727,7 +731,7 @@ def stage2_losses(
     store: ParamStore,
     enc: EncoderConfig,
     cfg: RunConfig,
-) -> tuple[Tensor, LossReport]:
+) -> tuple[Tensor, dict[str, float]]:
     """The weighted alignment loss of one mini-batch under cfg.ablation.
 
     Each term's loss is the mean of its groups' contrastive losses: one per
@@ -749,8 +753,7 @@ def _add_stage2_params(store: ParamStore, enc: EncoderConfig, vocab_size: int, r
 def run_stage2(cfg: RunConfig, stage1_checkpoint: str, dataset: list[TrajectorySample] | None = None) -> StageResult:
     cfg.validate()
     enc = cfg.encoder()
-    store, ckpt_config = load_checkpoint(stage1_checkpoint)
-    built = EncoderConfig(**ckpt_config["encoder"])
+    store, built, _, _ = load_checkpoint(stage1_checkpoint, "stage1")
     differ = [f"{f.name} {getattr(built, f.name)} (run: {getattr(enc, f.name)})"
               for f in fields(EncoderConfig) if getattr(built, f.name) != getattr(enc, f.name)]
     if differ:
@@ -766,15 +769,15 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint: str, dataset: list[TrajectoryS
     features = precompute_viewpoint_features(dataset, store, enc)
     prepared = prepare_trajectories(dataset, vocab, enc, features)
 
-    epochs = []  # each epoch's per-step LossReports
+    epochs = []  # each epoch's per-step term values, see total_loss
     _train(store, "stage2", cfg.stage2_lr, cfg.stage2_epochs, cfg.stage2_batch_size, train_idx,
            np.random.default_rng([cfg.seed, 22]),
            lambda batch: stage2_losses([prepared[i] for i in batch], store, enc, cfg), epochs.append)
     # the l_ind_sum column holds the per-trajectory term, a mean over the batch: ind, or sub
-    rows = [[step, *map(_float_cell, (r.l_ind if r.l_sub is None else r.l_sub, r.l_ove, r.l_cnt, r.total))]
+    rows = [[step, *map(_float_cell, (r.get("ind", r.get("sub")), r.get("ove"), r.get("cnt"), r["total"]))]
             for step, r in enumerate(r for reports in epochs for r in reports)]
     metrics = {
-        "epoch_total_loss": [float(np.mean([r.total for r in reports])) for reports in epochs],
+        "epoch_total_loss": [float(np.mean([r["total"] for r in reports])) for reports in epochs],
         "trainable_parameters": int(sum(store[n].size for n in store.trainable_names())),
         "train_size": len(train_idx),
         "val_size": len(val_idx),

@@ -266,7 +266,7 @@ def test_criterion_10_determinism_and_persistence(workdir, stage2_runs):
 
     # round trip: every tensor bitwise identical, frozen set preserved
     _, full, _, _ = stage2_runs
-    loaded, _ = load_checkpoint(full.checkpoint_path)
+    loaded = load_checkpoint(full.checkpoint_path, "stage2")[0]
     for name in full.store.names():
         assert loaded[name].data.tobytes() == full.store[name].data.tobytes()
     assert loaded.frozen == full.store.frozen

@@ -9,9 +9,7 @@ import pytest
 
 from navprompt.cli import main
 from navprompt.data import read_trajectory_jsonl
-from navprompt.encoders import EncoderConfig
 from navprompt.errors import CheckpointError, ParameterError
-from navprompt.prompts import Vocabulary
 from navprompt.training import (
     RunConfig,
     build_vocabulary,
@@ -192,8 +190,7 @@ def test_two_stage_pipeline_and_eval(tmp_path, capsys):
     metrics = json.loads(capsys.readouterr().out)
     assert set(metrics) == {"subpair_accuracy", "trajectory_accuracy", "count_accuracy"}
     # the checkpoint's vocabulary is the one stage 2 fitted to its training data
-    store, config = load_checkpoint(ckpt2)
-    enc = EncoderConfig(**config["encoder"])
+    store, enc, _, _ = load_checkpoint(ckpt2, "stage2")
     vocab = build_vocabulary(read_trajectory_jsonl(train), enc.max_subpaths)
     dataset = read_trajectory_jsonl(data)
     prepared = prepare_trajectories(dataset, vocab, enc, precompute_viewpoint_features(dataset, store, enc))
@@ -397,15 +394,13 @@ def _sub_only_run(tmp_path, capsys):
 def test_eval_reads_the_mode_from_the_checkpoint(tmp_path, capsys):
     # a sub_only run trains no count token, so its evaluation has no count metric
     ckpt, data = _sub_only_run(tmp_path, capsys)
-    assert load_checkpoint(ckpt)[1]["ablation"] == "sub_only"
+    assert load_checkpoint(ckpt, "stage2")[3]["ablation"] == "sub_only"
     assert main(["eval", "--ckpt", ckpt, "--data", data]) == 0
     metrics = json.loads(capsys.readouterr().out)
     assert metrics["count_accuracy"] is None
-    store, config = load_checkpoint(ckpt)
-    enc = EncoderConfig(**config["encoder"])
+    store, enc, vocab, _ = load_checkpoint(ckpt, "stage2")
     dataset = read_trajectory_jsonl(data)
-    prepared = prepare_trajectories(dataset, Vocabulary(config["vocab"]), enc,
-                                    precompute_viewpoint_features(dataset, store, enc))
+    prepared = prepare_trajectories(dataset, vocab, enc, precompute_viewpoint_features(dataset, store, enc))
     assert metrics == evaluate_retrieval(store, enc, prepared, mode="sub_only")
     # the mode is the checkpoint's; there is no flag to override it
     with pytest.raises(SystemExit) as exc:
@@ -417,7 +412,7 @@ def test_eval_reads_the_mode_from_the_checkpoint(tmp_path, capsys):
 def test_eval_refuses_a_checkpoint_without_a_known_mode(tmp_path, capsys):
     # a stage-2 checkpoint written before the config recorded its mode is refused in one line
     ckpt, data = _sub_only_run(tmp_path, capsys)
-    store, config = load_checkpoint(ckpt)
+    store, _, _, config = load_checkpoint(ckpt, "stage2")
     del config["ablation"]
     save_checkpoint(store, config, ckpt)
     assert main(["eval", "--ckpt", ckpt, "--data", data]) == 2
@@ -457,11 +452,11 @@ def test_stage2_refuses_a_checkpoint_with_key_biases(tmp_path, capsys):
     # while it did still carries visual.layer*.attn.bk, signed by its writer: it is refused
     assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
     ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
-    store, config = load_checkpoint(ckpt)
+    store, _, _, config = load_checkpoint(ckpt, "stage1")
     store.add("visual.layer0.attn.bk", np.zeros(16), trainable=False)
     save_checkpoint(store, config, ckpt)
     with pytest.raises(CheckpointError, match=r"extra \['visual\.layer0\.attn\.bk'\]"):
-        load_checkpoint(ckpt)
+        load_checkpoint(ckpt, "stage1")
     assert main(["stage2", "--stage1-ckpt", ckpt, *_cfg_flags(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error[CheckpointError]: ") and "visual.layer0.attn.bk" in err
@@ -474,11 +469,11 @@ def test_eval_refuses_a_checkpoint_with_deep_prompt_mode(tmp_path, capsys):
     s1 = json.loads(capsys.readouterr().out)["checkpoint"]
     assert main(["stage2", "--stage1-ckpt", s1, *_cfg_flags(tmp_path, **{"stage2-epochs": 0})]) == 0
     ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
-    store, config = load_checkpoint(ckpt)
+    store, _, _, config = load_checkpoint(ckpt, "stage2")
     config["encoder"]["deep_prompt_mode"] = "replace"
     save_checkpoint(store, config, ckpt)
     with pytest.raises(CheckpointError, match="invalid encoder config .*'deep_prompt_mode'") as exc:
-        load_checkpoint(ckpt)
+        load_checkpoint(ckpt, "stage2")
     assert str(exc.value).startswith(f"{ckpt}: ")
     assert main(["eval", "--ckpt", ckpt, "--data", ckpt]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -514,7 +509,29 @@ def test_eval_refuses_a_stage1_checkpoint(tmp_path, capsys):
     rc = main(["eval", "--ckpt", ckpt, "--data", data])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error[ConfigurationError]: {ckpt}: no vocab in its config; eval needs a stage-2 checkpoint"]
+    assert err == [f"error[CheckpointError]: {ckpt}: config records stage 'stage1', where a 'stage2' checkpoint "
+                   "is needed"]
+
+
+def test_each_command_refuses_the_other_stages_checkpoint(tmp_path, monkeypatch, capsys):
+    # the signed stage is checked on load, before any data is built or read and before any output is written
+    import navprompt.cli as cli
+    import navprompt.training as training
+
+    assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
+    s1 = json.loads(capsys.readouterr().out)["checkpoint"]
+    assert main(["stage2", "--stage1-ckpt", s1, *_cfg_flags(tmp_path, **{"stage2-epochs": 0})]) == 0
+    s2 = json.loads(capsys.readouterr().out)["checkpoint"]
+    monkeypatch.setattr(training.RunConfig, "trajectory_dataset", lambda self: pytest.fail("data was built"))
+    monkeypatch.setattr(cli, "read_trajectory_jsonl", lambda path: pytest.fail("data was read"))
+    out = tmp_path / "out"
+    for argv, ckpt, found, needed in (
+            (["stage2", "--stage1-ckpt", s2, *_cfg_flags(tmp_path), "--out-dir", str(out)], s2, "stage2", "stage1"),
+            (["eval", "--ckpt", s1, "--data", s1], s1, "stage1", "stage2")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[CheckpointError]: {ckpt}: config records stage {found!r}, where a {needed!r} checkpoint is needed"]
+    assert not out.exists()
 
 
 # values that parse but that RunConfig.validate refuses before any data is

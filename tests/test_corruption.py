@@ -127,17 +127,18 @@ def test_checkpoint(tmp_path):
     init_text_params(store, enc, 5, rng)
     init_cross_params(store, enc, rng)
     store.set_frozen({"visual.cls", "text.tok_embed"})
-    config = {"encoder": dataclasses.asdict(enc), "vocab": ["<pad>", "<unk>", "<cls>", "<sep>", "left"], "seed": 3}
+    config = {"encoder": dataclasses.asdict(enc), "stage": "stage2", "ablation": "full",
+              "vocab": ["<pad>", "<unk>", "<cls>", "<sep>", "left"], "seed": 3}
     path = tmp_path / "reference.json"
     save_checkpoint(store, config, str(path))
 
     def accepted(loaded, bad):
-        loaded_store, loaded_config = loaded
+        loaded_store, _, _, loaded_config = loaded
         assert loaded_config == config and loaded_store.frozen == store.frozen
         assert sorted(loaded_store.names()) == sorted(store.names())
         for name in store.names():
             assert loaded_store[name].data.tobytes() == store[name].data.tobytes()
 
-    refused = _fuzz(tmp_path, "ckpt.json", path.read_bytes(), 4, load_checkpoint, accepted)
+    refused = _fuzz(tmp_path, "ckpt.json", path.read_bytes(), 4, lambda p: load_checkpoint(p, "stage2"), accepted)
     assert refused > ROUNDS // 2
 

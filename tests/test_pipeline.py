@@ -96,6 +96,7 @@ def _signed(tensors: dict, config=None, frozen=()) -> str:
 
 _W = {"w": {"shape": [1], "data": _f64(1.0)}}
 _RESERVED = ["<pad>", "<unk>", "<cls>", "<sep>"]
+_STAGE2 = {"stage": "stage2", "ablation": "full"}
 
 
 class TestCheckpoints:
@@ -105,8 +106,8 @@ class TestCheckpoints:
         init_visual_params(store, cfg.encoder(), np.random.default_rng(0))
         store.set_frozen({"visual.cls"})
         path = str(tmp_path / "ckpt.json")
-        save_checkpoint(store, {"encoder": dataclasses.asdict(cfg.encoder())}, path)
-        loaded, config = load_checkpoint(path)
+        save_checkpoint(store, {"encoder": dataclasses.asdict(cfg.encoder()), "stage": "stage1"}, path)
+        loaded = load_checkpoint(path, "stage1")[0]
         assert set(loaded.names()) == set(store.names())
         for name in store.names():
             assert loaded[name].data.tobytes() == store[name].data.tobytes()
@@ -122,7 +123,7 @@ class TestCheckpoints:
         with open(path, "w") as fh:
             fh.write(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+            load_checkpoint(path, "stage1")
 
     def test_config_mismatch_names_tensor(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -130,16 +131,16 @@ class TestCheckpoints:
         init_visual_params(store, cfg.encoder(), np.random.default_rng(0))
         wrong = dataclasses.asdict(tiny_cfg(tmp_path, d=32, heads=2).encoder())
         path = str(tmp_path / "ckpt.json")
-        save_checkpoint(store, {"encoder": wrong}, path)
+        save_checkpoint(store, {"encoder": wrong, "stage": "stage1"}, path)
         with pytest.raises(CheckpointError, match=r"has shape .* config implies"):
-            load_checkpoint(path)
+            load_checkpoint(path, "stage1")
 
     def test_version_check(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
         with open(path, "w") as fh:
             json.dump({"format_version": 99, "tensors": {}, "frozen": []}, fh)
         with pytest.raises(CheckpointError, match="99"):
-            load_checkpoint(path)
+            load_checkpoint(path, "stage1")
 
     def test_format_1_is_refused(self, tmp_path):
         # the decimal-JSON layout format 1 wrote; there is no migration
@@ -149,7 +150,7 @@ class TestCheckpoints:
             "tensors": {"w": {"shape": [2], "data": [1.0, -2.5]}}, "frozen": [],
         }, sort_keys=True))
         with pytest.raises(CheckpointError, match=r"format_version 1 .*re-run the stage") as exc:
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), "stage1")
         assert str(path) in str(exc.value)
 
     def test_bytes_match_format3_layout(self, tmp_path):
@@ -163,12 +164,12 @@ class TestCheckpoints:
         store["visual.cls"].data[0] = values
         frozen = ["visual.cls", "visual.patch_embed.w"]
         store.set_frozen(frozen)
-        config = {"encoder": dataclasses.asdict(enc), "stage": "stage2", "seed": 3, "vocab": [*_RESERVED, "go"]}
+        config = {"encoder": dataclasses.asdict(enc), **_STAGE2, "seed": 3, "vocab": [*_RESERVED, "go"]}
         path = tmp_path / "ckpt.json"
         save_checkpoint(store, config, str(path))
         tensors = {name: {"shape": list(store[name].shape), "data": _f64(*store[name].data.ravel())}
                    for name in store.names()}
-        assert _sha256(tensors, config, frozen) == "71602b2bdd0c1360e5c286ff1b87c7c9be35104efd93525ee21fe7b5dae74038"
+        assert _sha256(tensors, config, frozen) == "dbc2c34fb6f36463ac0aa0842d8ac3408c43eeec9ceb40e363b81f6f8bc672ec"
         reference = json.dumps({
             "format_version": 3,
             "config": config,
@@ -177,7 +178,7 @@ class TestCheckpoints:
             "sha256": _sha256(tensors, config, frozen),
         }, sort_keys=True)
         assert path.read_bytes() == reference.encode("ascii")
-        loaded, loaded_config = load_checkpoint(str(path))
+        loaded, _, _, loaded_config = load_checkpoint(str(path), "stage2")
         assert loaded_config == config and loaded.frozen == set(frozen)
         # bitwise: the sign of -0.0 and the subnormal survive
         assert loaded["visual.cls"].data.tobytes() == np.array([values]).tobytes()
@@ -190,7 +191,7 @@ class TestCheckpoints:
         store = ParamStore()
         init_visual_params(store, cfg.encoder(), np.random.default_rng(0))
         path = tmp_path / "ckpt.json"
-        save_checkpoint(store, {"encoder": dataclasses.asdict(cfg.encoder())}, str(path))
+        save_checkpoint(store, {"encoder": dataclasses.asdict(cfg.encoder()), "stage": "stage1"}, str(path))
         payload = json.loads(path.read_text())
         entry = payload["tensors"]["visual.cls"]
         raw = bytearray(base64.b64decode(entry["data"]))
@@ -198,7 +199,7 @@ class TestCheckpoints:
         entry["data"] = base64.b64encode(bytes(raw)).decode("ascii")
         path.write_text(json.dumps(payload, sort_keys=True))
         with pytest.raises(CheckpointError, match="sha256 .* does not match the config, frozen set and tensors") as exc:
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), "stage1")
         assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize(
@@ -209,7 +210,7 @@ class TestCheckpoints:
             ('{"format_version": 3, "tensors": []}', "must be JSON objects"),
             ('{"format_version": 3, "config": [], "tensors": {}}', "must be JSON objects"),
             ('{"format_version": 3, "tensors": {}, "frozen": [[1]]}', "'frozen' must be a list"),
-            (_signed({}, config={"encoder": {"bogus": 1}}), "invalid encoder config"),
+            (_signed({}, config={**_STAGE2, "encoder": {"bogus": 1}, "vocab": _RESERVED}), "invalid encoder config"),
             (_v3({"w": _f64(1.0)}), "tensor 'w' needs 'shape' and 'data'"),
             (_v3({"w": {"shape": [1]}}), "tensor 'w' needs 'shape' and 'data'"),
             (_v3({"w": {"data": _f64(1.0)}}), "tensor 'w' needs 'shape' and 'data'"),
@@ -241,13 +242,23 @@ class TestCheckpoints:
             (json.dumps({"format_version": 2, "config": {}, "tensors": _W, "frozen": []}),
              r"format_version 2 is not read; re-run the stage that wrote it"),
             # the config, read only once its digest matches
-            (_signed(_W, config={"stage": "stage1"}), "config has no 'encoder' object"),
-            (_signed({}, config={"encoder": {}, "vocab": dict(zip(_RESERVED, range(4)))}),
+            (_signed(_W, config={"stage": "stage1"}),
+             "config records stage 'stage1', where a 'stage2' checkpoint is needed"),
+            (_signed(_W, config={"encoder": {}}), "config records stage None, where a 'stage2' checkpoint is needed"),
+            (_signed(_W, config={"stage": "stage2", "ablation": "all"}),
+             r"config records no known ablation mode \('all'\); re-run stage 2"),
+            (_signed(_W, config=_STAGE2), "config has no 'encoder' object"),
+            (_signed({}, config={**_STAGE2, "encoder": {}}),
+             r"invalid vocab \(expected a list of tokens in id order, got NoneType\)"),
+            (_signed({}, config={**_STAGE2, "encoder": {}, "vocab": dict(zip(_RESERVED, range(4)))}),
              r"invalid vocab \(expected a list of tokens in id order, got dict\)"),
-            (_signed({}, config={"encoder": {}, "vocab": [*_RESERVED, 4]}), r"invalid vocab \(token 4 is 4, not a string"),
-            (_signed({}, config={"encoder": {}, "vocab": [*_RESERVED, "go", "go"]}), "token 'go' is listed twice"),
-            (_signed({}, config={"encoder": {}, "vocab": _RESERVED[:3]}), "must start with the reserved tokens"),
-            (_signed({}, config={"encoder": {}, "vocab": ["<unk>", "<pad>", "<cls>", "<sep>"]}),
+            (_signed({}, config={**_STAGE2, "encoder": {}, "vocab": [*_RESERVED, 4]}),
+             r"invalid vocab \(token 4 is 4, not a string"),
+            (_signed({}, config={**_STAGE2, "encoder": {}, "vocab": [*_RESERVED, "go", "go"]}),
+             "token 'go' is listed twice"),
+            (_signed({}, config={**_STAGE2, "encoder": {}, "vocab": _RESERVED[:3]}),
+             "must start with the reserved tokens"),
+            (_signed({}, config={**_STAGE2, "encoder": {}, "vocab": ["<unk>", "<pad>", "<cls>", "<sep>"]}),
              "must start with the reserved tokens"),
             # nested deeper than the JSON decoder recurses
             ("[" * 200000 + "]" * 200000, "truncated or invalid checkpoint"),
@@ -258,7 +269,8 @@ class TestCheckpoints:
             "data-nested", "nan", "inf", "neg-inf",
             "data-number", "b64-truncated", "b64-alphabet", "b64-non-ascii", "byte-count-short",
             "byte-count-2d", "no-sha256", "wrong-sha256", "sha256-of-other-name", "sha256-of-other-shape",
-            "config-edited", "frozen-edited", "format-2", "no-encoder", "vocab-dict", "vocab-non-string",
+            "config-edited", "frozen-edited", "format-2", "stage-1", "no-stage", "unknown-ablation", "no-encoder",
+            "no-vocab", "vocab-dict", "vocab-non-string",
             "vocab-duplicate", "vocab-reserved-missing", "vocab-reserved-misplaced", "deep-nesting",
         ],
     )
@@ -269,7 +281,7 @@ class TestCheckpoints:
         else:
             path.write_text(body)
         with pytest.raises(CheckpointError, match=match) as exc:
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), "stage2")
         assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("encoder,match", [
@@ -286,10 +298,11 @@ class TestCheckpoints:
         init_text_params(store, cfg.encoder(), 10, np.random.default_rng(1))
         init_cross_params(store, cfg.encoder(), np.random.default_rng(2))
         path = str(tmp_path / "ckpt.json")
-        config = {"encoder": {**dataclasses.asdict(cfg.encoder()), **encoder}, "vocab": [*_RESERVED, *"abcdef"]}
+        config = {"encoder": {**dataclasses.asdict(cfg.encoder()), **encoder}, **_STAGE2,
+                  "vocab": [*_RESERVED, *"abcdef"]}
         save_checkpoint(store, config, path)
         with pytest.raises(CheckpointError, match=match):
-            load_checkpoint(path)
+            load_checkpoint(path, "stage2")
 
     def test_vocab_size_is_checked_before_use(self, tmp_path):
         # the vocabulary's length is the size text.tok_embed must have
@@ -300,14 +313,14 @@ class TestCheckpoints:
         init_cross_params(store, cfg.encoder(), np.random.default_rng(2))
         encoder = dataclasses.asdict(cfg.encoder())
         path = str(tmp_path / "ckpt.json")
-        save_checkpoint(store, {"encoder": encoder, "vocab": [*_RESERVED, *"abcdefgh"]}, path)
+        save_checkpoint(store, {"encoder": encoder, **_STAGE2, "vocab": [*_RESERVED, *"abcdefgh"]}, path)
         with pytest.raises(CheckpointError, match=r"'text.tok_embed' has shape \(10, 16\), config implies \(12, 16\)"):
-            load_checkpoint(path)
-        save_checkpoint(store, {"encoder": encoder, "vocab": "10"}, path)
+            load_checkpoint(path, "stage2")
+        save_checkpoint(store, {"encoder": encoder, **_STAGE2, "vocab": "10"}, path)
         with pytest.raises(CheckpointError, match="invalid vocab"):
-            load_checkpoint(path)
-        save_checkpoint(store, {"encoder": encoder, "vocab": [*_RESERVED, *"abcdef"]}, path)
-        assert load_checkpoint(path)[0]["text.tok_embed"].shape == (10, 16)
+            load_checkpoint(path, "stage2")
+        save_checkpoint(store, {"encoder": encoder, **_STAGE2, "vocab": [*_RESERVED, *"abcdef"]}, path)
+        assert load_checkpoint(path, "stage2")[0]["text.tok_embed"].shape == (10, 16)
 
 
 class TestStage1:
@@ -503,8 +516,8 @@ class TestStage2:
         a = run_stage2(cfg_a, s1a.checkpoint_path)
         b = run_stage2(cfg_b, s1b.checkpoint_path)
         assert open(a.checkpoint_path, "rb").read() == open(b.checkpoint_path, "rb").read()
-        vocab = load_checkpoint(a.checkpoint_path)[1]["vocab"]
-        assert vocab == load_checkpoint(b.checkpoint_path)[1]["vocab"]
+        vocab = load_checkpoint(a.checkpoint_path, "stage2")[3]["vocab"]
+        assert vocab == load_checkpoint(b.checkpoint_path, "stage2")[3]["vocab"]
         assert vocab[:4] == _RESERVED and len(vocab) == a.metrics["vocab_size"]
         assert not os.path.exists(os.path.join(cfg_a.out_dir, "vocab.json"))
 
@@ -569,6 +582,27 @@ class TestStage2:
             run_stage2(dataclasses.replace(cfg, out_dir=out_dir), s1.checkpoint_path, dataset=dataset)
         assert not os.path.exists(out_dir)
 
+    def test_oversize_trajectory_is_refused_before_any_viewpoint_is_encoded(self, tmp_path, monkeypatch):
+        # the last trajectory has one sub-path more than max_subpaths: the
+        # refusal names it although no viewpoint of the file has been encoded
+        cfg, s1 = self._stage1(tmp_path)
+        dataset = cfg.trajectory_dataset()
+        last, m = len(dataset) - 1, cfg.max_subpaths + 1
+        dataset[last] = dataclasses.replace(dataset[last], viewpoints=np.zeros((m, cfg.feature_dim)),
+                                            chunks=[(j, j + 1) for j in range(m)], sub_instructions=["go left"] * m)
+        monkeypatch.setattr(training, "visual_encode", lambda *args, **kwargs: pytest.fail("a viewpoint was encoded"))
+        with pytest.raises(ConfigurationError, match=rf"^trajectory {last} has {m} viewpoints and {m} sub-paths; "):
+            run_stage2(cfg, s1.checkpoint_path, dataset=dataset)
+
+    def test_stage2_checkpoint_gives_back_the_run(self, tmp_path):
+        # one read of a stage-2 checkpoint returns the run's encoder config, vocabulary and mode
+        cfg, s1 = self._stage1(tmp_path, ablation="cnt_ind", stage1_epochs=0, stage2_epochs=0)
+        result = run_stage2(cfg, s1.checkpoint_path)
+        store, enc, vocab, config = load_checkpoint(result.checkpoint_path, "stage2")
+        assert enc == cfg.encoder() and config["ablation"] == "cnt_ind"
+        assert vocab.tokens == build_vocabulary(cfg.trajectory_dataset(), enc.max_subpaths).tokens
+        assert len(vocab) == result.metrics["vocab_size"] and store.frozen == result.store.frozen
+
     @pytest.mark.parametrize("mode", ABLATION_MODES)
     def test_stage2_trains_what_its_loss_reads(self, tmp_path, mode):
         cfg, s1 = self._stage1(tmp_path, ablation=mode, stage2_epochs=1)
@@ -607,10 +641,9 @@ class TestAblationTable:
         cfg, run = setup
         report, features, metrics = run(mode)
         terms = ABLATION_TERMS[mode]
-        values = {term: getattr(report, f"l_{term}") for term in TERM_WEIGHTS}
-        assert {term for term, v in values.items() if v is not None} == set(terms)
+        assert list(report) == [*terms, "total"]
         weight = {None: 1.0, "lambda1": cfg.lambda1, "lambda2": cfg.lambda2}
-        assert abs(report.total - sum(weight[TERM_WEIGHTS[t]] * values[t] for t in terms)) < 1e-12
+        assert abs(report["total"] - sum(weight[TERM_WEIGHTS[t]] * report[t] for t in terms)) < 1e-12
         # each term is the mean of its groups' contrastive losses: one group per
         # trajectory for ind and sub, the one group of the batch otherwise
         assert list(features) == list(terms)
@@ -622,7 +655,7 @@ class TestAblationTable:
             assert text.shape[:2] == visual.shape[:2] == (len(sizes), max(sizes))
             losses = [composed_loss(Tensor(t[:m]), Tensor(v[:m]), cfg.temperature, cfg.smoothing).item()
                       for t, v, m in zip(text.data, visual.data, sizes)]
-            assert abs(values[term] - sum(losses) / len(losses)) < 1e-12
+            assert abs(report[term] - sum(losses) / len(losses)) < 1e-12
         full_metrics = run("full")[2]
         if mode == "sub_only":
             assert metrics["count_accuracy"] is None
