@@ -15,8 +15,8 @@ Three stacks share one parameter store:
   attention) whose pooled output is the CLS position;
 * a cross-modal encoder over [count token | viewpoint features | per-ordinal
   prompt features] with segment-type embeddings.  A batch's padded input is
-  one row gather from a stacked table, and one segment mean pools the count
-  token, the whole path and every sub-path of every trajectory.
+  one row gather from a stacked table, and one segment mean (a 0/1 membership
+  product) pools the count token, the whole path and every sub-path.
 
 All layers are pre-norm multi-head self-attention plus a feed-forward block
 with residual connections.  The key projection has no bias: a key bias adds
@@ -43,7 +43,6 @@ from .optim import ParamStore
 from .prompts import PAD_ID
 from .tensor import (
     Tensor,
-    add_bias,
     attention_context,
     attention_scores,
     concat,
@@ -51,7 +50,6 @@ from .tensor import (
     layer_norm,
     linear,
     matmul,
-    segment_mean,
     softmax,
     splice_rows,
     take_rows,
@@ -375,6 +373,20 @@ def text_encode(token_ids, store: ParamStore, cfg: EncoderConfig) -> Tensor:
 # -- cross-modal encoder --------------------------------------------------------------
 
 
+def _segment_mean(x: Tensor, bounds: np.ndarray) -> Tensor:
+    """Means of the half-open row ranges ``bounds`` (B, K, 2) of rows ``x`` (B, S, d): (B, K, d).
+
+    A product with the (B, K, S) 0/1 range membership, scaled by 1/count; an
+    empty range gives a zero row and passes no gradient.
+    """
+    start, end = bounds[..., :1], bounds[..., 1:]
+    rows = np.arange(x.shape[1])
+    member = ((rows >= start) & (rows < end)).astype(np.float64)
+    count = end - start
+    scale = np.where(count > 0, 1.0 / np.maximum(count, 1), 0.0)
+    return matmul(Tensor(member), x) * Tensor(np.broadcast_to(scale, member.shape[:2] + x.shape[2:]))
+
+
 def cross_modal_encode_batch(
     viewpoints: Tensor,
     prompts: Tensor | None,
@@ -411,15 +423,17 @@ def cross_modal_encode_batch(
     def positions(lengths: np.ndarray) -> np.ndarray:
         return np.concatenate([np.arange(n) for n in lengths])
 
+    def typed(rows: Tensor, k: int) -> Tensor:  # rows plus segment-type embedding k, tiled over them
+        return rows + store["cross.seg_embed"][k:k + 1].expand(rows.shape)
+
     # one table of rows [count | viewpoints | prompts | pad]; sequence b
     # gathers [count | its viewpoints | its prompts] and pad rows after them
-    seg = store["cross.seg_embed"]
     offset = int(prompted)
-    parts = [add_bias(store["cross.cnt"], seg[0])] if prompted else []
-    parts.append(add_bias(viewpoints + take_rows(store["cross.pos_visual"], positions(t_lens)), seg[1]))
+    parts = [typed(store["cross.cnt"], 0)] if prompted else []
+    parts.append(typed(viewpoints + take_rows(store["cross.pos_visual"], positions(t_lens)), 1))
     p_lens = m_lens if prompted else np.zeros(batch, dtype=int)
     if prompted:
-        parts.append(add_bias(prompts + take_rows(store["cross.pos_prompt"], positions(m_lens)), seg[2]))
+        parts.append(typed(prompts + take_rows(store["cross.pos_prompt"], positions(m_lens)), 2))
     parts.append(Tensor(np.zeros((1, cfg.d))))
     table = concat(parts, axis=0)
 
@@ -445,7 +459,7 @@ def cross_modal_encode_batch(
     bounds[:, offset] = np.stack([np.full(batch, offset), offset + t_lens], axis=1)
     for b, chunks in enumerate(boundaries):
         bounds[b, offset + 1:offset + 1 + len(chunks)] = np.asarray(chunks) + offset
-    pooled = segment_mean(x, bounds)
+    pooled = _segment_mean(x, bounds)
     return CrossModalOutput(
         subpaths=pooled[:, offset + 1:],
         overall=pooled[:, offset],

@@ -26,9 +26,8 @@ joined the tape, so an op with one input never checks for its node.  The tape
 therefore holds no activation that no formula reads, and such an array is
 freed during the forward, as soon as the caller drops its last name:
 
-* ``__add__``, ``add_bias``, ``concat``, ``splice_rows``, ``take_rows``,
-  ``segment_mean``, ``expand``, the views and ``__getitem__`` keep no input
-  array;
+* ``__add__``, ``concat``, ``splice_rows``, ``take_rows``, ``expand``, the
+  views and ``__getitem__`` keep no input array;
 * ``softmax``, ``log_softmax``, ``sqrt`` and ``layer_norm`` keep arrays they
   made (their output, or ``xhat`` and ``1 / std``), not their input;
 * a product (``*``, ``/``, ``matmul``, ``linear`` and the two attention ops)
@@ -87,10 +86,10 @@ the picked rows.  A pick of one entry per row is a pick of width-1 rows:
 ``take_rows(t.reshape(-1, 1), np.arange(N) * C + cols)``.
 
 Broadcasting is deliberately restricted: elementwise operations accept
-operands of identical shape or a 0-d scalar, nothing else.  The few places
-that need axis broadcasting (bias rows, mask biases, tiling a parameter over
-a batch) go through dedicated operations whose gradients are written out
-explicitly, which keeps every backward rule auditable.
+operands of identical shape or a 0-d scalar, nothing else.  A bias row is
+added by ``linear`` or tiled by ``expand``, as a parameter is tiled over a
+batch, and a mask bias is an operand of ``attention_scores``; each gradient
+is written out explicitly, which keeps every backward rule auditable.
 """
 
 from __future__ import annotations
@@ -347,17 +346,6 @@ class Tensor:
 
         return Tensor._result(a.data / b.data, (a, b), _bw)
 
-    def __neg__(self) -> "Tensor":
-        n = self._node
-
-        def _bw(g):
-            n._accumulate(-g, owned=True)
-
-        return Tensor._result(-self.data, (self,), _bw)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
     # -- elementwise unary ops -----------------------------------------------
 
     def sqrt(self) -> "Tensor":
@@ -447,10 +435,6 @@ class Tensor:
 
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), _bw)
 
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        count = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
 
 # -- free functions ------------------------------------------------------------
 
@@ -511,35 +495,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(_matmul_forward(a.data, b.data, shared_rhs), (a, b), _matmul_backward(a, b, shared_rhs))
 
 
-def _check_bias(shape: tuple[int, ...], b: Tensor, op: str) -> None:
-    if b.ndim != 1 or shape[-1] != b.shape[0]:
-        raise ShapeError(f"{op}: bias {b.shape} does not match last axis of {shape}")
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1-d bias along the last axis of ``x``."""
-    _check_bias(x.shape, b, "add_bias")
-    nx, nb, width = x._node, b._node, b.shape[0]
-
-    def _bw(g):
-        if nx is not None:
-            nx._accumulate(g)
-        if nb is not None:
-            nb._accumulate(g.reshape(-1, width).sum(axis=0), owned=True)
-
-    return Tensor._result(x.data + b.data, (x, b), _bw)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node, bitwise equal to ``add_bias(matmul(x, w), b)``.
+    """``x @ w + b`` as one node, with the 1-d bias ``b`` added to every row of the product.
 
-    The bias is added in place to the product, and backward accumulates the
-    bias gradient before the matmul gradients, the order in which that pair
-    of nodes would run, so outputs and gradients match it bit for bit while
-    the separate product array and its node are never made.
+    It is bitwise equal to ``matmul(x, w)`` plus ``b`` tiled over the
+    product's rows (``b.reshape(1, n).expand(...)``): the bias is added in
+    place to the product, and its gradient is the row sum of the upstream
+    gradient, taken before the matmul gradients, while the separate product
+    array and its node are never made.
     """
     shared_rhs = _check_matmul(x, w, "linear")
-    _check_bias(x.shape[:-1] + w.shape[-1:], b, "linear")
+    if b.ndim != 1 or w.shape[-1] != b.shape[0]:
+        raise ShapeError(f"linear: bias {b.shape} does not match last axis of {x.shape[:-1] + w.shape[-1:]}")
     y = _matmul_forward(x.data, w.data, shared_rhs)
     y += b.data
     nb, width, product = b._node, b.shape[0], _matmul_backward(x, w, shared_rhs)
@@ -831,35 +798,3 @@ def take_rows(t: Tensor, indices) -> Tensor:
         np.add.at(n.grad, indices.reshape(-1), g.reshape(-1, shape[1]))
 
     return Tensor._result(t.data[indices], (t,), _bw)
-
-
-def segment_mean(x: Tensor, bounds) -> Tensor:
-    """Mean-pool row ranges of every sequence: (B, S, d) -> (B, K, d).
-
-    ``bounds`` (B, K, 2) holds one half-open row range [start, end) of
-    sequence b for each output row k; an empty range (start == end) gives a
-    zero row and passes no gradient.  The ranges fix a (B, K, S) averaging
-    plan, split into a 0/1 membership and one 1/count scale per output row,
-    so the forward is a batched row sum scaled by 1/count, as
-    ``x[b, start:end].mean(axis=0)`` computes it, and the backward spreads
-    each scaled output gradient over its range.
-    """
-    bounds = np.asarray(bounds)
-    if x.ndim != 3 or bounds.ndim != 3 or bounds.shape[0] != x.shape[0] or bounds.shape[2] != 2:
-        raise ShapeError(f"segment_mean: need (B, S, d) rows and (B, K, 2) bounds, got {x.shape} and {bounds.shape}")
-    if not np.issubdtype(bounds.dtype, np.integer):
-        raise InputError("segment_mean: bounds must be integers")
-    start, end = bounds[..., 0], bounds[..., 1]
-    if bounds.size and (start.min() < 0 or end.max() > x.shape[1] or np.any(end < start)):
-        raise InputError(f"segment_mean: every range must satisfy 0 <= start <= end <= {x.shape[1]}")
-    rows = np.arange(x.shape[1])
-    member = ((rows >= start[..., None]) & (rows < end[..., None])).astype(np.float64)
-    count = end - start
-    scale = np.where(count > 0, 1.0 / np.maximum(count, 1), 0.0)[..., None]
-    n = x._node
-
-    def _bw(g):
-        n._accumulate(np.matmul(np.swapaxes(member, 1, 2), g * scale), owned=True)
-
-    return Tensor._result(np.matmul(member, x.data) * scale, (x,), _bw)
-

@@ -342,6 +342,9 @@ def load_checkpoint(path: str, stage: str) -> tuple[ParamStore, EncoderConfig, V
             f"{path}: sha256 {payload.get('sha256')!r} does not match the config, frozen set and tensors "
             "(corrupted or edited)"
         )
+    unknown = [name for name in frozen if name not in tensors]
+    if unknown:
+        raise CheckpointError(f"{path}: 'frozen' names {unknown[0]!r}, a tensor the checkpoint does not hold")
 
     found = config.get("stage")
     if found != stage:
@@ -363,7 +366,7 @@ def load_checkpoint(path: str, stage: str) -> tuple[ParamStore, EncoderConfig, V
     mismatch = layout_mismatch(store, expected)
     if mismatch:
         raise CheckpointError(f"{path}: {mismatch}")
-    store.set_frozen(set(frozen) & set(store.names()))
+    store.set_frozen(frozen)
     return store, enc, vocab, config
 
 
@@ -460,8 +463,10 @@ def stage1_loss(features: np.ndarray, labels: np.ndarray, store: ParamStore, enc
     """Mean cross-entropy of the head on prompted CLS features."""
     cls = visual_encode(features, store, enc, cls_only=True).cls.reshape(features.shape[0], enc.d)
     logp = log_softmax(classify_logits(cls, store), axis=-1)
-    # each row's log-probability of its label, picked from the flattened (B * C, 1) rows
-    return -take_rows(logp.reshape(-1, 1), np.arange(features.shape[0]) * enc.num_classes + labels).mean()
+    # each row's log-probability of its label, picked from the flattened (B * C, 1) rows; IEEE
+    # products are sign-symmetric, so the sum times -1/B has the bits of the negated mean
+    picked = take_rows(logp.reshape(-1, 1), np.arange(features.shape[0]) * enc.num_classes + labels)
+    return picked.sum() * (-1.0 / features.shape[0])
 
 
 def _stage1_accuracy(samples: list[IndoorSample], indices: Sequence[int], store: ParamStore,

@@ -23,14 +23,18 @@ import numpy as np
 import pytest
 
 import navprompt.encoders as encoders
-import navprompt.tensor as tensor_mod
 import navprompt.training as training
 from navprompt.alignment import kl_divergence, masked_contrastive_loss
-from navprompt.encoders import apply_stage_freeze, init_cross_params, init_text_params, init_visual_params
+from navprompt.encoders import (
+    _segment_mean,
+    apply_stage_freeze,
+    init_cross_params,
+    init_text_params,
+    init_visual_params,
+)
 from navprompt.optim import Optimizer, ParamStore, backward
 from navprompt.tensor import (
     Tensor,
-    add_bias,
     attention_context,
     attention_scores,
     concat,
@@ -40,7 +44,6 @@ from navprompt.tensor import (
     log_softmax,
     matmul,
     no_grad,
-    segment_mean,
     softmax,
     splice_rows,
     take_rows,
@@ -54,6 +57,7 @@ from navprompt.training import (
     stage1_loss,
     stage2_losses,
 )
+from tensor_ops import differentiable_ops
 
 
 @pytest.fixture
@@ -81,9 +85,6 @@ OPS = {
     "__add__": lambda x: x + 1.0,
     "__mul__": lambda x: x * 2.0,
     "__truediv__": lambda x: x / 2.0,
-    "__neg__": lambda x: -x,
-    "__radd__": lambda x: 1.0 + x,
-    "__rmul__": lambda x: 2.0 * x,
     "sqrt": lambda x: x.sqrt(),
     "clip_min": lambda x: x.clip_min(1.0),
     "reshape": lambda x: x.reshape(-1),
@@ -91,9 +92,9 @@ OPS = {
     "expand": lambda x: x[:1].expand((4, 3)),
     "__getitem__": lambda x: x[1:],
     "sum": lambda x: x.sum(axis=0),
-    "mean": lambda x: x.mean(),
+    "mean": lambda x: x.sum() * (1.0 / x.size),
     "matmul": lambda x: matmul(x, Tensor(_pos((3, 2)))),
-    "add_bias": lambda x: add_bias(x, Tensor(_pos(3))),
+    "add_bias": lambda x: x + Tensor(_pos((1, 3))).expand((4, 3)),
     "linear": lambda x: linear(x, Tensor(_pos((3, 2))), Tensor(_pos(2))),
     # the (4, 3) input as the weight
     "linear_weight": lambda x: linear(Tensor(_pos((2, 4))), x, Tensor(_pos(3))),
@@ -107,7 +108,7 @@ OPS = {
     # one entry per row, as the stage-1 cross-entropy picks its labels
     "take_rows_pick": lambda x: take_rows(x.reshape(-1, 1), np.arange(4) * 3 + np.array([0, 2, 1, 1])),
     "kl_divergence": lambda x: kl_divergence(softmax(x[:3], axis=1), Tensor(np.full((3, 3), 1.0 / 3.0))),
-    "segment_mean": lambda x: segment_mean(x.reshape(1, 4, 3), np.array([[[0, 2], [1, 4], [0, 0]]])),
+    "segment_mean": lambda x: _segment_mean(x.reshape(1, 4, 3), np.array([[[0, 2], [1, 4], [0, 0]]])),
     "masked_contrastive_loss": lambda x: masked_contrastive_loss(x[:3].reshape(1, 3, 3), np.array([2])),
     "attention_scores": lambda x: attention_scores(x.reshape(1, 4, 3), Tensor(_pos((1, 4, 3))), 3),
     "attention_context": lambda x: attention_context(x.reshape(1, 1, 4, 3), Tensor(_pos((1, 3, 2)))),
@@ -119,24 +120,19 @@ OPS = {
     "attention_context_shared": lambda x: attention_context(Tensor(_pos((2, 1, 2, 7))), _spliced(x)),
 }
 # case -> the op it runs: the 2-d token-id lookup text_encode makes, the stage-1 label pick, a weight, the live
-# rows of a splice, and attention over spliced shared rows
+# rows of a splice, and attention over spliced shared rows; and, by the op that makes their output, the
+# compositions the program builds in place of ops of their own: a mean (the stage-1 loss's sum times 1 / count),
+# a bias row tiled and added (the cross-modal segment types) and the cross-modal segment mean
 CASE_OPS = {"embedding": "take_rows", "take_rows_pick": "take_rows", "linear_weight": "linear",
             "splice_rows_live": "splice_rows", "attention_scores_shared": "attention_scores",
-            "attention_context_shared": "attention_context"}
+            "attention_context_shared": "attention_context", "mean": "__mul__", "add_bias": "__add__",
+            "segment_mean": "__mul__"}
 # differentiable ops defined outside tensor.py
 LOSS_OPS = {"kl_divergence", "masked_contrastive_loss"}
 
-# Tensor methods and tensor.py functions that build no graph node
-NOT_OPS = {"__init__", "__repr__", "item", "backward", "no_grad"}
-
 
 def test_every_differentiable_op_is_listed():
-    methods = {name for name, obj in vars(Tensor).items() if inspect.isfunction(obj)}
-    functions = {
-        name for name, obj in vars(tensor_mod).items()
-        if inspect.isfunction(obj) and obj.__module__ == tensor_mod.__name__ and not name.startswith("_")
-    }
-    assert (methods | functions) - NOT_OPS | LOSS_OPS == {CASE_OPS.get(name, name) for name in OPS}
+    assert differentiable_ops() | LOSS_OPS == {CASE_OPS.get(name, name) for name in OPS}
 
 
 def _is_constant(t):
@@ -207,9 +203,9 @@ def test_backward_releases_the_op_node(name, no_gc):
 # input needs a gradient: what the input's gradient formula reads, never the
 # input itself or a view of it
 KEPT_ARRAYS = {
-    "__add__": [], "__radd__": [], "__neg__": [], "add_bias": [], "concat": [],
+    "__add__": [], "add_bias": [], "concat": [],
     "splice_rows": [], "splice_rows_live": [], "reshape": [], "transpose": [], "expand": [], "__getitem__": [], "sum": [],
-    "__mul__": [()], "__rmul__": [()], "__truediv__": [()],  # the constant operand
+    "__mul__": [()], "__truediv__": [()],  # the constant operand
     "mean": [()],  # 1 / count
     "sqrt": [(4, 3)], "softmax": [(4, 3)], "log_softmax": [(4, 3)],  # the output
     "clip_min": [(4, 3)],  # the mask of entries above the floor
@@ -219,7 +215,7 @@ KEPT_ARRAYS = {
     "linear_weight": [(2, 4)],  # the input rows
     "embedding": [(2, 2)], "take_rows": [(3,)],  # the indices
     "take_rows_pick": [(4,)],  # the indices
-    "segment_mean": [(1, 3, 4), (1, 3, 1)],  # the membership and 1 / count
+    "segment_mean": [(1, 3, 3)],  # 1 / count, broadcast to the output; the product before it keeps the membership
     "kl_divergence": [(3, 3)],  # the derivative in P
     # both softmaxes and their KL derivatives, and the block weights
     "masked_contrastive_loss": [(1, 3, 3)] * 4 + [(1, 1, 1)],
@@ -443,6 +439,36 @@ def test_stage2_graph_holds_no_tensor():
             assert not _captured(node._backward)[1], "a closure of the stage-2 graph holds a Tensor"
         todo.extend(node._parents)
     assert len(seen) > 100
+
+
+def _tape_nodes(loss) -> int:
+    """Tape nodes reachable from ``loss`` through their recorded parents, as the bench probe counts them."""
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return len(seen)
+
+
+# Tape nodes of one default step, as README states them; a change to the graph's structure moves them
+TAPE_NODES = {"stage1": 92, "stage2-full": 263, "stage2-sub_only": 164}
+
+
+def test_default_step_tape_sizes(default_width):
+    w = default_width
+    cfg = RunConfig()
+    images = w["images"][:cfg.stage1_batch_size]
+    features, labels = np.stack([s.features for s in images]), np.array([s.label for s in images])
+    counts = {"stage1": _tape_nodes(stage1_loss(features, labels, w["stage1"], w["enc"]))}
+    # the store is frozen for full, which trains two tensors that sub_only freezes: the count token and
+    # the prompt positions; sub_only reads neither, so they add no node to its tape
+    for mode in ("full", "sub_only"):
+        loss = stage2_losses(w["prepared"][:cfg.stage2_batch_size], w["stage2"], w["enc"],
+                             dataclasses.replace(cfg, ablation=mode))[0]
+        counts[f"stage2-{mode}"] = _tape_nodes(loss)
+    assert counts == TAPE_NODES
 
 
 def _watch_unread_activations(monkeypatch, store, keep: bool) -> dict[str, list]:

@@ -241,6 +241,9 @@ class TestCheckpoints:
             # a format-2 file is refused by its version before anything else is read
             (json.dumps({"format_version": 2, "config": {}, "tensors": _W, "frozen": []}),
              r"format_version 2 is not read; re-run the stage that wrote it"),
+            # a signed frozen set that names a tensor the file does not hold, refused before the config is read
+            (_signed(_W, config={"stage": "stage1"}, frozen=["w", "ghost.tensor"]),
+             "'frozen' names 'ghost.tensor', a tensor the checkpoint does not hold"),
             # the config, read only once its digest matches
             (_signed(_W, config={"stage": "stage1"}),
              "config records stage 'stage1', where a 'stage2' checkpoint is needed"),
@@ -269,7 +272,7 @@ class TestCheckpoints:
             "data-nested", "nan", "inf", "neg-inf",
             "data-number", "b64-truncated", "b64-alphabet", "b64-non-ascii", "byte-count-short",
             "byte-count-2d", "no-sha256", "wrong-sha256", "sha256-of-other-name", "sha256-of-other-shape",
-            "config-edited", "frozen-edited", "format-2", "stage-1", "no-stage", "unknown-ablation", "no-encoder",
+            "config-edited", "frozen-edited", "format-2", "frozen-unknown", "stage-1", "no-stage", "unknown-ablation", "no-encoder",
             "no-vocab", "vocab-dict", "vocab-non-string",
             "vocab-duplicate", "vocab-reserved-missing", "vocab-reserved-misplaced", "deep-nesting",
         ],
