@@ -14,19 +14,19 @@ from .tensor import Tensor
 class ParamStore:
     """Named tensors partitioned into trainable and frozen sets.
 
-    The freeze mask is each tensor's ``requires_grad``: a frozen entry drops
-    out of gradient computation entirely, so backpropagation through a frozen
-    backbone only pays for the paths that can reach trainable parameters, and
-    an ``Optimizer`` never binds it.
+    ``add`` stores a trainable tensor; ``set_frozen`` sets the freeze mask, each
+    tensor's ``requires_grad``.  A frozen entry holds no gradient and drops out
+    of gradient computation, so backpropagation through a frozen backbone only
+    pays for the paths that can reach trainable parameters; an ``Optimizer`` never binds it.
     """
 
     def __init__(self) -> None:
         self.entries: dict[str, Tensor] = {}
 
-    def add(self, name: str, data, trainable: bool = True) -> Tensor:
+    def add(self, name: str, data) -> Tensor:
         if name in self.entries:
             raise ContractError(f"parameter {name!r} already exists")
-        t = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable)
+        t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
         self.entries[name] = t
         return t
 
@@ -53,7 +53,6 @@ class ParamStore:
             raise ContractError(f"cannot freeze unknown parameters: {sorted(unknown)}")
         for name, t in self.entries.items():
             t.requires_grad = name not in names
-            t.grad = None
 
     def trainable_names(self) -> list[str]:
         return [name for name, t in self.entries.items() if t.requires_grad]
@@ -62,16 +61,12 @@ class ParamStore:
         for t in self.entries.values():
             t.grad = None
 
-    def gradients(self) -> dict[str, np.ndarray]:
-        """Collect populated gradients for trainable entries."""
-        return {name: t.grad for name, t in self.entries.items() if t.requires_grad and t.grad is not None}
-
 
 def backward(loss: Tensor, store: ParamStore) -> dict[str, np.ndarray]:
-    """Run reverse-mode differentiation and return grads keyed by store name."""
+    """Run reverse-mode differentiation and return the populated grads keyed by store name."""
     store.zero_grads()
     loss.backward()
-    return store.gradients()
+    return {name: t.grad for name, t in store.entries.items() if t.grad is not None}
 
 
 DEFAULT_LEARNING_RATE = 1e-3

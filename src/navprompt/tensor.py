@@ -86,10 +86,10 @@ the picked rows.  A pick of one entry per row is a pick of width-1 rows:
 ``take_rows(t.reshape(-1, 1), np.arange(N) * C + cols)``.
 
 Broadcasting is deliberately restricted: elementwise operations accept
-operands of identical shape or a 0-d scalar, nothing else.  A bias row is
-added by ``linear`` or tiled by ``expand``, as a parameter is tiled over a
-batch, and a mask bias is an operand of ``attention_scores``; each gradient
-is written out explicitly, which keeps every backward rule auditable.
+operands of identical shape, and only a 0-d operand that needs no gradient
+broadcasts, so no gradient is summed back.  A bias row is added by ``linear``
+or tiled by ``expand``, and a mask bias is an operand of ``attention_scores``;
+each gradient is written out explicitly, which keeps every backward rule auditable.
 """
 
 from __future__ import annotations
@@ -161,26 +161,14 @@ def _recorded(parents: Sequence["Tensor"]) -> tuple[_Node, ...]:
     return tuple([p._node for p in parents if p._node is not None])
 
 
-def _reduce_to(g: np.ndarray, scalar: bool) -> np.ndarray:
-    # Reverse the scalar broadcast: a 0-d operand collects the full sum.
-    if scalar and g.ndim != 0:
-        return np.asarray(g.sum())
-    return g
-
-
 class Tensor:
-    """A float64 array and, when it requires a gradient, its graph node.
+    """A float64 array and, when it requires a gradient, its graph node, the only holder of a gradient."""
 
-    A tensor that requires none holds a ``grad`` set on it (a parameter
-    frozen after it had one) itself, where no op reads it.
-    """
-
-    __slots__ = ("data", "_node", "_grad")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self._node: _Node | None = _Node() if requires_grad else None
-        self._grad: np.ndarray | None = None
 
     @property
     def requires_grad(self) -> bool:
@@ -188,22 +176,18 @@ class Tensor:
 
     @requires_grad.setter
     def requires_grad(self, value: bool) -> None:
-        if value and self._node is None:
-            self._node = _Node()
-            self._node.grad, self._grad = self._grad, None
-        elif not value and self._node is not None:
-            self._grad, self._node = self._node.grad, None
+        self._node = _Node() if value else None
 
     @property
     def grad(self) -> np.ndarray | None:
-        return self._grad if self._node is None else self._node.grad
+        return None if self._node is None else self._node.grad
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
-        if self._node is None:
-            self._grad = value
-        else:
+        if self._node is not None:
             self._node.grad = value
+        elif value is not None:
+            raise ContractError("a tensor that requires no gradient holds none")
 
     @property
     def _parents(self) -> tuple[_Node, ...] | None:
@@ -294,55 +278,53 @@ class Tensor:
 
     @staticmethod
     def _coerce(other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(np.float64(other))
+        return other if isinstance(other, Tensor) else Tensor(np.float64(other))
 
     @staticmethod
     def _check_elementwise(a: "Tensor", b: "Tensor", op: str) -> None:
-        if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ (only scalar broadcast is supported)")
+        if a.shape != b.shape and not any(t.ndim == 0 and t._node is None for t in (a, b)):
+            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ (only a 0-d constant broadcasts)")
 
     def __add__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         Tensor._check_elementwise(a, b, "add")
-        na, nb, a0, b0 = a._node, b._node, a.data.ndim == 0, b.data.ndim == 0
+        na, nb = a._node, b._node
 
         def _bw(g):
             if na is not None:
-                na._accumulate(_reduce_to(g, a0))
+                na._accumulate(g)
             if nb is not None:
-                nb._accumulate(_reduce_to(g, b0))
+                nb._accumulate(g)
 
         return Tensor._result(a.data + b.data, (a, b), _bw)
 
     def __mul__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         Tensor._check_elementwise(a, b, "mul")
-        na, nb, a0, b0 = a._node, b._node, a.data.ndim == 0, b.data.ndim == 0
+        na, nb = a._node, b._node
         # each operand's gradient reads the other operand
         ad = a.data if nb is not None else None
         bd = b.data if na is not None else None
 
         def _bw(g):
             if na is not None:
-                na._accumulate(_reduce_to(g * bd, a0), owned=True)
+                na._accumulate(g * bd, owned=True)
             if nb is not None:
-                nb._accumulate(_reduce_to(g * ad, b0), owned=True)
+                nb._accumulate(g * ad, owned=True)
 
         return Tensor._result(a.data * b.data, (a, b), _bw)
 
     def __truediv__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         Tensor._check_elementwise(a, b, "div")
-        na, nb, a0, b0 = a._node, b._node, a.data.ndim == 0, b.data.ndim == 0
+        na, nb = a._node, b._node
         ad, bd = a.data if nb is not None else None, b.data
 
         def _bw(g):
             if na is not None:
-                na._accumulate(_reduce_to(g / bd, a0), owned=True)
+                na._accumulate(g / bd, owned=True)
             if nb is not None:
-                nb._accumulate(_reduce_to(-g * ad / (bd * bd), b0), owned=True)
+                nb._accumulate(-g * ad / (bd * bd), owned=True)
 
         return Tensor._result(a.data / b.data, (a, b), _bw)
 

@@ -459,10 +459,15 @@ class StageResult:
 # -- stage 1 ------------------------------------------------------------------------
 
 
+def _stage1_logits(features: np.ndarray, store: ParamStore, enc: EncoderConfig) -> Tensor:
+    """The head's logits on the prompted CLS features of a (B, patches, feature_dim) batch."""
+    cls = visual_encode(features, store, enc, cls_only=True).cls.reshape(features.shape[0], enc.d)
+    return classify_logits(cls, store)
+
+
 def stage1_loss(features: np.ndarray, labels: np.ndarray, store: ParamStore, enc: EncoderConfig) -> Tensor:
     """Mean cross-entropy of the head on prompted CLS features."""
-    cls = visual_encode(features, store, enc, cls_only=True).cls.reshape(features.shape[0], enc.d)
-    logp = log_softmax(classify_logits(cls, store), axis=-1)
+    logp = log_softmax(_stage1_logits(features, store, enc), axis=-1)
     # each row's log-probability of its label, picked from the flattened (B * C, 1) rows; IEEE
     # products are sign-symmetric, so the sum times -1/B has the bits of the negated mean
     picked = take_rows(logp.reshape(-1, 1), np.arange(features.shape[0]) * enc.num_classes + labels)
@@ -479,8 +484,7 @@ def _stage1_accuracy(samples: list[IndoorSample], indices: Sequence[int], store:
         for batch in _batches(indices, ACCURACY_BATCH):
             feats = np.stack([samples[i].features for i in batch])
             labels = np.array([samples[i].label for i in batch])
-            cls = visual_encode(feats, store, enc, cls_only=True).cls.reshape(len(batch), enc.d)
-            logits = classify_logits(cls, store).data
+            logits = _stage1_logits(feats, store, enc).data
             hits += int((logits.argmax(axis=1) == labels).sum())
     return hits / len(indices)
 
@@ -525,6 +529,7 @@ def run_stage1(cfg: RunConfig, dataset: list[IndoorSample] | None = None) -> Sta
     def accuracies() -> tuple[float | None, float | None]:
         return _stage1_accuracy(dataset, train_idx, store, enc), _stage1_accuracy(dataset, val_idx, store, enc)
 
+    os.makedirs(cfg.out_dir, exist_ok=True)  # after every input check, before any step
     history = []  # (mean loss, train accuracy, val accuracy) per epoch
     _train(store, "stage1", cfg.stage1_lr, cfg.stage1_epochs, cfg.stage1_batch_size, train_idx,
            np.random.default_rng([cfg.seed, 12]), batch_loss,
@@ -552,7 +557,6 @@ def _write_stage_outputs(cfg: RunConfig, enc: EncoderConfig, stage: str, metrics
     A stage-2 checkpoint carries its vocabulary, the tokens in id order: row i
     of ``text.tok_embed`` is token i's embedding, and the ablation mode it trained.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
     config = {"encoder": asdict(enc), "stage": stage, "seed": cfg.seed}
     if vocab is not None:
         config.update(vocab=vocab.tokens, ablation=cfg.ablation)
@@ -774,6 +778,7 @@ def run_stage2(cfg: RunConfig, stage1_checkpoint: str, dataset: list[TrajectoryS
     features = precompute_viewpoint_features(dataset, store, enc)
     prepared = prepare_trajectories(dataset, vocab, enc, features)
 
+    os.makedirs(cfg.out_dir, exist_ok=True)  # after every input check, before any step
     epochs = []  # each epoch's per-step term values, see total_loss
     _train(store, "stage2", cfg.stage2_lr, cfg.stage2_epochs, cfg.stage2_batch_size, train_idx,
            np.random.default_rng([cfg.seed, 22]),

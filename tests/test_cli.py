@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import navprompt.training as training
 from navprompt.cli import main
 from navprompt.data import read_trajectory_jsonl
 from navprompt.errors import CheckpointError, ParameterError
@@ -361,6 +362,24 @@ def test_missing_input_is_io_error(tmp_path, capsys):
     assert "error[io]" in capsys.readouterr().err
 
 
+def test_an_out_dir_that_is_a_file_is_refused_before_training(tmp_path, capsys, monkeypatch):
+    # both stages make the output directory before training, so a bad --out-dir costs no run
+    assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
+    ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the output directory was made")
+
+    monkeypatch.setattr(training, "_train", no_training)
+    for command in (["stage1"], ["stage2", "--stage1-ckpt", ckpt]):
+        assert main([*command, *_cfg_flags(tmp_path, **{"out-dir": str(blocker)})]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error[io]: [Errno 17] File exists")
+
+
 def test_bad_checkpoint_is_categorized(tmp_path, capsys):
     bad = tmp_path / "ckpt.json"
     bad.write_text("{not json")
@@ -453,7 +472,8 @@ def test_stage2_refuses_a_checkpoint_with_key_biases(tmp_path, capsys):
     assert main(["stage1", *_cfg_flags(tmp_path, **{"stage1-epochs": 0})]) == 0
     ckpt = json.loads(capsys.readouterr().out)["checkpoint"]
     store, _, _, config = load_checkpoint(ckpt, "stage1")
-    store.add("visual.layer0.attn.bk", np.zeros(16), trainable=False)
+    store.add("visual.layer0.attn.bk", np.zeros(16))
+    store.set_frozen(store.frozen | {"visual.layer0.attn.bk"})
     save_checkpoint(store, config, ckpt)
     with pytest.raises(CheckpointError, match=r"extra \['visual\.layer0\.attn\.bk'\]"):
         load_checkpoint(ckpt, "stage1")

@@ -322,10 +322,12 @@ class TestVisualEncode:
         name = "visual.layer0.attn.wq"
         baseline = store[name].data.tobytes()
         opt = Optimizer(store, 0.1)
-        for grad_name in [name, *store.trainable_names()]:
+        with pytest.raises(ContractError, match="requires no gradient"):
+            store[name].grad = np.ones_like(store[name].data)
+        for grad_name in store.trainable_names():
             store[grad_name].grad = np.ones_like(store[grad_name].data)
         opt.step()
-        assert store[name].data.tobytes() == baseline
+        assert store[name].data.tobytes() == baseline and store[name].grad is None
         assert not np.allclose(store["visual.prompt.0"].data, build_store(cfg, seed=6)["visual.prompt.0"].data)
 
     def test_replace_mode_uses_fresh_prompts_per_layer(self):

@@ -15,9 +15,9 @@ from navprompt.optim import (
 from navprompt.tensor import Tensor
 
 
-def _store_with(name="p", value=1.0, trainable=True):
+def _store_with(name="p", value=1.0):
     store = ParamStore()
-    store.add(name, np.array([value]), trainable=trainable)
+    store.add(name, np.array([value]))
     return store
 
 
@@ -54,9 +54,12 @@ class TestOptimizerStep:
         before = store["q"].data.tobytes()
         opt = Optimizer(store, 0.5)
         store["p"].grad = np.array([1.0])
-        store["q"].grad = np.array([100.0])
+        # only a graph node holds a gradient, and a frozen tensor has none
+        with pytest.raises(ContractError, match="requires no gradient"):
+            store["q"].grad = np.array([100.0])
+        store["q"].grad = None
         opt.step()
-        assert store["q"].data.tobytes() == before
+        assert store["q"].data.tobytes() == before and store["q"].grad is None
         assert "q" not in opt.params and "q" not in opt.moments
         # the trainable entry took Adam's first step, lr / (1 + eps) for g = 1
         np.testing.assert_allclose(store["p"].data, [1.0 - opt.learning_rate / (1.0 + ADAM_EPS)], atol=0)
@@ -109,7 +112,8 @@ class TestOptimizerStep:
         store = ParamStore()
         for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2, 2, 3))):
             store.add(name, rng.normal(size=shape))
-        store.add("frozen", rng.normal(size=(2,)), trainable=False)
+        store.add("frozen", rng.normal(size=(2,)))
+        store.set_frozen({"frozen"})
         reference = {name: store[name].data.copy() for name in store.trainable_names()}
         opt, ref_step = Optimizer(store, 1e-2), _reference_adam(1e-2)
         for _ in range(5):

@@ -1,6 +1,7 @@
 """Tensor forward semantics and gradient correctness against finite differences."""
 
 import math
+import operator
 import re
 import zlib
 
@@ -333,6 +334,7 @@ def test_every_differentiable_op_has_a_finite_difference_case():
         return max((op for op in ops if case.startswith(op.strip("_"))), key=len, default=None)
 
     checked = {case: op_of(case) for case, *_ in FD_CASES}
+    assert len(checked) == len(FD_CASES), "finite-difference case names must be unique"
     assert set(checked.values()) <= ops, {case: op for case, op in checked.items() if op not in ops}
     assert ops - set(checked.values()) == set()
 
@@ -523,6 +525,19 @@ def test_gelu_is_bitwise_equal_to_the_stored_gate_formula():
 def test_elementwise_shape_error():
     with pytest.raises(ShapeError):
         Tensor(np.zeros((2, 3))) + Tensor(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("op,name", [(operator.add, "add"), (operator.mul, "mul"), (operator.truediv, "div")],
+                         ids=["add", "mul", "div"])
+def test_only_a_constant_broadcasts(op, name):
+    # a 0-d operand that needs a gradient would have it summed back over the other operand; it is refused
+    scalar, vector = Tensor(2.0, requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+    for a, b in ((scalar, vector), (vector, scalar)):
+        with pytest.raises(ShapeError, match=re.escape(f"{name}: shapes {a.shape} and {b.shape} differ")):
+            op(a, b)
+    # a 0-d constant broadcasts, and the other operand's gradient keeps its shape
+    op(vector, Tensor(2.0)).sum().backward()
+    assert vector.grad.shape == (3,) and scalar.grad is None
 
 
 def test_forward_outputs_finite_on_finite_inputs():
